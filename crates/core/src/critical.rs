@@ -201,7 +201,7 @@ pub fn search_target_critical_point_with(
         };
         // Bisection.
         let (mut lo, mut hi) = (ts[seg], ts[seg + 1]);
-        let (mut zlo, mut zhi) = (zs[seg], zs[seg + 1]);
+        let mut zlo = zs[seg];
         let at = |t: f64| -> Tensor {
             let mut x = anchor.clone();
             x.axpy(t, &dir);
@@ -221,13 +221,11 @@ pub fn search_target_critical_point_with(
             }
             if zmid * zlo < 0.0 {
                 hi = mid;
-                zhi = zmid;
             } else {
                 lo = mid;
                 zlo = zmid;
             }
         }
-        let _ = zhi;
         if hi - lo > bracket_goal {
             continue;
         }

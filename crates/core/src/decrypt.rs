@@ -2,8 +2,9 @@
 //!
 //! Layer by layer (in topological order), the decryptor:
 //!
-//! 1. attempts the cheap algebraic [`key_bit_inference`] on every protected
-//!    unit (§3.3);
+//! 1. attempts the cheap algebraic Algorithm 1 on every protected unit
+//!    (§3.3), in lock-step [`infer_rounds`] that send one oracle batch per
+//!    round;
 //! 2. runs the [`learning_attack`] on the ⊥ remainder (§3.6) — jointly over
 //!    all not-yet-committed bits, warm-started across layers, committing
 //!    only the current layer;
@@ -22,7 +23,7 @@ use crate::checkpoint::{
 use crate::config::AttackConfig;
 use crate::correct::correction_plan;
 use crate::error::AttackError;
-use crate::infer::{key_bit_inference_with, InferredBits};
+use crate::infer::{infer_rounds, site_probe_with, InferredBits, SiteCursor};
 use crate::learning::{
     learning_attack, multipliers_from_pairs, multipliers_to_pairs, LearnedMultipliers,
 };
@@ -134,9 +135,13 @@ pub struct PausedSession {
 /// Serial phases (learning attack, layer validation, target selection)
 /// never go through the executor; they stay on the driver's thread.
 pub trait PhaseExecutor: Sync {
-    /// Runs Algorithm 1 on every site of a layer. Item `i` must evaluate
-    /// `key_bit_inference_with` for `sites[i]` on a clone of `rngs[i]`,
-    /// and the result vector must be in site order.
+    /// Runs Algorithm 1 on every site of a layer and returns the bits in
+    /// site order. Site `i` starts from a clone of `rngs[i]`. An executor
+    /// must drive the shared [`infer_rounds`] loop, which sends one oracle
+    /// batch per round in canonical site order; only the white-box half
+    /// of each round ([`site_probe_with`]) is the executor's to schedule.
+    /// Broker batches and the batch-size histogram are part of the
+    /// asserted books, so a private loop would break the contract.
     fn infer_sites(
         &self,
         g: &Graph,
@@ -188,9 +193,11 @@ impl LocalExecutor {
 impl PhaseExecutor for LocalExecutor {
     /// **Determinism contract (DESIGN.md §3e):** the driver forked one
     /// PRNG stream per site in canonical site order, so each site's
-    /// search consumes its own stream, independent of scheduling, and
-    /// results merge back in canonical site order. The sequential and
-    /// parallel paths are therefore bit-identical.
+    /// search consumes its own stream, independent of scheduling. Each
+    /// round's white-box half is sharded across the threads; its probes
+    /// merge back in canonical site order and go to the oracle as one
+    /// batch. The sequential and parallel paths are therefore
+    /// bit-identical, broker batches included.
     fn infer_sites(
         &self,
         g: &Graph,
@@ -200,13 +207,17 @@ impl PhaseExecutor for LocalExecutor {
         cfg: &AttackConfig,
         rngs: &[Prng],
     ) -> InferredBits {
-        run_sharded(&self.pool, cfg.threads, sites.len(), |i, ws| {
-            let site = &sites[i];
-            let mut site_rng = rngs[i].clone();
-            (
-                site.slot,
-                key_bit_inference_with(g, ws, ka, site, oracle, cfg, &mut site_rng),
-            )
+        let mut cursors: Vec<SiteCursor> = rngs
+            .iter()
+            .map(|r| SiteCursor::new(r.clone(), cfg))
+            .collect();
+        infer_rounds(sites, &mut cursors, oracle, cfg, |round| {
+            run_sharded(&self.pool, cfg.threads, round.len(), |j, ws| {
+                let (i, cursor) = &round[j];
+                let mut cursor = cursor.clone();
+                let probe = site_probe_with(g, ws, ka, &sites[*i], cfg, &mut cursor);
+                (probe, cursor)
+            })
         })
     }
 
@@ -918,7 +929,7 @@ impl Decryptor {
             // ---- Step 3: validation and error correction (§3.7/§3.8). ----
             let mut starved = false;
             let mut correction_from = 0usize;
-            let (target, mut ok) = if let Some(rc) = restored_correction.take() {
+            let (target, ok) = if let Some(rc) = restored_correction.take() {
                 // Mid-correction resume: the earlier validations failed by
                 // construction, and the target travels *in* the snapshot —
                 // redrawing it here would diverge the random stream.
@@ -976,7 +987,6 @@ impl Decryptor {
                             rng,
                         )
                     });
-                    let before: Vec<bool> = ka.to_bits();
                     for slot in &unresolved {
                         let m = relearned.get(slot).copied().unwrap_or(0.0);
                         ka.set_bit(*slot, m < 0.0);
@@ -1006,12 +1016,6 @@ impl Decryptor {
                             true
                         }
                     };
-                    if !ok {
-                        // Keep whichever candidate the correction search
-                        // should start from: the re-learned one (fresher
-                        // confidences).
-                        let _ = before;
-                    }
                 }
                 (target, ok)
             };
@@ -1134,10 +1138,7 @@ impl Decryptor {
                 }
                 timing.add(Procedure::ErrorCorrection, corr_start.elapsed());
                 match applied {
-                    Some(cand) => {
-                        report.corrected = cand.len();
-                        ok = true;
-                    }
+                    Some(cand) => report.corrected = cand.len(),
                     None if starved || cfg.continue_on_failure => {
                         report.validated = false;
                     }
@@ -1149,7 +1150,6 @@ impl Decryptor {
                     }
                 }
             }
-            let _ = ok;
 
             // Commit the layer.
             for site in layer_sites {

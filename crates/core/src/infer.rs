@@ -6,11 +6,19 @@
 //! while every other same-layer pre-activation stays fixed. The oracle then
 //! betrays the key bit (Lemma 2): the side on which its output does *not*
 //! move is the side where the (possibly flipped) ReLU is inactive.
+//!
+//! Algorithm 1 splits at its one oracle call. The white-box half
+//! ([`site_probe_with`]) spends a site's attempts on the critical point,
+//! the Jacobian, the pre-image and the ε-search until one yields the
+//! 3-row probe `[x°, x°+εv, x°−εv]`; the Lemma-2 half reads the oracle's
+//! answer to it. [`infer_rounds`] runs a layer's sites in lock-step
+//! rounds between the two halves, so a round costs one oracle batch no
+//! matter how many sites probe in it.
 
 use crate::config::AttackConfig;
 use crate::critical::{search_critical_point_with, z_at};
 use relock_graph::{Graph, KeyAssignment, KeySlot, LockSite, NodeId, Op, Saved, Workspace};
-use relock_locking::Oracle;
+use relock_locking::{Oracle, OracleError};
 use relock_tensor::linalg::preimage;
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
@@ -19,6 +27,31 @@ use relock_tensor::Tensor;
 /// bit)`, with `None` for the paper's ⊥. Checkpoints serialize this so a
 /// resumed attack can skip the pass instead of re-querying it.
 pub type InferredBits = Vec<(KeySlot, Option<bool>)>;
+
+/// One site's Algorithm-1 progress between rounds: its private PRNG
+/// stream and the witness attempts it has left.
+#[derive(Debug, Clone)]
+pub struct SiteCursor {
+    /// The site's own stream, pre-forked in canonical site order
+    /// (DESIGN.md §3e). Only the white-box half consumes it.
+    pub rng: Prng,
+    /// Attempts left before the site settles on ⊥.
+    pub attempts: usize,
+}
+
+impl SiteCursor {
+    /// A fresh cursor on `rng` with all `cfg.max_site_attempts` attempts.
+    pub fn new(rng: Prng, cfg: &AttackConfig) -> Self {
+        SiteCursor {
+            rng,
+            attempts: cfg.max_site_attempts,
+        }
+    }
+}
+
+/// What the white-box half returns for one site: its 3-row probe (`None`
+/// once the site has settled on ⊥) and its advanced cursor.
+pub type ProbeStep = (Option<Tensor>, SiteCursor);
 
 /// The discrete "linear region signature" of a point: ReLU activity masks
 /// and max-pool winners over the ancestors of `upto`. Two points share a
@@ -56,8 +89,10 @@ fn region_signature(
 /// paper's ⊥) when the pre-image does not exist, the neuron is not
 /// sensitizable, or the oracle responses stay indecisive.
 ///
-/// `keys` must hold the already-decrypted bits of preceding layers; bits of
-/// the current and subsequent layers are irrelevant (Lemma 1).
+/// This is the one-site case of [`infer_rounds`]: every round sends the
+/// site's single probe, and `rng` is left where the site's search stopped.
+/// `keys` must hold the already-decrypted bits of preceding layers; bits
+/// of the current and subsequent layers are irrelevant (Lemma 1).
 pub fn key_bit_inference(
     g: &Graph,
     keys: &KeyAssignment,
@@ -67,26 +102,43 @@ pub fn key_bit_inference(
     rng: &mut Prng,
 ) -> Option<bool> {
     let mut ws = Workspace::new();
-    key_bit_inference_with(g, &mut ws, keys, site, oracle, cfg, rng)
+    let mut cursors = [SiteCursor::new(rng.clone(), cfg)];
+    let inferred = infer_rounds(
+        std::slice::from_ref(site),
+        &mut cursors,
+        oracle,
+        cfg,
+        |round| {
+            round
+                .iter()
+                .map(|(_, cursor)| {
+                    let mut cursor = cursor.clone();
+                    let probe = site_probe_with(g, &mut ws, keys, site, cfg, &mut cursor);
+                    (probe, cursor)
+                })
+                .collect()
+        },
+    );
+    let [cursor] = cursors;
+    *rng = cursor.rng;
+    inferred[0].1
 }
 
-/// [`key_bit_inference`] through a caller-owned workspace: the critical-point
-/// search, the Jacobian, and every region/pre-activation probe of one site
-/// share the same buffers. The decryptor hands each recovery worker one
-/// pooled workspace for all the sites it pulls; a site reads shared state
-/// (`g`, `keys`, the oracle) and mutates only its own `ws` and `rng`, so
-/// sites of one layer run concurrently without synchronizing — each site's
-/// stream is pre-forked in canonical order (DESIGN.md §3e), which keeps
-/// the outcome bit-identical at every thread count.
-pub fn key_bit_inference_with(
+/// The white-box half of Algorithm 1: spends `cursor`'s attempts on a
+/// critical point, the Jacobian, the pre-image and the ε-search until one
+/// yields the `[3, P]` probe `[x°, x°+εv, x°−εv]`, or returns `None` (⊥)
+/// once the attempts are spent or the site cannot be attacked
+/// algebraically. Reads shared state (`g`, `keys`) and mutates only `ws`
+/// and `cursor`, so the sites of a layer compute their probes
+/// concurrently without synchronizing.
+pub fn site_probe_with(
     g: &Graph,
     ws: &mut Workspace,
     keys: &KeyAssignment,
     site: &LockSite,
-    oracle: &dyn Oracle,
     cfg: &AttackConfig,
-    rng: &mut Prng,
-) -> Option<bool> {
+    cursor: &mut SiteCursor,
+) -> Option<Tensor> {
     // The algebraic step is specific to sign locks; other operators route
     // to the learning attack (§3.9 reduction).
     if !matches!(g.node(site.keyed_node).op, Op::KeyedSign { .. }) {
@@ -101,8 +153,10 @@ pub fn key_bit_inference_with(
         return None;
     }
     let elem = site.scalar_index();
+    let rng = &mut cursor.rng;
 
-    for _ in 0..cfg.max_site_attempts {
+    while cursor.attempts > 0 {
+        cursor.attempts -= 1;
         let Some(cp) = search_critical_point_with(g, ws, keys, pre_node, elem, cfg, rng) else {
             continue;
         };
@@ -130,7 +184,6 @@ pub fn key_bit_inference_with(
         // and actually moves the target pre-activation by ±ε.
         let sig0 = region_signature(g, ws, keys, &cp.x, pre_node);
         let mut eps = cfg.epsilon;
-        let mut probes = None;
         while eps >= cfg.epsilon_min {
             let mut xp = cp.x.clone();
             xp.axpy(eps, &v);
@@ -144,49 +197,136 @@ pub fn key_bit_inference_with(
                 && region_signature(g, ws, keys, &xp, pre_node) == sig0
                 && region_signature(g, ws, keys, &xm, pre_node) == sig0
             {
-                probes = Some((xp, xm));
-                break;
+                let mut rows = Vec::with_capacity(3 * p);
+                rows.extend_from_slice(cp.x.as_slice());
+                rows.extend_from_slice(xp.as_slice());
+                rows.extend_from_slice(xm.as_slice());
+                return Some(Tensor::from_vec(rows, [3, p]));
             }
             eps *= 0.25;
         }
-        let Some((xp, xm)) = probes else { continue };
-
-        // Query the oracle at the witness and both probes — one 3-row
-        // batch, so a broker charges/dispatches it as a single request. An
-        // oracle failure (budget, deadline, dead backend) maps to ⊥: the
-        // decryptor's learning fallback owns those slots anyway.
-        let mut pts = Vec::with_capacity(3 * p);
-        pts.extend_from_slice(cp.x.as_slice());
-        pts.extend_from_slice(xp.as_slice());
-        pts.extend_from_slice(xm.as_slice());
-        let Ok(out) = oracle.try_query_batch(&Tensor::from_vec(pts, [3, p])) else {
-            return None;
-        };
-        let q = out.dims()[1];
-        let (o0, op, om) = (out.row(0), out.row(1), out.row(2));
-        let mut scale = 1.0f64;
-        let mut dp = 0.0f64;
-        let mut dm = 0.0f64;
-        for i in 0..q {
-            scale = scale.max(o0[i].abs());
-            dp = dp.max((op[i] - o0[i]).abs());
-            dm = dm.max((om[i] - o0[i]).abs());
-        }
-        dp /= scale;
-        dm /= scale;
-        // Lemma 2 contrapositive (Algorithm 1 lines 9–10): a changed output
-        // on the +ε side means the ReLU opened there, i.e. no flip (K=0);
-        // a changed output on the −ε side means the flip is present (K=1).
-        if dp >= cfg.diff_tol && dm <= cfg.eq_tol {
-            return Some(false);
-        }
-        if dm >= cfg.diff_tol && dp <= cfg.eq_tol {
-            return Some(true);
-        }
-        // Indecisive (both moved: crossed something unexpected; neither
-        // moved: not sensitizable here) — retry with a fresh witness.
     }
     None
+}
+
+/// The Lemma-2 half of Algorithm 1: reads the oracle's answer to one
+/// probe from rows `at..at + 3` of `out` (`O(x°)`, `O(x°+εv)`,
+/// `O(x°−εv)`). `None` means indecisive: both sides moved (the probe
+/// crossed something unexpected) or neither did (not sensitizable here).
+fn lemma2_verdict(out: &Tensor, at: usize, cfg: &AttackConfig) -> Option<bool> {
+    let (o0, op, om) = (out.row(at), out.row(at + 1), out.row(at + 2));
+    let mut scale = 1.0f64;
+    let mut dp = 0.0f64;
+    let mut dm = 0.0f64;
+    for i in 0..o0.len() {
+        scale = scale.max(o0[i].abs());
+        dp = dp.max((op[i] - o0[i]).abs());
+        dm = dm.max((om[i] - o0[i]).abs());
+    }
+    dp /= scale;
+    dm /= scale;
+    // Lemma 2 contrapositive (Algorithm 1 lines 9–10): a changed output
+    // on the +ε side means the ReLU opened there, i.e. no flip (K=0);
+    // a changed output on the −ε side means the flip is present (K=1).
+    if dp >= cfg.diff_tol && dm <= cfg.eq_tol {
+        return Some(false);
+    }
+    if dm >= cfg.diff_tol && dp <= cfg.eq_tol {
+        return Some(true);
+    }
+    None
+}
+
+/// Sends one round's probes and reads their verdicts, in probe order.
+///
+/// The probes go out as **one** batch, so a broker charges and dispatches
+/// the whole round as a single request. If the oracle refuses that batch
+/// (budget, deadline, dead backend), the round falls back to one call
+/// per probe in the same order: a budget too small for the round still
+/// answers the probes it can afford, first come first served.
+fn round_verdicts(
+    oracle: &dyn Oracle,
+    probes: &[Tensor],
+    cfg: &AttackConfig,
+) -> Vec<Result<Option<bool>, OracleError>> {
+    if probes.len() > 1 {
+        let p = probes[0].dims()[1];
+        let mut rows = Vec::with_capacity(3 * probes.len() * p);
+        for probe in probes {
+            rows.extend_from_slice(probe.as_slice());
+        }
+        let batch = Tensor::from_vec(rows, [3 * probes.len(), p]);
+        if let Ok(out) = oracle.try_query_batch(&batch) {
+            return (0..probes.len())
+                .map(|k| Ok(lemma2_verdict(&out, 3 * k, cfg)))
+                .collect();
+        }
+    }
+    probes
+        .iter()
+        .map(|probe| {
+            oracle
+                .try_query_batch(probe)
+                .map(|out| lemma2_verdict(&out, 0, cfg))
+        })
+        .collect()
+}
+
+/// Runs Algorithm 1 over a layer's `sites` in lock-step rounds.
+///
+/// Each round hands every undecided site, in canonical site order, to
+/// `white_box` as `(site index, cursor)`; it must return each site's
+/// [`ProbeStep`] in the same order (from [`site_probe_with`] on a clone of
+/// the cursor). The round's probes then go to the oracle as one batch in
+/// site order, and each answer is judged by Lemma 2. Sites that stay
+/// indecisive with attempts left carry their cursor into the next round;
+/// everything else is decided, with an oracle failure mapping to ⊥ (the
+/// decryptor's learning fallback owns those slots). Every round spends at
+/// least one attempt of each site it probes, so a layer takes at most
+/// `cfg.max_site_attempts` rounds.
+///
+/// `cursors[i]` belongs to `sites[i]` and is left where its search
+/// stopped. Because a site's stream is consumed only by its own white-box
+/// half, its outcome does not depend on how `white_box` schedules the
+/// items or on which other sites share its rounds.
+pub fn infer_rounds(
+    sites: &[LockSite],
+    cursors: &mut [SiteCursor],
+    oracle: &dyn Oracle,
+    cfg: &AttackConfig,
+    mut white_box: impl FnMut(&[(usize, SiteCursor)]) -> Vec<ProbeStep>,
+) -> InferredBits {
+    assert_eq!(sites.len(), cursors.len(), "one cursor per site");
+    let mut bits: Vec<Option<bool>> = vec![None; sites.len()];
+    let mut pending: Vec<usize> = (0..sites.len()).collect();
+    while !pending.is_empty() {
+        let round: Vec<(usize, SiteCursor)> =
+            pending.iter().map(|&i| (i, cursors[i].clone())).collect();
+        let steps = white_box(&round);
+        assert_eq!(steps.len(), round.len(), "one probe step per round item");
+        let mut probing = Vec::new();
+        let mut probes = Vec::new();
+        for (&i, (probe, cursor)) in pending.iter().zip(steps) {
+            cursors[i] = cursor;
+            if let Some(probe) = probe {
+                probing.push(i);
+                probes.push(probe);
+            }
+        }
+        pending.clear();
+        for (i, verdict) in probing
+            .into_iter()
+            .zip(round_verdicts(oracle, &probes, cfg))
+        {
+            match verdict {
+                Ok(Some(bit)) => bits[i] = Some(bit),
+                // Indecisive: retry with a fresh witness next round.
+                Ok(None) if cursors[i].attempts > 0 => pending.push(i),
+                _ => {}
+            }
+        }
+    }
+    sites.iter().map(|s| s.slot).zip(bits).collect()
 }
 
 #[cfg(test)]

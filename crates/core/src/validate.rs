@@ -37,29 +37,36 @@ pub struct ValidationTarget {
 
 /// Second difference `‖O(x+δu) + O(x−δu) − 2·O(x)‖∞` at step `delta`.
 ///
-/// The two probe points go out as **one** 2-row batch: through a broker
-/// that is one request (one budget reservation, one dispatch) instead of
-/// two, and the symmetric rows land in the same cache generation.
+/// The probe points go out as **one** batch: through a broker that is one
+/// request (one budget reservation, one dispatch), and the symmetric rows
+/// land in the same cache generation. `o0` caches the base point's answer
+/// `O(x)`; while it is still unknown, `x` rides in front of the ±δ pair
+/// (a 3-row batch instead of a 1-row call and a 2-row one) and the answer
+/// is stored for the witness's later probes.
 fn second_difference(
     oracle: &dyn Oracle,
-    o0: &Tensor,
+    o0: &mut Option<Tensor>,
     x: &Tensor,
     u: &Tensor,
     delta: f64,
 ) -> Result<f64, OracleError> {
     let p = x.numel();
-    let mut xp = x.clone();
-    xp.axpy(delta, u);
-    let mut xm = x.clone();
-    xm.axpy(-delta, u);
-    let mut probes = Vec::with_capacity(2 * p);
-    probes.extend_from_slice(xp.as_slice());
-    probes.extend_from_slice(xm.as_slice());
-    let out = oracle.try_query_batch(&Tensor::from_vec(probes, [2, p]))?;
-    let (op, om) = (out.row(0), out.row(1));
+    let mut rows = Vec::with_capacity(3 * p);
+    if o0.is_none() {
+        rows.extend_from_slice(x.as_slice());
+    }
+    for step in [delta, -delta] {
+        let mut xs = x.clone();
+        xs.axpy(step, u);
+        rows.extend_from_slice(xs.as_slice());
+    }
+    let n = rows.len() / p;
+    let out = oracle.try_query_batch(&Tensor::from_vec(rows, [n, p]))?;
+    let base = o0.get_or_insert_with(|| Tensor::from_slice(out.row(0)));
+    let (op, om) = (out.row(n - 2), out.row(n - 1));
     let mut max_c = 0.0f64;
-    for i in 0..o0.numel() {
-        let c = op[i] + om[i] - 2.0 * o0.as_slice()[i];
+    for i in 0..base.numel() {
+        let c = op[i] + om[i] - 2.0 * base.as_slice()[i];
         max_c = max_c.max(c.abs());
     }
     Ok(max_c)
@@ -155,16 +162,12 @@ fn probe_witness(
             continue;
         }
         informative = true;
-        if o0.is_none() {
-            o0 = Some(oracle.try_query(x)?);
-        }
-        let base = o0.as_ref().expect("just queried");
-        let scale = base.norm_inf().max(1.0);
-        let c_full = second_difference(oracle, base, x, &u, cfg.probe_delta)?;
+        let c_full = second_difference(oracle, &mut o0, x, &u, cfg.probe_delta)?;
+        let scale = o0.as_ref().expect("answered above").norm_inf().max(1.0);
         if c_full / scale < cfg.kink_tol {
             continue;
         }
-        let c_half = second_difference(oracle, base, x, &u, 0.5 * cfg.probe_delta)?;
+        let c_half = second_difference(oracle, &mut o0, x, &u, 0.5 * cfg.probe_delta)?;
         if c_half >= 0.4 * c_full {
             return Ok(WitnessVerdict::Confirmed);
         }
@@ -223,7 +226,6 @@ fn probe_unit(
     // hypothesis legitimately refutes, so cross-hypothesis pooling would
     // condemn correct keys whose true-bit witnesses happen to be masked.
     let mut hypotheses_refuted = 0usize;
-    let mut hypotheses_informative = 0usize;
     for ka_h in &hypotheses {
         // Witness scalars, cheapest discriminators first: single ReLU
         // inputs, then tie surfaces (where a pool window's winner
@@ -263,9 +265,6 @@ fn probe_unit(
                 break;
             }
         }
-        if refutes_here > 0 {
-            hypotheses_informative += 1;
-        }
         if refutes_here >= 2 {
             hypotheses_refuted += 1;
         }
@@ -274,12 +273,10 @@ fn probe_unit(
     // Single refuting witnesses can be white-box masking mispredictions
     // (unknown downstream bits); and a hypothesis with no observable
     // witnesses cannot be judged. Condemn the unit only when every
-    // hypothesis was judged and condemned.
+    // hypothesis was judged and condemned; anything less is inconclusive
+    // and not counted.
     Ok(if hypotheses_refuted == hypotheses.len() {
         WitnessVerdict::Refuted
-    } else if hypotheses_informative == hypotheses.len() && hypotheses_refuted > 0 {
-        // Mixed-but-informative evidence: inconclusive, not counted.
-        WitnessVerdict::NotObservable
     } else {
         WitnessVerdict::NotObservable
     })
@@ -435,20 +432,7 @@ pub fn key_vector_validation_checked_with(
                 return Ok(ValidationVerdict::Pass);
             }
             if informative - confirmed >= fail_at {
-                if std::env::var("RELOCK_DEBUG").is_ok() {
-                    eprintln!(
-                        "[validate] surface={} early-fail informative={informative} confirmed={confirmed}",
-                        t.surface_node
-                    );
-                }
                 return Ok(ValidationVerdict::Fail);
-            }
-            if std::env::var("RELOCK_DEBUG").is_ok() {
-                eprintln!(
-                    "[validate] surface={} candidates={} informative={informative} confirmed={confirmed}",
-                    t.surface_node,
-                    t.units.len()
-                );
             }
             if informative == 0 {
                 return Ok(ValidationVerdict::NoEvidence);
@@ -568,6 +552,51 @@ mod tests {
             &cfg,
             &mut rng
         ));
+    }
+
+    #[test]
+    fn witness_confirmed_on_its_first_direction_costs_two_oracle_calls() {
+        use crate::critical::search_target_critical_point;
+        use relock_serve::Broker;
+        let (model, mut cfg) = setup();
+        // One direction: a Confirmed verdict must come from the first.
+        cfg.validation_directions = 1;
+        let g = model.white_box();
+        let ka = model.true_key().to_assignment();
+        let t = second_layer_target(g);
+        let mut rng = Prng::seed_from_u64(124);
+        let mut ws = Workspace::new();
+        let mut confirmed = 0usize;
+        for unit in 0..t.layout.n_units {
+            let elem = t.layout.unit_elements(unit).next().unwrap();
+            let scalar = TargetScalar::Element(elem);
+            let Some(cp) =
+                search_target_critical_point(g, &ka, t.surface_node, &scalar, &cfg, &mut rng)
+            else {
+                continue;
+            };
+            let oracle = CountingOracle::new(&model);
+            let broker = Broker::new(&oracle);
+            let kink = oracle_kink_at(
+                g,
+                &mut ws,
+                &ka,
+                &broker,
+                &cp.x,
+                &cp.crossing_dir,
+                &cfg,
+                &mut rng,
+            )
+            .unwrap();
+            if kink == Some(true) {
+                // x° rides with the first ±δ pair, then the ±δ/2 pair.
+                let stats = broker.snapshot();
+                assert_eq!(stats.batches, 2, "unit {unit}: {stats:?}");
+                assert_eq!(stats.requested, 5, "unit {unit}: {stats:?}");
+                confirmed += 1;
+            }
+        }
+        assert!(confirmed > 0, "no witness confirmed");
     }
 
     #[test]

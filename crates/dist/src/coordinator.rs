@@ -12,12 +12,15 @@
 //! The driver forks one PRNG stream per item in canonical order and
 //! merges results by index, so scheduling freedom cannot perturb the
 //! outcome; the coordinator ships each item's stream snapshot in the item
-//! frame and commits results into index-addressed slots. Every worker
+//! frame and commits results into index-addressed slots. Inference runs
+//! the shared `infer_rounds` loop: workers compute each round's probes,
+//! and the coordinator sends them to the broker as one batch in site
+//! order, exactly as the in-process executor does. Every validation
 //! oracle query is proxied back here and answered from the driver's
 //! single broker, so memoization totals are sums over the same request
 //! multiset no matter which process asked — 1 process and N processes are
-//! byte-for-byte identical, keys, query counts, and checkpoint frames
-//! included.
+//! byte-for-byte identical, keys, query counts, broker batches, and
+//! checkpoint frames included.
 //!
 //! ## Supervision
 //!
@@ -39,12 +42,12 @@
 //!   reported in [`DistReport::fell_back`].
 
 use crate::proto::{
-    decode_f64s, decode_oracle_error, encode_bits, encode_config, encode_f64s, encode_oracle_error,
-    encode_rng, encode_target, field_str, field_u64, malformed, parse_verdict,
+    decode_f64s, decode_oracle_error, decode_rng, encode_bits, encode_config, encode_f64s,
+    encode_oracle_error, encode_rng, encode_target, field_str, field_u64, malformed, parse_verdict,
 };
 use relock_attack::{
-    key_bit_inference_with, key_vector_validation_checked_with, AttackConfig, InferredBits,
-    PhaseExecutor, ValidationTarget, ValidationVerdict,
+    infer_rounds, key_vector_validation_checked_with, site_probe_with, AttackConfig, InferredBits,
+    PhaseExecutor, ProbeStep, SiteCursor, ValidationTarget, ValidationVerdict,
 };
 use relock_campaign::{read_frame, write_frame, ProtoError};
 use relock_graph::{Graph, KeyAssignment, KeySlot, LockSite, Workspace, WorkspacePool};
@@ -77,10 +80,11 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// recovered key.
 #[derive(Debug, Clone, Default)]
 pub struct DistChaos {
-    /// Cumulative *routed* row counts at which the querying worker is
-    /// killed (`SIGKILL`) before its batch reaches the broker — the
-    /// moral equivalent of `kill -9` mid-query. Sorted and deduplicated
-    /// on coordinator construction; each point fires once.
+    /// Cumulative *routed* row counts (see [`DistReport::routed_rows`])
+    /// at which the worker handing over the rows is killed (`SIGKILL`)
+    /// before they reach the broker — the moral equivalent of `kill -9`
+    /// mid-query. Sorted and deduplicated on coordinator construction;
+    /// each point fires once.
     pub kill_at_rows: Vec<u64>,
     /// `(worker, items)`: that worker's **first** incarnation goes silent
     /// (heartbeats stop, no reply) upon receiving its `items+1`-th item.
@@ -150,8 +154,10 @@ pub struct DistReport {
     pub lease_expiries: u64,
     /// Late duplicate results discarded by the at-most-once commit.
     pub duplicate_discards: u64,
-    /// Total request rows proxied from workers to the broker (cache hits
-    /// included) — the coordinate space of [`DistChaos::kill_at_rows`].
+    /// Total rows workers handed over for the broker (cache hits
+    /// included): the 3-row Algorithm-1 probes `infer` items return plus
+    /// the oracle batches `validate` items proxy. Re-executed items count
+    /// again. The coordinate space of [`DistChaos::kill_at_rows`].
     pub routed_rows: u64,
     /// `Some(reason)` once the circuit breaker opened and the run
     /// completed in-process.
@@ -389,11 +395,24 @@ impl DistCoordinator {
             .map_err(|_| SpawnError::Attempt)
     }
 
-    /// Answers one proxied oracle query from the driver's broker. The
-    /// chaos kill check runs *before* the broker sees the batch, so an
-    /// injected `kill -9` leaves the broker's accounting untouched — the
-    /// re-executed item re-requests the same rows and the underlying
-    /// totals match the clean run.
+    /// Counts `rows` a worker handed over for the broker and fires the
+    /// chaos kill point they cross, if any. An `Err` expires the worker's
+    /// lease before the rows reach the broker, so an injected `kill -9`
+    /// leaves the broker's accounting untouched — the re-executed item
+    /// hands over the same rows and the underlying totals match the clean
+    /// run.
+    fn route_rows(&self, rows: u64) -> Result<(), String> {
+        let before = self.routed_rows.fetch_add(rows, Ordering::Relaxed);
+        let after = before + rows;
+        let mut kp = lock(&self.kill_points);
+        if kp.front().is_some_and(|&p| p > before && p <= after) {
+            kp.pop_front();
+            return Err(format!("chaos: kill -9 at routed row {after}"));
+        }
+        Ok(())
+    }
+
+    /// Answers one proxied oracle query from the driver's broker.
     fn route_query(
         &self,
         sock: &UnixStream,
@@ -406,15 +425,7 @@ impl DistCoordinator {
         if rows == 0 || !data.len().is_multiple_of(rows) {
             return Err("query payload does not tile into rows".into());
         }
-        let before = self.routed_rows.fetch_add(rows as u64, Ordering::Relaxed);
-        let after = before + rows as u64;
-        {
-            let mut kp = lock(&self.kill_points);
-            if kp.front().is_some_and(|&p| p > before && p <= after) {
-                kp.pop_front();
-                return Err(format!("chaos: kill -9 at routed row {after}"));
-            }
-        }
+        self.route_rows(rows as u64)?;
         let cols = data.len() / rows;
         let x = Tensor::from_vec(data, [rows, cols]);
         let reply = match oracle.try_query_batch(&x) {
@@ -455,6 +466,9 @@ impl DistCoordinator {
                         if field_u64(&v, "job").ok() != Some(index as u64) {
                             return Err("result for a different job".into());
                         }
+                        // An `infer` result carries its probe rows, bound
+                        // for the round's broker batch.
+                        self.route_rows(v.get("rows").and_then(Value::as_u64).unwrap_or(0))?;
                         return decode(index, &v).map_err(|e| format!("bad result: {e}"));
                     }
                     other => return Err(format!("unexpected frame {other:?}")),
@@ -621,6 +635,12 @@ impl DistCoordinator {
 }
 
 impl PhaseExecutor for DistCoordinator {
+    /// Drives the shared `infer_rounds` loop, leasing each round's
+    /// white-box half to the workers as one `infer` item per undecided
+    /// site (stream snapshot and attempts in; probe rows, stream and
+    /// attempts out). The coordinator itself sends the round's probes to
+    /// the broker as one batch, so the broker sees exactly the in-process
+    /// executor's requests.
     fn infer_sites(
         &self,
         g: &Graph,
@@ -631,38 +651,40 @@ impl PhaseExecutor for DistCoordinator {
         rngs: &[Prng],
     ) -> InferredBits {
         let ka_bits = encode_bits(&ka.to_bits());
-        let items: Vec<Value> = sites
+        let p = g.input_size();
+        let mut cursors: Vec<SiteCursor> = rngs
             .iter()
-            .zip(rngs)
-            .enumerate()
-            .map(|(i, (site, rng))| {
-                Value::Obj(vec![
-                    ("t".into(), Value::str("item")),
-                    ("job".into(), Value::num_u64(i as u64)),
-                    ("kind".into(), Value::str("infer")),
-                    ("slot".into(), Value::num_u64(site.slot.index() as u64)),
-                    ("ka".into(), Value::str(ka_bits.clone())),
-                    ("rng".into(), encode_rng(&rng.state())),
-                ])
-            })
+            .map(|r| SiteCursor::new(r.clone(), cfg))
             .collect();
-        self.run_phase(
-            cfg,
-            oracle,
-            &items,
-            &|i, doc| match doc.get("bit") {
-                Some(Value::Null) => Ok((sites[i].slot, None)),
-                Some(Value::Bool(b)) => Ok((sites[i].slot, Some(*b))),
-                _ => Err(malformed("done frame without bit")),
-            },
-            &|i, ws| {
-                let mut rng = rngs[i].clone();
-                (
-                    sites[i].slot,
-                    key_bit_inference_with(g, ws, ka, &sites[i], oracle, cfg, &mut rng),
-                )
-            },
-        )
+        infer_rounds(sites, &mut cursors, oracle, cfg, |round| {
+            let items: Vec<Value> = round
+                .iter()
+                .enumerate()
+                .map(|(j, (i, cursor))| {
+                    Value::Obj(vec![
+                        ("t".into(), Value::str("item")),
+                        ("job".into(), Value::num_u64(j as u64)),
+                        ("kind".into(), Value::str("infer")),
+                        ("slot".into(), Value::num_u64(sites[*i].slot.index() as u64)),
+                        ("ka".into(), Value::str(ka_bits.clone())),
+                        ("rng".into(), encode_rng(&cursor.rng.state())),
+                        ("attempts".into(), Value::num_u64(cursor.attempts as u64)),
+                    ])
+                })
+                .collect();
+            self.run_phase(
+                cfg,
+                oracle,
+                &items,
+                &|_j, doc| decode_probe_step(doc, p),
+                &|j, ws| {
+                    let (i, cursor) = &round[j];
+                    let mut cursor = cursor.clone();
+                    let probe = site_probe_with(g, ws, ka, &sites[*i], cfg, &mut cursor);
+                    (probe, cursor)
+                },
+            )
+        })
     }
 
     fn validate_wave(
@@ -723,6 +745,29 @@ impl PhaseExecutor for DistCoordinator {
             },
         )
     }
+}
+
+/// Decodes an `infer` item's `done` frame: the probe rows (`null` for ⊥),
+/// the advanced stream, and the attempts left.
+fn decode_probe_step(doc: &Value, input_dim: usize) -> Result<ProbeStep, ProtoError> {
+    let probe = match doc.get("probe") {
+        Some(Value::Null) => None,
+        Some(Value::Str(hex)) => {
+            let rows = field_u64(doc, "rows")? as usize;
+            let data = decode_f64s(hex)?;
+            if rows == 0 || data.len() != rows * input_dim {
+                return Err(malformed("probe payload does not tile into input rows"));
+            }
+            Some(Tensor::from_vec(data, [rows, input_dim]))
+        }
+        _ => return Err(malformed("done frame without probe")),
+    };
+    let rng = Prng::from_state(decode_rng(
+        doc.get("rng")
+            .ok_or_else(|| malformed("done frame without rng"))?,
+    )?);
+    let attempts = field_u64(doc, "attempts")? as usize;
+    Ok((probe, SiteCursor { rng, attempts }))
 }
 
 impl Drop for DistCoordinator {

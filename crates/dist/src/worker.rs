@@ -4,11 +4,20 @@
 //! back to its coordinator. It owns a full white-box copy of the victim
 //! (loaded from the `model_path` in the init frame — the graph is public
 //! knowledge, only the *oracle* is scarce) and computes one work item at a
-//! time: an Algorithm-1 site inference or a §3.8 correction-candidate
-//! validation. Every oracle query the item issues is proxied back over
-//! the same socket ([`WireOracle`]), so all traffic funnels through the
-//! coordinator's single broker — the memoization/accounting invariant the
-//! determinism argument in DESIGN.md §4b rests on.
+//! time:
+//!
+//! - an `infer` item is the white-box half of one Algorithm-1 round for
+//!   one site: from the site's stream snapshot and attempts left, it
+//!   computes the 3-row probe (or ⊥) and returns it with the advanced
+//!   stream and attempts. It never queries the oracle — the coordinator
+//!   sends every site's probe of the round as one batch;
+//! - a `validate` item is a whole §3.8 correction-candidate validation.
+//!   Every oracle query it issues is proxied back over the same socket
+//!   ([`WireOracle`]).
+//!
+//! Either way all traffic funnels through the coordinator's single
+//! broker — the memoization/accounting invariant the determinism argument
+//! in DESIGN.md §4b rests on.
 //!
 //! Liveness is proven by a side thread emitting `hb` frames at a quarter
 //! of the coordinator's read deadline; any frame (heartbeat, query,
@@ -19,10 +28,9 @@
 
 use crate::proto::{
     decode_bits, decode_config, decode_f64s, decode_oracle_error, decode_rng, decode_target,
-    encode_f64s, field_str, field_u64, verdict_str,
+    encode_f64s, encode_rng, field_str, field_u64, verdict_str,
 };
-use relock_attack::key_bit_inference_with;
-use relock_attack::key_vector_validation_checked_with;
+use relock_attack::{key_vector_validation_checked_with, site_probe_with, SiteCursor};
 use relock_campaign::{read_frame, write_frame, ProtoError};
 use relock_graph::{KeyAssignment, KeySlot, LockSite, Workspace};
 use relock_locking::{LockedModel, Oracle, OracleError};
@@ -294,13 +302,24 @@ fn run_item(
             let site = site_of_slot.get(&slot).ok_or_else(|| {
                 crate::proto::malformed(format!("slot {slot} is not a lock site"))
             })?;
-            let bit = key_bit_inference_with(g, ws, &ka, site, oracle, cfg, &mut rng);
+            let mut cursor = SiteCursor {
+                rng,
+                attempts: field_u64(frame, "attempts")? as usize,
+            };
+            let probe = site_probe_with(g, ws, &ka, site, cfg, &mut cursor);
+            let rows = probe.as_ref().map_or(0, |x| x.dims()[0]);
+            fields.push(("rows".to_string(), Value::num_u64(rows as u64)));
             fields.push((
-                "bit".to_string(),
-                match bit {
-                    Some(b) => Value::Bool(b),
+                "probe".to_string(),
+                match &probe {
+                    Some(x) => Value::str(encode_f64s(x.as_slice())),
                     None => Value::Null,
                 },
+            ));
+            fields.push(("rng".to_string(), encode_rng(&cursor.rng.state())));
+            fields.push((
+                "attempts".to_string(),
+                Value::num_u64(cursor.attempts as u64),
             ));
         }
         "validate" => {

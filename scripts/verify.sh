@@ -85,6 +85,13 @@ cargo run -p relock-bench --release --bin campaign_soak -- 8 4 256
 echo "==> dist soak (multi-process attack bench)"
 cargo run -p relock-bench --release --bin dist_soak -- 4 16 42 43
 
+# The benchmark (perfbench/, a workspace of its own) implements
+# PhaseExecutor and wraps LocalExecutor through the public attack API;
+# build it and run its tests so an API change cannot strand it.
+# ci-job: perfbench
+echo "==> perfbench tests (release)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 # Lock-variant × attack matrix: the differential conformance suite
 # (decrypt cells across thread counts, sampling/oracle-less cells under
 # seed replay, trigger property sweep) plus the measured 4×3 grid. The
