@@ -3,6 +3,7 @@
 use relock_bench::{prepare, Arch, Scale};
 use relock_locking::{CountingOracle, Oracle};
 use relock_tensor::rng::Prng;
+use relock_tensor::{compute, GemmBackend};
 use std::time::Instant;
 
 fn main() {
@@ -121,55 +122,73 @@ fn main() {
     );
 
     // 6. raw gemm kernels at the attack's layer shapes — one row per
-    // shape, one column per (backend, precision). The per-backend columns
-    // call the kernels directly (no global override), so the table always
-    // shows every backend the machine can run, whatever RELOCK_BACKEND is.
+    // (form, shape), one column per (backend, precision). The columns call
+    // each backend directly, so the table shows every backend the machine
+    // can run, not only the one dispatch selects. Every form's A holds m·k
+    // elements and its B k·n, so one operand pair serves all three.
     let backends = relock_tensor::backend::available_backends();
-    print!("{:<18}", "gemm_nn (madd/ns)");
+    let forms: [(&str, Gemm<f64>, Gemm<f32>); 3] = [
+        (
+            "nn",
+            compute::gemm_nn_into_backend,
+            compute::gemm_nn_f32_into_backend,
+        ),
+        (
+            "nt",
+            compute::gemm_nt_into_backend,
+            compute::gemm_nt_f32_into_backend,
+        ),
+        (
+            "tn",
+            compute::gemm_tn_into_backend,
+            compute::gemm_tn_f32_into_backend,
+        ),
+    ];
+    print!("{:<18}", "gemm (madd/ns)");
     for be in &backends {
         print!("{:>16} {:>13}", format!("{} f64", be.name()), "f32");
     }
     println!();
-    for (m, k, n) in [
-        (25usize, 48usize, 32usize),
-        (25, 32, 16),
-        (25, 16, 10),
-        (24, 48, 32),
-    ] {
-        let a = rng.normal_tensor([m, k]);
-        let b = rng.normal_tensor([k, n]);
-        let a32: Vec<f32> = a.as_slice().iter().map(|&v| v as f32).collect();
-        let b32: Vec<f32> = b.as_slice().iter().map(|&v| v as f32).collect();
-        let mut o = vec![0.0f64; m * n];
-        let mut o32 = vec![0.0f32; m * n];
-        let madds = (m * k * n) as f64;
-        print!("{:<18}", format!("{m}x{k}x{n}"));
-        for be in &backends {
-            let t = Instant::now();
-            for _ in 0..100000 {
-                relock_tensor::compute::gemm_nn_into_backend(
-                    *be,
-                    a.as_slice(),
-                    b.as_slice(),
-                    &mut o,
-                    m,
-                    k,
-                    n,
-                    1,
-                );
-                std::hint::black_box(&o);
+    for (form, gemm64, gemm32) in forms {
+        for shape @ (m, k, n) in [
+            (25usize, 48usize, 32usize),
+            (25, 32, 16),
+            (25, 16, 10),
+            (24, 48, 32),
+        ] {
+            let a = rng.normal_tensor([m, k]);
+            let b = rng.normal_tensor([k, n]);
+            let a32: Vec<f32> = a.as_slice().iter().map(|&v| v as f32).collect();
+            let b32: Vec<f32> = b.as_slice().iter().map(|&v| v as f32).collect();
+            print!("{:<18}", format!("{form} {m}x{k}x{n}"));
+            for &be in &backends {
+                let f64_rate = madd_per_ns(gemm64, be, a.as_slice(), b.as_slice(), shape);
+                let f32_rate = madd_per_ns(gemm32, be, &a32, &b32, shape);
+                print!("{f64_rate:>16.2} {f32_rate:>13.2}");
             }
-            let us64 = t.elapsed().as_secs_f64() * 1e6 / 100000.0;
-            let t = Instant::now();
-            for _ in 0..100000 {
-                relock_tensor::compute::gemm_nn_f32_into_backend(
-                    *be, &a32, &b32, &mut o32, m, k, n, 1,
-                );
-                std::hint::black_box(&o32);
-            }
-            let us32 = t.elapsed().as_secs_f64() * 1e6 / 100000.0;
-            print!("{:>16.2} {:>13.2}", madds / us64 / 1e3, madds / us32 / 1e3);
+            println!();
         }
-        println!();
     }
+}
+
+/// One `*_into_backend` gemm entry point of `relock_tensor::compute`.
+type Gemm<T> = fn(&dyn GemmBackend, &[T], &[T], &mut [T], usize, usize, usize, usize);
+
+/// Single-threaded throughput of `gemm` on `be` at `(m, k, n)`, in
+/// multiply-adds per nanosecond over 100,000 calls.
+fn madd_per_ns<T: Copy + Default>(
+    gemm: Gemm<T>,
+    be: &dyn GemmBackend,
+    a: &[T],
+    b: &[T],
+    (m, k, n): (usize, usize, usize),
+) -> f64 {
+    const ITERS: usize = 100_000;
+    let mut out = vec![T::default(); m * n];
+    let t = Instant::now();
+    for _ in 0..ITERS {
+        gemm(be, a, b, &mut out, m, k, n, 1);
+        std::hint::black_box(&out);
+    }
+    (m * k * n * ITERS) as f64 / t.elapsed().as_secs_f64() / 1e9
 }

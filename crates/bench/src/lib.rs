@@ -437,8 +437,9 @@ pub fn run_decryption(
     )
 }
 
-/// Worker threads available to the compute kernels, as reported in
-/// `BENCH_engine.json` so perf numbers carry their machine context.
+/// Worker threads available to the compute kernels, as reported in the
+/// `threads` field of `report`'s `BENCH.json` so perf numbers carry their
+/// machine context.
 pub fn bench_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)

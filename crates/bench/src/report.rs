@@ -24,8 +24,8 @@ use relock_attack::{AttackState, CheckpointPolicy, DecryptionReport, Decryptor};
 use relock_dist::{DistCoordinator, DistOptions};
 use relock_locking::CountingOracle;
 use relock_serve::{Broker, BrokerConfig, ChaosConfig, ChaosCrash, ChaosOracle};
+use relock_tensor::backend;
 use relock_tensor::rng::Prng;
-use relock_tensor::{backend, BackendKind};
 use relock_trace::json::Value;
 use std::hint::black_box;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -40,7 +40,7 @@ use std::time::{Duration, Instant};
 /// v3: added the optional `workers` field (worker-process count of the
 /// distributed-attack section, e.g. `dist_mlp32_workers4`).
 /// v4: added the optional `backend` field (resolved gemm-backend name of
-/// kernel-pinned benchmarks, e.g. `scalar` / `simd-avx`), the
+/// kernel-pinned benchmarks, e.g. `scalar` / `simd-avx512`), the
 /// `forward_batch32_simd` comparison point, and the `monolithic_f32`
 /// fast-path measurement.
 /// v5: added the optional `lock_variant` field and the
@@ -77,10 +77,11 @@ pub struct BenchEntry {
     /// Worker *processes* used by a distributed-attack measurement
     /// (absent for in-process benchmarks).
     pub workers: Option<u64>,
-    /// Resolved gemm-backend name a kernel-pinned benchmark ran on
-    /// (`scalar`, `simd-avx`, `simd-portable`); absent for benchmarks
-    /// that don't pin one. Machine-dependent, so `diff` reports changes
-    /// as notes, never failures.
+    /// Gemm-backend name a kernel-pinned benchmark ran on: `scalar` for
+    /// the scalar-pinned entries, else the CPU-detected backend
+    /// (`simd-avx512` or `scalar`); absent for benchmarks that don't pin
+    /// one. Machine-dependent, so `diff` reports changes as notes, never
+    /// failures.
     pub backend: Option<String>,
     /// Full lock-variant spelling of a matrix entry (`sign`,
     /// `scale:0.25`, `sar`, `antisat`); absent for non-matrix
@@ -432,15 +433,15 @@ fn entry(
 }
 
 /// Planned-path forward throughput (rows/sec) of the white-box MLP
-/// through one reused workspace — the engine bin's measurement, repeated.
+/// through one reused workspace, repeated.
 ///
 /// The gemm backend is pinned for the duration: the legacy
 /// `forward_batch*_planned` entries run on `scalar` (so their baselines
 /// keep their historical meaning on any machine), and
-/// `forward_batch32_simd` runs the same workload on the auto-detected
-/// SIMD backend — the pair is the report's headline speedup.
-fn forward_entry(name: &str, batch: usize, repeats: usize, kind: BackendKind) -> BenchEntry {
-    backend::set_backend_override(Some(kind));
+/// `forward_batch32_simd` runs the same workload on the CPU-detected
+/// backend — the pair is the report's headline speedup.
+fn forward_entry(name: &str, batch: usize, repeats: usize, scalar: bool) -> BenchEntry {
+    backend::force_scalar(scalar);
     let p = prepare(Arch::Mlp, 16, Scale::Fast, 42);
     let g = p.model.white_box();
     let keys = p.model.true_key().to_assignment();
@@ -462,20 +463,20 @@ fn forward_entry(name: &str, batch: usize, repeats: usize, kind: BackendKind) ->
         }
         samples.push(iters as f64 * batch as f64 / t.elapsed().as_secs_f64());
     }
-    backend::set_backend_override(None);
+    let ran_on = backend::active_backend().name();
+    backend::force_scalar(false);
     BenchEntry {
-        backend: Some(backend::backend_for(kind).name().to_string()),
+        backend: Some(ran_on.to_string()),
         ..entry(name, "rows_per_sec", samples, None, None)
     }
 }
 
 /// The §4.3 monolithic learning attack on the MLP-16 victim with its
-/// `Linear` products in single precision, on the SIMD backend — the
-/// end-to-end payoff of the f32 fast path. The query count stays exact
+/// `Linear` products in single precision, on the CPU-detected backend —
+/// the end-to-end payoff of the f32 fast path. The query count stays exact
 /// and deterministic (one labelled training set up front), so `diff`
 /// gates on it like any other attack entry.
 fn monolithic_f32_entry(repeats: usize) -> BenchEntry {
-    backend::set_backend_override(Some(BackendKind::Simd));
     let p = prepare(Arch::Mlp, 16, Scale::Fast, 42);
     let mut cfg = crate::monolithic_config(Scale::Fast);
     cfg.learning.precision = relock_graph::Precision::F32;
@@ -492,9 +493,8 @@ fn monolithic_f32_entry(repeats: usize) -> BenchEntry {
         }
         queries = Some(report.queries);
     }
-    backend::set_backend_override(None);
     BenchEntry {
-        backend: Some(backend::backend_for(BackendKind::Simd).name().to_string()),
+        backend: Some(backend::active_backend().name().to_string()),
         ..entry("monolithic_f32", "ms", samples, queries, None)
     }
 }
@@ -538,8 +538,10 @@ fn attack_mlp16_entry(repeats: usize) -> BenchEntry {
 }
 
 /// Per-call latency of the simulated hardware oracle in the parallel
-/// measurement — the regime where the sharded engine's pipelining wins
-/// (see the engine bin's rationale).
+/// measurement. Under the paper's threat model the oracle is a locked
+/// hardware instance on the other side of a link, so its per-call
+/// turnaround, not attacker-side arithmetic, dominates the wall clock;
+/// the sharded engine wins by keeping several oracle calls in flight.
 const ORACLE_LATENCY: Duration = Duration::from_millis(3);
 
 fn time_sharded(
@@ -813,9 +815,9 @@ fn campaign_entry() -> BenchEntry {
 pub fn run_report(repeats: usize) -> BenchDoc {
     let repeats = repeats.max(1);
     let mut entries = vec![
-        forward_entry("forward_batch1_planned", 1, repeats, BackendKind::Scalar),
-        forward_entry("forward_batch32_planned", 32, repeats, BackendKind::Scalar),
-        forward_entry("forward_batch32_simd", 32, repeats, BackendKind::Simd),
+        forward_entry("forward_batch1_planned", 1, repeats, true),
+        forward_entry("forward_batch32_planned", 32, repeats, true),
+        forward_entry("forward_batch32_simd", 32, repeats, false),
         attack_mlp16_entry(repeats),
         monolithic_f32_entry(repeats),
     ];
@@ -915,13 +917,13 @@ mod tests {
     fn backend_drift_is_a_note_not_a_failure() {
         let base = sample_doc();
         let mut cur = base.clone();
-        cur.entries[1].backend = Some("simd-avx".to_string());
+        cur.entries[1].backend = Some("simd-avx512".to_string());
         let out = diff(&cur, &base, 0.5, false);
         assert!(out.is_ok(), "{out:?}");
         assert!(out
             .notes
             .iter()
-            .any(|n| n.contains("gemm backend") && n.contains("simd-avx")));
+            .any(|n| n.contains("gemm backend") && n.contains("simd-avx512")));
     }
 
     #[test]

@@ -7,9 +7,12 @@
 //! everything downstream of them — bisection trajectories, learned
 //! multipliers, broker traffic, serialized checkpoints — must agree to
 //! the last bit. This test closes the loop from the kernel contract to
-//! the attack's observable artifacts.
+//! the attack's observable artifacts: it runs every attack once under the
+//! scalar pin and once on the CPU-detected backend, and prints which
+//! backend it compared. On a host without AVX-512 the detected backend is
+//! the scalar one, so the test then compares scalar against itself.
 //!
-//! Everything lives in ONE `#[test]` because the backend override is
+//! Everything lives in ONE `#[test]` because the scalar pin is
 //! process-global: concurrent test threads flipping it would race.
 
 use relock_attack::{
@@ -19,9 +22,8 @@ use relock_attack::{
 use relock_locking::{CountingOracle, Key, LockSpec, LockedModel};
 use relock_nn::{build_mlp, MlpSpec};
 use relock_serve::{Broker, BrokerConfig};
-use relock_tensor::backend::{avx_available, set_backend_override};
+use relock_tensor::backend::{active_backend, force_scalar};
 use relock_tensor::rng::Prng;
-use relock_tensor::BackendKind;
 
 fn victim() -> LockedModel {
     let mut rng = Prng::seed_from_u64(7100);
@@ -38,9 +40,10 @@ fn victim() -> LockedModel {
 }
 
 /// Key + query count + final checkpoint bytes of a full checkpointed
-/// decryption run under a forced backend.
-fn decryption_under(kind: BackendKind, model: &LockedModel) -> (Key, u64, Vec<u8>) {
-    set_backend_override(Some(kind));
+/// decryption run, on the scalar reference when `scalar` pins it and on
+/// the detected backend otherwise.
+fn decryption_under(scalar: bool, model: &LockedModel) -> (Key, u64, Vec<u8>) {
+    force_scalar(scalar);
     let oracle = CountingOracle::new(model);
     let broker = Broker::with_config(&oracle, BrokerConfig::default());
     let sink = MemoryCheckpointSink::new();
@@ -53,7 +56,7 @@ fn decryption_under(kind: BackendKind, model: &LockedModel) -> (Key, u64, Vec<u8
             CheckpointPolicy::EVERY_CUT,
         )
         .expect("attack run");
-    set_backend_override(None);
+    force_scalar(false);
     let frame = sink.contents().expect("at least one checkpoint frame");
     (report.key, report.queries, normalize_frame(&frame))
 }
@@ -70,13 +73,13 @@ fn normalize_frame(bytes: &[u8]) -> Vec<u8> {
 }
 
 /// Key + query count + multiplier bit patterns of the monolithic learning
-/// attack under a forced backend and precision.
+/// attack at `precision`, scalar-pinned or on the detected backend.
 fn monolithic_under(
-    kind: BackendKind,
+    scalar: bool,
     precision: relock_graph::Precision,
     model: &LockedModel,
 ) -> (Key, u64, Vec<u64>) {
-    set_backend_override(Some(kind));
+    force_scalar(scalar);
     let oracle = CountingOracle::new(model);
     let mut cfg = MonolithicConfig {
         input_scale: 2.0,
@@ -87,7 +90,7 @@ fn monolithic_under(
     cfg.learning.precision = precision;
     let report =
         MonolithicAttack::new(cfg).run(model.white_box(), &oracle, &mut Prng::seed_from_u64(7102));
-    set_backend_override(None);
+    force_scalar(false);
     let bits = report.multipliers.iter().map(|m| m.to_bits()).collect();
     (report.key, report.queries, bits)
 }
@@ -95,39 +98,31 @@ fn monolithic_under(
 #[test]
 fn attacks_are_byte_identical_across_backends() {
     let model = victim();
-    let mut kinds = vec![BackendKind::Scalar, BackendKind::SimdPortable];
-    if avx_available() {
-        kinds.push(BackendKind::Simd);
-    }
+    let detected = active_backend().name();
+    println!("comparing scalar against {detected}");
 
     // Full decryption attack: key, traffic, and checkpoint frames agree.
-    let (ref_key, ref_queries, ref_frame) = decryption_under(kinds[0], &model);
-    for &kind in &kinds[1..] {
-        let (key, queries, frame) = decryption_under(kind, &model);
-        assert_eq!(key, ref_key, "{kind:?}: extracted key diverged");
-        assert_eq!(queries, ref_queries, "{kind:?}: query traffic diverged");
-        assert_eq!(frame, ref_frame, "{kind:?}: checkpoint bytes diverged");
-    }
+    let (ref_key, ref_queries, ref_frame) = decryption_under(true, &model);
+    let (key, queries, frame) = decryption_under(false, &model);
+    assert_eq!(key, ref_key, "{detected}: extracted key diverged");
+    assert_eq!(queries, ref_queries, "{detected}: query traffic diverged");
+    assert_eq!(frame, ref_frame, "{detected}: checkpoint bytes diverged");
 
     // Monolithic learning attack at f64: multipliers agree to the bit.
     let (ref_key, ref_queries, ref_bits) =
-        monolithic_under(kinds[0], relock_graph::Precision::F64, &model);
-    for &kind in &kinds[1..] {
-        let (key, queries, bits) = monolithic_under(kind, relock_graph::Precision::F64, &model);
-        assert_eq!(key, ref_key, "{kind:?}: monolithic f64 key diverged");
-        assert_eq!(queries, ref_queries);
-        assert_eq!(bits, ref_bits, "{kind:?}: f64 multiplier bits diverged");
-    }
+        monolithic_under(true, relock_graph::Precision::F64, &model);
+    let (key, queries, bits) = monolithic_under(false, relock_graph::Precision::F64, &model);
+    assert_eq!(key, ref_key, "{detected}: monolithic f64 key diverged");
+    assert_eq!(queries, ref_queries);
+    assert_eq!(bits, ref_bits, "{detected}: f64 multiplier bits diverged");
 
     // The f32 fast path holds the same cross-backend contract: its
-    // kernels also accumulate in scalar order, so forced-SIMD f32 runs
-    // are bit-identical to scalar f32 runs (though not to f64 ones).
+    // kernels also accumulate in scalar order, so SIMD f32 runs are
+    // bit-identical to scalar f32 runs (though not to f64 ones).
     let (ref_key, ref_queries, ref_bits) =
-        monolithic_under(kinds[0], relock_graph::Precision::F32, &model);
-    for &kind in &kinds[1..] {
-        let (key, queries, bits) = monolithic_under(kind, relock_graph::Precision::F32, &model);
-        assert_eq!(key, ref_key, "{kind:?}: monolithic f32 key diverged");
-        assert_eq!(queries, ref_queries);
-        assert_eq!(bits, ref_bits, "{kind:?}: f32 multiplier bits diverged");
-    }
+        monolithic_under(true, relock_graph::Precision::F32, &model);
+    let (key, queries, bits) = monolithic_under(false, relock_graph::Precision::F32, &model);
+    assert_eq!(key, ref_key, "{detected}: monolithic f32 key diverged");
+    assert_eq!(queries, ref_queries);
+    assert_eq!(bits, ref_bits, "{detected}: f32 multiplier bits diverged");
 }

@@ -1,4 +1,4 @@
-//! Backend-dispatched gemm kernels: the scalar reference, an explicit-SIMD
+//! Backend-dispatched gemm kernels: the scalar reference, an AVX-512
 //! backend, and their f32 twins.
 //!
 //! Every backend honours the same **determinism contract** (see the
@@ -11,31 +11,26 @@
 //! multiply and add instructions (an FMA would fuse the intermediate
 //! rounding and change bits).
 //!
-//! Four backends exist:
+//! Two backends exist:
 //!
 //! - [`ScalarBackend`] — the blocked/unrolled reference kernels;
-//! - [`Avx512Backend`] (`x86_64` with runtime `avx512f` detection) —
-//!   register-blocked 8-wide f64 / 16-wide f32 kernels whose accumulators
-//!   live in zmm registers across the whole `k` loop;
-//! - the AVX backend (`x86_64` with runtime `avx` detection) — 4-wide f64
-//!   / 8-wide f32 `std::arch` intrinsics;
-//! - [`PortableSimdBackend`] — 4-wide manual vectorization in plain Rust,
-//!   the forced-fallback path used where the CPU features (or the
-//!   architecture) are absent.
+//! - [`Avx512Backend`] (`x86_64` with runtime `avx512f` + `avx`
+//!   detection) — register-blocked 8-wide f64 / 16-wide f32 kernels whose
+//!   accumulators live in zmm registers across the whole `k` loop.
 //!
-//! Selection: `RELOCK_BACKEND` (`scalar` / `simd` / `simd-portable`) fixes
-//! the process default (`simd`, the auto-dispatching choice, when unset);
-//! [`set_backend_override`] re-routes subsequent dispatches at runtime so
-//! tests and the CLI can pin a backend per-case without touching the
-//! environment.
+//! Selection is CPU detection only: [`active_backend`] is the AVX-512
+//! backend where the CPU has it and the scalar one everywhere else.
+//! [`force_scalar`] pins the scalar reference process-wide — the seam the
+//! backend-equivalence suite and the scalar-pinned bench entries use to
+//! run the same work on both backends in one process.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
 
 /// Column-block width of the blocked `nn` kernels. Inner `j` blocks keep
 /// the active `B`/`out` row segments resident in L1 across the `k` loop
 /// without changing any element's accumulation order.
-pub(crate) const J_BLOCK: usize = 64;
+const J_BLOCK: usize = 64;
 
 /// Numeric precision of a graph execution path. `F64` is the reference
 /// (and the only precision with a bit-exactness contract); `F32` is the
@@ -70,58 +65,6 @@ impl Precision {
     }
 }
 
-/// Which kernel family a gemm dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendKind {
-    /// The blocked scalar reference kernels.
-    Scalar,
-    /// Auto-dispatching SIMD: AVX intrinsics when the CPU has them, the
-    /// portable 4-wide kernels otherwise.
-    Simd,
-    /// The portable 4-wide kernels, forced (the fallback path the CI
-    /// matrix pins explicitly so it stays exercised on AVX machines).
-    SimdPortable,
-}
-
-impl BackendKind {
-    /// Parses a `RELOCK_BACKEND`-style name.
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "scalar" => Some(BackendKind::Scalar),
-            "simd" | "auto" => Some(BackendKind::Simd),
-            "simd-portable" | "portable" => Some(BackendKind::SimdPortable),
-            _ => None,
-        }
-    }
-
-    /// Canonical lower-case name.
-    pub fn name(self) -> &'static str {
-        match self {
-            BackendKind::Scalar => "scalar",
-            BackendKind::Simd => "simd",
-            BackendKind::SimdPortable => "simd-portable",
-        }
-    }
-}
-
-/// Static trace-counter labels of one backend, one per kernel — the
-/// flight recorder's per-backend gemm accounting.
-#[derive(Debug)]
-pub struct GemmCounters {
-    /// f64 `A · B` kernel invocations.
-    pub nn: &'static str,
-    /// f64 `A · Bᵀ` kernel invocations.
-    pub nt: &'static str,
-    /// f64 `Aᵀ · B` kernel invocations.
-    pub tn: &'static str,
-    /// f32 `A · B` kernel invocations.
-    pub nn32: &'static str,
-    /// f32 `A · Bᵀ` kernel invocations.
-    pub nt32: &'static str,
-    /// f32 `Aᵀ · B` kernel invocations.
-    pub tn32: &'static str,
-}
-
 /// One gemm kernel family. Row-level (`nn_row`, `nt_row`) and block-level
 /// (`tn_block`) granularity matches how the dispatcher shards work across
 /// threads: threads own disjoint *output rows*, so a backend never sees a
@@ -134,8 +77,6 @@ pub struct GemmCounters {
 pub trait GemmBackend: Sync {
     /// Backend name as reported in benches and `BENCH.json`.
     fn name(&self) -> &'static str;
-    /// Per-kernel trace-counter labels.
-    fn counters(&self) -> &'static GemmCounters;
 
     /// One output row of `out = A · B` (`a_row`: `k`, `b`: `k×n`).
     fn nn_row(&self, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize);
@@ -331,21 +272,9 @@ scalar_kernels!(f32, scalar_nn_f32, scalar_nt_f32, scalar_tn_f32);
 #[derive(Debug)]
 pub struct ScalarBackend;
 
-static SCALAR_COUNTERS: GemmCounters = GemmCounters {
-    nn: "gemm.nn.scalar",
-    nt: "gemm.nt.scalar",
-    tn: "gemm.tn.scalar",
-    nn32: "gemm32.nn.scalar",
-    nt32: "gemm32.nt.scalar",
-    tn32: "gemm32.tn.scalar",
-};
-
 impl GemmBackend for ScalarBackend {
     fn name(&self) -> &'static str {
         "scalar"
-    }
-    fn counters(&self) -> &'static GemmCounters {
-        &SCALAR_COUNTERS
     }
     fn nn_row(&self, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
         scalar_nn_f64(a_row, b, out_row, k, n)
@@ -388,274 +317,17 @@ impl GemmBackend for ScalarBackend {
 }
 
 // ---------------------------------------------------------------------------
-// Portable 4-wide kernels — the SIMD backend's fallback when the CPU
-// feature (or the architecture) is absent. The lane structure mirrors the
-// AVX kernels; per-element accumulation order mirrors the scalar reference.
+// AVX `nt` kernels (x86_64). `nt` gathers one scalar per output column per
+// `k` step — B's rows are the output columns, so there is no contiguous
+// column vector to register-block the way the AVX-512 `nn`/`tn` kernels do
+// — and these 4-wide f64 / 8-wide f32 gathers measured 1.0–1.3× the scalar
+// kernel, so the AVX-512 backend keeps them (AVX-512F machines always have
+// AVX). Multiply + add only — no FMA, which would fuse the intermediate
+// rounding and break bit-identity with the scalar reference.
 // ---------------------------------------------------------------------------
-
-macro_rules! portable_kernels {
-    ($ty:ty, $nn:ident, $nt:ident, $tn:ident) => {
-        fn $nn(a_row: &[$ty], b: &[$ty], out_row: &mut [$ty], k: usize, n: usize) {
-            out_row.fill(0.0);
-            let mut jb = 0usize;
-            while jb < n {
-                let je = (jb + J_BLOCK).min(n);
-                let mut kk = 0usize;
-                while kk + 4 <= k {
-                    let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
-                    let (r0, r1, r2, r3) = (kk * n, (kk + 1) * n, (kk + 2) * n, (kk + 3) * n);
-                    let mut j = jb;
-                    while j + 4 <= je {
-                        let mut o = [out_row[j], out_row[j + 1], out_row[j + 2], out_row[j + 3]];
-                        for l in 0..4 {
-                            o[l] += a0 * b[r0 + j + l];
-                        }
-                        for l in 0..4 {
-                            o[l] += a1 * b[r1 + j + l];
-                        }
-                        for l in 0..4 {
-                            o[l] += a2 * b[r2 + j + l];
-                        }
-                        for l in 0..4 {
-                            o[l] += a3 * b[r3 + j + l];
-                        }
-                        out_row[j..j + 4].copy_from_slice(&o);
-                        j += 4;
-                    }
-                    while j < je {
-                        let o = &mut out_row[j];
-                        *o = (((*o + a0 * b[r0 + j]) + a1 * b[r1 + j]) + a2 * b[r2 + j])
-                            + a3 * b[r3 + j];
-                        j += 1;
-                    }
-                    kk += 4;
-                }
-                while kk < k {
-                    let av = a_row[kk];
-                    let r = kk * n;
-                    let mut j = jb;
-                    while j + 4 <= je {
-                        let mut o = [out_row[j], out_row[j + 1], out_row[j + 2], out_row[j + 3]];
-                        for l in 0..4 {
-                            o[l] += av * b[r + j + l];
-                        }
-                        out_row[j..j + 4].copy_from_slice(&o);
-                        j += 4;
-                    }
-                    while j < je {
-                        out_row[j] += av * b[r + j];
-                        j += 1;
-                    }
-                    kk += 1;
-                }
-                jb = je;
-            }
-        }
-
-        fn $nt(a_row: &[$ty], b: &[$ty], out_row: &mut [$ty], k: usize, n: usize) {
-            let mut j = 0usize;
-            while j + 4 <= n {
-                let mut s = [0.0 as $ty; 4];
-                for (kk, &av) in a_row.iter().enumerate() {
-                    s[0] += av * b[j * k + kk];
-                    s[1] += av * b[(j + 1) * k + kk];
-                    s[2] += av * b[(j + 2) * k + kk];
-                    s[3] += av * b[(j + 3) * k + kk];
-                }
-                out_row[j..j + 4].copy_from_slice(&s);
-                j += 4;
-            }
-            for jj in j..n {
-                let mut s = 0.0;
-                for (&x, &y) in a_row.iter().zip(&b[jj * k..(jj + 1) * k]) {
-                    s += x * y;
-                }
-                out_row[jj] = s;
-            }
-        }
-
-        #[allow(clippy::too_many_arguments)]
-        fn $tn(
-            a: &[$ty],
-            b: &[$ty],
-            block: &mut [$ty],
-            lo: usize,
-            rows: usize,
-            m: usize,
-            k: usize,
-            n: usize,
-        ) {
-            block.fill(0.0);
-            for kk in 0..k {
-                let a_seg = &a[kk * m + lo..kk * m + lo + rows];
-                let b_row = &b[kk * n..(kk + 1) * n];
-                for (bi, &av) in a_seg.iter().enumerate() {
-                    let out_row = &mut block[bi * n..(bi + 1) * n];
-                    let mut j = 0usize;
-                    while j + 4 <= n {
-                        for l in 0..4 {
-                            out_row[j + l] += av * b_row[j + l];
-                        }
-                        j += 4;
-                    }
-                    while j < n {
-                        out_row[j] += av * b_row[j];
-                        j += 1;
-                    }
-                }
-            }
-        }
-    };
-}
-
-portable_kernels!(f64, portable_nn_f64, portable_nt_f64, portable_tn_f64);
-portable_kernels!(f32, portable_nn_f32, portable_nt_f32, portable_tn_f32);
-
-/// The portable 4-wide manual-vectorization backend — what `simd` resolves
-/// to without AVX, and what `simd-portable` forces so the fallback stays
-/// exercised on machines that do have the feature.
-#[derive(Debug)]
-pub struct PortableSimdBackend;
-
-static PORTABLE_COUNTERS: GemmCounters = GemmCounters {
-    nn: "gemm.nn.simd-portable",
-    nt: "gemm.nt.simd-portable",
-    tn: "gemm.tn.simd-portable",
-    nn32: "gemm32.nn.simd-portable",
-    nt32: "gemm32.nt.simd-portable",
-    tn32: "gemm32.tn.simd-portable",
-};
-
-impl GemmBackend for PortableSimdBackend {
-    fn name(&self) -> &'static str {
-        "simd-portable"
-    }
-    fn counters(&self) -> &'static GemmCounters {
-        &PORTABLE_COUNTERS
-    }
-    fn nn_row(&self, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-        portable_nn_f64(a_row, b, out_row, k, n)
-    }
-    fn nt_row(&self, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-        portable_nt_f64(a_row, b, out_row, k, n)
-    }
-    fn tn_block(
-        &self,
-        a: &[f64],
-        b: &[f64],
-        block: &mut [f64],
-        lo: usize,
-        rows: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        portable_tn_f64(a, b, block, lo, rows, m, k, n)
-    }
-    fn nn_row_f32(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, n: usize) {
-        portable_nn_f32(a_row, b, out_row, k, n)
-    }
-    fn nt_row_f32(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, n: usize) {
-        portable_nt_f32(a_row, b, out_row, k, n)
-    }
-    fn tn_block_f32(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        block: &mut [f32],
-        lo: usize,
-        rows: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        portable_tn_f32(a, b, block, lo, rows, m, k, n)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// AVX kernels (x86_64, runtime-detected). 4-wide f64 / 8-wide f32,
-// multiply + add only — no FMA, which would fuse the intermediate rounding
-// and break bit-identity with the scalar reference.
-// ---------------------------------------------------------------------------
-
 #[cfg(target_arch = "x86_64")]
 mod avx {
-    use super::J_BLOCK;
     use std::arch::x86_64::*;
-
-    /// # Safety
-    ///
-    /// Requires AVX (checked by the dispatcher before this backend is
-    /// selected).
-    #[target_feature(enable = "avx")]
-    pub unsafe fn nn_row_f64(a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-        out_row.fill(0.0);
-        let mut jb = 0usize;
-        while jb < n {
-            let je = (jb + J_BLOCK).min(n);
-            let mut kk = 0usize;
-            while kk + 4 <= k {
-                let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
-                let (va0, va1, va2, va3) = (
-                    _mm256_set1_pd(a0),
-                    _mm256_set1_pd(a1),
-                    _mm256_set1_pd(a2),
-                    _mm256_set1_pd(a3),
-                );
-                let (r0, r1, r2, r3) = (kk * n, (kk + 1) * n, (kk + 2) * n, (kk + 3) * n);
-                let mut j = jb;
-                while j + 4 <= je {
-                    let mut o = _mm256_loadu_pd(out_row.as_ptr().add(j));
-                    o = _mm256_add_pd(
-                        o,
-                        _mm256_mul_pd(va0, _mm256_loadu_pd(b.as_ptr().add(r0 + j))),
-                    );
-                    o = _mm256_add_pd(
-                        o,
-                        _mm256_mul_pd(va1, _mm256_loadu_pd(b.as_ptr().add(r1 + j))),
-                    );
-                    o = _mm256_add_pd(
-                        o,
-                        _mm256_mul_pd(va2, _mm256_loadu_pd(b.as_ptr().add(r2 + j))),
-                    );
-                    o = _mm256_add_pd(
-                        o,
-                        _mm256_mul_pd(va3, _mm256_loadu_pd(b.as_ptr().add(r3 + j))),
-                    );
-                    _mm256_storeu_pd(out_row.as_mut_ptr().add(j), o);
-                    j += 4;
-                }
-                while j < je {
-                    let o = &mut out_row[j];
-                    *o = (((*o + a0 * b[r0 + j]) + a1 * b[r1 + j]) + a2 * b[r2 + j])
-                        + a3 * b[r3 + j];
-                    j += 1;
-                }
-                kk += 4;
-            }
-            while kk < k {
-                let av = a_row[kk];
-                let vav = _mm256_set1_pd(av);
-                let r = kk * n;
-                let mut j = jb;
-                while j + 4 <= je {
-                    let o = _mm256_add_pd(
-                        _mm256_loadu_pd(out_row.as_ptr().add(j)),
-                        _mm256_mul_pd(vav, _mm256_loadu_pd(b.as_ptr().add(r + j))),
-                    );
-                    _mm256_storeu_pd(out_row.as_mut_ptr().add(j), o);
-                    j += 4;
-                }
-                while j < je {
-                    out_row[j] += av * b[r + j];
-                    j += 1;
-                }
-                kk += 1;
-            }
-            jb = je;
-        }
-    }
 
     /// # Safety
     ///
@@ -693,117 +365,6 @@ mod avx {
     ///
     /// Requires AVX.
     #[target_feature(enable = "avx")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn tn_block_f64(
-        a: &[f64],
-        b: &[f64],
-        block: &mut [f64],
-        lo: usize,
-        rows: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        block.fill(0.0);
-        for kk in 0..k {
-            let a_seg = &a[kk * m + lo..kk * m + lo + rows];
-            let r = kk * n;
-            for (bi, &av) in a_seg.iter().enumerate() {
-                let vav = _mm256_set1_pd(av);
-                let ob = bi * n;
-                let mut j = 0usize;
-                while j + 4 <= n {
-                    let o = _mm256_add_pd(
-                        _mm256_loadu_pd(block.as_ptr().add(ob + j)),
-                        _mm256_mul_pd(vav, _mm256_loadu_pd(b.as_ptr().add(r + j))),
-                    );
-                    _mm256_storeu_pd(block.as_mut_ptr().add(ob + j), o);
-                    j += 4;
-                }
-                while j < n {
-                    block[ob + j] += av * b[r + j];
-                    j += 1;
-                }
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX.
-    #[target_feature(enable = "avx")]
-    pub unsafe fn nn_row_f32(a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, n: usize) {
-        out_row.fill(0.0);
-        let mut jb = 0usize;
-        while jb < n {
-            let je = (jb + J_BLOCK).min(n);
-            let mut kk = 0usize;
-            while kk + 4 <= k {
-                let (a0, a1, a2, a3) = (a_row[kk], a_row[kk + 1], a_row[kk + 2], a_row[kk + 3]);
-                let (va0, va1, va2, va3) = (
-                    _mm256_set1_ps(a0),
-                    _mm256_set1_ps(a1),
-                    _mm256_set1_ps(a2),
-                    _mm256_set1_ps(a3),
-                );
-                let (r0, r1, r2, r3) = (kk * n, (kk + 1) * n, (kk + 2) * n, (kk + 3) * n);
-                let mut j = jb;
-                while j + 8 <= je {
-                    let mut o = _mm256_loadu_ps(out_row.as_ptr().add(j));
-                    o = _mm256_add_ps(
-                        o,
-                        _mm256_mul_ps(va0, _mm256_loadu_ps(b.as_ptr().add(r0 + j))),
-                    );
-                    o = _mm256_add_ps(
-                        o,
-                        _mm256_mul_ps(va1, _mm256_loadu_ps(b.as_ptr().add(r1 + j))),
-                    );
-                    o = _mm256_add_ps(
-                        o,
-                        _mm256_mul_ps(va2, _mm256_loadu_ps(b.as_ptr().add(r2 + j))),
-                    );
-                    o = _mm256_add_ps(
-                        o,
-                        _mm256_mul_ps(va3, _mm256_loadu_ps(b.as_ptr().add(r3 + j))),
-                    );
-                    _mm256_storeu_ps(out_row.as_mut_ptr().add(j), o);
-                    j += 8;
-                }
-                while j < je {
-                    let o = &mut out_row[j];
-                    *o = (((*o + a0 * b[r0 + j]) + a1 * b[r1 + j]) + a2 * b[r2 + j])
-                        + a3 * b[r3 + j];
-                    j += 1;
-                }
-                kk += 4;
-            }
-            while kk < k {
-                let av = a_row[kk];
-                let vav = _mm256_set1_ps(av);
-                let r = kk * n;
-                let mut j = jb;
-                while j + 8 <= je {
-                    let o = _mm256_add_ps(
-                        _mm256_loadu_ps(out_row.as_ptr().add(j)),
-                        _mm256_mul_ps(vav, _mm256_loadu_ps(b.as_ptr().add(r + j))),
-                    );
-                    _mm256_storeu_ps(out_row.as_mut_ptr().add(j), o);
-                    j += 8;
-                }
-                while j < je {
-                    out_row[j] += av * b[r + j];
-                    j += 1;
-                }
-                kk += 1;
-            }
-            jb = je;
-        }
-    }
-
-    /// # Safety
-    ///
-    /// Requires AVX.
-    #[target_feature(enable = "avx")]
     pub unsafe fn nt_row_f32(a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, n: usize) {
         let mut j = 0usize;
         while j + 8 <= n {
@@ -834,110 +395,6 @@ mod avx {
             out_row[jj] = s;
         }
     }
-
-    /// # Safety
-    ///
-    /// Requires AVX.
-    #[target_feature(enable = "avx")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn tn_block_f32(
-        a: &[f32],
-        b: &[f32],
-        block: &mut [f32],
-        lo: usize,
-        rows: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        block.fill(0.0);
-        for kk in 0..k {
-            let a_seg = &a[kk * m + lo..kk * m + lo + rows];
-            let r = kk * n;
-            for (bi, &av) in a_seg.iter().enumerate() {
-                let vav = _mm256_set1_ps(av);
-                let ob = bi * n;
-                let mut j = 0usize;
-                while j + 8 <= n {
-                    let o = _mm256_add_ps(
-                        _mm256_loadu_ps(block.as_ptr().add(ob + j)),
-                        _mm256_mul_ps(vav, _mm256_loadu_ps(b.as_ptr().add(r + j))),
-                    );
-                    _mm256_storeu_ps(block.as_mut_ptr().add(ob + j), o);
-                    j += 8;
-                }
-                while j < n {
-                    block[ob + j] += av * b[r + j];
-                    j += 1;
-                }
-            }
-        }
-    }
-}
-
-/// The AVX intrinsics backend. Constructed only behind a successful
-/// runtime `avx` detection, which is the safety contract of every kernel
-/// call below.
-#[cfg(target_arch = "x86_64")]
-#[derive(Debug)]
-pub struct AvxBackend;
-
-#[cfg(target_arch = "x86_64")]
-static AVX_COUNTERS: GemmCounters = GemmCounters {
-    nn: "gemm.nn.simd-avx",
-    nt: "gemm.nt.simd-avx",
-    tn: "gemm.tn.simd-avx",
-    nn32: "gemm32.nn.simd-avx",
-    nt32: "gemm32.nt.simd-avx",
-    tn32: "gemm32.tn.simd-avx",
-};
-
-#[cfg(target_arch = "x86_64")]
-impl GemmBackend for AvxBackend {
-    fn name(&self) -> &'static str {
-        "simd-avx"
-    }
-    fn counters(&self) -> &'static GemmCounters {
-        &AVX_COUNTERS
-    }
-    fn nn_row(&self, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-        unsafe { avx::nn_row_f64(a_row, b, out_row, k, n) }
-    }
-    fn nt_row(&self, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-        unsafe { avx::nt_row_f64(a_row, b, out_row, k, n) }
-    }
-    fn tn_block(
-        &self,
-        a: &[f64],
-        b: &[f64],
-        block: &mut [f64],
-        lo: usize,
-        rows: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        unsafe { avx::tn_block_f64(a, b, block, lo, rows, m, k, n) }
-    }
-    fn nn_row_f32(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, n: usize) {
-        unsafe { avx::nn_row_f32(a_row, b, out_row, k, n) }
-    }
-    fn nt_row_f32(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, n: usize) {
-        unsafe { avx::nt_row_f32(a_row, b, out_row, k, n) }
-    }
-    fn tn_block_f32(
-        &self,
-        a: &[f32],
-        b: &[f32],
-        block: &mut [f32],
-        lo: usize,
-        rows: usize,
-        m: usize,
-        k: usize,
-        n: usize,
-    ) {
-        unsafe { avx::tn_block_f32(a, b, block, lo, rows, m, k, n) }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -953,7 +410,6 @@ impl GemmBackend for AvxBackend {
 
 #[cfg(target_arch = "x86_64")]
 mod avx512 {
-    use super::avx;
     use std::arch::x86_64::*;
 
     macro_rules! avx512_nn_like {
@@ -1228,18 +684,6 @@ mod avx512 {
         }
     }
 
-    /// `nt` gathers one scalar per output column per `k` step — there is no
-    /// contiguous column vector to register-block — so it reuses the AVX
-    /// kernel (AVX-512F machines always have AVX).
-    ///
-    /// # Safety
-    ///
-    /// Requires AVX-512F (which implies the AVX the delegate needs).
-    #[target_feature(enable = "avx512f", enable = "avx")]
-    pub unsafe fn nt_row_f64(a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-        avx::nt_row_f64(a_row, b, out_row, k, n)
-    }
-
     /// `tn` is the `nn` pattern with the broadcast operand strided: output
     /// row `i` accumulates `a[kk·m + lo + i] · b[kk·n + j]` over ascending
     /// `kk`. Restructuring from the scalar kernel's k-outer loop to one
@@ -1346,14 +790,6 @@ mod avx512 {
 
     /// # Safety
     ///
-    /// Requires AVX-512F (which implies the AVX the delegate needs).
-    #[target_feature(enable = "avx512f", enable = "avx")]
-    pub unsafe fn nt_row_f32(a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, n: usize) {
-        avx::nt_row_f32(a_row, b, out_row, k, n)
-    }
-
-    /// # Safety
-    ///
     /// Requires AVX-512F; slice shapes as in [`GemmBackend::tn_block`].
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
@@ -1397,30 +833,26 @@ mod avx512 {
     }
 }
 
-/// The register-blocked AVX-512 backend — what `simd` resolves to on
-/// machines with AVX-512F. Constructed only behind a successful runtime
-/// detection, which is the safety contract of every kernel call below.
+/// The register-blocked AVX-512 backend — what [`active_backend`] selects
+/// on machines with AVX-512F and AVX. Constructed only behind a successful
+/// runtime detection ([`avx512_available`]), which is the safety contract
+/// of every kernel call below.
 #[cfg(target_arch = "x86_64")]
 #[derive(Debug)]
-pub struct Avx512Backend;
+pub struct Avx512Backend(());
 
-#[cfg(target_arch = "x86_64")]
-static AVX512_COUNTERS: GemmCounters = GemmCounters {
-    nn: "gemm.nn.simd-avx512",
-    nt: "gemm.nt.simd-avx512",
-    tn: "gemm.tn.simd-avx512",
-    nn32: "gemm32.nn.simd-avx512",
-    nt32: "gemm32.nt.simd-avx512",
-    tn32: "gemm32.tn.simd-avx512",
-};
-
+// SAFETY (every `unsafe` block in this impl): an `Avx512Backend` exists
+// only as the `AVX512` static, which `detected_backend` hands out only
+// after `avx512_available()` detected both AVX-512F and AVX, the target
+// features the `avx512` and `avx` kernels require. The kernels also load
+// and store through raw pointers, so they rely on the operand shapes
+// documented on `GemmBackend`; the `compute` dispatchers derive every
+// slice from one `(m, k, n)`, but nothing here re-checks the shapes of a
+// direct call.
 #[cfg(target_arch = "x86_64")]
 impl GemmBackend for Avx512Backend {
     fn name(&self) -> &'static str {
         "simd-avx512"
-    }
-    fn counters(&self) -> &'static GemmCounters {
-        &AVX512_COUNTERS
     }
     fn nn_row(&self, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
         unsafe { avx512::nn_row_f64(a_row, b, out_row, k, n) }
@@ -1429,7 +861,7 @@ impl GemmBackend for Avx512Backend {
         unsafe { avx512::nn_block_f64(a, b, block, lo, k, n) }
     }
     fn nt_row(&self, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
-        unsafe { avx512::nt_row_f64(a_row, b, out_row, k, n) }
+        unsafe { avx::nt_row_f64(a_row, b, out_row, k, n) }
     }
     fn tn_block(
         &self,
@@ -1451,7 +883,7 @@ impl GemmBackend for Avx512Backend {
         unsafe { avx512::nn_block_f32(a, b, block, lo, k, n) }
     }
     fn nt_row_f32(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, n: usize) {
-        unsafe { avx512::nt_row_f32(a_row, b, out_row, k, n) }
+        unsafe { avx::nt_row_f32(a_row, b, out_row, k, n) }
     }
     fn tn_block_f32(
         &self,
@@ -1469,80 +901,19 @@ impl GemmBackend for Avx512Backend {
 }
 
 // ---------------------------------------------------------------------------
-// Selection: process default from RELOCK_BACKEND (read once), runtime
-// override read at every dispatch so tests and the CLI can pin per-case.
+// Selection: CPU detection, plus the process-wide scalar pin read at every
+// dispatch.
 // ---------------------------------------------------------------------------
 
 static SCALAR: ScalarBackend = ScalarBackend;
-static PORTABLE: PortableSimdBackend = PortableSimdBackend;
 #[cfg(target_arch = "x86_64")]
-static AVX: AvxBackend = AvxBackend;
-#[cfg(target_arch = "x86_64")]
-static AVX512: Avx512Backend = Avx512Backend;
+static AVX512: Avx512Backend = Avx512Backend(());
 
-/// 0 = no override; otherwise `BackendKind` discriminant + 1.
-static BACKEND_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-fn kind_to_u8(kind: BackendKind) -> u8 {
-    match kind {
-        BackendKind::Scalar => 1,
-        BackendKind::Simd => 2,
-        BackendKind::SimdPortable => 3,
-    }
-}
-
-fn kind_from_u8(v: u8) -> Option<BackendKind> {
-    match v {
-        1 => Some(BackendKind::Scalar),
-        2 => Some(BackendKind::Simd),
-        3 => Some(BackendKind::SimdPortable),
-        _ => None,
-    }
-}
-
-/// Process-default backend: `RELOCK_BACKEND` if set and valid (a warning
-/// goes to stderr otherwise), else the auto-dispatching `simd`.
-fn default_backend() -> BackendKind {
-    static DEFAULT: OnceLock<BackendKind> = OnceLock::new();
-    *DEFAULT.get_or_init(|| match std::env::var("RELOCK_BACKEND") {
-        Ok(s) => BackendKind::parse(&s).unwrap_or_else(|| {
-            eprintln!("relock: unknown RELOCK_BACKEND {s:?}, using simd");
-            BackendKind::Simd
-        }),
-        Err(_) => BackendKind::Simd,
-    })
-}
-
-/// The effective backend kind: the runtime override when set (see
-/// [`set_backend_override`]), else the process default. Read at every
-/// gemm dispatch — never cached past a call.
-pub fn backend_kind() -> BackendKind {
-    kind_from_u8(BACKEND_OVERRIDE.load(Ordering::Relaxed)).unwrap_or_else(default_backend)
-}
-
-/// Pins (or with `None` releases) the backend for subsequent dispatches in
-/// this process, overriding `RELOCK_BACKEND`. Tests use this to compare
-/// backends in one process; `relock attack --backend` routes here.
-pub fn set_backend_override(kind: Option<BackendKind>) {
-    BACKEND_OVERRIDE.store(kind.map_or(0, kind_to_u8), Ordering::Relaxed);
-}
-
-/// Whether the AVX kernels are usable on this machine.
-pub fn avx_available() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static AVAIL: OnceLock<bool> = OnceLock::new();
-        *AVAIL.get_or_init(|| std::arch::is_x86_feature_detected!("avx"))
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
+static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
 
 /// Whether the register-blocked AVX-512 kernels are usable on this
-/// machine. Checks `avx` too: the AVX-512 backend's `nt` kernels delegate
-/// to the AVX ones.
+/// machine. Checks `avx` too: the AVX-512 backend's `nt` kernels are the
+/// AVX ones.
 pub fn avx512_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -1558,70 +929,49 @@ pub fn avx512_available() -> bool {
     }
 }
 
-/// Resolves a backend kind to its kernel implementation (`simd` → AVX-512
-/// when available, else AVX, else the portable 4-wide kernels).
-pub fn backend_for(kind: BackendKind) -> &'static dyn GemmBackend {
-    match kind {
-        BackendKind::Scalar => &SCALAR,
-        BackendKind::SimdPortable => &PORTABLE,
-        BackendKind::Simd => {
-            #[cfg(target_arch = "x86_64")]
-            {
-                if avx512_available() {
-                    return &AVX512;
-                }
-                if avx_available() {
-                    return &AVX;
-                }
-            }
-            &PORTABLE
-        }
-    }
-}
-
-/// Every backend usable on this machine, the scalar reference first — the
-/// sweep the property suites and the `hotpath` table iterate, so the
-/// narrower SIMD backends stay covered even where `simd` resolves wider.
-pub fn available_backends() -> Vec<&'static dyn GemmBackend> {
-    #[allow(unused_mut)]
-    let mut v: Vec<&'static dyn GemmBackend> = vec![&SCALAR, &PORTABLE];
+/// The fastest backend this CPU can run: AVX-512 when detected, else the
+/// scalar reference.
+fn detected_backend() -> &'static dyn GemmBackend {
     #[cfg(target_arch = "x86_64")]
-    {
-        if avx_available() {
-            v.push(&AVX);
-        }
-        if avx512_available() {
-            v.push(&AVX512);
-        }
+    if avx512_available() {
+        return &AVX512;
     }
-    v
+    &SCALAR
 }
 
-/// The backend every `gemm_*_into` dispatch uses right now.
+/// Pins (`true`) or releases (`false`) the scalar reference for every
+/// subsequent dispatch in this process. Only for running the same work on
+/// both backends in one process (the equivalence suite, the scalar bench
+/// entries); results are bit-identical either way.
+pub fn force_scalar(on: bool) {
+    FORCE_SCALAR.store(on, Ordering::Relaxed);
+}
+
+/// Every backend usable on this machine: the scalar reference first, the
+/// detected backend last (one entry where they coincide). The property
+/// suites and the `hotpath` table iterate this.
+pub fn available_backends() -> Vec<&'static dyn GemmBackend> {
+    let detected = detected_backend();
+    if detected.name() == SCALAR.name() {
+        vec![&SCALAR]
+    } else {
+        vec![&SCALAR, detected]
+    }
+}
+
+/// The backend every `gemm_*_into` dispatch uses right now: the scalar
+/// reference while [`force_scalar`] pins it, else the detected backend.
 pub fn active_backend() -> &'static dyn GemmBackend {
-    backend_for(backend_kind())
+    if FORCE_SCALAR.load(Ordering::Relaxed) {
+        &SCALAR
+    } else {
+        detected_backend()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn kind_parse_round_trips() {
-        for kind in [
-            BackendKind::Scalar,
-            BackendKind::Simd,
-            BackendKind::SimdPortable,
-        ] {
-            assert_eq!(BackendKind::parse(kind.name()), Some(kind));
-        }
-        assert_eq!(BackendKind::parse("auto"), Some(BackendKind::Simd));
-        assert_eq!(
-            BackendKind::parse("portable"),
-            Some(BackendKind::SimdPortable)
-        );
-        assert_eq!(BackendKind::parse("gpu"), None);
-    }
 
     #[test]
     fn precision_parse_round_trips() {
@@ -1632,24 +982,21 @@ mod tests {
     }
 
     #[test]
-    fn simd_resolves_to_a_non_scalar_backend() {
-        let be = backend_for(BackendKind::Simd);
-        assert_ne!(be.name(), "scalar");
-        if avx512_available() {
-            assert_eq!(be.name(), "simd-avx512");
-        } else if avx_available() {
-            assert_eq!(be.name(), "simd-avx");
+    fn selection_is_detection_with_a_scalar_pin() {
+        let detected = if avx512_available() {
+            "simd-avx512"
         } else {
-            assert_eq!(be.name(), "simd-portable");
-        }
-    }
+            "scalar"
+        };
+        assert_eq!(active_backend().name(), detected);
 
-    #[test]
-    fn available_backends_lists_scalar_first_and_the_resolved_simd() {
         let names: Vec<&str> = available_backends().iter().map(|b| b.name()).collect();
-        assert_eq!(names[0], "scalar");
-        assert!(names.contains(&"simd-portable"));
-        let resolved = backend_for(BackendKind::Simd).name();
-        assert!(names.contains(&resolved), "{names:?} missing {resolved}");
+        assert_eq!(names.first(), Some(&"scalar"));
+        assert_eq!(names.last(), Some(&detected));
+
+        force_scalar(true);
+        assert_eq!(active_backend().name(), "scalar");
+        force_scalar(false);
+        assert_eq!(active_backend().name(), detected);
     }
 }

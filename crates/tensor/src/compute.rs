@@ -11,12 +11,12 @@
 //! lets the attack's checkpoint/determinism suites hold while the kernels
 //! run tiled, parallel, and vectorized.
 //!
-//! Kernel selection and worker counts are **read at dispatch time**:
-//! `RELOCK_BACKEND` / `RELOCK_THREADS` seed the process defaults once, and
-//! [`crate::backend::set_backend_override`] / [`set_thread_override`] can
-//! re-route any later dispatch, so tests and the CLI can vary both
-//! per-case without the stale-env footgun the old `OnceLock`-only cache
-//! had.
+//! Kernel selection and worker counts are **read at dispatch time**: the
+//! backend is the CPU-detected one unless [`crate::backend::force_scalar`]
+//! pins the scalar reference, and `RELOCK_THREADS` seeds the worker count
+//! once while [`set_thread_override`] can re-route any later dispatch, so
+//! tests and the CLI can vary the worker count per case without the
+//! stale-env footgun the old `OnceLock`-only cache had.
 //!
 //! The row-splitting policy (`split_rows`) is shared with the
 //! `relock-serve` oracle worker pool, which historically carried its own
@@ -179,7 +179,6 @@ pub fn gemm_nn_into_backend(
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     relock_trace::counter("gemm.nn", 1);
-    relock_trace::counter(be.counters().nn, 1);
     if out.is_empty() {
         return;
     }
@@ -225,7 +224,6 @@ pub fn gemm_nt_into_backend(
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
     relock_trace::counter("gemm.nt", 1);
-    relock_trace::counter(be.counters().nt, 1);
     if out.is_empty() {
         return;
     }
@@ -275,7 +273,6 @@ pub fn gemm_tn_into_backend(
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     relock_trace::counter("gemm.tn", 1);
-    relock_trace::counter(be.counters().tn, 1);
     if out.is_empty() {
         return;
     }
@@ -324,7 +321,6 @@ pub fn gemm_nn_f32_into_backend(
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     relock_trace::counter("gemm32.nn", 1);
-    relock_trace::counter(be.counters().nn32, 1);
     if out.is_empty() {
         return;
     }
@@ -367,7 +363,6 @@ pub fn gemm_nt_f32_into_backend(
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
     relock_trace::counter("gemm32.nt", 1);
-    relock_trace::counter(be.counters().nt32, 1);
     if out.is_empty() {
         return;
     }
@@ -413,7 +408,6 @@ pub fn gemm_tn_f32_into_backend(
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     relock_trace::counter("gemm32.tn", 1);
-    relock_trace::counter(be.counters().tn32, 1);
     if out.is_empty() {
         return;
     }
@@ -426,7 +420,7 @@ pub fn gemm_tn_f32_into_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{backend_for, BackendKind};
+    use crate::backend::{available_backends, ScalarBackend};
     use crate::rng::Prng;
 
     /// Naive reference kernels — the accumulation-order ground truth.
@@ -470,13 +464,6 @@ mod tests {
 
     fn bits32(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    /// Every backend present on this machine, the scalar reference first —
-    /// including the narrower SIMD backends `simd` does not resolve to here
-    /// (e.g. plain AVX on an AVX-512 machine).
-    fn all_backends() -> Vec<&'static dyn crate::backend::GemmBackend> {
-        crate::backend::available_backends()
     }
 
     #[test]
@@ -537,7 +524,7 @@ mod tests {
             let want_nn = naive_nn(&a_nn, &b_nn, m, k, n);
             let want_nt = naive_nt(&a_nn, &b_t, m, k, n);
             let want_tn = naive_tn(&a_t, &b_nn, m, k, n);
-            for be in all_backends() {
+            for be in available_backends() {
                 for workers in [1usize, 2, 3, 5, 16] {
                     let tag = be.name();
                     let mut out = vec![f64::NAN; m * n];
@@ -573,7 +560,7 @@ mod tests {
         // results on every backend, f64 and f32 alike. Shapes come from
         // the in-tree Prng so the sweep is reproducible.
         let mut rng = Prng::seed_from_u64(0xBACC);
-        let scalar = backend_for(BackendKind::Scalar);
+        let scalar = &ScalarBackend;
         let mut shapes: Vec<(usize, usize, usize)> = vec![
             (0, 3, 4),
             (3, 0, 4),
@@ -613,7 +600,7 @@ mod tests {
             gemm_nt_f32_into_backend(scalar, &a32, &bt32, &mut want_nt32, m, k, n, 1);
             gemm_tn_f32_into_backend(scalar, &at32, &b32, &mut want_tn32, m, k, n, 1);
 
-            for be in all_backends() {
+            for be in available_backends() {
                 for workers in [1usize, 3] {
                     let tag = be.name();
                     let mut out = vec![f64::NAN; m * n];
@@ -643,7 +630,7 @@ mod tests {
     fn gemm_overwrites_stale_output_contents() {
         // The planner reuses buffers: kernels must fully overwrite, never
         // blend with what a previous pass left behind.
-        for be in all_backends() {
+        for be in available_backends() {
             let a = [1.0, 2.0, 3.0, 4.0];
             let b = [5.0, 6.0, 7.0, 8.0];
             let mut out = [999.0f64; 4];

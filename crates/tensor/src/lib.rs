@@ -12,8 +12,9 @@
 //! - [`rng`]: a small, fully deterministic xoshiro256++ PRNG so that every
 //!   experiment in the workspace is reproducible bit-for-bit;
 //! - [`im2col`]: the image-to-column lowering used by the convolution ops;
-//! - [`backend`]: the dispatched gemm engine — scalar reference, SIMD, and
-//!   f32 kernels, all bit-identical per precision (see [`BackendKind`] and
+//! - [`backend`]: the dispatched gemm engine — the scalar reference and an
+//!   AVX-512 backend chosen by CPU detection, each with f64 and f32
+//!   kernels, all bit-identical per precision (see [`GemmBackend`] and
 //!   [`Precision`]).
 //!
 //! # Example
@@ -35,7 +36,7 @@ pub mod rng;
 mod shape;
 mod tensor;
 
-pub use backend::{BackendKind, GemmBackend, Precision};
+pub use backend::{GemmBackend, Precision};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

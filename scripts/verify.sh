@@ -40,17 +40,6 @@ RELOCK_THREADS=4 cargo test --workspace -q
 echo "==> cargo test -q (RELOCK_THREADS=4, --test-threads=1)"
 RELOCK_THREADS=4 cargo test --workspace -q -- --test-threads=1
 
-# Backend matrix: the gemm engine dispatches to scalar, auto-detected
-# SIMD, or the portable fallback via RELOCK_BACKEND, and every backend is
-# bit-identical by contract — the tensor kernel suite and the end-to-end
-# attack equivalence suite must pass under each forced backend.
-# ci-job: backend-matrix
-for backend in scalar simd simd-portable; do
-  echo "==> backend matrix (RELOCK_BACKEND=$backend)"
-  RELOCK_BACKEND=$backend cargo test -q -p relock-tensor
-  RELOCK_BACKEND=$backend cargo test -q -p relock-attack --test backend_equivalence
-done
-
 # ci-job: test-matrix
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check

@@ -7,8 +7,7 @@
 //! relock attack  victim.rlk [--monolithic] [--seed N] [--fast] [--budget N]
 //!                [--threads N] [--workers N] [--adaptive]
 //!                [--trace events.jsonl] [--stats-json stats.json]
-//!                [--variant sign|scale:<f>|sar|antisat]
-//!                [--precision f64|f32] [--backend scalar|simd|simd-portable]
+//!                [--variant sign|scale:<f>|sar|antisat] [--precision f64|f32]
 //!                [--checkpoint state.rlcp [--checkpoint-every N] [--resume]]
 //! relock serve   [--listen tcp:127.0.0.1:7433] [--workers N] [--cache-mb N]
 //!                [--max-campaigns N]
@@ -47,11 +46,11 @@
 //! hosts many concurrent campaigns over one shared query cache with
 //! fair-share scheduling across tenants.
 //!
-//! `--backend` pins the gemm kernel backend for the whole process (same
-//! values as the `RELOCK_BACKEND` env var; the flag wins). `--precision
-//! f32` opts the *training* matrix products into single precision — the
-//! monolithic attack's learning loop and `lock`'s trainer; the decryption
-//! attack's algebraic core always runs f64.
+//! The gemm kernels follow the CPU: the AVX-512 backend where the CPU has
+//! it, the scalar reference elsewhere, bit-identical either way (DESIGN.md
+//! §3g). `--precision f32` opts the *training* matrix products into single
+//! precision — the monolithic attack's learning loop and `lock`'s trainer;
+//! the decryption attack's algebraic core always runs f64.
 
 use relock::prelude::*;
 use relock_attack::LearningConfig;
@@ -66,7 +65,7 @@ const DEFAULT_LISTEN: &str = "tcp:127.0.0.1:7433";
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>] [--precision <f64|f32>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--workers <n>] [--adaptive] [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n                 [--precision <f64|f32>] [--backend <scalar|simd|simd-portable>]\n                 [--checkpoint <file> [--checkpoint-every <rows>] [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--threads <n>] [--full] [--monolithic] [--adaptive]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --workers <n> runs the sharded phases across <n> supervised worker processes\n  attack --adaptive tunes wave width and dispatch sharding online (bit-identical; DESIGN.md \u{a7}3i)\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --workers/--checkpoint"
+        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>] [--precision <f64|f32>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--workers <n>] [--adaptive] [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>] [--precision <f64|f32>]\n                 [--checkpoint <file> [--checkpoint-every <rows>] [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--threads <n>] [--full] [--monolithic] [--adaptive]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --workers <n> runs the sharded phases across <n> supervised worker processes\n  attack --adaptive tunes wave width and dispatch sharding online (bit-identical; DESIGN.md \u{a7}3i)\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --workers/--checkpoint"
     );
     ExitCode::from(2)
 }
@@ -135,22 +134,6 @@ fn precision_flag(args: &Args) -> Result<relock_tensor::Precision, String> {
                 .ok_or_else(|| format!("--precision: unknown precision '{name}' (f64|f32)"))
         }
     }
-}
-
-/// Applies `--backend <scalar|simd|simd-portable>` as a process-wide gemm
-/// backend override (the CLI flag wins over the `RELOCK_BACKEND` env var).
-fn apply_backend_flag(args: &Args) -> Result<(), String> {
-    let Some(v) = args.flag("backend") else {
-        return Ok(());
-    };
-    let name = v
-        .as_deref()
-        .ok_or("--backend expects scalar, simd or simd-portable")?;
-    let kind = relock_tensor::BackendKind::parse(name).ok_or_else(|| {
-        format!("--backend: unknown backend '{name}' (scalar|simd|simd-portable)")
-    })?;
-    relock_tensor::backend::set_backend_override(Some(kind));
-    Ok(())
 }
 
 fn build_victim(
@@ -753,10 +736,6 @@ fn main() -> ExitCode {
         };
     }
     let args = Args::parse(&raw[1..]);
-    if let Err(msg) = apply_backend_flag(&args) {
-        eprintln!("error: {msg}");
-        return ExitCode::FAILURE;
-    }
     let result = match cmd.as_str() {
         "lock" => cmd_lock(&args),
         "inspect" => cmd_inspect(&args),
