@@ -472,14 +472,16 @@ fn forward_entry(name: &str, batch: usize, repeats: usize, scalar: bool) -> Benc
 }
 
 /// The §4.3 monolithic learning attack on the MLP-16 victim with its
-/// `Linear` products in single precision, on the CPU-detected backend —
-/// the end-to-end payoff of the f32 fast path. The query count stays exact
-/// and deterministic (one labelled training set up front), so `diff`
-/// gates on it like any other attack entry.
-fn monolithic_f32_entry(repeats: usize) -> BenchEntry {
+/// `Linear` products at `precision`, on the CPU-detected backend. The
+/// `monolithic_f64` and `monolithic_f32` entries share victim, seeds and
+/// config, so the pair measures the end-to-end payoff of the f32 fast
+/// path. The query count stays exact and deterministic (one labelled
+/// training set up front), so `diff` gates on it like any other attack
+/// entry.
+fn monolithic_entry(precision: relock_graph::Precision, repeats: usize) -> BenchEntry {
     let p = prepare(Arch::Mlp, 16, Scale::Fast, 42);
     let mut cfg = crate::monolithic_config(Scale::Fast);
-    cfg.learning.precision = relock_graph::Precision::F32;
+    cfg.learning.precision = precision;
     let attack = relock_attack::MonolithicAttack::new(cfg);
     let oracle = CountingOracle::new(&p.model);
     let mut samples = Vec::with_capacity(repeats);
@@ -493,9 +495,10 @@ fn monolithic_f32_entry(repeats: usize) -> BenchEntry {
         }
         queries = Some(report.queries);
     }
+    let name = format!("monolithic_{}", precision.name());
     BenchEntry {
         backend: Some(backend::active_backend().name().to_string()),
-        ..entry("monolithic_f32", "ms", samples, queries, None)
+        ..entry(&name, "ms", samples, queries, None)
     }
 }
 
@@ -819,7 +822,8 @@ pub fn run_report(repeats: usize) -> BenchDoc {
         forward_entry("forward_batch32_planned", 32, repeats, true),
         forward_entry("forward_batch32_simd", 32, repeats, false),
         attack_mlp16_entry(repeats),
-        monolithic_f32_entry(repeats),
+        monolithic_entry(relock_graph::Precision::F64, repeats),
+        monolithic_entry(relock_graph::Precision::F32, repeats),
     ];
     entries.extend(mlp32_entries(repeats.min(2)));
     entries.push(soak_entry());

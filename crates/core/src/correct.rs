@@ -12,6 +12,8 @@
 //! order, so the search outcome does not depend on how many worker
 //! threads evaluate a wave (DESIGN.md §3e).
 
+use std::collections::HashSet;
+
 /// Enumerates candidate flip sets in the paper's order: increasing Hamming
 /// distance; within a distance, increasing total confidence of the flipped
 /// bits. Only the `window` least-confident bits participate, and at most
@@ -57,12 +59,22 @@ pub fn correction_candidates(
     out
 }
 
+/// Layers of at most this many bits end their correction plan with every
+/// flip set the capped search left out, so the search completes paper
+/// Theorem 4's enumeration (at most `2^|K_i|` candidates) instead of
+/// giving up.
+pub(crate) const EXHAUSTIVE_BITS: usize = 10;
+
 /// The full candidate list the decryptor's error correction walks: the
 /// confidence-ordered Hamming search of [`correction_candidates`] with the
 /// layer-complement "mirror" candidates spliced in right after the single
 /// flips. The learning attack's characteristic failure mode is a mirror
 /// optimum — most of the layer inverted, with later layers compensating —
-/// so the complement (and its 1-neighbourhood) is tried early.
+/// so the complement (and its 1-neighbourhood) is tried early. On layers
+/// of at most ten bits, every remaining flip set follows, in the same
+/// Hamming-then-confidence order, so the search ends only after all
+/// `2^|K_i| − 1` flips (paper Theorem 4); the capped plan before them is
+/// unchanged.
 ///
 /// A pure function of its inputs: a resumed attack regenerates the
 /// identical list and skips the candidates a pre-crash segment already
@@ -85,6 +97,16 @@ pub fn correction_plan(
         if !m.is_empty() {
             candidates.insert((insert_at + offset).min(candidates.len()), m);
         }
+    }
+    if n_bits <= EXHAUSTIVE_BITS {
+        let sorted = |c: &[usize]| {
+            let mut c = c.to_vec();
+            c.sort_unstable();
+            c
+        };
+        let planned: HashSet<Vec<usize>> = candidates.iter().map(|c| sorted(c)).collect();
+        let rest = correction_candidates(confidences, n_bits, n_bits, usize::MAX);
+        candidates.extend(rest.into_iter().filter(|c| !planned.contains(&sorted(c))));
     }
     candidates
 }
@@ -170,6 +192,35 @@ mod tests {
         assert_eq!(plan[3], vec![0, 1, 2]);
         assert_eq!(plan[4], vec![1, 2]); // complement minus bit 0
         assert!(plan.len() > 6);
+    }
+
+    #[test]
+    fn small_layer_plans_enumerate_every_flip_set_after_the_capped_prefix() {
+        let c = [0.9, 0.1, 0.5, 0.3, 0.7, 0.2];
+        let capped = correction_candidates(&c, 4, 2, 3);
+        let plan = correction_plan(&c, 4, 2, 3);
+        // The capped search (3 singles, 3 pairs) and the 7 mirrors come
+        // first ...
+        assert_eq!(&plan[..6], &capped[..]);
+        assert_eq!(plan[6], vec![0, 1, 2, 3, 4, 5]);
+        // ... then every other flip set in Hamming order: all 2^6 − 1 once.
+        assert!(plan[13..].windows(2).all(|w| w[0].len() <= w[1].len()));
+        assert_eq!(plan.len(), (1 << c.len()) - 1);
+        let set: HashSet<Vec<usize>> = plan
+            .iter()
+            .map(|v| {
+                let mut s = v.clone();
+                s.sort_unstable();
+                s
+            })
+            .collect();
+        assert_eq!(set.len(), plan.len());
+        // A layer over the bound keeps the capped plan and its mirrors.
+        let big = [0.5; EXHAUSTIVE_BITS + 1];
+        assert_eq!(
+            correction_plan(&big, 4, 2, 3).len(),
+            correction_candidates(&big, 4, 2, 3).len() + EXHAUSTIVE_BITS + 2
+        );
     }
 
     #[test]

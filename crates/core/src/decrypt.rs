@@ -21,7 +21,7 @@ use crate::checkpoint::{
     ResumeStatus, SerialTarget,
 };
 use crate::config::AttackConfig;
-use crate::correct::correction_plan;
+use crate::correct::{correction_plan, EXHAUSTIVE_BITS};
 use crate::error::AttackError;
 use crate::infer::{infer_rounds, site_probe_with, InferredBits, SiteCursor};
 use crate::learning::{
@@ -940,7 +940,6 @@ impl Decryptor {
                 let target = layers
                     .get(li + 1)
                     .map(|(_, next_sites)| self.validation_target(white_box, next_sites, rng));
-                report.validation_rounds = 1;
                 broker.set_scope(Some(Procedure::KeyVectorValidation.label()));
                 // A starved oracle (budget/deadline/backend gone) cannot
                 // judge the candidate; the run degrades by committing the
@@ -948,7 +947,7 @@ impl Decryptor {
                 // learning path is the fallback the paper's adversary is
                 // left with.
                 let mut ok = match timing.time(Procedure::KeyVectorValidation, || {
-                    key_vector_validation_checked_with(
+                    validate_arrival(
                         white_box,
                         &mut ws,
                         &ka,
@@ -956,6 +955,7 @@ impl Decryptor {
                         oracle,
                         cfg,
                         rng,
+                        &mut report.validation_rounds,
                     )
                 }) {
                     Ok(v) => v.tolerated(),
@@ -996,10 +996,9 @@ impl Decryptor {
                         warm.insert(slot, m);
                         ka.set_bit(slot, m < 0.0);
                     }
-                    report.validation_rounds += 1;
                     broker.set_scope(Some(Procedure::KeyVectorValidation.label()));
                     ok = match timing.time(Procedure::KeyVectorValidation, || {
-                        key_vector_validation_checked_with(
+                        validate_arrival(
                             white_box,
                             &mut ws,
                             &ka,
@@ -1007,6 +1006,7 @@ impl Decryptor {
                             oracle,
                             cfg,
                             rng,
+                            &mut report.validation_rounds,
                         )
                     }) {
                         Ok(v) => v.tolerated(),
@@ -1145,7 +1145,11 @@ impl Decryptor {
                     None => {
                         return Err(AttackError::CorrectionExhausted {
                             layer: *keyed_node,
-                            reached_hamming: cfg.max_hamming,
+                            reached_hamming: if n_bits <= EXHAUSTIVE_BITS {
+                                n_bits
+                            } else {
+                                cfg.max_hamming
+                            },
                         });
                     }
                 }
@@ -1246,6 +1250,32 @@ impl Decryptor {
             units,
         }
     }
+}
+
+/// Validates the key vector a layer arrived with (§3.7), counting each
+/// pass in `rounds`. Algorithm 2 tolerates a [`ValidationVerdict::NoEvidence`]
+/// verdict for this candidate, but first gives it one more pass on the
+/// continuing stream: the units re-draw their witnesses, and a wrong key
+/// vector that every first-pass witness missed is often refuted then,
+/// instead of being committed and leaving the next layer unrepairable.
+#[allow(clippy::too_many_arguments)]
+fn validate_arrival(
+    g: &Graph,
+    ws: &mut Workspace,
+    ka: &KeyAssignment,
+    target: Option<&ValidationTarget>,
+    oracle: &dyn Oracle,
+    cfg: &AttackConfig,
+    rng: &mut Prng,
+    rounds: &mut usize,
+) -> Result<ValidationVerdict, OracleError> {
+    *rounds += 1;
+    let verdict = key_vector_validation_checked_with(g, ws, ka, target, oracle, cfg, rng)?;
+    if verdict != ValidationVerdict::NoEvidence {
+        return Ok(verdict);
+    }
+    *rounds += 1;
+    key_vector_validation_checked_with(g, ws, ka, target, oracle, cfg, rng)
 }
 
 /// Groups lock sites by keyed node; `NodeId` order is topological, so the

@@ -209,12 +209,12 @@ pub fn site_probe_with(
     None
 }
 
-/// The Lemma-2 half of Algorithm 1: reads the oracle's answer to one
-/// probe from rows `at..at + 3` of `out` (`O(x°)`, `O(x°+εv)`,
-/// `O(x°−εv)`). `None` means indecisive: both sides moved (the probe
-/// crossed something unexpected) or neither did (not sensitizable here).
-fn lemma2_verdict(out: &Tensor, at: usize, cfg: &AttackConfig) -> Option<bool> {
-    let (o0, op, om) = (out.row(at), out.row(at + 1), out.row(at + 2));
+/// The Lemma-2 half of Algorithm 1: reads the oracle's answer `out` to
+/// one probe (`O(x°)`, `O(x°+εv)`, `O(x°−εv)`). `None` means indecisive:
+/// both sides moved (the probe crossed something unexpected) or neither
+/// did (not sensitizable here).
+fn lemma2_verdict(out: &Tensor, cfg: &AttackConfig) -> Option<bool> {
+    let (o0, op, om) = (out.row(0), out.row(1), out.row(2));
     let mut scale = 1.0f64;
     let mut dp = 0.0f64;
     let mut dm = 0.0f64;
@@ -237,39 +237,64 @@ fn lemma2_verdict(out: &Tensor, at: usize, cfg: &AttackConfig) -> Option<bool> {
     None
 }
 
-/// Sends one round's probes and reads their verdicts, in probe order.
-///
-/// The probes go out as **one** batch, so a broker charges and dispatches
-/// the whole round as a single request. If the oracle refuses that batch
-/// (budget, deadline, dead backend), the round falls back to one call
-/// per probe in the same order: a budget too small for the round still
-/// answers the probes it can afford, first come first served.
+/// Sends a round of several requests to the oracle as **one** batch and
+/// splits the answer back into one tensor per request, in request order.
+/// Through a broker the whole round is then a single request: one budget
+/// reservation, one dispatch. `None` when the round holds a single
+/// request or the oracle refuses the batch (budget, deadline, dead
+/// backend); the caller then falls back to one call per request, in the
+/// same order, so a budget too small for the round still answers the
+/// requests it can afford, first come first served.
+pub(crate) fn batched(oracle: &dyn Oracle, requests: &[Tensor]) -> Option<Vec<Tensor>> {
+    if requests.len() < 2 {
+        return None;
+    }
+    let p = requests[0].dims()[1];
+    let n: usize = requests.iter().map(|r| r.dims()[0]).sum();
+    let mut rows = Vec::with_capacity(n * p);
+    for r in requests {
+        rows.extend_from_slice(r.as_slice());
+    }
+    let out = oracle
+        .try_query_batch(&Tensor::from_vec(rows, [n, p]))
+        .ok()?;
+    let q = out.dims()[1];
+    let mut at = 0;
+    Some(
+        requests
+            .iter()
+            .map(|r| {
+                let k = r.dims()[0];
+                let answer = out.as_slice()[at * q..(at + k) * q].to_vec();
+                at += k;
+                Tensor::from_vec(answer, [k, q])
+            })
+            .collect(),
+    )
+}
+
+/// Sends one round's probes (see [`batched`]) and reads their Lemma-2
+/// verdicts, in probe order. Under the per-probe fallback every probe is
+/// tried, each failure mapping to its own `Err`.
 fn round_verdicts(
     oracle: &dyn Oracle,
     probes: &[Tensor],
     cfg: &AttackConfig,
 ) -> Vec<Result<Option<bool>, OracleError>> {
-    if probes.len() > 1 {
-        let p = probes[0].dims()[1];
-        let mut rows = Vec::with_capacity(3 * probes.len() * p);
-        for probe in probes {
-            rows.extend_from_slice(probe.as_slice());
-        }
-        let batch = Tensor::from_vec(rows, [3 * probes.len(), p]);
-        if let Ok(out) = oracle.try_query_batch(&batch) {
-            return (0..probes.len())
-                .map(|k| Ok(lemma2_verdict(&out, 3 * k, cfg)))
-                .collect();
-        }
+    match batched(oracle, probes) {
+        Some(outs) => outs
+            .iter()
+            .map(|out| Ok(lemma2_verdict(out, cfg)))
+            .collect(),
+        None => probes
+            .iter()
+            .map(|probe| {
+                oracle
+                    .try_query_batch(probe)
+                    .map(|out| lemma2_verdict(&out, cfg))
+            })
+            .collect(),
     }
-    probes
-        .iter()
-        .map(|probe| {
-            oracle
-                .try_query_batch(probe)
-                .map(|out| lemma2_verdict(&out, 0, cfg))
-        })
-        .collect()
 }
 
 /// Runs Algorithm 1 over a layer's `sites` in lock-step rounds.

@@ -103,7 +103,6 @@ pub use oracleless::{
 pub use sampling::{sampling_key_search, SamplingConfig, SamplingReport};
 pub use telemetry::{Procedure, QueryStats, QueryStatsSnapshot, ScopeCounts, TimingBreakdown};
 pub use validate::{
-    key_vector_validation, key_vector_validation_checked, key_vector_validation_checked_with,
-    key_vector_validation_verdict, ValidationTarget, ValidationVerdict,
+    key_vector_validation, key_vector_validation_checked_with, ValidationTarget, ValidationVerdict,
 };
 pub use weightlock::{weight_lock_attack, WeightLockReport};

@@ -15,10 +15,13 @@
 use crate::checkpoint::{AttackState, CheckpointPolicy, CheckpointSink};
 use crate::config::AttackConfig;
 use crate::decrypt::{DecryptionReport, Decryptor};
-use relock_locking::{CountingOracle, LockSpec, LockVariant, LockedModel};
+use relock_graph::LockSite;
+use relock_locking::{CountingOracle, LockSpec, LockVariant, LockedModel, Oracle, OracleError};
 use relock_nn::{build_lenet, build_mlp, LenetSpec, MlpSpec};
 use relock_serve::{Broker, BrokerConfig, QueryStatsSnapshot};
 use relock_tensor::rng::Prng;
+use relock_tensor::Tensor;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -249,4 +252,78 @@ impl Drop for ModelFile {
     fn drop(&mut self) {
         let _ = std::fs::remove_file(&self.path);
     }
+}
+
+/// One oracle call as its rows' bit patterns.
+pub type Call = Vec<Vec<u64>>;
+
+/// An oracle that records every call it answers — the round-contract
+/// suites (`infer_rounds`, `validation_rounds`) compare these calls with a
+/// one-at-a-time reference.
+pub struct Recorder {
+    inner: CountingOracle,
+    calls: Mutex<Vec<Call>>,
+}
+
+impl Recorder {
+    pub fn new(model: &LockedModel) -> Self {
+        Recorder {
+            inner: CountingOracle::new(model),
+            calls: Mutex::new(Vec::new()),
+        }
+    }
+
+    pub fn calls(&self) -> Vec<Call> {
+        self.calls.lock().unwrap().clone()
+    }
+}
+
+impl Oracle for Recorder {
+    fn query_batch(&self, x: &Tensor) -> Tensor {
+        let p = x.dims()[1];
+        let rows = x
+            .as_slice()
+            .chunks(p)
+            .map(|r| r.iter().map(|v| v.to_bits()).collect())
+            .collect();
+        self.calls.lock().unwrap().push(rows);
+        self.inner.query_batch(x)
+    }
+
+    fn try_query_batch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
+        Ok(self.query_batch(x))
+    }
+
+    fn query_count(&self) -> u64 {
+        self.inner.query_count()
+    }
+
+    fn input_dim(&self) -> usize {
+        self.inner.input_dim()
+    }
+
+    fn output_dim(&self) -> usize {
+        self.inner.output_dim()
+    }
+}
+
+/// Every row of every call, counted.
+pub fn row_multiset(calls: &[Call]) -> BTreeMap<Vec<u64>, usize> {
+    let mut rows = BTreeMap::new();
+    for row in calls.iter().flatten() {
+        *rows.entry(row.clone()).or_insert(0) += 1;
+    }
+    rows
+}
+
+/// The sites of each locked layer, in canonical order.
+pub fn layers(model: &LockedModel) -> Vec<Vec<LockSite>> {
+    let mut out: Vec<Vec<LockSite>> = Vec::new();
+    for site in model.white_box().lock_sites() {
+        match out.last_mut() {
+            Some(l) if l[0].keyed_node == site.keyed_node => l.push(site),
+            _ => out.push(vec![site]),
+        }
+    }
+    out
 }

@@ -7,9 +7,21 @@
 //! second-difference probe: for a piecewise-linear oracle,
 //! `O(x+δu) + O(x−δu) − 2·O(x°)` vanishes identically when no hyperplane
 //! crosses the segment, and is `Θ(δ)` when one does.
+//!
+//! A pass splits at its oracle calls, like Algorithm 1. Each probed
+//! next-layer unit gets a cursor on its own PRNG stream, forked from the
+//! pass's stream in unit order when the unit is admitted. The cursor's
+//! white-box step runs witness searches and observability checks until
+//! the unit needs its next second difference (a 3- or 2-row request) or
+//! has its verdict. The pass runs its in-flight units in lock-step rounds,
+//! one oracle batch per round in unit order. A unit is admitted only while
+//! the majority vote would stay open even if every unit in flight went
+//! the same way, so the pass admits, queries and decides exactly what a
+//! one-unit-at-a-time loop over the same per-unit streams would.
 
 use crate::config::AttackConfig;
 use crate::critical::{search_target_critical_point_with, TargetScalar};
+use crate::infer::batched;
 use relock_graph::{Graph, KeyAssignment, KeySlot, NodeId, UnitLayout, Workspace};
 use relock_locking::{Oracle, OracleError};
 use relock_tensor::rng::Prng;
@@ -33,43 +45,6 @@ pub struct ValidationTarget {
     /// Units of that layout to probe, each with its own key slot if the
     /// unit is itself locked.
     pub units: Vec<(usize, Option<KeySlot>)>,
-}
-
-/// Second difference `‖O(x+δu) + O(x−δu) − 2·O(x)‖∞` at step `delta`.
-///
-/// The probe points go out as **one** batch: through a broker that is one
-/// request (one budget reservation, one dispatch), and the symmetric rows
-/// land in the same cache generation. `o0` caches the base point's answer
-/// `O(x)`; while it is still unknown, `x` rides in front of the ±δ pair
-/// (a 3-row batch instead of a 1-row call and a 2-row one) and the answer
-/// is stored for the witness's later probes.
-fn second_difference(
-    oracle: &dyn Oracle,
-    o0: &mut Option<Tensor>,
-    x: &Tensor,
-    u: &Tensor,
-    delta: f64,
-) -> Result<f64, OracleError> {
-    let p = x.numel();
-    let mut rows = Vec::with_capacity(3 * p);
-    if o0.is_none() {
-        rows.extend_from_slice(x.as_slice());
-    }
-    for step in [delta, -delta] {
-        let mut xs = x.clone();
-        xs.axpy(step, u);
-        rows.extend_from_slice(xs.as_slice());
-    }
-    let n = rows.len() / p;
-    let out = oracle.try_query_batch(&Tensor::from_vec(rows, [n, p]))?;
-    let base = o0.get_or_insert_with(|| Tensor::from_slice(out.row(0)));
-    let (op, om) = (out.row(n - 2), out.row(n - 1));
-    let mut max_c = 0.0f64;
-    for i in 0..base.numel() {
-        let c = op[i] + om[i] - 2.0 * base.as_slice()[i];
-        max_c = max_c.max(c.abs());
-    }
-    Ok(max_c)
 }
 
 /// White-box second difference along `u` — used to decide whether a
@@ -106,7 +81,7 @@ fn whitebox_second_difference(
     (max_c, scale)
 }
 
-/// Per-witness validation outcome.
+/// Per-witness (and per-unit) validation outcome.
 enum WitnessVerdict {
     /// The kink is not observable from the output even in the white box —
     /// the witness carries no information (tolerated, not counted).
@@ -117,7 +92,15 @@ enum WitnessVerdict {
     Refuted,
 }
 
-/// Probes one witness.
+/// What a cursor's white-box step ends on.
+enum Step {
+    /// The rows of its next second-difference request.
+    Ask(Tensor),
+    /// Its verdict: it needs no more oracle answers.
+    Done(WitnessVerdict),
+}
+
+/// One witness's probe between oracle round trips.
 ///
 /// For each probe direction, the white box (with the candidate key) must
 /// itself show a kink — otherwise the direction is uninformative (the
@@ -128,59 +111,110 @@ enum WitnessVerdict {
 /// layer norm) scales *quadratically*. Requiring both a magnitude above
 /// `kink_tol` and a ≥ 0.4 ratio under halving separates the regimes
 /// without model-specific thresholds.
-#[allow(clippy::too_many_arguments)]
-fn probe_witness(
-    g: &Graph,
-    ws: &mut Workspace,
-    observability_keys: &[&KeyAssignment],
-    oracle: &dyn Oracle,
-    x: &Tensor,
-    first_dir: &Tensor,
-    cfg: &AttackConfig,
-    rng: &mut Prng,
-) -> Result<WitnessVerdict, OracleError> {
-    let mut informative = false;
-    let mut o0: Option<Tensor> = None;
-    for d in 0..cfg.validation_directions {
-        let u = if d == 0 {
-            first_dir.clone()
-        } else {
-            rng.unit_vector(x.numel())
-        };
-        // Observability pre-filter on the white box (no oracle queries):
-        // every supplied key hypothesis must predict a visible kink, or
-        // the oracle's (unknown-bit) masking could differ from ours.
-        let mut visible = true;
-        for ka in observability_keys {
-            let (wb, wb_scale) = whitebox_second_difference(g, ws, ka, x, &u, cfg.probe_delta);
-            if wb / wb_scale < cfg.kink_tol {
-                visible = false;
-                break;
-            }
-        }
-        if !visible {
-            continue;
-        }
-        informative = true;
-        let c_full = second_difference(oracle, &mut o0, x, &u, cfg.probe_delta)?;
-        let scale = o0.as_ref().expect("answered above").norm_inf().max(1.0);
-        if c_full / scale < cfg.kink_tol {
-            continue;
-        }
-        let c_half = second_difference(oracle, &mut o0, x, &u, 0.5 * cfg.probe_delta)?;
-        if c_half >= 0.4 * c_full {
-            return Ok(WitnessVerdict::Confirmed);
-        }
-    }
-    Ok(if informative {
-        WitnessVerdict::Refuted
-    } else {
-        WitnessVerdict::NotObservable
-    })
+struct WitnessCursor {
+    x: Tensor,
+    /// The current direction: the witness's crossing direction first,
+    /// then fresh random ones.
+    u: Tensor,
+    /// Directions started so far.
+    dirs: usize,
+    /// Whether some direction was observable in the white box.
+    informative: bool,
+    /// `O(x°)` once answered. Until then `x°` rides in front of the ±δ
+    /// pair (a 3-row request); afterwards every request is the 2-row pair.
+    o0: Option<Tensor>,
+    /// The current direction's full-step second difference while its
+    /// half-step request is out.
+    c_full: Option<f64>,
 }
 
-/// Probes one next-layer unit, trying positional witnesses first and
-/// unit-extremum witnesses second.
+impl WitnessCursor {
+    fn new(x: Tensor, crossing_dir: Tensor) -> Self {
+        WitnessCursor {
+            x,
+            u: crossing_dir,
+            dirs: 0,
+            informative: false,
+            o0: None,
+            c_full: None,
+        }
+    }
+
+    /// Reads `answer`, the oracle's reply to the last request (`None` on
+    /// the first step), then runs the white box up to the next request or
+    /// the verdict.
+    fn step(
+        &mut self,
+        g: &Graph,
+        ws: &mut Workspace,
+        ka: &KeyAssignment,
+        cfg: &AttackConfig,
+        rng: &mut Prng,
+        answer: Option<&Tensor>,
+    ) -> Step {
+        if let Some(out) = answer {
+            let n = out.dims()[0];
+            let base = self
+                .o0
+                .get_or_insert_with(|| Tensor::from_slice(out.row(0)));
+            let (op, om) = (out.row(n - 2), out.row(n - 1));
+            let mut c = 0.0f64;
+            for i in 0..base.numel() {
+                c = c.max((op[i] + om[i] - 2.0 * base.as_slice()[i]).abs());
+            }
+            match self.c_full.take() {
+                // Smooth at the full step: try the next direction.
+                None if c / base.norm_inf().max(1.0) < cfg.kink_tol => {}
+                None => {
+                    self.c_full = Some(c);
+                    return Step::Ask(self.request(0.5 * cfg.probe_delta));
+                }
+                Some(c_full) if c >= 0.4 * c_full => return Step::Done(WitnessVerdict::Confirmed),
+                Some(_) => {}
+            }
+        }
+        while self.dirs < cfg.validation_directions {
+            if self.dirs > 0 {
+                self.u = rng.unit_vector(self.x.numel());
+            }
+            self.dirs += 1;
+            // Observability pre-filter on the white box (no oracle
+            // queries): the key hypothesis must predict a visible kink, or
+            // the oracle's (unknown-bit) masking could differ from ours.
+            let (wb, wb_scale) =
+                whitebox_second_difference(g, ws, ka, &self.x, &self.u, cfg.probe_delta);
+            if wb / wb_scale < cfg.kink_tol {
+                continue;
+            }
+            self.informative = true;
+            return Step::Ask(self.request(cfg.probe_delta));
+        }
+        Step::Done(if self.informative {
+            WitnessVerdict::Refuted
+        } else {
+            WitnessVerdict::NotObservable
+        })
+    }
+
+    /// The rows `x°+δu, x°−δu`, behind `x°` while `O(x°)` is unknown.
+    fn request(&self, delta: f64) -> Tensor {
+        let p = self.x.numel();
+        let mut rows = Vec::with_capacity(3 * p);
+        if self.o0.is_none() {
+            rows.extend_from_slice(self.x.as_slice());
+        }
+        for step in [delta, -delta] {
+            let mut xs = self.x.clone();
+            xs.axpy(step, &self.u);
+            rows.extend_from_slice(xs.as_slice());
+        }
+        let n = rows.len() / p;
+        Tensor::from_vec(rows, [n, p])
+    }
+}
+
+/// One next-layer unit's probe between oracle round trips, trying
+/// positional witnesses first and unit-extremum witnesses second.
 ///
 /// *Positional*: a witness of a single pre-activation's zero crossing,
 /// vetted for observability under both hypotheses of the unit's own bit
@@ -194,97 +228,217 @@ fn probe_witness(
 /// active and the kink survives any pooling. A correct key prefix shows an
 /// oracle kink at the witness of whichever hypothesis matches the true
 /// bit, so the unit confirms if *either* hypothesis' witness kinks.
-#[allow(clippy::too_many_arguments)]
-fn probe_unit(
-    g: &Graph,
-    ws: &mut Workspace,
-    ka: &KeyAssignment,
-    t: &ValidationTarget,
-    unit: usize,
-    slot: Option<KeySlot>,
-    oracle: &dyn Oracle,
-    cfg: &AttackConfig,
-    rng: &mut Prng,
-) -> Result<WitnessVerdict, OracleError> {
-    let elems: Vec<usize> = t.layout.unit_elements(unit).collect();
-    // Bit hypotheses for the unit's own key: the witness surface
-    // (ReLU input under that bit) and its downstream observability both
-    // depend on it. A correct key prefix must show an oracle kink at the
-    // witnesses of whichever hypothesis matches the true bit, so the unit
-    // confirms if **either** hypothesis' witnesses kink, and refutes only
-    // when every informative witness of every hypothesis stays smooth.
-    let mut hypotheses: Vec<KeyAssignment> = vec![ka.clone()];
-    if let Some(slot) = slot {
-        let mut other = ka.clone();
-        let m = ka.multiplier(slot);
-        other.set(slot, if m == 0.0 { -1.0 } else { -m });
-        hypotheses.push(other);
+struct UnitCursor {
+    /// The unit's own stream, forked from the pass's stream at admission.
+    rng: Prng,
+    elems: Vec<usize>,
+    /// Bit hypotheses for the unit's own key: the witness surface (ReLU
+    /// input under that bit) and its downstream observability both depend
+    /// on it.
+    hypotheses: Vec<KeyAssignment>,
+    /// The hypothesis being probed.
+    h: usize,
+    /// Its witness scalars, drawn when it starts.
+    scalars: Vec<TargetScalar>,
+    /// The next of them to search a witness for.
+    next_scalar: usize,
+    /// Its refuting witnesses so far.
+    refutes: usize,
+    /// Hypotheses condemned so far.
+    condemned: usize,
+    /// The witness being probed.
+    witness: Option<WitnessCursor>,
+}
+
+impl UnitCursor {
+    fn new(
+        t: &ValidationTarget,
+        (unit, slot): (usize, Option<KeySlot>),
+        ka: &KeyAssignment,
+        rng: Prng,
+        cfg: &AttackConfig,
+    ) -> Self {
+        let mut hypotheses = vec![ka.clone()];
+        if let Some(slot) = slot {
+            let mut other = ka.clone();
+            let m = ka.multiplier(slot);
+            other.set(slot, if m == 0.0 { -1.0 } else { -m });
+            hypotheses.push(other);
+        }
+        let mut cursor = UnitCursor {
+            rng,
+            elems: t.layout.unit_elements(unit).collect(),
+            hypotheses,
+            h: 0,
+            scalars: Vec::new(),
+            next_scalar: 0,
+            refutes: 0,
+            condemned: 0,
+            witness: None,
+        };
+        cursor.start_hypothesis(cfg);
+        cursor
     }
 
-    // A unit is condemned only when EVERY bit hypothesis accumulates
-    // corroborated refuting evidence: under a correct prefix the wrong-bit
-    // hypothesis legitimately refutes, so cross-hypothesis pooling would
-    // condemn correct keys whose true-bit witnesses happen to be masked.
-    let mut hypotheses_refuted = 0usize;
-    for ka_h in &hypotheses {
-        // Witness scalars, cheapest discriminators first: single ReLU
-        // inputs, then tie surfaces (where a pool window's winner
-        // switches — plentiful and pool-visible), then the unit extremum
-        // (the whole unit waking up — survives any masking).
-        let mut scalars: Vec<TargetScalar> = Vec::new();
+    /// Draws the current hypothesis' witness scalars, cheapest
+    /// discriminators first: single ReLU inputs, then tie surfaces (where a
+    /// pool window's winner switches — plentiful and pool-visible), then
+    /// the unit extremum (the whole unit waking up — survives any
+    /// masking).
+    fn start_hypothesis(&mut self, cfg: &AttackConfig) {
+        let (elems, rng) = (&self.elems, &mut self.rng);
+        self.scalars.clear();
         for _ in 0..cfg.witness_attempts {
-            scalars.push(TargetScalar::Element(elems[rng.below(elems.len())]));
+            self.scalars
+                .push(TargetScalar::Element(elems[rng.below(elems.len())]));
         }
         if elems.len() > 1 {
             for _ in 0..cfg.witness_attempts {
-                let a = elems[rng.below(elems.len())];
+                let i = rng.below(elems.len());
+                let a = elems[i];
                 let mut b = elems[rng.below(elems.len())];
                 if a == b {
-                    b = elems[(elems.iter().position(|&e| e == a).unwrap() + 1) % elems.len()];
+                    b = elems[(i + 1) % elems.len()];
                 }
-                scalars.push(TargetScalar::Diff(a, b));
+                self.scalars.push(TargetScalar::Diff(a, b));
             }
-            scalars.push(TargetScalar::UnitMax(elems.clone()));
-            scalars.push(TargetScalar::UnitMin(elems.clone()));
+            self.scalars.push(TargetScalar::UnitMax(elems.clone()));
+            self.scalars.push(TargetScalar::UnitMin(elems.clone()));
         }
-        let mut refutes_here = 0usize;
-        for scalar in &scalars {
-            let Some(cp) =
-                search_target_critical_point_with(g, ws, ka_h, t.surface_node, scalar, cfg, rng)
-            else {
-                continue;
-            };
-            match probe_witness(g, ws, &[ka_h], oracle, &cp.x, &cp.crossing_dir, cfg, rng)? {
-                WitnessVerdict::Confirmed => return Ok(WitnessVerdict::Confirmed),
-                WitnessVerdict::Refuted => refutes_here += 1,
-                WitnessVerdict::NotObservable => {}
+        self.next_scalar = 0;
+        self.refutes = 0;
+    }
+
+    /// Feeds `answer` (the reply to the unit's last request, `None` on the
+    /// first step) to the current witness, then runs the white box — each
+    /// witness search and observability check once — up to the unit's
+    /// next request or its verdict.
+    fn step(
+        &mut self,
+        g: &Graph,
+        ws: &mut Workspace,
+        surface: NodeId,
+        cfg: &AttackConfig,
+        answer: Option<&Tensor>,
+    ) -> Step {
+        let mut witness = answer.map(|out| {
+            let w = self.witness.as_mut().expect("an answer follows a request");
+            w.step(
+                g,
+                ws,
+                &self.hypotheses[self.h],
+                cfg,
+                &mut self.rng,
+                Some(out),
+            )
+        });
+        loop {
+            match witness {
+                Some(Step::Ask(rows)) => return Step::Ask(rows),
+                Some(Step::Done(WitnessVerdict::Confirmed)) => {
+                    return Step::Done(WitnessVerdict::Confirmed)
+                }
+                Some(Step::Done(WitnessVerdict::Refuted)) => self.refutes += 1,
+                Some(Step::Done(WitnessVerdict::NotObservable)) | None => {}
             }
-            if refutes_here >= 2 {
-                // Two independent un-kinked witnesses condemn this
-                // hypothesis; move on to the other one.
-                break;
+            // Two independent un-kinked witnesses condemn a hypothesis;
+            // move on to the other one. Under a correct prefix the
+            // wrong-bit hypothesis legitimately refutes, so evidence is
+            // never pooled across hypotheses.
+            while self.refutes >= 2 || self.next_scalar == self.scalars.len() {
+                if self.refutes >= 2 {
+                    self.condemned += 1;
+                }
+                self.h += 1;
+                if self.h == self.hypotheses.len() {
+                    // Single refuting witnesses can be white-box masking
+                    // mispredictions (unknown downstream bits), and a
+                    // hypothesis with no observable witnesses cannot be
+                    // judged. Condemn the unit only when every hypothesis
+                    // was judged and condemned; anything less is
+                    // inconclusive and not counted.
+                    return Step::Done(if self.condemned == self.hypotheses.len() {
+                        WitnessVerdict::Refuted
+                    } else {
+                        WitnessVerdict::NotObservable
+                    });
+                }
+                self.start_hypothesis(cfg);
             }
+            let scalar = &self.scalars[self.next_scalar];
+            self.next_scalar += 1;
+            let ka = &self.hypotheses[self.h];
+            witness =
+                search_target_critical_point_with(g, ws, ka, surface, scalar, cfg, &mut self.rng)
+                    .map(|cp| {
+                        let w = self
+                            .witness
+                            .insert(WitnessCursor::new(cp.x, cp.crossing_dir));
+                        w.step(g, ws, ka, cfg, &mut self.rng, None)
+                    });
         }
-        if refutes_here >= 2 {
-            hypotheses_refuted += 1;
+    }
+}
+
+/// The running majority vote of one pass over `quota` observable units.
+struct Vote {
+    quota: usize,
+    pass_at: usize,
+    fail_at: usize,
+    confirmed: usize,
+    refuted: usize,
+}
+
+impl Vote {
+    fn new(cfg: &AttackConfig) -> Self {
+        let quota = cfg.validation_neurons;
+        let pass_at = (cfg.validation_majority * quota as f64).ceil() as usize;
+        Vote {
+            quota,
+            pass_at,
+            fail_at: quota - pass_at + 1,
+            confirmed: 0,
+            refuted: 0,
         }
     }
 
-    // Single refuting witnesses can be white-box masking mispredictions
-    // (unknown downstream bits); and a hypothesis with no observable
-    // witnesses cannot be judged. Condemn the unit only when every
-    // hypothesis was judged and condemned; anything less is inconclusive
-    // and not counted.
-    Ok(if hypotheses_refuted == hypotheses.len() {
-        WitnessVerdict::Refuted
-    } else {
-        WitnessVerdict::NotObservable
-    })
+    /// Whether one more unit may join `in_flight` others: the vote must
+    /// stay undecided, and the quota unfilled, even if all of them go the
+    /// same way. A one-unit-at-a-time loop would then probe it too.
+    fn admits(&self, in_flight: usize) -> bool {
+        self.confirmed + in_flight < self.pass_at
+            && self.refuted + in_flight < self.fail_at
+            && self.confirmed + self.refuted + in_flight < self.quota
+    }
+
+    fn count(&mut self, v: WitnessVerdict) {
+        match v {
+            WitnessVerdict::Confirmed => self.confirmed += 1,
+            WitnessVerdict::Refuted => self.refuted += 1,
+            WitnessVerdict::NotObservable => {}
+        }
+    }
+
+    fn verdict(&self, majority: f64) -> ValidationVerdict {
+        let informative = self.confirmed + self.refuted;
+        if self.confirmed >= self.pass_at {
+            ValidationVerdict::Pass
+        } else if self.refuted >= self.fail_at {
+            ValidationVerdict::Fail
+        } else if informative == 0 {
+            ValidationVerdict::NoEvidence
+        } else if self.confirmed as f64 / informative as f64 >= majority {
+            ValidationVerdict::Pass
+        } else {
+            ValidationVerdict::Fail
+        }
+    }
 }
 
 /// Tests whether the oracle has a kink at `x` (used by the weight-lock
-/// attack's hypothesis testing). Returns `None` when the white box says
-/// the location is not observable from the output, `Some(true)` on a
+/// attack's hypothesis testing): the one-witness case of a validation
+/// pass, on `rng` itself. Returns `None` when the white box says the
+/// location is not observable from the output, `Some(true)` on a
 /// confirmed oracle kink, `Some(false)` when the oracle is smooth there.
 /// Oracle failures (budget, deadline, dead backend) propagate.
 #[allow(clippy::too_many_arguments)]
@@ -298,13 +452,23 @@ pub(crate) fn oracle_kink_at(
     cfg: &AttackConfig,
     rng: &mut Prng,
 ) -> Result<Option<bool>, OracleError> {
-    Ok(
-        match probe_witness(g, ws, &[ka], oracle, x, first_dir, cfg, rng)? {
-            WitnessVerdict::Confirmed => Some(true),
-            WitnessVerdict::Refuted => Some(false),
-            WitnessVerdict::NotObservable => None,
-        },
-    )
+    let mut witness = WitnessCursor::new(x.clone(), first_dir.clone());
+    let mut step = witness.step(g, ws, ka, cfg, rng, None);
+    loop {
+        match step {
+            Step::Ask(rows) => {
+                let out = oracle.try_query_batch(&rows)?;
+                step = witness.step(g, ws, ka, cfg, rng, Some(&out));
+            }
+            Step::Done(v) => {
+                return Ok(match v {
+                    WitnessVerdict::Confirmed => Some(true),
+                    WitnessVerdict::Refuted => Some(false),
+                    WitnessVerdict::NotObservable => None,
+                })
+            }
+        }
+    }
 }
 
 /// Outcome of a validation pass.
@@ -331,15 +495,12 @@ impl ValidationVerdict {
     }
 }
 
-/// Validates the candidate key bits of a layer (paper §3.7).
-///
-/// With `target = Some(..)`, hunts for oracle kinks at the white-box
-/// critical points of the next layer's neurons and passes when a
-/// `cfg.validation_majority` fraction of the probed neurons confirms.
-/// With `target = None` (the last hidden layer, where all bits are already
-/// determined), directly compares white-box and oracle outputs on random
-/// inputs. `NoEvidence` maps to `true`; use
-/// [`key_vector_validation_verdict`] for the three-way outcome.
+/// Validates the candidate key bits of a layer (paper §3.7) and reports
+/// whether Algorithm 2 would accept them: every outcome except
+/// [`ValidationVerdict::Fail`] is `true`, an oracle failure included (an
+/// unreachable oracle cannot refute a candidate). See
+/// [`key_vector_validation_checked_with`] for the three-way, fallible
+/// outcome.
 pub fn key_vector_validation(
     g: &Graph,
     ka: &KeyAssignment,
@@ -348,51 +509,31 @@ pub fn key_vector_validation(
     cfg: &AttackConfig,
     rng: &mut Prng,
 ) -> bool {
+    let mut ws = Workspace::new();
     !matches!(
-        key_vector_validation_verdict(g, ka, target, oracle, cfg, rng),
-        ValidationVerdict::Fail
+        key_vector_validation_checked_with(g, &mut ws, ka, target, oracle, cfg, rng),
+        Ok(ValidationVerdict::Fail)
     )
 }
 
-/// Three-way variant of [`key_vector_validation`]. Oracle failures map to
-/// [`ValidationVerdict::NoEvidence`] — an unreachable oracle cannot refute
-/// a candidate; callers that must distinguish "could not probe" from "no
-/// observable witness" use [`key_vector_validation_checked`].
-pub fn key_vector_validation_verdict(
-    g: &Graph,
-    ka: &KeyAssignment,
-    target: Option<&ValidationTarget>,
-    oracle: &dyn Oracle,
-    cfg: &AttackConfig,
-    rng: &mut Prng,
-) -> ValidationVerdict {
-    key_vector_validation_checked(g, ka, target, oracle, cfg, rng)
-        .unwrap_or(ValidationVerdict::NoEvidence)
-}
-
-/// Fallible variant of [`key_vector_validation_verdict`]: a typed
-/// [`OracleError`] (budget exhausted, deadline passed, backend down)
-/// surfaces as `Err` so the decryptor can fall back to its learned
-/// candidate instead of mistaking starvation for evidence.
+/// Validates the candidate key bits of a layer (paper §3.7) through a
+/// caller-owned workspace.
+///
+/// With `target = Some(..)`, hunts for oracle kinks at the white-box
+/// critical points of the next layer's neurons and passes when a
+/// `cfg.validation_majority` fraction of `cfg.validation_neurons`
+/// observable units confirms; the vote stops as soon as its outcome is
+/// decided. Units are admitted in `target.units` order, each forking its
+/// own stream from `rng`, and the units in flight share one oracle batch
+/// per round (see the module docs). With `target = None` (the last hidden
+/// layer, where all bits are already determined), directly compares
+/// white-box and oracle outputs on random inputs.
 ///
 /// # Errors
 ///
-/// Propagates the first [`OracleError`] hit while probing.
-pub fn key_vector_validation_checked(
-    g: &Graph,
-    ka: &KeyAssignment,
-    target: Option<&ValidationTarget>,
-    oracle: &dyn Oracle,
-    cfg: &AttackConfig,
-    rng: &mut Prng,
-) -> Result<ValidationVerdict, OracleError> {
-    let mut ws = Workspace::new();
-    key_vector_validation_checked_with(g, &mut ws, ka, target, oracle, cfg, rng)
-}
-
-/// [`key_vector_validation_checked`] through a caller-owned workspace: all
-/// witness searches and white-box observability probes of the pass share
-/// one set of forward buffers.
+/// A typed [`OracleError`] (budget exhausted, deadline passed, backend
+/// down) surfaces as `Err` so the decryptor can fall back to its learned
+/// candidate instead of mistaking starvation for evidence.
 #[allow(clippy::too_many_arguments)]
 pub fn key_vector_validation_checked_with(
     g: &Graph,
@@ -405,45 +546,49 @@ pub fn key_vector_validation_checked_with(
 ) -> Result<ValidationVerdict, OracleError> {
     match target {
         Some(t) => {
-            let mut informative = 0usize;
-            let mut confirmed = 0usize;
-            let quota = cfg.validation_neurons;
-            // The verdict is a majority vote over `quota` observable
-            // units; stop as soon as the vote's outcome is decided.
-            let pass_at = (cfg.validation_majority * quota as f64).ceil() as usize;
-            let fail_at = quota - pass_at + 1;
-            for &(unit, slot) in &t.units {
-                if informative >= quota
-                    || confirmed >= pass_at
-                    || informative - confirmed >= fail_at
-                {
+            let mut vote = Vote::new(cfg);
+            let mut queue = t.units.iter();
+            // The units in flight, in unit order, and their requests.
+            let mut flight: Vec<UnitCursor> = Vec::new();
+            let mut requests: Vec<Tensor> = Vec::new();
+            loop {
+                while vote.admits(flight.len()) {
+                    let Some(&unit) = queue.next() else { break };
+                    let mut cursor = UnitCursor::new(t, unit, ka, rng.fork(), cfg);
+                    match cursor.step(g, ws, t.surface_node, cfg, None) {
+                        Step::Ask(rows) => {
+                            flight.push(cursor);
+                            requests.push(rows);
+                        }
+                        Step::Done(v) => vote.count(v),
+                    }
+                }
+                if flight.is_empty() {
                     break;
                 }
-                match probe_unit(g, ws, ka, t, unit, slot, oracle, cfg, rng)? {
-                    WitnessVerdict::Confirmed => {
-                        informative += 1;
-                        confirmed += 1;
+                // One batch per round; if it is refused, one call per
+                // request, and the first refused call fails the pass.
+                let answers = match batched(oracle, &requests) {
+                    Some(answers) => answers,
+                    None => requests
+                        .iter()
+                        .map(|r| oracle.try_query_batch(r))
+                        .collect::<Result<Vec<_>, _>>()?,
+                };
+                requests.clear();
+                let mut still = Vec::with_capacity(flight.len());
+                for (mut cursor, out) in flight.into_iter().zip(answers) {
+                    match cursor.step(g, ws, t.surface_node, cfg, Some(&out)) {
+                        Step::Ask(rows) => {
+                            still.push(cursor);
+                            requests.push(rows);
+                        }
+                        Step::Done(v) => vote.count(v),
                     }
-                    WitnessVerdict::Refuted => informative += 1,
-                    WitnessVerdict::NotObservable => {}
                 }
+                flight = still;
             }
-            if confirmed >= pass_at {
-                return Ok(ValidationVerdict::Pass);
-            }
-            if informative - confirmed >= fail_at {
-                return Ok(ValidationVerdict::Fail);
-            }
-            if informative == 0 {
-                return Ok(ValidationVerdict::NoEvidence);
-            }
-            Ok(
-                if confirmed as f64 / informative as f64 >= cfg.validation_majority {
-                    ValidationVerdict::Pass
-                } else {
-                    ValidationVerdict::Fail
-                },
-            )
+            Ok(vote.verdict(cfg.validation_majority))
         }
         None => {
             let p = g.input_size();

@@ -5,87 +5,12 @@
 //! cannot pay for a whole round, the round falls back to one call per
 //! site in site order.
 
-use relock_attack::testutil::mlp16_victim;
+use relock_attack::testutil::{layers, mlp16_victim, row_multiset, Call, Recorder};
 use relock_attack::{key_bit_inference, AttackConfig, LocalExecutor, PhaseExecutor};
 use relock_graph::LockSite;
-use relock_locking::{CountingOracle, LockedModel, Oracle, OracleError};
+use relock_locking::LockedModel;
 use relock_serve::{Broker, BrokerConfig};
 use relock_tensor::rng::Prng;
-use relock_tensor::Tensor;
-use std::collections::BTreeMap;
-use std::sync::Mutex;
-
-/// One oracle call as its rows' bit patterns.
-type Call = Vec<Vec<u64>>;
-
-/// An oracle that records every call it answers.
-struct Recorder {
-    inner: CountingOracle,
-    calls: Mutex<Vec<Call>>,
-}
-
-impl Recorder {
-    fn new(model: &LockedModel) -> Self {
-        Recorder {
-            inner: CountingOracle::new(model),
-            calls: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn calls(&self) -> Vec<Call> {
-        self.calls.lock().unwrap().clone()
-    }
-}
-
-impl Oracle for Recorder {
-    fn query_batch(&self, x: &Tensor) -> Tensor {
-        let p = x.dims()[1];
-        let rows = x
-            .as_slice()
-            .chunks(p)
-            .map(|r| r.iter().map(|v| v.to_bits()).collect())
-            .collect();
-        self.calls.lock().unwrap().push(rows);
-        self.inner.query_batch(x)
-    }
-
-    fn try_query_batch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
-        Ok(self.query_batch(x))
-    }
-
-    fn query_count(&self) -> u64 {
-        self.inner.query_count()
-    }
-
-    fn input_dim(&self) -> usize {
-        self.inner.input_dim()
-    }
-
-    fn output_dim(&self) -> usize {
-        self.inner.output_dim()
-    }
-}
-
-/// Every row of every call, counted.
-fn row_multiset(calls: &[Call]) -> BTreeMap<Vec<u64>, usize> {
-    let mut rows = BTreeMap::new();
-    for row in calls.iter().flatten() {
-        *rows.entry(row.clone()).or_insert(0) += 1;
-    }
-    rows
-}
-
-/// The sites of each locked layer, in canonical order.
-fn layers(model: &LockedModel) -> Vec<Vec<LockSite>> {
-    let mut out: Vec<Vec<LockSite>> = Vec::new();
-    for site in model.white_box().lock_sites() {
-        match out.last_mut() {
-            Some(l) if l[0].keyed_node == site.keyed_node => l.push(site),
-            _ => out.push(vec![site]),
-        }
-    }
-    out
-}
 
 /// One site at a time: each site's bit and the oracle calls it made.
 fn one_at_a_time(

@@ -841,26 +841,91 @@ mod avx512 {
 #[derive(Debug)]
 pub struct Avx512Backend(());
 
+/// Whether `x` holds at least `rows · cols` elements.
+#[cfg(target_arch = "x86_64")]
+fn holds<T>(x: &[T], rows: usize, cols: usize) -> bool {
+    rows.checked_mul(cols).is_some_and(|len| x.len() >= len)
+}
+
+/// Panics unless a row kernel's operands fit `(k, n)`: `a_row` holds `k`
+/// elements, `b` holds `k·n` and `out_row` holds `n`.
+#[cfg(target_arch = "x86_64")]
+fn assert_row_shape<T>(a_row: &[T], b: &[T], out_row: &[T], k: usize, n: usize) {
+    assert!(
+        a_row.len() >= k && holds(b, k, n) && out_row.len() >= n,
+        "gemm row operands (a_row {}, b {}, out_row {}) do not fit k = {k}, n = {n}",
+        a_row.len(),
+        b.len(),
+        out_row.len()
+    );
+}
+
+/// Panics unless an `nn` block's operands fit `(lo, k, n)`: `a` holds
+/// rows `..lo + block.len()/n` of `k` elements and `b` holds `k·n`.
+#[cfg(target_arch = "x86_64")]
+fn assert_nn_block_shape<T>(a: &[T], b: &[T], block: &[T], lo: usize, k: usize, n: usize) {
+    let end = lo.checked_add(block.len().checked_div(n).unwrap_or(0));
+    assert!(
+        end.is_some_and(|end| holds(a, end, k)) && holds(b, k, n),
+        "gemm nn block operands (a {}, b {}, block {}) do not fit lo = {lo}, k = {k}, n = {n}",
+        a.len(),
+        b.len(),
+        block.len()
+    );
+}
+
+/// Panics unless a `tn` block's operands fit `(lo, rows, m, k, n)`: rows
+/// `lo..lo + rows` lie within `m`, `a` holds `k·m`, `b` holds `k·n` and
+/// `block` holds `rows·n`.
+#[cfg(target_arch = "x86_64")]
+#[allow(clippy::too_many_arguments)]
+fn assert_tn_block_shape<T>(
+    a: &[T],
+    b: &[T],
+    block: &[T],
+    lo: usize,
+    rows: usize,
+    m: usize,
+    k: usize,
+    n: usize,
+) {
+    assert!(
+        lo.checked_add(rows).is_some_and(|end| end <= m)
+            && holds(a, k, m)
+            && holds(b, k, n)
+            && holds(block, rows, n),
+        "gemm tn block operands (a {}, b {}, block {}) do not fit \
+         lo = {lo}, rows = {rows}, m = {m}, k = {k}, n = {n}",
+        a.len(),
+        b.len(),
+        block.len()
+    );
+}
+
 // SAFETY (every `unsafe` block in this impl): an `Avx512Backend` exists
 // only as the `AVX512` static, which `detected_backend` hands out only
 // after `avx512_available()` detected both AVX-512F and AVX, the target
 // features the `avx512` and `avx` kernels require. The kernels also load
-// and store through raw pointers, so they rely on the operand shapes
-// documented on `GemmBackend`; the `compute` dispatchers derive every
-// slice from one `(m, k, n)`, but nothing here re-checks the shapes of a
-// direct call.
+// and store through raw pointers sized by the operand shapes documented on
+// `GemmBackend`. Every method below first asserts its slices' lengths
+// against those shapes (`assert_row_shape`, `assert_nn_block_shape`,
+// `assert_tn_block_shape`), so a mis-shaped call from safe code panics
+// before any kernel touches memory out of bounds.
 #[cfg(target_arch = "x86_64")]
 impl GemmBackend for Avx512Backend {
     fn name(&self) -> &'static str {
         "simd-avx512"
     }
     fn nn_row(&self, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
+        assert_row_shape(a_row, b, out_row, k, n);
         unsafe { avx512::nn_row_f64(a_row, b, out_row, k, n) }
     }
     fn nn_block(&self, a: &[f64], b: &[f64], block: &mut [f64], lo: usize, k: usize, n: usize) {
+        assert_nn_block_shape(a, b, block, lo, k, n);
         unsafe { avx512::nn_block_f64(a, b, block, lo, k, n) }
     }
     fn nt_row(&self, a_row: &[f64], b: &[f64], out_row: &mut [f64], k: usize, n: usize) {
+        assert_row_shape(a_row, b, out_row, k, n);
         unsafe { avx::nt_row_f64(a_row, b, out_row, k, n) }
     }
     fn tn_block(
@@ -874,15 +939,19 @@ impl GemmBackend for Avx512Backend {
         k: usize,
         n: usize,
     ) {
+        assert_tn_block_shape(a, b, block, lo, rows, m, k, n);
         unsafe { avx512::tn_block_f64(a, b, block, lo, rows, m, k, n) }
     }
     fn nn_row_f32(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, n: usize) {
+        assert_row_shape(a_row, b, out_row, k, n);
         unsafe { avx512::nn_row_f32(a_row, b, out_row, k, n) }
     }
     fn nn_block_f32(&self, a: &[f32], b: &[f32], block: &mut [f32], lo: usize, k: usize, n: usize) {
+        assert_nn_block_shape(a, b, block, lo, k, n);
         unsafe { avx512::nn_block_f32(a, b, block, lo, k, n) }
     }
     fn nt_row_f32(&self, a_row: &[f32], b: &[f32], out_row: &mut [f32], k: usize, n: usize) {
+        assert_row_shape(a_row, b, out_row, k, n);
         unsafe { avx::nt_row_f32(a_row, b, out_row, k, n) }
     }
     fn tn_block_f32(
@@ -896,6 +965,7 @@ impl GemmBackend for Avx512Backend {
         k: usize,
         n: usize,
     ) {
+        assert_tn_block_shape(a, b, block, lo, rows, m, k, n);
         unsafe { avx512::tn_block_f32(a, b, block, lo, rows, m, k, n) }
     }
 }
@@ -998,5 +1068,30 @@ mod tests {
         assert_eq!(active_backend().name(), "scalar");
         force_scalar(false);
         assert_eq!(active_backend().name(), detected);
+    }
+
+    // A direct kernel call with operands too short for its shape must
+    // panic on the detected backend, never read or write out of bounds.
+
+    #[test]
+    #[should_panic]
+    fn mis_shaped_nn_row_panics() {
+        let (a, b, mut out) = ([1.0; 4], [1.0; 4 * 16], [0.0; 8]);
+        detected_backend().nn_row(&a, &b, &mut out, 4, 16);
+    }
+
+    #[test]
+    #[should_panic]
+    fn mis_shaped_nt_row_panics() {
+        let (a, b, mut out) = ([1.0; 4], [1.0; 8 * 4], [0.0; 4]);
+        detected_backend().nt_row(&a, &b, &mut out, 4, 8);
+    }
+
+    #[test]
+    #[should_panic]
+    fn mis_shaped_tn_block_panics() {
+        // Rows 2..6 of a 4-column `a`.
+        let (a, b, mut block) = ([1.0; 4 * 4], [1.0; 4 * 8], [0.0; 4 * 8]);
+        detected_backend().tn_block(&a, &b, &mut block, 2, 4, 4, 4, 8);
     }
 }
