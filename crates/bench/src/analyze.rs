@@ -16,9 +16,8 @@
 //! - **Did the cache decay?** The counter stream splits into
 //!   event-ordered windows; each window's hit rate shows whether the memo
 //!   kept earning its memory as the attack moved into fresh input space.
-//! - **Did correction waves commit?** `attack.wave` spans count waves;
-//!   `adapt.wave_commit` / `adapt.wave_discard` counters (present on
-//!   adaptive runs) give the controller's commit efficiency.
+//! - **How much correction ran?** `attack.wave` spans count the §3.8
+//!   correction waves the run validated.
 //!
 //! The books agree **by construction**: every trace counter is emitted by
 //! the same code path that updates [`QueryStatsSnapshot`], so
@@ -33,7 +32,11 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Version of the `ANALYZE.json` document layout.
-pub const ANALYZE_SCHEMA_VERSION: u64 = 1;
+///
+/// v2: removed the wave-controller tallies (`wave_commits`,
+/// `wave_discards`, `commit_efficiency`, `adapt_decisions`,
+/// `shard_retunes`); correction runs one fixed wave schedule.
+pub const ANALYZE_SCHEMA_VERSION: u64 = 2;
 
 /// Scope label the broker books unscoped traffic under; mirrored here so
 /// the per-phase ledgers line up with `QueryStatsSnapshot::per_scope`.
@@ -108,14 +111,6 @@ pub struct Analysis {
     pub layers: u64,
     /// `attack.wave` spans (correction waves driven).
     pub waves: u64,
-    /// Waves whose earliest Pass committed (`adapt.wave_commit`).
-    pub wave_commits: u64,
-    /// Waves fully validated and discarded (`adapt.wave_discard`).
-    pub wave_discards: u64,
-    /// Adaptive wave-width decisions recorded (`adapt.wave_width`).
-    pub adapt_decisions: u64,
-    /// Adaptive shard retunes recorded (`adapt.shard_rows`).
-    pub shard_retunes: u64,
     /// Checkpoint frames persisted (`checkpoint.write` counters).
     pub checkpoint_writes: u64,
     /// Internal inconsistencies found in the trace alone (ledger
@@ -138,13 +133,6 @@ impl Analysis {
             self.cache_hits as f64 / self.requested as f64
         }
     }
-
-    /// Wave commit efficiency, when the capture carries adaptive
-    /// tallies (`None` on static runs, which record no verdict counters).
-    pub fn commit_efficiency(&self) -> Option<f64> {
-        let total = self.wave_commits + self.wave_discards;
-        (total > 0).then(|| self.wave_commits as f64 / total as f64)
-    }
 }
 
 /// Number of cache-decay windows the counter stream splits into.
@@ -161,10 +149,6 @@ pub fn analyze(trace: &Trace) -> Result<Analysis, String> {
     // broker only emits cache_hits/underlying lines when non-zero.
     let mut phases: BTreeMap<String, PhaseAccount> = BTreeMap::new();
     let mut injected_faults = 0u64;
-    let mut wave_commits = 0u64;
-    let mut wave_discards = 0u64;
-    let mut adapt_decisions = 0u64;
-    let mut shard_retunes = 0u64;
     let mut checkpoint_writes = 0u64;
     // (event index, scope) of every `broker.requested` counter — the
     // anchor that attributes a `broker.batch` span to its phase.
@@ -202,10 +186,6 @@ pub fn analyze(trace: &Trace) -> Result<Analysis, String> {
                 phases.entry(scope_key()).or_default().retries += value;
             }
             "chaos.injected" => injected_faults += value,
-            "adapt.wave_commit" => wave_commits += value,
-            "adapt.wave_discard" => wave_discards += value,
-            "adapt.wave_width" => adapt_decisions += 1,
-            "adapt.shard_rows" => shard_retunes += 1,
             "checkpoint.write" => checkpoint_writes += 1,
             _ => {}
         }
@@ -291,10 +271,6 @@ pub fn analyze(trace: &Trace) -> Result<Analysis, String> {
         windows,
         layers,
         waves,
-        wave_commits,
-        wave_discards,
-        adapt_decisions,
-        shard_retunes,
         checkpoint_writes,
         problems,
     })
@@ -411,20 +387,6 @@ impl Analysis {
             ),
             ("layers".into(), Value::num_u64(self.layers)),
             ("waves".into(), Value::num_u64(self.waves)),
-            ("wave_commits".into(), Value::num_u64(self.wave_commits)),
-            ("wave_discards".into(), Value::num_u64(self.wave_discards)),
-            (
-                "commit_efficiency".into(),
-                match self.commit_efficiency() {
-                    Some(e) => Value::num_f64(e, 4),
-                    None => Value::Null,
-                },
-            ),
-            (
-                "adapt_decisions".into(),
-                Value::num_u64(self.adapt_decisions),
-            ),
-            ("shard_retunes".into(), Value::num_u64(self.shard_retunes)),
             (
                 "checkpoint_writes".into(),
                 Value::num_u64(self.checkpoint_writes),
@@ -504,27 +466,7 @@ impl Analysis {
                 100.0 * w.hit_rate()
             );
         }
-        match self.commit_efficiency() {
-            Some(e) => {
-                let _ = writeln!(
-                    out,
-                    "\n  correction: {} waves, {} committed / {} discarded ({:.1}% efficiency), {} adaptive decisions, {} shard retunes",
-                    self.waves,
-                    self.wave_commits,
-                    self.wave_discards,
-                    100.0 * e,
-                    self.adapt_decisions,
-                    self.shard_retunes
-                );
-            }
-            None => {
-                let _ = writeln!(
-                    out,
-                    "\n  correction: {} waves (static run: no adaptive tallies)",
-                    self.waves
-                );
-            }
-        }
+        let _ = writeln!(out, "\n  correction: {} waves", self.waves);
         if !self.problems.is_empty() {
             let _ = writeln!(out, "\n  PROBLEMS:");
             for p in &self.problems {

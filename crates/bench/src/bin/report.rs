@@ -17,8 +17,8 @@
 //!
 //! With `--analyze`, no benchmarks run: the given flight-recorder capture
 //! (a `relock attack --trace` JSONL file) is mined for stall time per
-//! phase, wasted queries, batch fill, cache-hit decay, and wave commit
-//! efficiency; the human table goes to stdout and the machine-readable
+//! phase, wasted queries, batch fill, cache-hit decay, and correction
+//! waves; the human table goes to stdout and the machine-readable
 //! document to `--out` (default `ANALYZE.json`). The exit code is
 //! non-zero if the capture is structurally broken, internally
 //! inconsistent, or — when a `--stats` sidecar (the run's `--stats-json`

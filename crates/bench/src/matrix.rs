@@ -202,7 +202,6 @@ pub fn matrix_entries() -> Vec<BenchEntry> {
             workers: None,
             backend: None,
             lock_variant: Some(c.variant.to_string()),
-            adaptive: None,
         })
         .collect()
 }

@@ -48,11 +48,11 @@ use std::time::{Duration, Instant};
 /// matrix (unit `key_acc`, higher is better). `key_acc` medians are
 /// deterministic fidelities, so `diff` compares them exactly like query
 /// counts.
-/// v6: added the optional `adaptive` boolean field (entries measured with
-/// the online `AdaptiveController` enabled, DESIGN.md §3i) and the
-/// `attack_mlp32_adaptive_*` entries; adaptive query counts are gated
-/// exactly like static ones.
-pub const BENCH_SCHEMA_VERSION: u64 = 6;
+/// v6: added an optional boolean field marking entries measured with an
+/// online wave/shard controller, and two MLP-32 entries measured that way.
+/// v7: removed that field and those two entries along with the controller:
+/// §3.8 correction has one fixed wave schedule (DESIGN.md §3e).
+pub const BENCH_SCHEMA_VERSION: u64 = 7;
 
 /// One measured benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -87,14 +87,6 @@ pub struct BenchEntry {
     /// `scale:0.25`, `sar`, `antisat`); absent for non-matrix
     /// benchmarks.
     pub lock_variant: Option<String>,
-    /// Whether the measured run had the online [`AdaptiveController`]
-    /// enabled (DESIGN.md §3i); absent for benchmarks where the knob
-    /// doesn't apply. Adaptive decisions are count-driven and
-    /// deterministic, so these entries' query counts are diffed exactly
-    /// like static ones.
-    ///
-    /// [`AdaptiveController`]: relock_attack::AdaptiveController
-    pub adaptive: Option<bool>,
 }
 
 /// The whole report document.
@@ -139,9 +131,6 @@ impl BenchDoc {
                 }
                 if let Some(v) = &e.lock_variant {
                     fields.push(("lock_variant".to_string(), Value::str(v)));
-                }
-                if let Some(a) = e.adaptive {
-                    fields.push(("adaptive".to_string(), Value::Bool(a)));
                 }
                 Value::Obj(fields)
             })
@@ -212,10 +201,6 @@ impl BenchDoc {
                 },
                 lock_variant: match entry.get("lock_variant") {
                     Some(v) => Some(v.as_str().ok_or("non-string 'lock_variant'")?.to_string()),
-                    None => None,
-                },
-                adaptive: match entry.get("adaptive") {
-                    Some(v) => Some(v.as_bool().ok_or("non-boolean 'adaptive'")?),
                     None => None,
                 },
             });
@@ -428,7 +413,6 @@ fn entry(
         workers: None,
         backend: None,
         lock_variant: None,
-        adaptive: None,
     }
 }
 
@@ -547,15 +531,9 @@ fn attack_mlp16_entry(repeats: usize) -> BenchEntry {
 /// the sharded engine wins by keeping several oracle calls in flight.
 const ORACLE_LATENCY: Duration = Duration::from_millis(3);
 
-fn time_sharded(
-    p: &crate::Prepared,
-    threads: usize,
-    reps: usize,
-    adaptive: bool,
-) -> (Vec<f64>, DecryptionReport) {
+fn time_sharded(p: &crate::Prepared, threads: usize, reps: usize) -> (Vec<f64>, DecryptionReport) {
     let mut cfg = attack_config(Arch::Mlp, Scale::Fast);
     cfg.threads = threads;
-    cfg.adaptive = adaptive;
     let decryptor = Decryptor::new(cfg);
     let g = p.model.white_box();
     // `latency_spike_rate: 1.0` = a constant per-call delay, no faults.
@@ -586,15 +564,11 @@ fn time_sharded(
 /// fixed-latency oracle — the parallel and distributed sections. The
 /// sharded engine and the dist coordinator are bit-identical by
 /// contract, so keys and query counts are asserted equal before the
-/// timings are reported. The adaptive pair runs the same workload with
-/// the online controller on (DESIGN.md §3i): still bit-identical across
-/// thread counts, still exact, and never more queries than the static
-/// path (the ramped wave schedule validates a prefix of the static
-/// wave's candidates).
+/// timings are reported.
 fn mlp32_entries(reps: usize) -> Vec<BenchEntry> {
     let p = prepare(Arch::Mlp, 32, Scale::Fast, 42);
-    let (seq_samples, seq) = time_sharded(&p, 1, reps, false);
-    let (par_samples, par) = time_sharded(&p, 4, reps, false);
+    let (seq_samples, seq) = time_sharded(&p, 1, reps);
+    let (par_samples, par) = time_sharded(&p, 4, reps);
     assert_eq!(
         seq.fidelity(p.model.true_key()),
         1.0,
@@ -602,27 +576,6 @@ fn mlp32_entries(reps: usize) -> Vec<BenchEntry> {
     );
     assert_eq!(par.key, seq.key, "parallel run must stay bit-identical");
     assert_eq!(par.queries, seq.queries);
-    let (adapt_seq_samples, adapt_seq) = time_sharded(&p, 1, reps, true);
-    let (adapt_par_samples, adapt_par) = time_sharded(&p, 4, reps, true);
-    assert_eq!(
-        adapt_seq.key, seq.key,
-        "adaptive run must recover the same key"
-    );
-    assert_eq!(
-        adapt_par.key, adapt_seq.key,
-        "adaptive parallel run must stay bit-identical"
-    );
-    assert_eq!(adapt_par.queries, adapt_seq.queries);
-    assert!(
-        adapt_seq.queries <= seq.queries,
-        "adaptive path must not query more than static ({} > {})",
-        adapt_seq.queries,
-        seq.queries
-    );
-    let adaptive_entry = |name: &str, samples: Vec<f64>, queries: u64| BenchEntry {
-        adaptive: Some(true),
-        ..entry(name, "ms", samples, Some(queries), None)
-    };
     vec![
         entry(
             "attack_mlp32_seq_latency3ms",
@@ -637,16 +590,6 @@ fn mlp32_entries(reps: usize) -> Vec<BenchEntry> {
             par_samples,
             Some(par.queries),
             None,
-        ),
-        adaptive_entry(
-            "attack_mlp32_adaptive_seq_latency3ms",
-            adapt_seq_samples,
-            adapt_seq.queries,
-        ),
-        adaptive_entry(
-            "attack_mlp32_adaptive_par4_latency3ms",
-            adapt_par_samples,
-            adapt_par.queries,
         ),
         dist_mlp32_entry(&p, &seq, reps),
     ]
@@ -861,7 +804,6 @@ mod tests {
                     workers: Some(4),
                     backend: None,
                     lock_variant: None,
-                    adaptive: Some(true),
                 },
                 BenchEntry {
                     name: "forward_batch1_planned".to_string(),
@@ -875,7 +817,6 @@ mod tests {
                     workers: None,
                     backend: Some("scalar".to_string()),
                     lock_variant: None,
-                    adaptive: None,
                 },
             ],
         }
@@ -960,7 +901,6 @@ mod tests {
             workers: None,
             backend: None,
             lock_variant: None,
-            adaptive: None,
         });
         let out = diff(&cur, &base, 0.5, true);
         assert!(out.failures.iter().any(|f| f.contains("missing")));
@@ -1007,7 +947,6 @@ mod tests {
             workers: None,
             backend: None,
             lock_variant: Some("sar".to_string()),
-            adaptive: None,
         });
         // Identical → clean.
         assert!(diff(&base, &base, 0.5, true).is_ok());

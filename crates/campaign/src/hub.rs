@@ -189,10 +189,6 @@ pub struct CampaignConfig {
     /// hub dispatches them to the sampling key search, which runs as a
     /// single uninterruptible segment (like the monolithic baseline).
     pub variant: LockVariant,
-    /// Enable the attack's online adaptive controller (DESIGN.md §3i).
-    /// Decisions derive only from deterministic inputs, so adaptive
-    /// campaigns resume and migrate as bit-identically as static ones.
-    pub adaptive: bool,
     /// Deterministic fault schedule wrapped around the oracle.
     pub chaos: Option<ChaosConfig>,
     /// Persist RLCP frames to this path instead of daemon memory.
@@ -213,7 +209,6 @@ impl Default for CampaignConfig {
             fast: true,
             monolithic: false,
             variant: LockVariant::Sign,
-            adaptive: false,
             chaos: None,
             checkpoint_path: None,
             retry: RetryPolicy::default(),
@@ -757,7 +752,6 @@ fn run_campaign(
     };
     attack_cfg.threads = cfg.threads.max(1);
     attack_cfg.variant = cfg.variant;
-    attack_cfg.adaptive = cfg.adaptive;
     let decryptor = Decryptor::new(attack_cfg);
     let mut mono_cfg = MonolithicConfig::default();
     if cfg.fast {

@@ -128,9 +128,6 @@ pub enum Request {
         /// `antisat`). Kept as the wire spelling here; the server parses
         /// it and answers `bad_request` for an unknown name.
         variant: String,
-        /// Enable the online adaptive controller (wave-width ramp and
-        /// dispatch-shard retuning; DESIGN.md §3i).
-        adaptive: bool,
         /// RLCP frame (hex) to resume from — the migration path.
         checkpoint: Option<Vec<u8>>,
     },
@@ -217,7 +214,6 @@ impl Request {
                 fast,
                 monolithic,
                 variant,
-                adaptive,
                 checkpoint,
             } => {
                 fields.push(("model_path".into(), Value::str(model_path.clone())));
@@ -231,7 +227,6 @@ impl Request {
                 fields.push(("fast".into(), Value::Bool(*fast)));
                 fields.push(("monolithic".into(), Value::Bool(*monolithic)));
                 fields.push(("variant".into(), Value::str(variant.clone())));
-                fields.push(("adaptive".into(), Value::Bool(*adaptive)));
                 if let Some(bytes) = checkpoint {
                     fields.push(("checkpoint".into(), Value::str(hex_encode(bytes))));
                 }
@@ -291,10 +286,6 @@ impl Request {
                     .and_then(Value::as_str)
                     .unwrap_or("sign")
                     .to_string(),
-                adaptive: doc
-                    .get("adaptive")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false),
                 checkpoint: doc
                     .get("checkpoint")
                     .and_then(Value::as_str)
@@ -365,7 +356,6 @@ mod tests {
                 fast: true,
                 monolithic: false,
                 variant: "sar".into(),
-                adaptive: true,
                 checkpoint: Some(vec![0xde, 0xad, 0x00, 0xbe]),
             }
             .to_value(),
@@ -397,7 +387,6 @@ mod tests {
                 fast: false,
                 monolithic: true,
                 variant: "sign".into(),
-                adaptive: false,
                 checkpoint: None,
             },
             Request::Status { id: 3 },

@@ -314,7 +314,6 @@ fn dispatch(hub: &Arc<CampaignHub>, shutdown: &AtomicBool, request: Request) -> 
             fast,
             monolithic,
             variant,
-            adaptive,
             checkpoint,
         } => {
             // Reject unknown variants before the model is even opened: a
@@ -343,7 +342,6 @@ fn dispatch(hub: &Arc<CampaignHub>, shutdown: &AtomicBool, request: Request) -> 
                 fast,
                 monolithic,
                 variant,
-                adaptive,
                 ..CampaignConfig::default()
             };
             let id = match checkpoint {

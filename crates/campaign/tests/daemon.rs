@@ -95,7 +95,6 @@ fn tcp_daemon_runs_a_campaign_end_to_end() {
             fast: true,
             monolithic: false,
             variant: "sign".into(),
-            adaptive: false,
             checkpoint: None,
         })
         .expect("submit");
@@ -180,7 +179,6 @@ fn unix_socket_daemon_speaks_the_same_protocol() {
             fast: true,
             monolithic: false,
             variant: "sign".into(),
-            adaptive: false,
             checkpoint: None,
         })
         .expect("submit over uds");
@@ -258,7 +256,6 @@ fn full_hub_rejects_submissions_with_the_overloaded_code() {
             fast: true,
             monolithic: false,
             variant: "sign".into(),
-            adaptive: false,
             checkpoint: None,
         })
         .unwrap_err();
@@ -288,7 +285,6 @@ fn submit_with_a_bad_model_path_is_a_request_error() {
             fast: true,
             monolithic: false,
             variant: "sign".into(),
-            adaptive: false,
             checkpoint: None,
         })
         .unwrap_err();
@@ -334,7 +330,6 @@ fn trigger_variant_round_trips_and_unknown_variants_are_rejected() {
             fast: true,
             monolithic: false,
             variant: "quantum".into(),
-            adaptive: false,
             checkpoint: None,
         })
         .unwrap_err();
@@ -357,7 +352,6 @@ fn trigger_variant_round_trips_and_unknown_variants_are_rejected() {
             fast: true,
             monolithic: false,
             variant: "sar".into(),
-            adaptive: false,
             checkpoint: None,
         })
         .expect("submit sar campaign");

@@ -132,15 +132,9 @@ pub struct AttackConfig {
     /// re-runs the whole suite in parallel mode. The parallel path is
     /// **bit-identical** to the sequential one — see DESIGN.md §3e for the
     /// determinism contract (per-site/per-candidate PRNG stream forking in
-    /// canonical order, canonical merge).
+    /// canonical order, canonical merge). §3.8 correction waves have a
+    /// fixed width, so this count never changes query traffic.
     pub threads: usize,
-    /// Error-correction wave width: §3.8 candidates are validated in
-    /// fixed-size waves. Every member of a wave is fully evaluated and the
-    /// earliest `Pass` in candidate order commits, so query traffic and
-    /// PRNG consumption depend on this width but **not** on [`threads`].
-    ///
-    /// [`threads`]: AttackConfig::threads
-    pub correction_wave: usize,
     /// Ablation A1: skip the algebraic Algorithm 1 entirely, forcing the
     /// per-layer learning path.
     pub disable_algebraic: bool,
@@ -165,16 +159,6 @@ pub struct AttackConfig {
     /// [`Decryptor`]: crate::Decryptor
     /// [`sampling_key_search`]: crate::sampling_key_search
     pub variant: LockVariant,
-    /// Enable the online [`AdaptiveController`]: correction wave width
-    /// ramps with candidate-plan position and broker dispatch sharding
-    /// retunes from cumulative batch statistics. Decisions derive only
-    /// from deterministic inputs (never wall clock — DESIGN.md §3i), so
-    /// adaptive runs stay bit-identical at any thread/worker/backend
-    /// count; with the flag off (the default) the engine is
-    /// byte-equivalent to the static path.
-    ///
-    /// [`AdaptiveController`]: crate::AdaptiveController
-    pub adaptive: bool,
 }
 
 impl Default for AttackConfig {
@@ -206,12 +190,10 @@ impl Default for AttackConfig {
             max_candidates_per_hd: 128,
             correction_window: 18,
             threads: env_threads(),
-            correction_wave: 4,
             disable_algebraic: false,
             preimage_perturbation: 0.0,
             query_budget: None,
             variant: LockVariant::Sign,
-            adaptive: false,
         }
     }
 }

@@ -7,10 +7,10 @@
 //! until a key vector passes.
 //!
 //! The enumeration here is pure and deterministic; the decryptor consumes
-//! it in fixed-width waves (`AttackConfig::correction_wave`), validating
-//! every member of a wave and committing the earliest `Pass` in candidate
-//! order, so the search outcome does not depend on how many worker
-//! threads evaluate a wave (DESIGN.md §3e).
+//! it in waves of a fixed width (a constant beside its wave loop, not a
+//! setting), validating every member of a wave and committing the
+//! earliest `Pass` in candidate order, so the search outcome does not
+//! depend on how many worker threads evaluate a wave (DESIGN.md §3e).
 
 use std::collections::HashSet;
 

@@ -15,7 +15,6 @@
 //! Theorem 4's argument carries over: each correction round eliminates one
 //! assignment, and a committed layer has passed the rigorous validation.
 
-use crate::adapt::AdaptiveController;
 use crate::checkpoint::{
     AttackState, CheckpointError, CheckpointPolicy, CheckpointSink, LayerReportState, PhaseCut,
     ResumeStatus, SerialTarget,
@@ -590,16 +589,6 @@ impl Decryptor {
         executor: Option<&dyn PhaseExecutor>,
     ) -> Result<SessionOutcome, AttackError> {
         let cfg = &self.cfg;
-        // The online tuner (DESIGN.md §3i). `None` on the default static
-        // path, which must stay byte-equivalent: with the controller off,
-        // no `adapt.*` counters fire, no shard hint is set, and the wave
-        // width is the unchanged static expression.
-        let mut adapt = cfg.adaptive.then(|| {
-            AdaptiveController::new(
-                cfg.correction_wave,
-                BrokerConfig::default().min_rows_per_shard,
-            )
-        });
         let oracle: &dyn Oracle = broker;
         if oracle.input_dim() != white_box.input_size() {
             return Err(AttackError::OracleMismatch {
@@ -725,15 +714,6 @@ impl Decryptor {
 
         for li in start_layer..layers.len() {
             let _layer_span = relock_trace::span("attack.layer", li as u64);
-            if let Some(a) = adapt.as_ref() {
-                // Retune dispatch sharding from the cumulative session
-                // accounting (counts only, never clocks). Sharding is
-                // result- and accounting-invariant, so this knob cannot
-                // perturb the bit-identical contract.
-                let mut snap = baseline_stats.clone();
-                snap.merge(&broker.snapshot());
-                broker.set_shard_rows(a.decide_shard_rows(&snap));
-            }
             let (keyed_node, layer_sites) = &layers[li];
             let mut report = LayerReport {
                 keyed_node: *keyed_node,
@@ -1046,22 +1026,17 @@ impl Decryptor {
                 // member of a wave is fully evaluated (each against its own
                 // clone of the assignment, on its own forked PRNG stream)
                 // and the earliest Pass in candidate order commits. The
-                // wave width comes from the config, never from `threads`,
+                // wave width is a constant, never derived from `threads`,
                 // so PRNG consumption, query traffic, and the committed
                 // flip are bit-identical at every thread count; checkpoint
                 // cuts land only on wave boundaries for the same reason.
+                // A resumed run re-derives the wave boundaries from the
+                // frame's `tried` index alone (DESIGN.md §3e).
+                const CORRECTION_WAVE: usize = 4;
                 let mut applied: Option<Vec<usize>> = None;
                 let mut ci = correction_from;
                 while ci < candidates.len() && applied.is_none() && !starved {
                     let _wave_span = relock_trace::span("attack.wave", ci as u64);
-                    // Wave width: the adaptive ramp is a pure function of
-                    // the (checkpointed) plan position `ci`, so a resumed
-                    // run re-derives the identical wave structure; the
-                    // static arm is the unchanged historical expression.
-                    let wave_width = match adapt.as_ref() {
-                        Some(a) => a.decide_wave(ci),
-                        None => cfg.correction_wave.max(1),
-                    };
                     if let Some(w) = writer.as_mut() {
                         // `ci > correction_from` guarantees liveness: a
                         // segment must validate at least one wave before it
@@ -1092,7 +1067,7 @@ impl Decryptor {
                             return Ok(paused_at(li, "correcting"));
                         }
                     }
-                    let wave = &candidates[ci..candidates.len().min(ci + wave_width)];
+                    let wave = &candidates[ci..candidates.len().min(ci + CORRECTION_WAVE)];
                     report.validation_rounds += wave.len();
                     // Forked in canonical candidate order — the parent
                     // stream advances by exactly `wave.len()`, regardless
@@ -1130,9 +1105,6 @@ impl Decryptor {
                             }
                             Ok(_) => {}
                         }
-                    }
-                    if let Some(a) = adapt.as_mut() {
-                        a.record_wave(applied.is_some());
                     }
                     ci += wave.len();
                 }

@@ -53,7 +53,6 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
-mod adapt;
 pub mod checkpoint;
 mod config;
 mod correct;
@@ -72,7 +71,6 @@ pub mod testutil;
 mod validate;
 mod weightlock;
 
-pub use adapt::AdaptiveController;
 pub use checkpoint::{
     AttackState, CheckpointError, CheckpointPolicy, CheckpointSink, FileCheckpointSink,
     LayerReportState, MemoryCheckpointSink, PhaseCut, ResumeStatus, SerialTarget, CHECKPOINT_MAGIC,

@@ -2,9 +2,11 @@
 //! a `ChaosOracle` (a panic standing in for SIGKILL), resumed from its
 //! last checkpoint with a fresh broker, and must still recover the exact
 //! key an uninterrupted run finds — bit-identically, on both an MLP and a
-//! LeNet victim. A transient-fault soak checks the retry path end to end,
-//! and a mid-soak corruption test checks the clean-fallback contract.
+//! LeNet victim, and through the §3.8 correction waves of the learning
+//! path. A transient-fault soak checks the retry path end to end, and a
+//! mid-soak corruption test checks the clean-fallback contract.
 
+use relock_attack::testutil::{mlp16_victim, sequential_run, strip_clock, RecordingSink, RunTrace};
 use relock_attack::{
     AttackConfig, AttackState, CheckpointPolicy, DecryptionReport, Decryptor, MemoryCheckpointSink,
 };
@@ -125,17 +127,26 @@ fn soak(model: &LockedModel, attack_seed: u64, crash_at: Vec<u64>) -> SoakOutcom
 }
 
 fn assert_soak_matches_reference(model: &LockedModel, attack_seed: u64) {
-    let reference = reference_run(model, attack_seed);
+    // The reference runs through `resume` with a recording sink, which is
+    // bit-identical to a plain run by contract, so its frames show where
+    // the soak's checkpoints will land.
+    let RunTrace {
+        report: reference,
+        frames,
+    } = sequential_run(model, &AttackConfig::fast(), attack_seed);
     assert_eq!(
         reference.fidelity(model.true_key()),
         1.0,
         "reference run must recover the key exactly"
     );
     // Crash points derived from the uninterrupted run's traffic so the
-    // kills land inside the attack, spread across its lifetime.
+    // kills land inside the attack, spread across its lifetime. The first
+    // kill waits for the first persisted checkpoint: a kill before it
+    // leaves nothing to resume from.
     let q = reference.queries;
     assert!(q > 16, "victim too small to place crash points ({q} rows)");
-    let crash_at = vec![q / 8, q / 2, (q * 3) / 4];
+    let first_frame = AttackState::decode(&frames[0]).expect("reference wrote a valid frame");
+    let crash_at = vec![(q / 8).max(first_frame.queries + 1), q / 2, (q * 3) / 4];
     let soaked = soak(model, attack_seed, crash_at);
 
     assert!(
@@ -337,4 +348,86 @@ fn parallel_attack_under_transient_chaos_keeps_exact_accounting() {
         "broker's underlying total must agree with the oracle's row counter"
     );
     assert_eq!(report.queries, snap.underlying);
+}
+
+/// Kill-and-resume across RLCP cuts on the learning path (ablation A1),
+/// where seed 732 runs §3.8 correction waves: wave boundaries replay from
+/// the checkpointed candidate index, so two independent crash-and-resume
+/// soaks land on the same key (identical to the uninterrupted run) with
+/// the same cumulative query count as each other.
+#[test]
+fn corrected_run_replays_across_checkpoint_resume() {
+    let victim = mlp16_victim();
+    let cfg = AttackConfig {
+        disable_algebraic: true,
+        ..AttackConfig::fast()
+    };
+    let reference = sequential_run(&victim, &cfg, 732);
+    let q = reference.report.queries;
+    let crash_at: Vec<u64> = (1..=3).map(|i| i * q / 4).collect();
+
+    let crash_and_resume = |schedule: &[u64]| {
+        let chaos = ChaosOracle::new(
+            CountingOracle::new(&victim),
+            ChaosConfig::crash_only(11, schedule.to_vec()),
+        );
+        let dec = Decryptor::new(cfg);
+        let sink = RecordingSink::default();
+        let mut crashes = 0usize;
+        let report = loop {
+            assert!(
+                crashes <= schedule.len(),
+                "more unwinds than scheduled crash points"
+            );
+            let broker = Broker::with_config(&chaos, BrokerConfig::default());
+            let attempt = catch_unwind(AssertUnwindSafe(|| {
+                let mut rng = Prng::seed_from_u64(732);
+                dec.resume(
+                    victim.white_box(),
+                    &broker,
+                    &mut rng,
+                    &sink,
+                    CheckpointPolicy::EVERY_CUT,
+                )
+            }));
+            match attempt {
+                Ok(Ok((report, status))) => {
+                    if crashes > 0 {
+                        assert!(
+                            status.resumed(),
+                            "post-crash segments must resume from a checkpoint"
+                        );
+                    }
+                    break report;
+                }
+                Ok(Err(e)) => panic!("attack error during correction soak: {e}"),
+                Err(payload) => {
+                    payload
+                        .downcast::<ChaosCrash>()
+                        .expect("only scheduled chaos crashes should unwind");
+                    crashes += 1;
+                }
+            }
+        };
+        assert!(crashes > 0, "the soak must actually crash");
+        report
+    };
+
+    let a = crash_and_resume(&crash_at);
+    let b = crash_and_resume(&crash_at);
+    assert_eq!(a.key, reference.report.key, "resumed run lost the key");
+    assert_eq!(a.fidelity(victim.true_key()), 1.0);
+    assert_eq!(
+        a.key, b.key,
+        "two identical soaks must land on the same key"
+    );
+    assert_eq!(
+        a.queries, b.queries,
+        "two identical soaks must replay the same traffic"
+    );
+    assert_eq!(
+        strip_clock(&a.stats),
+        strip_clock(&b.stats),
+        "two identical soaks must keep identical books"
+    );
 }

@@ -103,8 +103,9 @@ fn lenet_sweep_is_bit_identical_across_thread_counts() {
 /// Forcing the learning path (ablation A1) drags every layer through the
 /// §3.6 training harvest, §3.7 validation, and — on layers the learner
 /// leaves imperfect — §3.8 wave correction, so this sweep pins the paths
-/// the algebraic runs may skip. Seed 700 recovers through learning alone;
-/// seed 732 commits corrected bits, exercising the wave-commit merge.
+/// the algebraic runs may skip. Both seeds commit corrected bits through
+/// the wave-commit merge: seed 700 flips 5 bits of its first layer, seed
+/// 732 flips 8 there and 3 in the second.
 #[test]
 fn learning_and_correction_paths_are_bit_identical_across_thread_counts() {
     let cfg = AttackConfig {

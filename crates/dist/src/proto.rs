@@ -194,10 +194,6 @@ pub fn encode_config(cfg: &AttackConfig) -> Value {
         ),
         ("threads".into(), Value::num_u64(cfg.threads as u64)),
         (
-            "correction_wave".into(),
-            Value::num_u64(cfg.correction_wave as u64),
-        ),
-        (
             "disable_algebraic".into(),
             Value::Bool(cfg.disable_algebraic),
         ),
@@ -230,7 +226,6 @@ pub fn encode_config(cfg: &AttackConfig) -> Value {
                 _ => Value::Null,
             },
         ),
-        ("adaptive".into(), Value::Bool(cfg.adaptive)),
     ])
 }
 
@@ -275,7 +270,6 @@ pub fn decode_config(doc: &Value) -> Result<AttackConfig, ProtoError> {
         max_candidates_per_hd: field_u64(doc, "max_candidates_per_hd")? as usize,
         correction_window: field_u64(doc, "correction_window")? as usize,
         threads: field_u64(doc, "threads")? as usize,
-        correction_wave: field_u64(doc, "correction_wave")? as usize,
         disable_algebraic: field_bool(doc, "disable_algebraic")?,
         preimage_perturbation: field_f64_bits(doc, "preimage_perturbation")?,
         query_budget: doc.get("query_budget").and_then(Value::as_u64),
@@ -286,12 +280,6 @@ pub fn decode_config(doc: &Value) -> Result<AttackConfig, ProtoError> {
             "antisat" => LockVariant::AntiSatTrigger,
             other => return Err(malformed(format!("unknown lock variant {other:?}"))),
         },
-        // Absent on frames from older coordinators: default to the static
-        // path rather than rejecting the whole config.
-        adaptive: doc
-            .get("adaptive")
-            .and_then(Value::as_bool)
-            .unwrap_or(false),
     })
 }
 
@@ -514,15 +502,12 @@ mod tests {
         cfg.query_budget = Some(123_456);
         cfg.threads = 3;
         cfg.diff_tol = 5.4321e-5;
-        cfg.adaptive = true;
         let doc = encode_config(&cfg);
         let back = decode_config(&doc).unwrap();
         assert_eq!(back.diff_tol.to_bits(), cfg.diff_tol.to_bits());
         assert_eq!(back.learning.lr.to_bits(), cfg.learning.lr.to_bits());
         assert_eq!(back.query_budget, cfg.query_budget);
         assert_eq!(back.threads, 3);
-        assert_eq!(back.correction_wave, cfg.correction_wave);
-        assert!(back.adaptive);
         // And through an actual frame serialization.
         let text = doc.to_compact();
         let reparsed = Value::parse(&text).unwrap();

@@ -95,18 +95,15 @@ fn lenet_worker_sweep_is_byte_identical_to_sequential() {
     assert_dist_matches_sequential(&lenet_victim(), &[512], "lenet");
 }
 
-/// The adaptive controller (DESIGN.md §3i) derives every decision from
-/// checkpointed counters, so routing the sharded phases across worker
-/// *processes* must not perturb it: 1 and 4 workers reproduce the
-/// adaptive in-process sequential run byte-for-byte, through the
-/// correction-heavy learning path where the controller actually ramps
-/// wave widths.
+/// The learning path (ablation A1: no Algorithm 1) sends every layer
+/// through learning, validation and, on these seeds, §3.8 correction
+/// waves: 1 and 4 worker processes reproduce the in-process sequential
+/// run byte-for-byte through the phases the fast sweeps above skip.
 #[test]
-fn adaptive_worker_sweep_is_byte_identical_to_sequential() {
+fn learning_path_worker_sweep_is_byte_identical_to_sequential() {
     let model = mlp16_victim();
     let cfg = AttackConfig {
         disable_algebraic: true,
-        adaptive: true,
         ..AttackConfig::fast()
     };
     let file = ModelFile::save(&model);
@@ -115,13 +112,13 @@ fn adaptive_worker_sweep_is_byte_identical_to_sequential() {
         assert_eq!(
             reference.report.fidelity(model.true_key()),
             1.0,
-            "adaptive seed {seed}: sequential reference must recover the key exactly"
+            "learning-path seed {seed}: sequential reference must recover the key exactly"
         );
         for workers in [1usize, 4] {
             let mut opts = DistOptions::new(worker_bin());
             opts.workers = workers;
             let (t, dist) = dist_run(&model, &file, &cfg, seed, opts);
-            let ctx = format!("adaptive seed {seed} workers {workers}");
+            let ctx = format!("learning-path seed {seed} workers {workers}");
             assert_traces_match(&t, &reference, &ctx);
             assert_eq!(dist.fell_back, None, "{ctx}: no fallback expected");
         }

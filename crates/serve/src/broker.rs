@@ -30,7 +30,7 @@ use crate::stats::{QueryStats, QueryStatsSnapshot};
 use relock_locking::{Oracle, OracleError};
 use relock_tensor::Tensor;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -87,12 +87,6 @@ pub struct Broker<O> {
     /// Monotone dispatch counter, used only to salt retry-backoff jitter:
     /// concurrent dispatches that fail together must not retry together.
     dispatch_seq: AtomicU64,
-    /// Online override of `min_rows_per_shard` (0 = use the config value).
-    /// Sharding only spreads a miss batch across pool workers — results,
-    /// accounting, and query counts are invariant to it by the
-    /// backend-equivalence contract — so an adaptive controller may
-    /// retune this mid-run without perturbing determinism.
-    shard_hint: AtomicUsize,
 }
 
 impl<O: Oracle> Broker<O> {
@@ -116,7 +110,6 @@ impl<O: Oracle> Broker<O> {
             budget: QueryBudget::new(config.max_queries, config.deadline),
             stats: QueryStats::new(),
             dispatch_seq: AtomicU64::new(0),
-            shard_hint: AtomicUsize::new(0),
             config,
         }
     }
@@ -142,23 +135,8 @@ impl<O: Oracle> Broker<O> {
             budget: QueryBudget::new(config.max_queries, config.deadline),
             stats: QueryStats::new(),
             dispatch_seq: AtomicU64::new(0),
-            shard_hint: AtomicUsize::new(0),
             config,
         }
-    }
-
-    /// Sets the adaptive dispatch-sharding hint: underlying batches split
-    /// into shards of at least `rows` rows instead of the configured
-    /// `min_rows_per_shard`. `0` clears the hint. Because sharding never
-    /// changes results or query counts, retuning this online keeps every
-    /// run bit-identical (see the `shard_hint_*` tests).
-    pub fn set_shard_rows(&self, rows: usize) {
-        self.shard_hint.store(rows, Ordering::Relaxed);
-    }
-
-    /// The current dispatch-sharding hint (0 = none; the config applies).
-    pub fn shard_rows_hint(&self) -> usize {
-        self.shard_hint.load(Ordering::Relaxed)
     }
 
     /// Tags subsequent traffic with a procedure label for per-scope
@@ -347,12 +325,15 @@ impl<O: Oracle> Broker<O> {
         // same transient outage back off on decorrelated schedules
         // instead of thundering back at the oracle in lockstep.
         let salt = self.dispatch_seq.fetch_add(1, Ordering::Relaxed);
-        let min_rows = match self.shard_hint.load(Ordering::Relaxed) {
-            0 => self.config.min_rows_per_shard,
-            hint => hint,
-        };
         let out = self.config.retry.run_salted(
-            || evaluate_sharded(&self.inner, x, self.config.workers, min_rows),
+            || {
+                evaluate_sharded(
+                    &self.inner,
+                    x,
+                    self.config.workers,
+                    self.config.min_rows_per_shard,
+                )
+            },
             || retries += 1,
             salt,
         );
@@ -753,47 +734,6 @@ mod tests {
         // its newest entry (self-eviction is forbidden).
         assert!(snap.cache_rows <= 16);
         assert!(snap.is_balanced());
-    }
-
-    /// The shard hint must never change results or accounting — only how
-    /// a miss batch spreads across pool workers. Equal outputs and equal
-    /// books across hint settings are what lets an adaptive controller
-    /// retune it online without breaking bit-identical determinism.
-    #[test]
-    fn shard_hint_is_result_and_accounting_invariant() {
-        let o1 = oracle();
-        let o2 = oracle();
-        let reference = Broker::with_config(
-            &o1,
-            BrokerConfig {
-                workers: 4,
-                ..BrokerConfig::default()
-            },
-        );
-        let hinted = Broker::with_config(
-            &o2,
-            BrokerConfig {
-                workers: 4,
-                ..BrokerConfig::default()
-            },
-        );
-        assert_eq!(hinted.shard_rows_hint(), 0);
-        hinted.set_shard_rows(2);
-        assert_eq!(hinted.shard_rows_hint(), 2);
-        let mut rng = Prng::seed_from_u64(59);
-        for rows in [1usize, 5, 16, 33] {
-            let x = rng.normal_tensor([rows, 5]);
-            let a = reference.query_batch(&x);
-            let b = hinted.query_batch(&x);
-            assert_eq!(a.as_slice(), b.as_slice(), "rows {rows}");
-            // Retune mid-run: still invariant.
-            hinted.set_shard_rows(64);
-        }
-        let ra = reference.snapshot();
-        let mut rb = hinted.snapshot();
-        rb.oracle_time = ra.oracle_time;
-        assert_eq!(ra, rb, "books must not see the hint");
-        assert_eq!(o1.query_count(), o2.query_count());
     }
 
     #[test]

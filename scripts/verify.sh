@@ -93,18 +93,19 @@ RELOCK_THREADS=4 cargo test -q -p relock-attack --test variant_matrix
 cargo test -q -p relock-locking --test trigger_props
 cargo run -p relock-bench --release --bin matrix
 
-# Trace-driven analysis gate: capture a seeded adaptive attack with the
-# flight recorder, mine the capture with `report --analyze`, and demand
-# the trace-side books reconcile *exactly* against the broker's own
-# QueryStatsSnapshot — any accounting or schema drift fails.
-# ci-job: adaptive-analyze
-echo "==> adaptive analyze (flight-recorder accounting gate)"
+# Trace-driven analysis gate: capture a seeded attack with the flight
+# recorder, mine the capture with `report --analyze`, and demand the
+# trace-side books reconcile *exactly* against the broker's own
+# QueryStatsSnapshot — any accounting or schema drift fails. The trained
+# LeNet-16 victim runs §3.8 error correction, so the gate covers it.
+# ci-job: analyze
+echo "==> analyze (flight-recorder accounting gate)"
 analyze_dir=$(mktemp -d /tmp/relock-analyze.XXXXXX)
 trap 'rm -rf "$analyze_dir"' EXIT
-./target/release/relock lock --arch mlp --bits 16 \
-  --out "$analyze_dir/victim.rlk" --seed 42 --no-train
-./target/release/relock attack "$analyze_dir/victim.rlk" --fast --seed 43 \
-  --adaptive --trace "$analyze_dir/trace.jsonl" \
+./target/release/relock lock --arch lenet --bits 16 \
+  --out "$analyze_dir/victim.rlk" --seed 1
+./target/release/relock attack "$analyze_dir/victim.rlk" --fast --seed 1 \
+  --trace "$analyze_dir/trace.jsonl" \
   --stats-json "$analyze_dir/stats.json"
 cargo run -p relock-bench --release --bin report -q -- \
   --analyze "$analyze_dir/trace.jsonl" \

@@ -5,19 +5,23 @@
 //!                [--variant sign|scale:<f>|sar|antisat] [--precision f64|f32]
 //! relock inspect victim.rlk
 //! relock attack  victim.rlk [--monolithic] [--seed N] [--fast] [--budget N]
-//!                [--threads N] [--workers N] [--adaptive]
+//!                [--threads N] [--workers N]
 //!                [--trace events.jsonl] [--stats-json stats.json]
 //!                [--variant sign|scale:<f>|sar|antisat] [--precision f64|f32]
 //!                [--checkpoint state.rlcp [--checkpoint-every N] [--resume]]
 //! relock serve   [--listen tcp:127.0.0.1:7433] [--workers N] [--cache-mb N]
 //!                [--max-campaigns N]
 //! relock submit  victim.rlk [--listen A] [--tenant T] [--seed N] [--weight N]
-//!                [--budget N] [--threads N] [--full] [--monolithic] [--adaptive]
+//!                [--budget N] [--threads N] [--full] [--monolithic]
 //!                [--variant sign|scale:<f>|sar|antisat]
 //! relock status  [id] [--listen A]
 //! relock pause   <id> [--listen A]     relock resume <id> [--listen A]
 //! relock cancel  <id> [--listen A]     relock shutdown [--listen A]
 //! ```
+//!
+//! Each subcommand accepts exactly the flags its usage line lists; any
+//! other flag (a typo such as `--seeed`) exits 2 with the usage text
+//! instead of silently running on defaults.
 //!
 //! `lock` plays the IP owner: builds one of the four §4.2 victims, embeds
 //! a random key, (optionally) trains the network as a function of that
@@ -63,11 +67,43 @@ use std::process::ExitCode;
 /// Default daemon address shared by `serve` and every client subcommand.
 const DEFAULT_LISTEN: &str = "tcp:127.0.0.1:7433";
 
+/// The usage text. It doubles as the flag whitelist: see [`known_flags`].
+fn usage_text() -> String {
+    format!(
+        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>] [--precision <f64|f32>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--workers <n>] [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>] [--precision <f64|f32>]\n                 [--checkpoint <file> [--checkpoint-every <rows>] [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--threads <n>] [--full] [--monolithic]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --workers <n> runs the sharded phases across <n> supervised worker processes\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --workers/--checkpoint"
+    )
+}
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>] [--precision <f64|f32>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--workers <n>] [--adaptive] [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>] [--precision <f64|f32>]\n                 [--checkpoint <file> [--checkpoint-every <rows>] [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--threads <n>] [--full] [--monolithic] [--adaptive]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --workers <n> runs the sharded phases across <n> supervised worker processes\n  attack --adaptive tunes wave width and dispatch sharding online (bit-identical; DESIGN.md \u{a7}3i)\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --workers/--checkpoint"
-    );
+    eprintln!("{}", usage_text());
     ExitCode::from(2)
+}
+
+/// The flags the usage lines of `relock <cmd>` list, or `None` when `cmd`
+/// is not a subcommand. Reading them off the usage text keeps the check
+/// and the help from drifting apart; the notes after the blank line are
+/// not usage lines.
+fn known_flags(cmd: &str) -> Option<Vec<String>> {
+    let text = usage_text();
+    let mut flags: Option<Vec<String>> = None;
+    let mut in_cmd = false;
+    for line in text.lines().map(str::trim_start) {
+        if line.is_empty() {
+            break;
+        }
+        if let Some(rest) = line.strip_prefix("relock ") {
+            in_cmd = rest.split_whitespace().next() == Some(cmd);
+        }
+        if in_cmd {
+            let names = line.split("--").skip(1).map(|t| {
+                t.chars()
+                    .take_while(|&c| c.is_ascii_alphanumeric() || c == '-')
+                    .collect::<String>()
+            });
+            flags.get_or_insert_with(Vec::new).extend(names);
+        }
+    }
+    flags
 }
 
 struct Args {
@@ -392,7 +428,6 @@ fn run_attack(args: &Args) -> Result<(), String> {
     // core of the decryption attack always runs f64.
     cfg.learning.precision = precision;
     cfg.variant = variant_flag(args)?;
-    cfg.adaptive = args.flag("adaptive").is_some();
     let threads = args.u64_value("threads", cfg.threads as u64)? as usize;
     if threads == 0 {
         return Err("--threads expects a count >= 1".into());
@@ -653,7 +688,6 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         fast: args.flag("full").is_none(),
         monolithic: args.flag("monolithic").is_some(),
         variant: variant_flag(args)?.to_string(),
-        adaptive: args.flag("adaptive").is_some(),
         checkpoint: None,
     })?;
     let id = response.get("id").and_then(Value::as_u64).unwrap_or(0);
@@ -735,7 +769,14 @@ fn main() -> ExitCode {
             None => usage(),
         };
     }
+    let Some(known) = known_flags(&cmd) else {
+        return usage();
+    };
     let args = Args::parse(&raw[1..]);
+    if let Some((name, _)) = args.flags.iter().find(|(n, _)| !known.contains(n)) {
+        eprintln!("error: unknown flag --{name} for `relock {cmd}`");
+        return usage();
+    }
     let result = match cmd.as_str() {
         "lock" => cmd_lock(&args),
         "inspect" => cmd_inspect(&args),
