@@ -43,22 +43,20 @@ pub struct CampaignSoakOutcome {
     pub cache_rows: usize,
     /// Bytes resident in the shared cache at the end.
     pub cache_bytes: usize,
-    /// Whether the pause → second-hub → resume migration ran mid-flight
-    /// (false only if campaign 0 finished before the pause landed).
-    pub migrated: bool,
 }
 
 /// Runs `n` concurrent campaigns against an MLP-12 Fast victim on a hub
 /// with `slots` scheduler slots and a `cache_cap`-byte shared cache,
 /// verifying every recovered key against its sequential reference.
 ///
-/// Campaign 0 runs under a permanent per-call latency floor so a pause
-/// request can land mid-attack; it is then checkpointed, its frame is
-/// migrated to a *second* hub (a simulated daemon restart with a cold
-/// cache), and the resumed run must still produce the reference key.
+/// Campaign 0 runs under a permanent per-call latency floor and is
+/// paused as soon as it reports `Running`, so the pause lands at its
+/// first checkpoint cut; it is then checkpointed, its frame is migrated
+/// to a *second* hub (a simulated daemon restart with a cold cache), and
+/// the resumed run must still produce the reference key.
 ///
 /// Returns `Err` on any divergence — wrong key, failed campaign, or a
-/// migration that did not complete.
+/// migration that was skipped or did not complete.
 pub fn run_campaign_soak(
     n: usize,
     slots: usize,
@@ -114,38 +112,56 @@ pub fn run_campaign_soak(
         })
         .collect();
 
-    // Mid-soak: pause campaign 0, lift its RLCP frame, and resume it on a
-    // fresh hub — a daemon restart with nothing but the checkpoint.
-    std::thread::sleep(Duration::from_millis(40));
-    let _ = hub.pause(ids[0]);
+    // Mid-soak: pause campaign 0 as soon as it runs — its first pause
+    // poll is its first checkpoint cut — lift its RLCP frame, and resume
+    // it on a fresh hub: a daemon restart with nothing but the checkpoint.
+    let started = Instant::now();
+    loop {
+        let state = hub.status(ids[0]).map_err(|e| e.to_string())?.state;
+        match state {
+            CampaignState::Running => break,
+            CampaignState::Queued if started.elapsed() < Duration::from_secs(120) => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            other => {
+                return Err(format!(
+                    "migration skipped: campaign 0 was {} before it could be paused",
+                    other.name()
+                ))
+            }
+        }
+    }
+    hub.pause(ids[0])
+        .map_err(|e| format!("migration skipped: pausing campaign 0: {e}"))?;
     let paused = hub
         .wait_paused(ids[0], Duration::from_secs(120))
         .map_err(|e| format!("campaign 0 never paused or finished: {e}"))?;
-    let migrated = paused.state == CampaignState::Paused;
-    let mut migration: Option<(Key, std::sync::Arc<CampaignHub>, u64)> = None;
-    if migrated {
-        let frame = hub
-            .checkpoint_bytes(ids[0])
-            .map_err(|e| e.to_string())?
-            .ok_or("paused campaign 0 left no checkpoint frame")?;
-        let hub2 = CampaignHub::new(1, cache_cap);
-        let id2 = hub2
-            .submit_checkpointed(
-                p.model.clone(),
-                CampaignConfig {
-                    seed: seeds[0],
-                    tenant: "alice".to_string(),
-                    weight: 2,
-                    ..CampaignConfig::default()
-                },
-                frame,
-            )
-            .expect("fresh hub has no admission cap");
-        hub.cancel(ids[0]).map_err(|e| e.to_string())?;
-        migration = Some((references[&seeds[0]].clone(), hub2, id2));
+    if paused.state != CampaignState::Paused {
+        return Err(format!(
+            "migration skipped: campaign 0 ended {} before its pause landed",
+            paused.state.name()
+        ));
     }
+    let frame = hub
+        .checkpoint_bytes(ids[0])
+        .map_err(|e| e.to_string())?
+        .ok_or("paused campaign 0 left no checkpoint frame")?;
+    let hub2 = CampaignHub::new(1, cache_cap);
+    let id2 = hub2
+        .submit_checkpointed(
+            p.model.clone(),
+            CampaignConfig {
+                seed: seeds[0],
+                tenant: "alice".to_string(),
+                weight: 2,
+                ..CampaignConfig::default()
+            },
+            frame,
+        )
+        .expect("fresh hub has no admission cap");
+    hub.cancel(ids[0]).map_err(|e| e.to_string())?;
 
-    // Drain the hub: everything except a migrated-away campaign 0 must
+    // Drain the hub: everything except the migrated-away campaign 0 must
     // complete with its reference key.
     let mut requested = 0u64;
     let mut cache_hits = 0u64;
@@ -155,7 +171,7 @@ pub fn run_campaign_soak(
             .map_err(|e| format!("campaign {i} (id {id}): {e}"))?;
         requested += view.requested;
         cache_hits += view.cache_hits;
-        if i == 0 && migrated {
+        if i == 0 {
             continue; // cancelled here, finishing on the second hub
         }
         if view.state != CampaignState::Completed {
@@ -172,22 +188,20 @@ pub fn run_campaign_soak(
             ));
         }
     }
-    if let Some((expected, hub2, id2)) = &migration {
-        let done = hub2
-            .wait_terminal(*id2, Duration::from_secs(300))
-            .map_err(|e| format!("migrated campaign: {e}"))?;
-        if done.state != CampaignState::Completed {
-            return Err(format!(
-                "migrated campaign ended {}: {:?}",
-                done.state.name(),
-                done.error
-            ));
-        }
-        if done.key.as_ref() != Some(expected) {
-            return Err("migrated campaign diverged from its sequential reference key".to_string());
-        }
-        hub2.shutdown();
+    let done = hub2
+        .wait_terminal(id2, Duration::from_secs(300))
+        .map_err(|e| format!("migrated campaign: {e}"))?;
+    if done.state != CampaignState::Completed {
+        return Err(format!(
+            "migrated campaign ended {}: {:?}",
+            done.state.name(),
+            done.error
+        ));
     }
+    if done.key.as_ref() != Some(&references[&seeds[0]]) {
+        return Err("migrated campaign diverged from its sequential reference key".to_string());
+    }
+    hub2.shutdown();
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;
 
     let stats = hub.cache_stats();
@@ -205,6 +219,5 @@ pub fn run_campaign_soak(
         evicted: stats.evicted,
         cache_rows: stats.rows,
         cache_bytes: stats.bytes,
-        migrated,
     })
 }

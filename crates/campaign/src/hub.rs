@@ -13,6 +13,19 @@
 //! - the [`FairScheduler`] — a bounded pool of run slots granted to
 //!   tenants in proportion to their weight.
 //!
+//! A slot bounds how many campaigns *compute* at once, not how many are
+//! in flight. Each campaign has one [`SlotLease`](crate::SlotLease), the
+//! wait hook of its brokers and of its chaos device: its thread keeps the
+//! slot while the attack computes and while the victim answers, gives it
+//! back before each wait inside a brokered batch (an injected device
+//! latency, another campaign's in-flight rows, a retry backoff) and takes
+//! one again, through the stride scheduler, before the batch returns to
+//! the attack. A campaign whose batches never wait never gives its slot
+//! back mid-segment. A batch that has waited publishes its own rows
+//! before it queues for a slot again, so nobody ever waits on a row whose
+//! owner is queued for a slot: with any slot count, campaigns that wait on
+//! each other's rows cannot deadlock.
+//!
 //! The lifecycle rides the checkpoint layer. A running campaign executes
 //! in **segments**: each segment acquires a scheduler slot, builds a
 //! fresh broker over the shared cache, and drives
@@ -33,6 +46,7 @@ use relock_attack::{
 use relock_locking::{CountingOracle, Key, LockVariant, LockedModel, Oracle, OracleError};
 use relock_serve::{
     Broker, BrokerConfig, ChaosConfig, ChaosCrash, ChaosOracle, QueryStatsSnapshot, RetryPolicy,
+    WaitHook,
 };
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
@@ -70,10 +84,12 @@ enum HostedOracle {
 }
 
 impl HostedOracle {
-    fn new(model: &LockedModel, chaos: Option<ChaosConfig>) -> Self {
+    /// `wait` hears of each injected latency (see
+    /// [`ChaosOracle::with_wait_hook`]).
+    fn new(model: &LockedModel, chaos: Option<ChaosConfig>, wait: Arc<dyn WaitHook>) -> Self {
         let counting = CountingOracle::new(model);
         match chaos {
-            Some(cfg) => HostedOracle::Chaos(ChaosOracle::new(counting, cfg)),
+            Some(cfg) => HostedOracle::Chaos(ChaosOracle::new(counting, cfg).with_wait_hook(wait)),
             None => HostedOracle::Plain(counting),
         }
     }
@@ -222,7 +238,8 @@ impl Default for CampaignConfig {
 pub enum CampaignState {
     /// Submitted, not yet granted its first scheduler slot.
     Queued,
-    /// A segment is executing (or waiting for a slot).
+    /// A segment is executing: computing on a slot, waiting on the
+    /// oracle, or waiting for a slot to compute again.
     Running,
     /// Held at a checkpoint cut; the sink holds the authoritative frame.
     Paused,
@@ -276,7 +293,7 @@ pub struct CampaignView {
     pub layer: usize,
     /// Phase name of the last checkpoint cut.
     pub phase: String,
-    /// Segments executed so far (slot grants).
+    /// Segments executed so far (each starts with a slot grant).
     pub segments: u64,
     /// Injected chaos crashes absorbed so far.
     pub crashes: u64,
@@ -743,7 +760,10 @@ fn run_campaign(
     shared: relock_serve::SharedCache,
     sched: Arc<FairScheduler>,
 ) {
-    let oracle = HostedOracle::new(&model, cfg.chaos.clone());
+    // The campaign's slot, owned by this thread: taken at the start of
+    // each segment, given back at its end and across every wait inside.
+    let lease = Arc::new(sched.lease(&handle.tenant));
+    let oracle = HostedOracle::new(&model, cfg.chaos.clone(), lease.clone());
     let namespace = model_namespace(&model);
     let mut attack_cfg = if cfg.fast {
         AttackConfig::fast()
@@ -777,14 +797,14 @@ fn run_campaign(
             handle.set_state(CampaignState::Cancelled);
             return;
         }
-        let slot = sched.acquire(&handle.tenant);
+        lease.enter();
         handle.halt.store(false, Ordering::Relaxed);
         // A pause/cancel that raced the slot grant: honour it before
         // spending any oracle traffic.
         if *handle.gate.lock().expect("campaign gate poisoned") == Desired::Hold
             || handle.cancel.load(Ordering::Relaxed)
         {
-            drop(slot);
+            lease.leave();
             continue;
         }
         handle.update_view(|v| {
@@ -798,7 +818,8 @@ fn run_campaign(
             retry: cfg.retry,
             ..BrokerConfig::default()
         };
-        let broker = Broker::with_shared_cache(&oracle, broker_cfg, &shared, namespace);
+        let broker =
+            Broker::with_shared_cache(&oracle, broker_cfg, &shared, namespace, Some(lease.clone()));
         let span = relock_trace::span("campaign.segment", handle.id);
         let segment = catch_unwind(AssertUnwindSafe(|| {
             let mut rng = Prng::seed_from_u64(cfg.seed);
@@ -855,7 +876,7 @@ fn run_campaign(
             }
         }));
         drop(span);
-        drop(slot);
+        lease.leave();
         let crashes = oracle.crashes();
         match segment {
             Ok(Segment::Done {
@@ -1235,6 +1256,85 @@ mod tests {
             .expect("capacity freed by the terminal campaign");
         let view = hub.wait_terminal(id2, Duration::from_secs(60)).unwrap();
         assert_eq!(view.state, CampaignState::Completed);
+    }
+
+    /// Every oracle call sleeps 20 ms: a campaign that mostly waits.
+    fn slow_device() -> Option<ChaosConfig> {
+        Some(ChaosConfig {
+            seed: 5,
+            latency_spike_rate: 1.0,
+            latency_spike: Duration::from_millis(20),
+            ..ChaosConfig::default()
+        })
+    }
+
+    #[test]
+    fn latency_bound_campaigns_overlap_on_one_slot() {
+        // (victim, seed) pairs whose attacks make ~16 round trips each
+        // (416 queries), so the 20 ms waits dominate their wall time.
+        let runs = [(913, 3), (921, 3), (925, 1), (931, 1)];
+        let models: Vec<LockedModel> = runs.iter().map(|&(v, _)| tiny_model(v)).collect();
+        let cfg = |i: usize| CampaignConfig {
+            seed: runs[i].1,
+            chaos: slow_device(),
+            ..CampaignConfig::default()
+        };
+        let expected: Vec<Key> = (0..4)
+            .map(|i| reference_key(&models[i], runs[i].1))
+            .collect();
+        // Each campaign alone on a one-slot hub...
+        let mut alone = Duration::ZERO;
+        for (i, model) in models.iter().enumerate() {
+            let hub = CampaignHub::new(1, None);
+            let t = Instant::now();
+            let id = hub.submit(model.clone(), cfg(i)).unwrap();
+            let view = hub.wait_terminal(id, Duration::from_secs(60)).unwrap();
+            alone = alone.max(t.elapsed());
+            assert_eq!(view.key.as_ref(), Some(&expected[i]));
+        }
+        // ...and all four at once: they overlap their oracle waits.
+        let hub = CampaignHub::new(1, None);
+        let t = Instant::now();
+        let ids: Vec<u64> = (0..4)
+            .map(|i| hub.submit(models[i].clone(), cfg(i)).unwrap())
+            .collect();
+        for (i, &id) in ids.iter().enumerate() {
+            let view = hub.wait_terminal(id, Duration::from_secs(60)).unwrap();
+            assert_eq!(view.state, CampaignState::Completed);
+            assert_eq!(view.key.as_ref(), Some(&expected[i]));
+        }
+        let makespan = t.elapsed();
+        assert!(
+            makespan < 2 * alone,
+            "4 campaigns took {makespan:?} on one slot; the slowest alone took {alone:?}"
+        );
+    }
+
+    #[test]
+    fn campaigns_waiting_on_each_others_rows_do_not_deadlock_on_one_slot() {
+        let model = tiny_model(915);
+        let expected = reference_key(&model, 71);
+        let hub = CampaignHub::new(1, None);
+        let cfg = CampaignConfig {
+            seed: 71,
+            chaos: slow_device(),
+            ..CampaignConfig::default()
+        };
+        let ids: Vec<u64> = (0..4)
+            .map(|_| hub.submit(model.clone(), cfg.clone()).unwrap())
+            .collect();
+        let deadline = Instant::now() + Duration::from_secs(60);
+        let mut hits = 0;
+        for id in ids {
+            let left = deadline.saturating_duration_since(Instant::now());
+            let view = hub
+                .wait_terminal(id, left)
+                .expect("one-slot campaigns on one victim finish within 60 s");
+            assert_eq!(view.state, CampaignState::Completed);
+            assert_eq!(view.key.as_ref(), Some(&expected));
+            hits += view.cache_hits;
+        }
+        assert!(hits > 0, "twins served none of each other's rows");
     }
 
     #[test]

@@ -13,7 +13,8 @@
 //!   never collide;
 //! - **fair-share admission** ([`FairScheduler`]): tenants get run slots
 //!   in proportion to their weight via stride scheduling, so one noisy
-//!   tenant cannot starve the rest;
+//!   tenant cannot starve the rest. A slot bounds compute: a campaign
+//!   gives it back while a query waits ([`SlotLease`]);
 //! - a **campaign lifecycle** ([`CampaignHub`]): submit / status / pause /
 //!   resume / cancel. Pause rides the checkpoint layer — a paused campaign
 //!   *is* an RLCP v2 frame, so it can be carried across a daemon restart
@@ -35,5 +36,5 @@ mod server;
 pub use client::Client;
 pub use hub::{CampaignConfig, CampaignHub, CampaignState, CampaignView, HubCacheStats, HubError};
 pub use proto::{read_frame, write_frame, ProtoError, Request, MAX_FRAME_BYTES};
-pub use sched::{FairScheduler, SlotGuard};
+pub use sched::{FairScheduler, SlotLease};
 pub use server::{serve_forever, Listener, ServerConfig, ServerHandle};

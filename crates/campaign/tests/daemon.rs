@@ -294,6 +294,50 @@ fn submit_with_a_bad_model_path_is_a_request_error() {
 }
 
 #[test]
+fn submit_of_a_model_with_an_out_of_range_key_slot_is_a_request_error() {
+    // The tiny victim's four key slots are 0..=3; slot 3's `Some` tag and
+    // index occur once in the file. Point it past the slot count.
+    let mut bytes = Vec::new();
+    tiny_model(4500).save(&mut bytes).expect("serialize model");
+    let needle: Vec<u8> = std::iter::once(1u8).chain(3u64.to_le_bytes()).collect();
+    let at: Vec<usize> = bytes
+        .windows(needle.len())
+        .enumerate()
+        .filter(|(_, w)| *w == needle.as_slice())
+        .map(|(i, _)| i + 1)
+        .collect();
+    assert_eq!(at.len(), 1, "slot 3 is encoded exactly once");
+    bytes[at[0]..at[0] + 8].copy_from_slice(&99u64.to_le_bytes());
+    let dir = std::env::temp_dir().join(format!("relock-daemon-slot-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let model_path = dir.join("victim-bad-slot.rlk");
+    std::fs::write(&model_path, &bytes).unwrap();
+
+    let hub = CampaignHub::new(1, None);
+    let server = ServerHandle::spawn(hub, "tcp:127.0.0.1:0").unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let err = client
+        .call_ok(&Request::Submit {
+            model_path: model_path.display().to_string(),
+            tenant: "mallory".into(),
+            seed: 1,
+            weight: 1,
+            budget: None,
+            threads: 1,
+            fast: true,
+            monolithic: false,
+            variant: "sign".into(),
+            checkpoint: None,
+        })
+        .unwrap_err();
+    assert!(err.starts_with("bad_request"), "got {err}");
+    assert!(err.contains("key slot k99 out of range"), "got {err}");
+    client.call_ok(&Request::Shutdown).unwrap();
+    server.join();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn trigger_variant_round_trips_and_unknown_variants_are_rejected() {
     let dir = std::env::temp_dir().join(format!("relock-daemon-var-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();

@@ -21,6 +21,7 @@ use crate::key::{KeySlot, UnitLayout};
 use crate::op::{Op, TriggerKind, WeightLock};
 use relock_tensor::im2col::ConvGeometry;
 use relock_tensor::Tensor;
+use std::collections::HashSet;
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -467,7 +468,8 @@ impl Graph {
     }
 
     /// Deserializes a graph previously written by [`Graph::save`],
-    /// re-validating every node's wiring and sizes.
+    /// re-validating every node's wiring and sizes and every key slot
+    /// (in range of the header's count, used once).
     ///
     /// # Errors
     ///
@@ -523,6 +525,20 @@ impl Graph {
                 inputs,
                 out_size,
             });
+        }
+        // The key slots `GraphBuilder::add` would have accepted: each
+        // inside the header's count, none used twice. A key assignment
+        // indexes by slot unchecked.
+        let mut used = HashSet::new();
+        for slot in nodes.iter().flat_map(|node| node.op.key_slots()) {
+            if slot.index() >= key_slots {
+                return Err(SerialError::Corrupt(format!(
+                    "key slot {slot} out of range for {key_slots} key slots"
+                )));
+            }
+            if !used.insert(slot) {
+                return Err(SerialError::Graph(GraphError::DuplicateKeySlot(slot)));
+            }
         }
         if input.index() >= n || output.index() >= n {
             return Err(SerialError::Corrupt("input/output id out of range".into()));
@@ -607,6 +623,38 @@ mod tests {
         g.save(&mut buf).unwrap();
         buf.truncate(buf.len() / 2);
         assert!(Graph::load(&mut buf.as_slice()).is_err());
+    }
+
+    /// `toy()` saved with its keyed sign's slot 0 rewritten to `slot`. The
+    /// index sits ahead of the two `None` tags (2 bytes), the keyed
+    /// node's input list (16) and the ReLU node (17).
+    fn toy_with_sign_slot(slot: u64) -> Vec<u8> {
+        let mut buf = Vec::new();
+        toy().save(&mut buf).unwrap();
+        let at = buf.len() - 17 - 16 - 2 - 8;
+        assert_eq!(buf[at - 1], 1, "the slot's Some tag");
+        assert_eq!(buf[at..at + 8], 0u64.to_le_bytes());
+        buf[at..at + 8].copy_from_slice(&slot.to_le_bytes());
+        buf
+    }
+
+    #[test]
+    fn out_of_range_key_slot_is_rejected() {
+        let buf = toy_with_sign_slot(2);
+        assert!(matches!(
+            Graph::load(&mut buf.as_slice()),
+            Err(SerialError::Corrupt(msg)) if msg == "key slot k2 out of range for 2 key slots"
+        ));
+    }
+
+    #[test]
+    fn reused_key_slot_is_rejected() {
+        // Slot 1 already locks the linear layer's weight.
+        let buf = toy_with_sign_slot(1);
+        assert!(matches!(
+            Graph::load(&mut buf.as_slice()),
+            Err(SerialError::Graph(GraphError::DuplicateKeySlot(KeySlot(1))))
+        ));
     }
 
     #[test]

@@ -20,6 +20,10 @@
 //! broker reports *underlying* rows — the paper's `#Q` metric — so a broker
 //! can replace a bare [`CountingOracle`](relock_locking::CountingOracle) in
 //! any harness without inflating Table 1.
+//!
+//! A broker built over a [`SharedCache`] may carry a [`WaitHook`] on the
+//! waits inside its batches, so a caller that bounds compute with a slot
+//! can give the slot back while a batch waits (the campaign hub does).
 
 use crate::budget::QueryBudget;
 use crate::cache::{row_key_ns, MemoCache, RowKey, SharedCache};
@@ -30,9 +34,38 @@ use crate::stats::{QueryStats, QueryStatsSnapshot};
 use relock_locking::{Oracle, OracleError};
 use relock_tensor::Tensor;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// A hook on the waits inside a brokered batch, for a caller that bounds
+/// concurrent compute with a slot it should not hold while it waits.
+///
+/// [`WaitHook::leave`] runs before each wait in a batch: before it blocks
+/// on another broker's in-flight rows and before a retry backoff sleep.
+/// A backend may call it too, before a latency it injects (see
+/// [`ChaosOracle::with_wait_hook`](crate::ChaosOracle::with_wait_hook)).
+/// It may run several times in one batch, or not at all: a batch that
+/// never waits keeps its slot throughout. [`WaitHook::enter`] runs once as
+/// every batch returns to its caller, with its result or its error, after
+/// the batch has published its rows (cache inserts done, flight guards
+/// dropped). A batch that panics unwinds without calling `enter`, so a
+/// hook must treat a `leave` with no `enter` as final.
+///
+/// A batch calls `enter` only as it returns, never between its waits:
+/// after a `leave` it finishes the rows it owns (a re-dispatch after
+/// backoff included) and publishes them first. That is what keeps a slot-bounded hook
+/// deadlock-free: a thread that owns in-flight rows never queues for a
+/// slot, so a batch waiting on those rows waits on a thread that can
+/// finish them.
+pub trait WaitHook: Send + Sync + fmt::Debug {
+    /// The calling thread is about to wait inside a batch.
+    fn leave(&self);
+    /// The calling thread's batch has published its rows and is about to
+    /// return.
+    fn enter(&self);
+}
 
 /// Tunables of a [`Broker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -87,6 +120,8 @@ pub struct Broker<O> {
     /// Monotone dispatch counter, used only to salt retry-backoff jitter:
     /// concurrent dispatches that fail together must not retry together.
     dispatch_seq: AtomicU64,
+    /// Told about the waits in each batch (shared-cache brokers only).
+    wait: Option<Arc<dyn WaitHook>>,
 }
 
 impl<O: Oracle> Broker<O> {
@@ -110,6 +145,7 @@ impl<O: Oracle> Broker<O> {
             budget: QueryBudget::new(config.max_queries, config.deadline),
             stats: QueryStats::new(),
             dispatch_seq: AtomicU64::new(0),
+            wait: None,
             config,
         }
     }
@@ -120,12 +156,15 @@ impl<O: Oracle> Broker<O> {
     /// must pass the same namespace (typically a content hash of the
     /// locked model) to share hits, and callers fronting different
     /// backends must pass different namespaces. Budget, deadline, stats,
-    /// and retry behaviour stay per-broker.
+    /// and retry behaviour stay per-broker. `wait`, when given, hears of
+    /// every wait in a batch and of every batch's return (see
+    /// [`WaitHook`]).
     pub fn with_shared_cache(
         inner: O,
         config: BrokerConfig,
         shared: &SharedCache,
         namespace: u64,
+        wait: Option<Arc<dyn WaitHook>>,
     ) -> Self {
         Broker {
             inner,
@@ -135,6 +174,7 @@ impl<O: Oracle> Broker<O> {
             budget: QueryBudget::new(config.max_queries, config.deadline),
             stats: QueryStats::new(),
             dispatch_seq: AtomicU64::new(0),
+            wait,
             config,
         }
     }
@@ -284,6 +324,9 @@ impl<O: Oracle> Broker<O> {
             drop(guards); // publish completions before waiting on anyone
 
             if failure.is_none() {
+                if !waiting.is_empty() {
+                    self.waiting();
+                }
                 for (_, entry) in &waiting {
                     entry.wait();
                 }
@@ -334,13 +377,23 @@ impl<O: Oracle> Broker<O> {
                     self.config.min_rows_per_shard,
                 )
             },
-            || retries += 1,
+            || {
+                retries += 1;
+                self.waiting();
+            },
             salt,
         );
         if retries > 0 {
             self.stats.record_retries(retries);
         }
         out
+    }
+
+    /// The batch on this thread is about to wait (see [`WaitHook`]).
+    fn waiting(&self) {
+        if let Some(wait) = &self.wait {
+            wait.leave();
+        }
     }
 }
 
@@ -351,7 +404,11 @@ impl<O: Oracle> Oracle for Broker<O> {
     }
 
     fn try_query_batch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
-        self.serve_batch(x)
+        let out = self.serve_batch(x);
+        if let Some(wait) = &self.wait {
+            wait.enter();
+        }
+        out
     }
 
     /// Underlying query rows issued so far — the paper's `#Q`. Cache hits
@@ -675,8 +732,8 @@ mod tests {
     fn shared_cache_is_shared_between_brokers_with_one_namespace() {
         let o = oracle();
         let shared = crate::SharedCache::unbounded();
-        let a = Broker::with_shared_cache(&o, BrokerConfig::default(), &shared, 7);
-        let b = Broker::with_shared_cache(&o, BrokerConfig::default(), &shared, 7);
+        let a = Broker::with_shared_cache(&o, BrokerConfig::default(), &shared, 7, None);
+        let b = Broker::with_shared_cache(&o, BrokerConfig::default(), &shared, 7, None);
         let mut rng = Prng::seed_from_u64(57);
         let x = rng.normal_tensor([3, 5]);
         let ya = a.query_batch(&x);
@@ -695,8 +752,8 @@ mod tests {
         let o1 = SlowOracle::new(Duration::ZERO, 0);
         let o2 = SlowOracle::new(Duration::ZERO, 0);
         let shared = crate::SharedCache::unbounded();
-        let a = Broker::with_shared_cache(&o1, BrokerConfig::default(), &shared, 1);
-        let b = Broker::with_shared_cache(&o2, BrokerConfig::default(), &shared, 2);
+        let a = Broker::with_shared_cache(&o1, BrokerConfig::default(), &shared, 1, None);
+        let b = Broker::with_shared_cache(&o2, BrokerConfig::default(), &shared, 2, None);
         let x = Tensor::from_vec(vec![0.5, 0.25], [1, 2]);
         a.query_batch(&x);
         b.query_batch(&x);
@@ -708,6 +765,138 @@ mod tests {
         );
         assert_eq!(shared.cached_rows(), 2);
         assert_eq!(b.snapshot().cache_hits, 0);
+    }
+
+    /// The order of hook calls and backend dispatches, as one log.
+    #[derive(Debug, Default)]
+    struct EventLog(std::sync::Mutex<Vec<&'static str>>);
+
+    impl EventLog {
+        fn push(&self, event: &'static str) {
+            self.0.lock().unwrap().push(event);
+        }
+
+        fn take(&self) -> Vec<&'static str> {
+            std::mem::take(&mut *self.0.lock().unwrap())
+        }
+    }
+
+    impl WaitHook for EventLog {
+        fn leave(&self) {
+            self.push("leave");
+        }
+
+        fn enter(&self) {
+            self.push("enter");
+        }
+    }
+
+    /// Logs each dispatch. A batch whose first row starts with a negative
+    /// value panics, like a scheduled chaos crash; one starting with 9
+    /// fails once, transiently; one starting with 7 stalls until some
+    /// batch has started to wait (for at most 5 s).
+    #[derive(Debug)]
+    struct LoggedOracle {
+        log: Arc<EventLog>,
+        failed: std::sync::atomic::AtomicBool,
+    }
+
+    impl relock_locking::Oracle for LoggedOracle {
+        fn query_batch(&self, x: &Tensor) -> Tensor {
+            self.try_query_batch(x).expect("transient fault")
+        }
+
+        fn try_query_batch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
+            self.log.push("dispatch");
+            let first = x.get2(0, 0);
+            assert!(first >= 0.0, "injected crash");
+            if first == 9.0 && !self.failed.swap(true, Ordering::SeqCst) {
+                return Err(OracleError::Backend {
+                    message: "injected fault".into(),
+                    attempts: 1,
+                });
+            }
+            if first == 7.0 {
+                let deadline = Instant::now() + Duration::from_secs(5);
+                while !self.log.0.lock().unwrap().contains(&"leave") && Instant::now() < deadline {
+                    std::thread::yield_now();
+                }
+            }
+            Ok(Tensor::from_vec(vec![1.0; x.dims()[0]], [x.dims()[0], 1]))
+        }
+
+        fn query_count(&self) -> u64 {
+            0
+        }
+
+        fn input_dim(&self) -> usize {
+            2
+        }
+
+        fn output_dim(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn wait_hook_hears_each_wait_and_each_return_and_a_panic_skips_enter() {
+        let log = Arc::new(EventLog::default());
+        let backend = LoggedOracle {
+            log: Arc::clone(&log),
+            failed: false.into(),
+        };
+        let shared = crate::SharedCache::unbounded();
+        let config = BrokerConfig {
+            max_queries: Some(4),
+            ..BrokerConfig::default()
+        };
+        let broker = Broker::with_shared_cache(&backend, config, &shared, 3, Some(log.clone()));
+        let x = Tensor::from_vec(vec![0.5, 0.25], [1, 2]);
+        broker.query_batch(&x);
+        assert_eq!(
+            log.take(),
+            ["dispatch", "enter"],
+            "a batch that never waits never leaves"
+        );
+        broker.query_batch(&x);
+        assert_eq!(log.take(), ["enter"], "a cache hit returns through enter");
+        let flaky = Tensor::from_vec(vec![9.0, 0.0], [1, 2]);
+        broker.query_batch(&flaky);
+        assert_eq!(
+            log.take(),
+            ["dispatch", "leave", "dispatch", "enter"],
+            "a retry backoff is a wait, and the re-dispatch follows it"
+        );
+        let stalled = Tensor::from_vec(vec![7.0, 0.0], [1, 2]);
+        std::thread::scope(|scope| {
+            let owner = scope.spawn(|| broker.query_batch(&stalled));
+            while !log.0.lock().unwrap().contains(&"dispatch") {
+                std::thread::yield_now();
+            }
+            // The owner is dispatching the row: this batch waits on it.
+            broker.query_batch(&stalled);
+            owner.join().unwrap();
+        });
+        assert_eq!(
+            log.take(),
+            ["dispatch", "leave", "enter", "enter"],
+            "waiting on another batch's in-flight row is a wait"
+        );
+        let over_budget = Tensor::from_vec(vec![1.0, 1.0, 2.0, 2.0], [2, 2]);
+        assert!(matches!(
+            broker.try_query_batch(&over_budget),
+            Err(OracleError::BudgetExhausted { .. })
+        ));
+        assert_eq!(log.take(), ["enter"], "an error returns through enter");
+        let crashing = Tensor::from_vec(vec![-1.0, 0.0], [1, 2]);
+        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            broker.query_batch(&crashing)
+        }));
+        assert!(crashed.is_err());
+        assert_eq!(log.take(), ["dispatch"], "a panic never re-enters");
+        // Brokers without a hook are untouched by it.
+        Broker::new(&backend).query_batch(&x);
+        assert_eq!(log.take(), ["dispatch"]);
     }
 
     #[test]

@@ -12,7 +12,10 @@
 //!
 //! - **Transient errors** — a call fails with [`OracleError::Backend`]
 //!   (the broker's retry policy is expected to absorb these);
-//! - **Latency spikes** — a call sleeps before answering;
+//! - **Latency spikes** — a call sleeps before answering (after the
+//!   backend has computed its answer, so a caller that bounds compute with
+//!   a slot can give the slot back across the sleep alone:
+//!   [`ChaosOracle::with_wait_hook`]);
 //! - **Response corruption** — outputs are quantized or get low mantissa
 //!   bits flipped ([`Corruption`]), modelling a garbling link;
 //! - **Crash-at-query-N** — when cumulative underlying rows reach a
@@ -25,11 +28,12 @@
 //! [`ChaosOracle::sync_stats`], so attack reports show scheduled damage
 //! next to organic retries.
 
+use crate::broker::WaitHook;
 use crate::stats::QueryStats;
 use relock_locking::{Oracle, OracleError};
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// How a corrupted response is damaged.
@@ -162,6 +166,8 @@ pub struct ChaosOracle<O> {
     inner: O,
     cfg: ChaosConfig,
     state: Mutex<ChaosState>,
+    /// Told before each injected latency spike.
+    wait: Option<Arc<dyn WaitHook>>,
 }
 
 impl<O: Oracle> ChaosOracle<O> {
@@ -200,7 +206,18 @@ impl<O: Oracle> ChaosOracle<O> {
             inner,
             cfg,
             state: Mutex::new(ChaosState::default()),
+            wait: None,
         }
+    }
+
+    /// Calls `hook`'s [`WaitHook::leave`] before each injected latency
+    /// spike, so a caller that bounds compute with a slot can give it back
+    /// while the call sleeps. The backend has answered by then; the
+    /// broker's [`WaitHook::enter`] takes the slot again once the batch
+    /// has published its rows.
+    pub fn with_wait_hook(mut self, hook: Arc<dyn WaitHook>) -> Self {
+        self.wait = Some(hook);
+        self
     }
 
     /// Unwraps the backend oracle.
@@ -314,10 +331,14 @@ impl<O: Oracle> Oracle for ChaosOracle<O> {
         }
         state.rows += rows;
         drop(state);
+        let answer = self.inner.try_query_batch(x);
         if plan.spike && !self.cfg.latency_spike.is_zero() {
+            if let Some(wait) = &self.wait {
+                wait.leave();
+            }
             std::thread::sleep(self.cfg.latency_spike);
         }
-        let mut y = self.inner.try_query_batch(x)?;
+        let mut y = answer?;
         if corrupting {
             self.corrupt(&mut y, &mut plan.rng);
         }
@@ -495,6 +516,67 @@ mod tests {
         let faults = o.counters().total();
         assert!(faults > 0);
         assert_eq!(stats.snapshot().injected_faults, faults);
+    }
+
+    /// Hook calls and backend answers, in order.
+    #[derive(Debug, Default)]
+    struct Log(Mutex<Vec<&'static str>>);
+
+    impl Log {
+        fn push(&self, event: &'static str) {
+            self.0.lock().unwrap().push(event);
+        }
+    }
+
+    impl WaitHook for Log {
+        fn leave(&self) {
+            self.push("leave");
+        }
+
+        fn enter(&self) {
+            self.push("enter");
+        }
+    }
+
+    #[derive(Debug)]
+    struct Logged(CountingOracle, Arc<Log>);
+
+    impl Oracle for Logged {
+        fn query_batch(&self, x: &Tensor) -> Tensor {
+            self.1.push("answer");
+            self.0.query_batch(x)
+        }
+
+        fn query_count(&self) -> u64 {
+            self.0.query_count()
+        }
+
+        fn input_dim(&self) -> usize {
+            self.0.input_dim()
+        }
+
+        fn output_dim(&self) -> usize {
+            self.0.output_dim()
+        }
+    }
+
+    #[test]
+    fn a_latency_spike_tells_the_wait_hook_after_the_backend_answered() {
+        let m = model();
+        let log = Arc::new(Log::default());
+        let x = Prng::seed_from_u64(605).normal_tensor([2, 3]);
+        for (rate, expected) in [(1.0, &["answer", "leave"][..]), (0.0, &["answer"][..])] {
+            let cfg = ChaosConfig {
+                seed: 3,
+                latency_spike_rate: rate,
+                latency_spike: Duration::from_millis(1),
+                ..ChaosConfig::default()
+            };
+            let o = ChaosOracle::new(Logged(CountingOracle::new(&m), log.clone()), cfg)
+                .with_wait_hook(log.clone());
+            o.query_batch(&x);
+            assert_eq!(std::mem::take(&mut *log.0.lock().unwrap()), expected);
+        }
     }
 
     #[test]

@@ -56,7 +56,7 @@ mod pool;
 mod retry;
 mod stats;
 
-pub use broker::{Broker, BrokerConfig};
+pub use broker::{Broker, BrokerConfig, WaitHook};
 pub use budget::QueryBudget;
 pub use cache::SharedCache;
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosCrash, ChaosOracle, Corruption};

@@ -65,6 +65,12 @@ cargo run -p relock-bench --release --bin soak -- mlp 12 42 43 3
 echo "==> campaign soak (multi-tenant daemon bench)"
 cargo run -p relock-bench --release --bin campaign_soak -- 8 4 256
 
+# The same soak on one slot: twins wait on each other's in-flight rows,
+# each giving the only slot back before it waits.
+# ci-job: campaign-soak
+echo "==> campaign soak on one slot"
+cargo run -p relock-bench --release --bin campaign_soak -- 8 1 256
+
 # Distributed soak: the multi-process attack (4 worker processes over a
 # Unix socket) under process-level chaos — SIGKILL mid-wave, a stalled
 # heartbeat, a truncated frame — must recover a key and query count

@@ -48,7 +48,9 @@
 //! `serve` starts the resident campaign daemon; `submit`/`status`/`pause`/
 //! `resume`/`cancel` speak its wire protocol (DESIGN.md §4). The daemon
 //! hosts many concurrent campaigns over one shared query cache with
-//! fair-share scheduling across tenants.
+//! fair-share scheduling across tenants. `serve --workers N` is its slot
+//! count: at most N campaigns compute at once, and a campaign waiting on
+//! its oracle holds no slot.
 //!
 //! The gemm kernels follow the CPU: the AVX-512 backend where the CPU has
 //! it, the scalar reference elsewhere, bit-identical either way (DESIGN.md
@@ -604,7 +606,8 @@ fn run_attack(args: &Args) -> Result<(), String> {
 }
 
 /// Starts the resident campaign daemon and blocks until a client sends
-/// `shutdown`.
+/// `shutdown`. `--workers` sets the hub's slots, which bound campaigns
+/// computing at once; campaigns waiting on their oracles hold none.
 fn cmd_serve(args: &Args) -> Result<(), String> {
     let listen = args.value("listen").unwrap_or(DEFAULT_LISTEN).to_string();
     let workers = args.u64_value("workers", 4)? as usize;
