@@ -3,7 +3,7 @@
 use relock_bench::{prepare, Arch, Scale};
 use relock_locking::{CountingOracle, Oracle};
 use relock_tensor::rng::Prng;
-use relock_tensor::{compute, GemmBackend};
+use relock_tensor::{compute, Backend};
 use std::time::Instant;
 
 fn main() {
@@ -122,34 +122,22 @@ fn main() {
     );
 
     // 6. raw gemm kernels at the attack's layer shapes — one row per
-    // (form, shape), one column per (backend, precision). The columns call
-    // each backend directly, so the table shows every backend the machine
-    // can run, not only the one dispatch selects. Every form's A holds m·k
-    // elements and its B k·n, so one operand pair serves all three.
+    // (form, shape), one column per backend. The columns call each backend
+    // directly, so the table shows every backend the machine can run, not
+    // only the one dispatch selects. Every form's A holds m·k elements and
+    // its B k·n, so one operand pair serves all three.
     let backends = relock_tensor::backend::available_backends();
-    let forms: [(&str, Gemm<f64>, Gemm<f32>); 3] = [
-        (
-            "nn",
-            compute::gemm_nn_into_backend,
-            compute::gemm_nn_f32_into_backend,
-        ),
-        (
-            "nt",
-            compute::gemm_nt_into_backend,
-            compute::gemm_nt_f32_into_backend,
-        ),
-        (
-            "tn",
-            compute::gemm_tn_into_backend,
-            compute::gemm_tn_f32_into_backend,
-        ),
+    let forms: [(&str, Gemm); 3] = [
+        ("nn", compute::gemm_nn_into_backend),
+        ("nt", compute::gemm_nt_into_backend),
+        ("tn", compute::gemm_tn_into_backend),
     ];
     print!("{:<18}", "gemm (madd/ns)");
     for be in &backends {
-        print!("{:>16} {:>13}", format!("{} f64", be.name()), "f32");
+        print!("{:>16}", be.name());
     }
     println!();
-    for (form, gemm64, gemm32) in forms {
+    for (form, gemm) in forms {
         for shape @ (m, k, n) in [
             (25usize, 48usize, 32usize),
             (25, 32, 16),
@@ -158,13 +146,10 @@ fn main() {
         ] {
             let a = rng.normal_tensor([m, k]);
             let b = rng.normal_tensor([k, n]);
-            let a32: Vec<f32> = a.as_slice().iter().map(|&v| v as f32).collect();
-            let b32: Vec<f32> = b.as_slice().iter().map(|&v| v as f32).collect();
             print!("{:<18}", format!("{form} {m}x{k}x{n}"));
             for &be in &backends {
-                let f64_rate = madd_per_ns(gemm64, be, a.as_slice(), b.as_slice(), shape);
-                let f32_rate = madd_per_ns(gemm32, be, &a32, &b32, shape);
-                print!("{f64_rate:>16.2} {f32_rate:>13.2}");
+                let rate = madd_per_ns(gemm, be, a.as_slice(), b.as_slice(), shape);
+                print!("{rate:>16.2}");
             }
             println!();
         }
@@ -172,19 +157,19 @@ fn main() {
 }
 
 /// One `*_into_backend` gemm entry point of `relock_tensor::compute`.
-type Gemm<T> = fn(&dyn GemmBackend, &[T], &[T], &mut [T], usize, usize, usize, usize);
+type Gemm = fn(Backend, &[f64], &[f64], &mut [f64], usize, usize, usize, usize);
 
 /// Single-threaded throughput of `gemm` on `be` at `(m, k, n)`, in
 /// multiply-adds per nanosecond over 100,000 calls.
-fn madd_per_ns<T: Copy + Default>(
-    gemm: Gemm<T>,
-    be: &dyn GemmBackend,
-    a: &[T],
-    b: &[T],
+fn madd_per_ns(
+    gemm: Gemm,
+    be: Backend,
+    a: &[f64],
+    b: &[f64],
     (m, k, n): (usize, usize, usize),
 ) -> f64 {
     const ITERS: usize = 100_000;
-    let mut out = vec![T::default(); m * n];
+    let mut out = vec![0.0; m * n];
     let t = Instant::now();
     for _ in 0..ITERS {
         gemm(be, a, b, &mut out, m, k, n, 1);

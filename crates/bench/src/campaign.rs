@@ -31,9 +31,12 @@ pub struct CampaignSoakOutcome {
     pub campaigns: usize,
     /// Wall clock from first submit to last terminal state.
     pub elapsed_ms: f64,
-    /// Broker-level row requests summed over every campaign on the hub.
+    /// Broker-level row requests summed over every campaign, the migrated
+    /// one by its final view on the second hub. Equals the sum of the
+    /// one-shot references' requests: only where rows are served from
+    /// varies.
     pub requested: u64,
-    /// Rows served from the process-global memo cache.
+    /// Rows served from the shared memo caches.
     pub cache_hits: u64,
     /// `cache_hits / requested` (0 when nothing was requested).
     pub hit_rate: f64,
@@ -55,8 +58,9 @@ pub struct CampaignSoakOutcome {
 /// to a *second* hub (a simulated daemon restart with a cold cache), and
 /// the resumed run must still produce the reference key.
 ///
-/// Returns `Err` on any divergence — wrong key, failed campaign, or a
-/// migration that was skipped or did not complete.
+/// Returns `Err` on any divergence — wrong key, failed campaign, a
+/// migration that was skipped or did not complete, or row books whose
+/// summed `requested` differs from the references' sum.
 pub fn run_campaign_soak(
     n: usize,
     slots: usize,
@@ -67,8 +71,9 @@ pub fn run_campaign_soak(
     let seeds: Vec<u64> = (0..n).map(|i| 43 + i as u64 / 2).collect();
 
     // One-shot sequential references, one per distinct seed, on a clean
-    // uncached oracle — the hub must reproduce these bit-for-bit.
-    let mut references: HashMap<u64, Key> = HashMap::new();
+    // uncached oracle — the hub must reproduce these bit-for-bit: each
+    // reference's key and the rows it requested.
+    let mut references: HashMap<u64, (Key, u64)> = HashMap::new();
     let mut cfg = AttackConfig::fast();
     cfg.threads = 1;
     let decryptor = Decryptor::new(cfg);
@@ -80,7 +85,7 @@ pub fn run_campaign_soak(
         let report = decryptor
             .run(p.model.white_box(), &oracle, &mut Prng::seed_from_u64(seed))
             .map_err(|e| format!("reference run (seed {seed}) failed: {e}"))?;
-        references.insert(seed, report.key);
+        references.insert(seed, (report.key, report.stats.requested));
     }
 
     let hub = CampaignHub::new(slots, cache_cap);
@@ -162,18 +167,20 @@ pub fn run_campaign_soak(
     hub.cancel(ids[0]).map_err(|e| e.to_string())?;
 
     // Drain the hub: everything except the migrated-away campaign 0 must
-    // complete with its reference key.
+    // complete with its reference key. Campaign 0's view here stops at its
+    // pause; its resumed run on the second hub starts from the checkpoint's
+    // books, so its final view there counts the whole campaign.
     let mut requested = 0u64;
     let mut cache_hits = 0u64;
     for (i, &id) in ids.iter().enumerate() {
         let view = hub
             .wait_terminal(id, Duration::from_secs(300))
             .map_err(|e| format!("campaign {i} (id {id}): {e}"))?;
-        requested += view.requested;
-        cache_hits += view.cache_hits;
         if i == 0 {
             continue; // cancelled here, finishing on the second hub
         }
+        requested += view.requested;
+        cache_hits += view.cache_hits;
         if view.state != CampaignState::Completed {
             return Err(format!(
                 "campaign {i} (id {id}) ended {}: {:?}",
@@ -181,7 +188,7 @@ pub fn run_campaign_soak(
                 view.error
             ));
         }
-        if view.key.as_ref() != Some(&references[&seeds[i]]) {
+        if view.key.as_ref() != Some(&references[&seeds[i]].0) {
             return Err(format!(
                 "campaign {i} (id {id}, seed {}) diverged from its sequential reference key",
                 seeds[i]
@@ -198,8 +205,16 @@ pub fn run_campaign_soak(
             done.error
         ));
     }
-    if done.key.as_ref() != Some(&references[&seeds[0]]) {
+    if done.key.as_ref() != Some(&references[&seeds[0]].0) {
         return Err("migrated campaign diverged from its sequential reference key".to_string());
+    }
+    requested += done.requested;
+    cache_hits += done.cache_hits;
+    let want: u64 = seeds.iter().map(|seed| references[seed].1).sum();
+    if requested != want {
+        return Err(format!(
+            "row books: the campaigns requested {requested} rows, their one-shot references {want}"
+        ));
     }
     hub2.shutdown();
     let elapsed_ms = t0.elapsed().as_secs_f64() * 1e3;

@@ -140,7 +140,6 @@ pub fn prepare(arch: Arch, key_bits: usize, scale: Scale, seed: u64) -> Prepared
                     lr: 5e-3,
                     epochs: 14,
                     batch_size: 32,
-                    ..Trainer::default()
                 },
             )
         }
@@ -155,7 +154,6 @@ pub fn prepare(arch: Arch, key_bits: usize, scale: Scale, seed: u64) -> Prepared
                     lr: 3e-3,
                     epochs: 12,
                     batch_size: 32,
-                    ..Trainer::default()
                 },
             )
         }
@@ -180,7 +178,6 @@ pub fn prepare(arch: Arch, key_bits: usize, scale: Scale, seed: u64) -> Prepared
                     lr: 5e-3,
                     epochs: 12,
                     batch_size: 32,
-                    ..Trainer::default()
                 },
             )
         }
@@ -195,7 +192,6 @@ pub fn prepare(arch: Arch, key_bits: usize, scale: Scale, seed: u64) -> Prepared
                     lr: 3e-3,
                     epochs: 10,
                     batch_size: 32,
-                    ..Trainer::default()
                 },
             )
         }
@@ -229,7 +225,6 @@ pub fn prepare(arch: Arch, key_bits: usize, scale: Scale, seed: u64) -> Prepared
                     lr: 5e-3,
                     epochs: 10,
                     batch_size: 32,
-                    ..Trainer::default()
                 },
             )
         }
@@ -244,7 +239,6 @@ pub fn prepare(arch: Arch, key_bits: usize, scale: Scale, seed: u64) -> Prepared
                     lr: 3e-3,
                     epochs: 10,
                     batch_size: 32,
-                    ..Trainer::default()
                 },
             )
         }
@@ -269,7 +263,6 @@ pub fn prepare(arch: Arch, key_bits: usize, scale: Scale, seed: u64) -> Prepared
                     lr: 3e-3,
                     epochs: 16,
                     batch_size: 32,
-                    ..Trainer::default()
                 },
             )
         }
@@ -284,7 +277,6 @@ pub fn prepare(arch: Arch, key_bits: usize, scale: Scale, seed: u64) -> Prepared
                     lr: 3e-3,
                     epochs: 12,
                     batch_size: 32,
-                    ..Trainer::default()
                 },
             )
         }
@@ -345,7 +337,6 @@ pub fn attack_config(arch: Arch, scale: Scale) -> AttackConfig {
             lr: 0.08,
             confidence: 0.95,
             patience: 15,
-            ..LearningConfig::default()
         };
         cfg.validation_neurons = 12;
         cfg.max_hamming = 5;
@@ -371,7 +362,6 @@ pub fn monolithic_config(scale: Scale) -> MonolithicConfig {
                 lr: 0.08,
                 confidence: 0.95,
                 patience: 10,
-                ..LearningConfig::default()
             },
             input_scale: 3.0,
         },

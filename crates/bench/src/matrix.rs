@@ -102,7 +102,6 @@ fn matrix_victim(variant: LockVariant, seed: u64) -> (LockedModel, Dataset) {
         lr: 5e-3,
         epochs: 6,
         batch_size: 16,
-        ..Trainer::default()
     };
     trainer.fit(&mut model, &data, &mut rng);
     (model, data)

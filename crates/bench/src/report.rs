@@ -41,8 +41,8 @@ use std::time::{Duration, Instant};
 /// distributed-attack section, e.g. `dist_mlp32_workers4`).
 /// v4: added the optional `backend` field (resolved gemm-backend name of
 /// kernel-pinned benchmarks, e.g. `scalar` / `simd-avx512`), the
-/// `forward_batch32_simd` comparison point, and the `monolithic_f32`
-/// fast-path measurement.
+/// `forward_batch32_simd` comparison point, and a single-precision
+/// monolithic measurement.
 /// v5: added the optional `lock_variant` field and the
 /// `matrix_<variant>_<attack>` entries of the lock-variant × attack
 /// matrix (unit `key_acc`, higher is better). `key_acc` medians are
@@ -52,7 +52,10 @@ use std::time::{Duration, Instant};
 /// online wave/shard controller, and two MLP-32 entries measured that way.
 /// v7: removed that field and those two entries along with the controller:
 /// §3.8 correction has one fixed wave schedule (DESIGN.md §3e).
-pub const BENCH_SCHEMA_VERSION: u64 = 7;
+/// v8: removed the single-precision monolithic entry along with the
+/// single-precision learning path: everything computes in double
+/// precision (DESIGN.md §3g).
+pub const BENCH_SCHEMA_VERSION: u64 = 8;
 
 /// One measured benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -455,18 +458,13 @@ fn forward_entry(name: &str, batch: usize, repeats: usize, scalar: bool) -> Benc
     }
 }
 
-/// The §4.3 monolithic learning attack on the MLP-16 victim with its
-/// `Linear` products at `precision`, on the CPU-detected backend. The
-/// `monolithic_f64` and `monolithic_f32` entries share victim, seeds and
-/// config, so the pair measures the end-to-end payoff of the f32 fast
-/// path. The query count stays exact and deterministic (one labelled
-/// training set up front), so `diff` gates on it like any other attack
-/// entry.
-fn monolithic_entry(precision: relock_graph::Precision, repeats: usize) -> BenchEntry {
+/// The §4.3 monolithic learning attack on the MLP-16 victim, on the
+/// CPU-detected backend. The query count stays exact and deterministic
+/// (one labelled training set up front), so `diff` gates on it like any
+/// other attack entry.
+fn monolithic_entry(repeats: usize) -> BenchEntry {
     let p = prepare(Arch::Mlp, 16, Scale::Fast, 42);
-    let mut cfg = crate::monolithic_config(Scale::Fast);
-    cfg.learning.precision = precision;
-    let attack = relock_attack::MonolithicAttack::new(cfg);
+    let attack = relock_attack::MonolithicAttack::new(crate::monolithic_config(Scale::Fast));
     let oracle = CountingOracle::new(&p.model);
     let mut samples = Vec::with_capacity(repeats);
     let mut queries: Option<u64> = None;
@@ -479,10 +477,9 @@ fn monolithic_entry(precision: relock_graph::Precision, repeats: usize) -> Bench
         }
         queries = Some(report.queries);
     }
-    let name = format!("monolithic_{}", precision.name());
     BenchEntry {
         backend: Some(backend::active_backend().name().to_string()),
-        ..entry(&name, "ms", samples, queries, None)
+        ..entry("monolithic_f64", "ms", samples, queries, None)
     }
 }
 
@@ -765,8 +762,7 @@ pub fn run_report(repeats: usize) -> BenchDoc {
         forward_entry("forward_batch32_planned", 32, repeats, true),
         forward_entry("forward_batch32_simd", 32, repeats, false),
         attack_mlp16_entry(repeats),
-        monolithic_entry(relock_graph::Precision::F64, repeats),
-        monolithic_entry(relock_graph::Precision::F32, repeats),
+        monolithic_entry(repeats),
     ];
     entries.extend(mlp32_entries(repeats.min(2)));
     entries.push(soak_entry());

@@ -1,6 +1,5 @@
 //! Attack configuration.
 
-use relock_graph::Precision;
 use relock_locking::LockVariant;
 
 /// Worker threads requested via the `RELOCK_THREADS` environment variable,
@@ -33,12 +32,6 @@ pub struct LearningConfig {
     /// Stop early after this many epochs without a new settled bit or a
     /// loss improvement.
     pub patience: usize,
-    /// Numeric precision of the training loop's `Linear` products.
-    /// [`Precision::F32`] is the opt-in fast path — key gradients steer
-    /// the same way, but loss trajectories are not bit-comparable to f64
-    /// runs. The default, [`Precision::F64`], preserves the historical
-    /// query/bit behaviour exactly.
-    pub precision: Precision,
 }
 
 impl Default for LearningConfig {
@@ -50,7 +43,6 @@ impl Default for LearningConfig {
             lr: 0.08,
             confidence: 0.95,
             patience: 15,
-            precision: Precision::F64,
         }
     }
 }

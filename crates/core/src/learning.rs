@@ -121,7 +121,6 @@ pub fn learning_attack(
     // weights are frozen (only θ moves), so the planned path's cached
     // effective weights survive the whole training loop.
     let mut ws = Workspace::new();
-    ws.set_precision(cfg.precision);
 
     let mut best_loss = f64::INFINITY;
     let mut stale_epochs = 0usize;

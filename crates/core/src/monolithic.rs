@@ -37,7 +37,6 @@ impl Default for MonolithicConfig {
                 lr: 0.08,
                 confidence: 0.95,
                 patience: 20,
-                ..LearningConfig::default()
             },
             input_scale: 3.0,
         }
@@ -149,41 +148,5 @@ mod tests {
         assert!(fidelity >= 0.8, "fidelity {fidelity}");
         assert_eq!(report.queries, 200);
         assert_eq!(report.multipliers.len(), 6);
-    }
-
-    #[test]
-    fn recovers_small_mlp_key_mostly_under_f32() {
-        // The opt-in f32 fast path: same attack, same query accounting
-        // (one labelled batch up front), and the key still comes out —
-        // single precision only perturbs the training trajectory.
-        let mut rng = Prng::seed_from_u64(140);
-        let model = build_mlp(
-            &MlpSpec {
-                input: 10,
-                hidden: vec![8, 6],
-                classes: 4,
-            },
-            LockSpec::evenly(6),
-            &mut rng,
-        )
-        .unwrap();
-        let oracle = CountingOracle::new(&model);
-        let cfg = MonolithicConfig {
-            learning: LearningConfig {
-                samples: 200,
-                epochs: 100,
-                precision: relock_graph::Precision::F32,
-                ..LearningConfig::default()
-            },
-            input_scale: 2.0,
-        };
-        let report = MonolithicAttack::new(cfg).run(
-            model.white_box(),
-            &oracle,
-            &mut Prng::seed_from_u64(141),
-        );
-        let fidelity = report.key.fidelity(model.true_key());
-        assert!(fidelity >= 0.8, "f32 fidelity {fidelity}");
-        assert_eq!(report.queries, 200);
     }
 }

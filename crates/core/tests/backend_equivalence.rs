@@ -73,12 +73,8 @@ fn normalize_frame(bytes: &[u8]) -> Vec<u8> {
 }
 
 /// Key + query count + multiplier bit patterns of the monolithic learning
-/// attack at `precision`, scalar-pinned or on the detected backend.
-fn monolithic_under(
-    scalar: bool,
-    precision: relock_graph::Precision,
-    model: &LockedModel,
-) -> (Key, u64, Vec<u64>) {
+/// attack, scalar-pinned or on the detected backend.
+fn monolithic_under(scalar: bool, model: &LockedModel) -> (Key, u64, Vec<u64>) {
     force_scalar(scalar);
     let oracle = CountingOracle::new(model);
     let mut cfg = MonolithicConfig {
@@ -87,7 +83,6 @@ fn monolithic_under(
     };
     cfg.learning.samples = 96;
     cfg.learning.epochs = 30;
-    cfg.learning.precision = precision;
     let report =
         MonolithicAttack::new(cfg).run(model.white_box(), &oracle, &mut Prng::seed_from_u64(7102));
     force_scalar(false);
@@ -109,20 +104,9 @@ fn attacks_are_byte_identical_across_backends() {
     assert_eq!(frame, ref_frame, "{detected}: checkpoint bytes diverged");
 
     // Monolithic learning attack at f64: multipliers agree to the bit.
-    let (ref_key, ref_queries, ref_bits) =
-        monolithic_under(true, relock_graph::Precision::F64, &model);
-    let (key, queries, bits) = monolithic_under(false, relock_graph::Precision::F64, &model);
+    let (ref_key, ref_queries, ref_bits) = monolithic_under(true, &model);
+    let (key, queries, bits) = monolithic_under(false, &model);
     assert_eq!(key, ref_key, "{detected}: monolithic f64 key diverged");
     assert_eq!(queries, ref_queries);
     assert_eq!(bits, ref_bits, "{detected}: f64 multiplier bits diverged");
-
-    // The f32 fast path holds the same cross-backend contract: its
-    // kernels also accumulate in scalar order, so SIMD f32 runs are
-    // bit-identical to scalar f32 runs (though not to f64 ones).
-    let (ref_key, ref_queries, ref_bits) =
-        monolithic_under(true, relock_graph::Precision::F32, &model);
-    let (key, queries, bits) = monolithic_under(false, relock_graph::Precision::F32, &model);
-    assert_eq!(key, ref_key, "{detected}: monolithic f32 key diverged");
-    assert_eq!(queries, ref_queries);
-    assert_eq!(bits, ref_bits, "{detected}: f32 multiplier bits diverged");
 }

@@ -154,10 +154,6 @@ pub fn encode_config(cfg: &AttackConfig) -> Value {
             Value::num_u64(cfg.learning.patience as u64),
         ),
         (
-            "learn_precision".into(),
-            Value::str(cfg.learning.precision.name()),
-        ),
-        (
             "validation_neurons".into(),
             Value::num_u64(cfg.validation_neurons as u64),
         ),
@@ -252,11 +248,6 @@ pub fn decode_config(doc: &Value) -> Result<AttackConfig, ProtoError> {
             lr: field_f64_bits(doc, "learn_lr")?,
             confidence: field_f64_bits(doc, "learn_confidence")?,
             patience: field_u64(doc, "learn_patience")? as usize,
-            precision: {
-                let name = field_str(doc, "learn_precision")?;
-                relock_graph::Precision::parse(name)
-                    .ok_or_else(|| malformed(format!("unknown precision {name:?}")))?
-            },
         },
         validation_neurons: field_u64(doc, "validation_neurons")? as usize,
         validation_majority: field_f64_bits(doc, "validation_majority")?,

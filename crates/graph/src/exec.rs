@@ -18,9 +18,8 @@
 use crate::graph::{Graph, NodeId};
 use crate::key::KeyAssignment;
 use crate::op::{Op, Saved};
-use crate::plan::{EffWeight, EffWeight32, Workspace};
-use relock_tensor::compute::{gemm_nn_f32_into, gemm_nt_f32_into, gemm_tn_f32_into};
-use relock_tensor::{Precision, Tensor};
+use crate::plan::{EffWeight, Workspace};
+use relock_tensor::Tensor;
 
 /// All per-node values and saved contexts from one forward pass.
 #[derive(Debug, Clone)]
@@ -163,39 +162,6 @@ fn cached_eff_weight<'a>(
     &slot.as_ref().expect("just filled").wt
 }
 
-/// f32 twin of [`cached_eff_weight`]: the transposed `(in, out)` effective
-/// weight converted to f32 once per `(weights, keys)` generation pair —
-/// the f32 execution mode's gemm operand.
-fn cached_eff_weight_f32<'a>(
-    slot: &'a mut Option<EffWeight32>,
-    op: &Op,
-    keys: &KeyAssignment,
-    weights_gen: u64,
-) -> &'a EffWeight32 {
-    let key_dependent = matches!(op, Op::Linear { weight_locks, .. } if !weight_locks.is_empty());
-    let keys_gen = keys.generation();
-    let valid = matches!(slot, Some(e) if e.weights_gen == weights_gen
-        && (!key_dependent || e.keys_gen == keys_gen));
-    if !valid {
-        let w_eff = crate::forward::effective_linear_weight(op, keys);
-        let (out_n, in_n) = (w_eff.dims()[0], w_eff.dims()[1]);
-        let ws = w_eff.as_slice();
-        let mut data = vec![0.0f32; in_n * out_n];
-        for (r, row) in ws.chunks_exact(in_n.max(1)).enumerate() {
-            for (c, &v) in row.iter().enumerate() {
-                data[c * out_n + r] = v as f32;
-            }
-        }
-        *slot = Some(EffWeight32 {
-            weights_gen,
-            keys_gen,
-            cols: out_n,
-            data,
-        });
-    }
-    slot.as_ref().expect("just filled")
-}
-
 impl Graph {
     /// Planned forward pass of the whole graph into a reusable workspace.
     ///
@@ -262,10 +228,6 @@ impl Graph {
             saved,
             live,
             eff_weights,
-            precision,
-            eff_weights32,
-            x32,
-            out32,
             ..
         } = &mut *ws;
         for flag in live.iter_mut() {
@@ -288,35 +250,6 @@ impl Graph {
                 saved[idx] = Saved::None;
                 live[idx] = true;
                 continue;
-            }
-            // f32 fast path: the Linear product runs through the f32 gemm
-            // kernels on f32 copies of the activations and the effective
-            // weight, converted at the op boundary. The f64 bias is added
-            // after widening, the stored node value stays f64, and every
-            // other op is untouched.
-            if *precision == Precision::F32 {
-                if let Op::Linear { b, .. } = &node.op {
-                    let ew =
-                        cached_eff_weight_f32(&mut eff_weights32[idx], &node.op, keys, weights_gen);
-                    let x = &done[node.inputs[0].0];
-                    let in_n = x.dims()[1];
-                    let out_n = ew.cols;
-                    x32.clear();
-                    x32.extend(x.as_slice().iter().map(|&v| v as f32));
-                    out32.resize(batch * out_n, 0.0);
-                    gemm_nn_f32_into(x32, &ew.data, out32, batch, in_n, out_n);
-                    out.reset_shape([batch, out_n]);
-                    let bs = b.as_slice();
-                    let data = out.as_mut_slice();
-                    for (row, row32) in data.chunks_mut(out_n).zip(out32.chunks(out_n)) {
-                        for ((o, &v), &bias) in row.iter_mut().zip(row32).zip(bs) {
-                            *o = v as f64 + bias;
-                        }
-                    }
-                    saved[idx] = Saved::None;
-                    live[idx] = true;
-                    continue;
-                }
             }
             let w_eff = match &node.op {
                 Op::Linear { .. } => Some(cached_eff_weight(
@@ -593,17 +526,10 @@ impl Graph {
             "grad_out shape mismatch"
         );
         let plan = self.plan();
-        let weights_gen = self.weights_gen;
         let Workspace {
             values,
             saved,
             grad_buf,
-            precision,
-            eff_weights32,
-            x32,
-            g32,
-            out32,
-            w32,
             ..
         } = &mut *ws;
         for g in grad_buf.iter_mut() {
@@ -638,72 +564,6 @@ impl Graph {
             // parameter gradients nobody asked for — skip its input
             // gradients entirely, which in turn skips every node below it.
             let want_dx = want_params || plan.keyed_below(NodeId(idx));
-            // f32 fast path: the Linear `dX` and `dW` products run on the
-            // f32 kernels. Bias gradients and §3.9(b) weight-lock key
-            // gradients keep the reference f64 arithmetic — key gradients
-            // are what the learning attack steers by.
-            if *precision == Precision::F32 {
-                if let Op::Linear {
-                    w, weight_locks, ..
-                } = &node.op
-                {
-                    let x = &values[node.inputs[0].0];
-                    let batch = x.dims()[0];
-                    let (out_n, in_n) = (w.dims()[0], w.dims()[1]);
-                    let mut raws = Vec::with_capacity(weight_locks.len());
-                    for l in weight_locks {
-                        let mut raw = 0.0;
-                        for s in 0..batch {
-                            raw += g.get2(s, l.row) * x.get2(s, l.col);
-                        }
-                        key_grads[l.slot.index()] += w.get2(l.row, l.col) * raw;
-                        raws.push(raw);
-                    }
-                    if want_dx || want_params {
-                        g32.clear();
-                        g32.extend(g.as_slice().iter().map(|&v| v as f32));
-                    }
-                    if want_params {
-                        x32.clear();
-                        x32.extend(x.as_slice().iter().map(|&v| v as f32));
-                        w32.resize(out_n * in_n, 0.0);
-                        // dW = dYᵀ · X: dY (batch, out) is already the k×m
-                        // operand the tn kernel wants.
-                        gemm_tn_f32_into(g32, x32, w32, out_n, batch, in_n);
-                        let mut dw = Tensor::from_vec(
-                            w32.iter().map(|&v| v as f64).collect(),
-                            [out_n, in_n],
-                        );
-                        let db = crate::backward::col_sum(g);
-                        for (l, &raw) in weight_locks.iter().zip(&raws) {
-                            dw.set2(l.row, l.col, raw * keys.multiplier(l.slot));
-                        }
-                        params[idx] = Some((dw, db));
-                    }
-                    if want_dx {
-                        // dX = dY · W_eff: the cached transposed (in, out)
-                        // f32 weight is exactly the nt kernel's B operand.
-                        let ew = cached_eff_weight_f32(
-                            &mut eff_weights32[idx],
-                            &node.op,
-                            keys,
-                            weights_gen,
-                        );
-                        out32.resize(batch * in_n, 0.0);
-                        gemm_nt_f32_into(g32, &ew.data, out32, batch, out_n, in_n);
-                        let dx = Tensor::from_vec(
-                            out32.iter().map(|&v| v as f64).collect(),
-                            [batch, in_n],
-                        );
-                        let inp = node.inputs[0];
-                        match &mut grad_buf[inp.index()] {
-                            Some(existing) => existing.axpy(1.0, &dx),
-                            slot => *slot = Some(dx),
-                        }
-                    }
-                    continue;
-                }
-            }
             let run = |inputs: &[&Tensor], key_grads: &mut Vec<f64>| {
                 node.op.backward_batch(
                     inputs,
@@ -1281,102 +1141,6 @@ mod tests {
         } else {
             panic!("node 1 should be linear");
         }
-    }
-
-    #[test]
-    fn f32_mode_tracks_f64_within_single_precision_tolerance() {
-        let (g, keys) = toy_graph();
-        let mut rng = Prng::seed_from_u64(55);
-        let x = rng.normal_tensor([4, 4]);
-        let ones = Tensor::ones([4, 3]);
-
-        let mut ws = Workspace::new();
-        assert_eq!(ws.precision(), Precision::F64);
-        g.forward_into(&mut ws, &x, &keys);
-        let out64 = ws.value(g.output_id()).clone();
-        let grads64 = g.backward_into(&mut ws, &ones, &keys, true);
-
-        let mut ws32 = Workspace::new();
-        ws32.set_precision(Precision::F32);
-        g.forward_into(&mut ws32, &x, &keys);
-        let out32 = ws32.value(g.output_id()).clone();
-        assert_eq!(out32.dims(), out64.dims());
-        assert!(
-            out32.max_abs_diff(&out64) < 1e-4,
-            "f32 forward drifted: {}",
-            out32.max_abs_diff(&out64)
-        );
-        // And it genuinely ran reduced precision, not a f64 alias.
-        assert!(
-            out32.max_abs_diff(&out64) > 0.0,
-            "f32 forward is bitwise equal to f64 — fast path not engaged"
-        );
-
-        let grads32 = g.backward_into(&mut ws32, &ones, &keys, true);
-        for (slot, (a, b)) in grads64.keys.iter().zip(&grads32.keys).enumerate() {
-            assert!(
-                (a - b).abs() < 1e-3 * (1.0 + a.abs()),
-                "key grad {slot}: {a} vs {b}"
-            );
-        }
-        for (idx, (a, b)) in grads64.params.iter().zip(&grads32.params).enumerate() {
-            match (a, b) {
-                (None, None) => {}
-                (Some((aw, ab)), Some((bw, bb))) => {
-                    assert!(aw.max_abs_diff(bw) < 1e-3, "weight grad {idx}");
-                    assert!(ab.max_abs_diff(bb) < 1e-3, "bias grad {idx}");
-                }
-                _ => panic!("param grad presence mismatch at node {idx}"),
-            }
-        }
-        // Keys-only mode works under f32 too.
-        let keys_only = g.backward_into(&mut ws32, &ones, &keys, false);
-        assert!(keys_only.params.iter().all(|p| p.is_none()));
-        for (slot, (a, b)) in grads32.keys.iter().zip(&keys_only.keys).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "keys-only key grad {slot}");
-        }
-    }
-
-    #[test]
-    fn f32_mode_weight_locks_keep_f64_key_grads_and_fixups() {
-        use crate::op::WeightLock;
-        let mut gb = GraphBuilder::new();
-        let x = gb.input(2);
-        let lin = gb
-            .add(
-                Op::Linear {
-                    w: Tensor::from_rows(&[&[2.0, 1.0], &[-1.0, 3.0]]),
-                    b: Tensor::zeros([2]),
-                    weight_locks: vec![WeightLock {
-                        row: 0,
-                        col: 0,
-                        slot: KeySlot(0),
-                    }],
-                },
-                &[x],
-            )
-            .unwrap();
-        let g = gb.build(lin).unwrap();
-        let keys = KeyAssignment::from_values(vec![0.25]);
-        let xin = Tensor::from_rows(&[&[1.0, 2.0], &[3.0, -1.0]]);
-        let ones = Tensor::ones([2, 2]);
-
-        let mut ws = Workspace::new();
-        g.forward_into(&mut ws, &xin, &keys);
-        let grads64 = g.backward_into(&mut ws, &ones, &keys, true);
-
-        let mut ws32 = Workspace::new();
-        ws32.set_precision(Precision::F32);
-        g.forward_into(&mut ws32, &xin, &keys);
-        let grads32 = g.backward_into(&mut ws32, &ones, &keys, true);
-
-        // The lock's key gradient is computed in f64 on the (exactly
-        // representable) activations: bit-identical to the reference.
-        assert_eq!(grads64.keys[0].to_bits(), grads32.keys[0].to_bits());
-        // The locked entry's dW fixup (raw · multiplier) likewise.
-        let (dw64, _) = grads64.params[1].as_ref().unwrap();
-        let (dw32, _) = grads32.params[1].as_ref().unwrap();
-        assert_eq!(dw64.get2(0, 0).to_bits(), dw32.get2(0, 0).to_bits());
     }
 
     #[test]

@@ -299,7 +299,8 @@ impl Op {
                 Ok(out)
             }
             Op::Conv2d { w, b, geom } => {
-                geom.validate();
+                geom.validate()
+                    .map_err(|why| format!("conv geometry: {why}"))?;
                 let out_c = w.dims()[0];
                 if w.dims()[1] != geom.patch_len() {
                     return Err(format!(
@@ -315,7 +316,9 @@ impl Op {
                 if in_sizes[0] != expect {
                     return Err(format!("conv input {} != {}", in_sizes[0], expect));
                 }
-                Ok(out_c * geom.out_positions())
+                out_c.checked_mul(geom.out_positions()).ok_or_else(|| {
+                    format!("conv output {out_c} x {} overflows", geom.out_positions())
+                })
             }
             Op::Relu => Ok(in_sizes[0]),
             Op::KeyedSign { layout, slots } | Op::KeyedScale { layout, slots, .. } => {

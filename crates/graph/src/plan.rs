@@ -24,7 +24,7 @@
 
 use crate::graph::{Graph, NodeId};
 use crate::op::Saved;
-use relock_tensor::{Precision, Tensor};
+use relock_tensor::Tensor;
 
 /// Per-graph execution analysis, computed once and cached on the graph
 /// (see [`Graph::plan`](crate::Graph::plan)).
@@ -154,18 +154,6 @@ pub(crate) struct EffWeight {
     pub(crate) wt: Tensor,
 }
 
-/// The f32 twin of [`EffWeight`]: a cached transposed `(in, out)`
-/// effective weight matrix converted to `f32`, used by the opt-in f32
-/// execution mode. Same generation-stamped invalidation rules.
-#[derive(Debug, Clone)]
-pub(crate) struct EffWeight32 {
-    pub(crate) weights_gen: u64,
-    pub(crate) keys_gen: u64,
-    /// Output width of the layer (`wt32` is `(in, out)` row-major).
-    pub(crate) cols: usize,
-    pub(crate) data: Vec<f32>,
-}
-
 /// Reusable per-pass buffers for planned graph execution.
 ///
 /// Create one with [`Workspace::new`] and hand it to
@@ -194,19 +182,6 @@ pub struct Workspace {
     pub(crate) eye: Option<Tensor>,
     /// Forward passes served so far (first pass allocates, the rest reuse).
     pub(crate) passes: u64,
-    /// Numeric precision of planned `Linear` products (everything else —
-    /// and all stored values — stays f64). See [`Workspace::set_precision`].
-    pub(crate) precision: Precision,
-    /// f32 effective-weight cache for `Linear` nodes (f32 mode only).
-    pub(crate) eff_weights32: Vec<Option<EffWeight32>>,
-    /// f32 scratch: converted input activations.
-    pub(crate) x32: Vec<f32>,
-    /// f32 scratch: converted incoming gradients.
-    pub(crate) g32: Vec<f32>,
-    /// f32 scratch: gemm outputs (forward values / backward `dX`).
-    pub(crate) out32: Vec<f32>,
-    /// f32 scratch: backward weight-gradient outputs.
-    pub(crate) w32: Vec<f32>,
 }
 
 impl Workspace {
@@ -223,29 +198,7 @@ impl Workspace {
             self.live.resize(n, false);
             self.eff_weights.resize_with(n, || None);
             self.grad_buf.resize_with(n, || None);
-            self.eff_weights32.resize_with(n, || None);
         }
-    }
-
-    /// Sets the numeric precision of subsequent planned passes.
-    ///
-    /// Under [`Precision::F32`] every `Linear` product (forward, `dX`, and
-    /// `dW`) runs through the f32 gemm kernels on f32 copies of the
-    /// activations and effective weights, converted at the op boundary —
-    /// node values, biases, reductions, and every other op stay f64, as do
-    /// the §3.9(b) weight-lock key gradients. The default is
-    /// [`Precision::F64`], which is bit-identical to the legacy path; f32
-    /// mode is the opt-in fast path for learning-based work where
-    /// bit-exactness is not load-bearing (the algebraic attack never
-    /// enables it).
-    pub fn set_precision(&mut self, precision: Precision) {
-        self.precision = precision;
-    }
-
-    /// The numeric precision of planned passes (see
-    /// [`Workspace::set_precision`]).
-    pub fn precision(&self) -> Precision {
-        self.precision
     }
 
     /// The `(batch, size)` value of a node from the latest pass.

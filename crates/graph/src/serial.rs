@@ -109,7 +109,10 @@ fn read_tensor(r: &mut impl Read) -> Result<Tensor, SerialError> {
     for _ in 0..rank {
         dims.push(read_usize(r)?);
     }
-    let numel: usize = dims.iter().product();
+    let numel = dims
+        .iter()
+        .try_fold(1usize, |acc, &d| acc.checked_mul(d))
+        .ok_or_else(|| SerialError::Corrupt(format!("tensor dims {dims:?} overflow")))?;
     if numel > (1 << 30) {
         return Err(SerialError::Corrupt("tensor too large".into()));
     }
@@ -654,6 +657,85 @@ mod tests {
         assert!(matches!(
             Graph::load(&mut buf.as_slice()),
             Err(SerialError::Graph(GraphError::DuplicateKeySlot(KeySlot(1))))
+        ));
+    }
+
+    /// A saved one-conv graph: a 1×4×4 input through a 3×3, stride-1,
+    /// pad-1 convolution with two output channels.
+    fn one_conv() -> Vec<u8> {
+        let geom = ConvGeometry {
+            in_channels: 1,
+            in_h: 4,
+            in_w: 4,
+            k_h: 3,
+            k_w: 3,
+            stride: 1,
+            pad: 1,
+        };
+        let mut rng = Prng::seed_from_u64(402);
+        let mut gb = GraphBuilder::new();
+        let x = gb.input(16);
+        let conv = gb
+            .add(
+                Op::Conv2d {
+                    w: rng.normal_tensor([2, geom.patch_len()]),
+                    b: rng.normal_tensor([2]),
+                    geom,
+                },
+                &[x],
+            )
+            .unwrap();
+        let mut buf = Vec::new();
+        gb.build(conv).unwrap().save(&mut buf).unwrap();
+        buf
+    }
+
+    /// Offset of geometry field `field` (0 = `in_channels` … 6 = `pad`) in
+    /// `one_conv()`'s bytes. The conv node is last: its seven geometry
+    /// fields sit just ahead of its input list (count and one id, 16).
+    fn geom_field_at(buf: &[u8], field: usize) -> usize {
+        buf.len() - 16 - 7 * 8 + 8 * field
+    }
+
+    #[test]
+    fn degenerate_conv_geometry_is_rejected() {
+        assert!(Graph::load(&mut one_conv().as_slice()).is_ok());
+        // Stride 0, an empty kernel, and a kernel larger than the padded
+        // input: each used to panic in the geometry asserts.
+        for (field, value, why) in [
+            (5, 0u64, "stride must be >= 1"),
+            (3, 0, "kernel must be non-empty"),
+            (3, 1000, "kernel 1000x3 larger than padded input 6x6"),
+        ] {
+            let mut buf = one_conv();
+            let at = geom_field_at(&buf, field);
+            buf[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            match Graph::load(&mut buf.as_slice()) {
+                Err(SerialError::Graph(GraphError::BadOp(msg))) => {
+                    assert_eq!(msg, format!("conv geometry: {why}"))
+                }
+                Err(e) => panic!("geometry field {field} = {value}: {e}"),
+                Ok(_) => panic!("geometry field {field} = {value} was accepted"),
+            }
+        }
+    }
+
+    #[test]
+    fn overflowing_tensor_dims_are_rejected() {
+        let mut buf = one_conv();
+        // The conv weight `(2, 9)` is the node's first payload: rank 2 and
+        // its two dims ahead of 18 values, then the bias (rank, dim, two
+        // values) and the geometry.
+        let data_and_bias = 18 * 8 + 8 + 8 + 2 * 8;
+        let dims_at = geom_field_at(&buf, 0) - data_and_bias - 16;
+        assert_eq!(buf[dims_at - 8..dims_at], 2u64.to_le_bytes(), "the rank");
+        assert_eq!(buf[dims_at..dims_at + 8], 2u64.to_le_bytes(), "dim 0");
+        for at in [dims_at, dims_at + 8] {
+            buf[at..at + 8].copy_from_slice(&(1u64 << 33).to_le_bytes());
+        }
+        assert!(matches!(
+            Graph::load(&mut buf.as_slice()),
+            Err(SerialError::Corrupt(msg)) if msg.contains("overflow")
         ));
     }
 

@@ -1,7 +1,7 @@
 //! Training locked models as functions of their keys (HPNN protocol).
 
 use relock_data::Dataset;
-use relock_graph::{Graph, NodeId, Precision};
+use relock_graph::{Graph, NodeId};
 use relock_locking::LockedModel;
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
@@ -119,10 +119,6 @@ pub struct Trainer {
     pub epochs: usize,
     /// Mini-batch size.
     pub batch_size: usize,
-    /// Numeric precision of the `Linear` matrix products in the training
-    /// loop ([`Precision::F32`] is the opt-in fast path; the default
-    /// [`Precision::F64`] reproduces historical runs bit-for-bit).
-    pub precision: Precision,
 }
 
 impl Default for Trainer {
@@ -131,7 +127,6 @@ impl Default for Trainer {
             lr: 3e-3,
             epochs: 20,
             batch_size: 32,
-            precision: Precision::F64,
         }
     }
 }
@@ -143,7 +138,6 @@ impl Trainer {
             lr: 5e-3,
             epochs: 8,
             batch_size: 32,
-            precision: Precision::F64,
         }
     }
 
@@ -155,7 +149,6 @@ impl Trainer {
         // One workspace across every Adam step of the run; the planned
         // forward/backward reuse its per-node buffers each mini-batch.
         let mut ws = relock_graph::Workspace::new();
-        ws.set_precision(self.precision);
         for _ in 0..self.epochs {
             let mut epoch_loss = 0.0;
             let mut batches = 0usize;
@@ -234,7 +227,6 @@ mod tests {
             lr: 5e-3,
             epochs: 15,
             batch_size: 32,
-            ..Trainer::default()
         }
         .fit(&mut model, &task, &mut rng);
         assert!(
@@ -267,7 +259,6 @@ mod tests {
             lr: 5e-3,
             epochs: 15,
             batch_size: 32,
-            ..Trainer::default()
         }
         .fit(&mut model, &task, &mut rng);
         let right = model.accuracy(task.test.inputs(), task.test.labels());
@@ -313,7 +304,6 @@ mod conv_attention_training_tests {
             lr: 5e-3,
             epochs: 5,
             batch_size: 16,
-            ..Trainer::default()
         }
         .fit(&mut model, &task, &mut rng);
         assert!(
@@ -343,7 +333,6 @@ mod conv_attention_training_tests {
             lr: 3e-3,
             epochs: 6,
             batch_size: 16,
-            ..Trainer::default()
         }
         .fit(&mut model, &task, &mut rng);
         assert!(

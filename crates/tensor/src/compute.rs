@@ -2,12 +2,12 @@
 //! backend-dispatched gemm engine behind [`Tensor`](crate::Tensor)'s
 //! matmuls.
 //!
-//! Everything here preserves **bit-identical results** (per precision) at
-//! any worker count and on any backend: each output element accumulates
-//! its `k` contributions in strictly ascending order into a single
-//! accumulator, threads only ever split work across *disjoint output
-//! rows*, and every backend replays the same per-element accumulation
-//! order (see the [`crate::backend`] module docs). That discipline is what
+//! Everything here preserves **bit-identical results** at any worker count
+//! and on any backend: each output element accumulates its `k`
+//! contributions in strictly ascending order into a single accumulator,
+//! threads only ever split work across *disjoint output rows*, and every
+//! backend replays the same per-element accumulation order (see the
+//! [`crate::backend`] module docs). That discipline is what
 //! lets the attack's checkpoint/determinism suites hold while the kernels
 //! run tiled, parallel, and vectorized.
 //!
@@ -22,7 +22,7 @@
 //! `relock-serve` oracle worker pool, which historically carried its own
 //! copy.
 
-use crate::backend::{active_backend, GemmBackend};
+use crate::backend::{active_backend, Backend};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -97,12 +97,10 @@ pub fn split_rows(rows: usize, workers: usize, min_rows_per_shard: usize) -> Vec
 /// row_len` buffer), using scoped threads when more than one shard is
 /// warranted. `f` receives the first row index of its block and the
 /// mutable block slice. With one shard this is a plain call — no spawn,
-/// identical code path to the sequential kernel. Generic over the element
-/// type so the f32 path shards exactly like the f64 one.
-pub fn for_each_row_block<T, F>(out: &mut [T], rows: usize, row_len: usize, workers: usize, f: F)
+/// identical code path to the sequential kernel.
+pub fn for_each_row_block<F>(out: &mut [f64], rows: usize, row_len: usize, workers: usize, f: F)
 where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    F: Fn(usize, &mut [f64]) + Sync,
 {
     debug_assert_eq!(out.len(), rows * row_len);
     let ranges = split_rows(rows, workers, MIN_ROWS_PER_SHARD);
@@ -135,10 +133,6 @@ fn parallel_workers(m: usize, k: usize, n: usize) -> usize {
     }
 }
 
-// ---------------------------------------------------------------------------
-// f64 dispatch.
-// ---------------------------------------------------------------------------
-
 /// `out = A · B` for `A: m×k`, `B: k×n`, `out: m×n`, overwriting `out`.
 ///
 /// Every `out[i][j]` accumulates `k = 0..K` in ascending order into a
@@ -166,7 +160,7 @@ pub fn gemm_nn_into_with(
 /// the process-wide selection.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_nn_into_backend(
-    be: &dyn GemmBackend,
+    be: Backend,
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -211,7 +205,7 @@ pub fn gemm_nt_into_with(
 /// [`gemm_nt_into_with`] on an explicit backend.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_nt_into_backend(
-    be: &dyn GemmBackend,
+    be: Backend,
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -260,7 +254,7 @@ pub fn gemm_tn_into_with(
 /// [`gemm_tn_into_with`] on an explicit backend.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_tn_into_backend(
-    be: &dyn GemmBackend,
+    be: Backend,
     a: &[f64],
     b: &[f64],
     out: &mut [f64],
@@ -282,145 +276,10 @@ pub fn gemm_tn_into_backend(
     });
 }
 
-// ---------------------------------------------------------------------------
-// f32 dispatch — same sharding policy and determinism contract, single
-// precision. The graph's opt-in f32 execution mode feeds through these.
-// ---------------------------------------------------------------------------
-
-/// f32 twin of [`gemm_nn_into`].
-pub fn gemm_nn_f32_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_nn_f32_into_with(a, b, out, m, k, n, parallel_workers(m, k, n));
-}
-
-/// [`gemm_nn_f32_into`] with an explicit worker count.
-pub fn gemm_nn_f32_into_with(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    workers: usize,
-) {
-    gemm_nn_f32_into_backend(active_backend(), a, b, out, m, k, n, workers);
-}
-
-/// [`gemm_nn_f32_into_with`] on an explicit backend.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nn_f32_into_backend(
-    be: &dyn GemmBackend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    workers: usize,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    relock_trace::counter("gemm32.nn", 1);
-    if out.is_empty() {
-        return;
-    }
-    for_each_row_block(out, m, n, workers, |lo, block| {
-        be.nn_block_f32(a, b, block, lo, k, n);
-    });
-}
-
-/// f32 twin of [`gemm_nt_into`].
-pub fn gemm_nt_f32_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_nt_f32_into_with(a, b, out, m, k, n, parallel_workers(m, k, n));
-}
-
-/// [`gemm_nt_f32_into`] with an explicit worker count.
-pub fn gemm_nt_f32_into_with(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    workers: usize,
-) {
-    gemm_nt_f32_into_backend(active_backend(), a, b, out, m, k, n, workers);
-}
-
-/// [`gemm_nt_f32_into_with`] on an explicit backend.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_nt_f32_into_backend(
-    be: &dyn GemmBackend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    workers: usize,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(b.len(), n * k);
-    debug_assert_eq!(out.len(), m * n);
-    relock_trace::counter("gemm32.nt", 1);
-    if out.is_empty() {
-        return;
-    }
-    for_each_row_block(out, m, n, workers, |lo, block| {
-        for (bi, out_row) in block.chunks_mut(n).enumerate() {
-            let i = lo + bi;
-            be.nt_row_f32(&a[i * k..(i + 1) * k], b, out_row, k, n);
-        }
-    });
-}
-
-/// f32 twin of [`gemm_tn_into`].
-pub fn gemm_tn_f32_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    gemm_tn_f32_into_with(a, b, out, m, k, n, parallel_workers(m, k, n));
-}
-
-/// [`gemm_tn_f32_into`] with an explicit worker count.
-pub fn gemm_tn_f32_into_with(
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    workers: usize,
-) {
-    gemm_tn_f32_into_backend(active_backend(), a, b, out, m, k, n, workers);
-}
-
-/// [`gemm_tn_f32_into_with`] on an explicit backend.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_tn_f32_into_backend(
-    be: &dyn GemmBackend,
-    a: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    k: usize,
-    n: usize,
-    workers: usize,
-) {
-    debug_assert_eq!(a.len(), k * m);
-    debug_assert_eq!(b.len(), k * n);
-    debug_assert_eq!(out.len(), m * n);
-    relock_trace::counter("gemm32.tn", 1);
-    if out.is_empty() {
-        return;
-    }
-    for_each_row_block(out, m, n, workers, |lo, block| {
-        let rows = block.len() / n.max(1);
-        be.tn_block_f32(a, b, block, lo, rows, m, k, n);
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{available_backends, ScalarBackend};
+    use crate::backend::available_backends;
     use crate::rng::Prng;
 
     /// Naive reference kernels — the accumulation-order ground truth.
@@ -459,10 +318,6 @@ mod tests {
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
-        v.iter().map(|x| x.to_bits()).collect()
-    }
-
-    fn bits32(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
@@ -557,10 +412,10 @@ mod tests {
     fn backend_sweep_simd_bit_identical_to_scalar_on_random_shapes() {
         // Property sweep: random shapes (including degenerate m=0 / k=0 /
         // n=1 and non-multiple-of-4/8 tails) must produce bit-identical
-        // results on every backend, f64 and f32 alike. Shapes come from
-        // the in-tree Prng so the sweep is reproducible.
+        // results on every backend. Shapes come from the in-tree Prng so
+        // the sweep is reproducible.
         let mut rng = Prng::seed_from_u64(0xBACC);
-        let scalar = &ScalarBackend;
+        let scalar = available_backends()[0];
         let mut shapes: Vec<(usize, usize, usize)> = vec![
             (0, 3, 4),
             (3, 0, 4),
@@ -582,10 +437,6 @@ mod tests {
             let b_nn: Vec<f64> = (0..k * n).map(|_| rng.normal()).collect();
             let a_t: Vec<f64> = (0..k * m).map(|_| rng.normal()).collect();
             let b_t: Vec<f64> = (0..n * k).map(|_| rng.normal()).collect();
-            let a32: Vec<f32> = a_nn.iter().map(|&x| x as f32).collect();
-            let b32: Vec<f32> = b_nn.iter().map(|&x| x as f32).collect();
-            let at32: Vec<f32> = a_t.iter().map(|&x| x as f32).collect();
-            let bt32: Vec<f32> = b_t.iter().map(|&x| x as f32).collect();
 
             let mut want_nn = vec![f64::NAN; m * n];
             let mut want_nt = vec![f64::NAN; m * n];
@@ -593,12 +444,6 @@ mod tests {
             gemm_nn_into_backend(scalar, &a_nn, &b_nn, &mut want_nn, m, k, n, 1);
             gemm_nt_into_backend(scalar, &a_nn, &b_t, &mut want_nt, m, k, n, 1);
             gemm_tn_into_backend(scalar, &a_t, &b_nn, &mut want_tn, m, k, n, 1);
-            let mut want_nn32 = vec![f32::NAN; m * n];
-            let mut want_nt32 = vec![f32::NAN; m * n];
-            let mut want_tn32 = vec![f32::NAN; m * n];
-            gemm_nn_f32_into_backend(scalar, &a32, &b32, &mut want_nn32, m, k, n, 1);
-            gemm_nt_f32_into_backend(scalar, &a32, &bt32, &mut want_nt32, m, k, n, 1);
-            gemm_tn_f32_into_backend(scalar, &at32, &b32, &mut want_tn32, m, k, n, 1);
 
             for be in available_backends() {
                 for workers in [1usize, 3] {
@@ -612,15 +457,6 @@ mod tests {
                     let mut out = vec![f64::NAN; m * n];
                     gemm_tn_into_backend(be, &a_t, &b_nn, &mut out, m, k, n, workers);
                     assert_eq!(bits(&out), bits(&want_tn), "tn {m}x{k}x{n} {tag}");
-                    let mut out = vec![f32::NAN; m * n];
-                    gemm_nn_f32_into_backend(be, &a32, &b32, &mut out, m, k, n, workers);
-                    assert_eq!(bits32(&out), bits32(&want_nn32), "nn32 {m}x{k}x{n} {tag}");
-                    let mut out = vec![f32::NAN; m * n];
-                    gemm_nt_f32_into_backend(be, &a32, &bt32, &mut out, m, k, n, workers);
-                    assert_eq!(bits32(&out), bits32(&want_nt32), "nt32 {m}x{k}x{n} {tag}");
-                    let mut out = vec![f32::NAN; m * n];
-                    gemm_tn_f32_into_backend(be, &at32, &b32, &mut out, m, k, n, workers);
-                    assert_eq!(bits32(&out), bits32(&want_tn32), "tn32 {m}x{k}x{n} {tag}");
                 }
             }
         }
@@ -647,9 +483,6 @@ mod tests {
         let mut out: Vec<f64> = Vec::new();
         gemm_nn_into_with(&[], &[1.0, 2.0], &mut out, 0, 1, 2, 4);
         assert!(out.is_empty());
-        let mut out32: Vec<f32> = Vec::new();
-        gemm_nn_f32_into_with(&[], &[1.0, 2.0], &mut out32, 0, 1, 2, 4);
-        assert!(out32.is_empty());
     }
 
     #[test]

@@ -48,23 +48,57 @@ impl ConvGeometry {
         self.in_channels * self.k_h * self.k_w
     }
 
-    /// Validates that the geometry divides evenly and is non-degenerate.
+    /// Checks that the geometry is non-degenerate and that every size
+    /// derived from it fits in `usize`, so the size helpers above cannot
+    /// overflow or divide by zero.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a degenerate geometry (zero-sized kernel, kernel larger
-    /// than the padded input, or zero stride).
-    pub fn validate(&self) {
-        assert!(self.stride >= 1, "stride must be >= 1");
-        assert!(self.k_h >= 1 && self.k_w >= 1, "kernel must be non-empty");
-        assert!(
-            self.in_h + 2 * self.pad >= self.k_h && self.in_w + 2 * self.pad >= self.k_w,
-            "kernel {}x{} larger than padded input {}x{}",
-            self.k_h,
-            self.k_w,
-            self.in_h + 2 * self.pad,
-            self.in_w + 2 * self.pad
-        );
+    /// A degenerate geometry (zero stride, zero-sized kernel, or kernel
+    /// larger than the padded input), or one whose padded input, patch
+    /// length, output positions or input length overflows.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.stride < 1 {
+            return Err("stride must be >= 1".into());
+        }
+        if self.k_h < 1 || self.k_w < 1 {
+            return Err("kernel must be non-empty".into());
+        }
+        let overflow = || format!("sizes of {self:?} overflow usize");
+        let padded = |side: usize| self.pad.checked_mul(2).and_then(|p| side.checked_add(p));
+        let (ph, pw) = match (padded(self.in_h), padded(self.in_w)) {
+            (Some(ph), Some(pw)) => (ph, pw),
+            _ => return Err(overflow()),
+        };
+        if ph < self.k_h || pw < self.k_w {
+            return Err(format!(
+                "kernel {}x{} larger than padded input {ph}x{pw}",
+                self.k_h, self.k_w
+            ));
+        }
+        // `(ph - k_h) / stride + 1` itself cannot overflow: `k_h >= 1`.
+        let out_positions =
+            ((ph - self.k_h) / self.stride + 1).checked_mul((pw - self.k_w) / self.stride + 1);
+        let patch_len = self
+            .in_channels
+            .checked_mul(self.k_h)
+            .and_then(|x| x.checked_mul(self.k_w));
+        let in_len = self
+            .in_channels
+            .checked_mul(self.in_h)
+            .and_then(|x| x.checked_mul(self.in_w));
+        match (out_positions, patch_len, in_len) {
+            (Some(_), Some(_), Some(_)) => Ok(()),
+            _ => Err(overflow()),
+        }
+    }
+}
+
+/// Panics unless `g` is valid: the lowering only ever sees geometries a
+/// graph has already validated.
+fn assert_valid(g: &ConvGeometry) {
+    if let Err(why) = g.validate() {
+        panic!("invalid conv geometry: {why}");
     }
 }
 
@@ -73,9 +107,10 @@ impl ConvGeometry {
 ///
 /// # Panics
 ///
-/// Panics if `image.numel() != C*H*W` for the geometry.
+/// Panics on an invalid geometry (see [`ConvGeometry::validate`]) or if
+/// `image.numel() != C*H*W` for the geometry.
 pub fn im2col(image: &Tensor, g: &ConvGeometry) -> Tensor {
-    g.validate();
+    assert_valid(g);
     assert_eq!(
         image.numel(),
         g.in_channels * g.in_h * g.in_w,
@@ -115,9 +150,10 @@ pub fn im2col(image: &Tensor, g: &ConvGeometry) -> Tensor {
 ///
 /// # Panics
 ///
-/// Panics if `cols` has the wrong shape for the geometry.
+/// Panics on an invalid geometry (see [`ConvGeometry::validate`]) or if
+/// `cols` has the wrong shape for the geometry.
 pub fn col2im(cols: &Tensor, g: &ConvGeometry) -> Tensor {
-    g.validate();
+    assert_valid(g);
     let (oh, ow) = (g.out_h(), g.out_w());
     let plen = g.patch_len();
     assert_eq!(cols.dims(), &[oh * ow, plen], "cols shape mismatch");
@@ -234,6 +270,42 @@ mod tests {
             stride: 1,
             pad: 0,
         };
-        g.validate();
+        let why = g.validate().unwrap_err();
+        assert!(why.contains("larger than padded input"), "{why}");
+        im2col(&Tensor::zeros([4]), &g);
+    }
+
+    #[test]
+    fn validate_rejects_degenerate_and_overflowing_geometries() {
+        let g = geom();
+        assert_eq!(g.validate(), Ok(()));
+        let bad = [
+            ConvGeometry { stride: 0, ..g },
+            ConvGeometry { k_h: 0, ..g },
+            ConvGeometry { k_w: 0, ..g },
+            ConvGeometry {
+                pad: usize::MAX / 2 + 1,
+                ..g
+            },
+            ConvGeometry {
+                in_h: usize::MAX,
+                ..g
+            },
+            ConvGeometry {
+                in_channels: usize::MAX / 2,
+                ..g
+            },
+            ConvGeometry {
+                in_h: 1 << 40,
+                in_w: 1 << 40,
+                k_h: 1,
+                k_w: 1,
+                pad: 0,
+                ..g
+            },
+        ];
+        for g in bad {
+            assert!(g.validate().is_err(), "{g:?} accepted");
+        }
     }
 }

@@ -13,9 +13,8 @@
 //!   experiment in the workspace is reproducible bit-for-bit;
 //! - [`im2col`]: the image-to-column lowering used by the convolution ops;
 //! - [`backend`]: the dispatched gemm engine — the scalar reference and an
-//!   AVX-512 backend chosen by CPU detection, each with f64 and f32
-//!   kernels, all bit-identical per precision (see [`GemmBackend`] and
-//!   [`Precision`]).
+//!   AVX-512 backend chosen by CPU detection, bit-identical to each other
+//!   (see [`Backend`]).
 //!
 //! # Example
 //!
@@ -36,7 +35,7 @@ pub mod rng;
 mod shape;
 mod tensor;
 
-pub use backend::{GemmBackend, Precision};
+pub use backend::Backend;
 pub use shape::Shape;
 pub use tensor::Tensor;
 

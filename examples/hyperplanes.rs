@@ -30,7 +30,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         lr: 1e-2,
         epochs: 60,
         batch_size: 16,
-        ..Trainer::default()
     }
     .fit(&mut model, &task, &mut rng);
     println!(

@@ -2,12 +2,12 @@
 //!
 //! ```text
 //! relock lock    --arch mlp --bits 16 --out victim.rlk [--seed N] [--no-train]
-//!                [--variant sign|scale:<f>|sar|antisat] [--precision f64|f32]
+//!                [--variant sign|scale:<f>|sar|antisat]
 //! relock inspect victim.rlk
 //! relock attack  victim.rlk [--monolithic] [--seed N] [--fast] [--budget N]
 //!                [--threads N] [--workers N]
 //!                [--trace events.jsonl] [--stats-json stats.json]
-//!                [--variant sign|scale:<f>|sar|antisat] [--precision f64|f32]
+//!                [--variant sign|scale:<f>|sar|antisat]
 //!                [--checkpoint state.rlcp [--checkpoint-every N] [--resume]]
 //! relock serve   [--listen tcp:127.0.0.1:7433] [--workers N] [--cache-mb N]
 //!                [--max-campaigns N]
@@ -52,11 +52,9 @@
 //! count: at most N campaigns compute at once, and a campaign waiting on
 //! its oracle holds no slot.
 //!
-//! The gemm kernels follow the CPU: the AVX-512 backend where the CPU has
-//! it, the scalar reference elsewhere, bit-identical either way (DESIGN.md
-//! §3g). `--precision f32` opts the *training* matrix products into single
-//! precision — the monolithic attack's learning loop and `lock`'s trainer;
-//! the decryption attack's algebraic core always runs f64.
+//! Everything computes in f64. The gemm kernels follow the CPU: the
+//! AVX-512 backend where the CPU has it, the scalar reference elsewhere,
+//! bit-identical either way (DESIGN.md §3g).
 
 use relock::prelude::*;
 use relock_attack::LearningConfig;
@@ -72,7 +70,7 @@ const DEFAULT_LISTEN: &str = "tcp:127.0.0.1:7433";
 /// The usage text. It doubles as the flag whitelist: see [`known_flags`].
 fn usage_text() -> String {
     format!(
-        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>] [--precision <f64|f32>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--workers <n>] [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>] [--precision <f64|f32>]\n                 [--checkpoint <file> [--checkpoint-every <rows>] [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--threads <n>] [--full] [--monolithic]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --workers <n> runs the sharded phases across <n> supervised worker processes\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --workers/--checkpoint"
+        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--workers <n>] [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n                 [--checkpoint <file> [--checkpoint-every <rows>] [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--threads <n>] [--full] [--monolithic]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --workers <n> runs the sharded phases across <n> supervised worker processes\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --workers/--checkpoint"
     )
 }
 
@@ -158,18 +156,6 @@ fn variant_flag(args: &Args) -> Result<LockVariant, String> {
                 .ok_or("--variant expects sign, scale:<factor>, sar or antisat")?;
             name.parse::<LockVariant>()
                 .map_err(|e| format!("--variant: {e}"))
-        }
-    }
-}
-
-/// Parses `--precision <f64|f32>` (default f64).
-fn precision_flag(args: &Args) -> Result<relock_tensor::Precision, String> {
-    match args.flag("precision") {
-        None => Ok(relock_tensor::Precision::F64),
-        Some(v) => {
-            let name = v.as_deref().ok_or("--precision expects f64 or f32")?;
-            relock_tensor::Precision::parse(name)
-                .ok_or_else(|| format!("--precision: unknown precision '{name}' (f64|f32)"))
         }
     }
 }
@@ -281,11 +267,7 @@ fn cmd_lock(args: &Args) -> Result<(), String> {
     let mut rng = Prng::seed_from_u64(seed);
     let (mut model, data) = build_victim(&arch, bits, variant, &mut rng)?;
     if args.flag("no-train").is_none() {
-        let trainer = Trainer {
-            precision: precision_flag(args)?,
-            ..Trainer::default()
-        };
-        let summary = trainer.fit(&mut model, &data, &mut rng);
+        let summary = Trainer::default().fit(&mut model, &data, &mut rng);
         println!(
             "trained {arch} ({bits}-bit key): test accuracy {:.1}%",
             100.0 * summary.final_test_accuracy
@@ -393,7 +375,6 @@ fn run_attack(args: &Args) -> Result<(), String> {
     let model = load_model(path)?;
     let oracle = CountingOracle::new(&model);
     let mut rng = Prng::seed_from_u64(seed);
-    let precision = precision_flag(args)?;
     if args.flag("monolithic").is_some() {
         if workers > 1 {
             return Err("--workers applies to the decryption attack, not --monolithic".into());
@@ -401,7 +382,6 @@ fn run_attack(args: &Args) -> Result<(), String> {
         let report = MonolithicAttack::new(MonolithicConfig {
             learning: LearningConfig {
                 samples: 300,
-                precision,
                 ..LearningConfig::default()
             },
             input_scale: 3.0,
@@ -426,9 +406,6 @@ fn run_attack(args: &Args) -> Result<(), String> {
         AttackConfig::default()
     };
     cfg.continue_on_failure = true;
-    // Only the learning sub-procedure honours the precision; the algebraic
-    // core of the decryption attack always runs f64.
-    cfg.learning.precision = precision;
     cfg.variant = variant_flag(args)?;
     let threads = args.u64_value("threads", cfg.threads as u64)? as usize;
     if threads == 0 {

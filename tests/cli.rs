@@ -29,13 +29,86 @@ fn unknown_flag_exits_2_and_names_the_flag() {
 }
 
 /// A script still passing a flag the CLI no longer has must fail rather
-/// than silently run on defaults.
+/// than silently run on defaults: `--adaptive` (the online correction
+/// controller) and `--precision` (the single-precision learning path).
 #[test]
-fn attack_rejects_the_removed_adaptive_flag() {
-    let flag = "--adaptive";
-    let out = relock(&["attack", "victim.rlk", "--fast", flag]);
-    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
-    assert!(stderr(&out).contains(flag), "stderr: {}", stderr(&out));
+fn removed_flags_exit_2_and_name_the_flag() {
+    let cases: [(&[&str], &str); 3] = [
+        (
+            &["attack", "victim.rlk", "--fast", "--adaptive"],
+            "--adaptive",
+        ),
+        (
+            &["attack", "victim.rlk", "--fast", "--precision", "f32"],
+            "--precision",
+        ),
+        (
+            &[
+                "lock",
+                "--arch",
+                "mlp",
+                "--bits",
+                "8",
+                "--out",
+                "victim.rlk",
+                "--precision",
+                "f32",
+            ],
+            "--precision",
+        ),
+    ];
+    for (args, flag) in cases {
+        let out = relock(args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+        assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
+    }
+}
+
+/// A model file with a degenerate conv geometry is a typed load error
+/// (exit 1, naming the geometry), never a panic.
+#[test]
+fn inspect_rejects_a_degenerate_conv_geometry() {
+    let model = scratch("lenet.rlk");
+    let path = model.to_str().expect("utf-8 temp path");
+    let lock = relock(&[
+        "lock",
+        "--arch",
+        "lenet",
+        "--bits",
+        "16",
+        "--out",
+        path,
+        "--no-train",
+    ]);
+    assert!(lock.status.success(), "lock: {}", stderr(&lock));
+    let bytes = std::fs::read(&model).expect("read the model file");
+    let _ = std::fs::remove_file(&model);
+    // The first conv's seven u64-le geometry fields: a 1×12×12 input, a
+    // 5×5 kernel, stride 1, pad 2.
+    let geom: Vec<u8> = [1u64, 12, 12, 5, 5, 1, 2]
+        .iter()
+        .flat_map(|v| v.to_le_bytes())
+        .collect();
+    let at = bytes
+        .windows(geom.len())
+        .position(|w| w == geom.as_slice())
+        .expect("the first conv's geometry is in the file");
+    // Stride 0, an empty kernel, and a kernel larger than the padded input.
+    for (field, value) in [(5, 0u64), (3, 0), (3, 1000)] {
+        let mut patched = bytes.clone();
+        let f = at + 8 * field;
+        patched[f..f + 8].copy_from_slice(&value.to_le_bytes());
+        let file = scratch(&format!("lenet-{field}-{value}.rlk"));
+        std::fs::write(&file, &patched).expect("write the patched model");
+        let out = relock(&["inspect", file.to_str().expect("utf-8 temp path")]);
+        let _ = std::fs::remove_file(&file);
+        let why = stderr(&out);
+        assert_eq!(out.status.code(), Some(1), "field {field} = {value}: {why}");
+        assert!(
+            why.contains("conv geometry"),
+            "field {field} = {value}: {why}"
+        );
+    }
 }
 
 #[test]
