@@ -485,11 +485,20 @@ mod tests {
     use relock_nn::{build_mlp, MlpSpec};
     use relock_serve::{Broker, BrokerConfig};
     use relock_tensor::rng::Prng;
-    use std::sync::Arc;
+    use std::sync::{Arc, OnceLock};
 
     /// Runs a small seeded attack under a recorder and returns the
     /// capture alongside the broker's own books.
+    ///
+    /// The recorder slot is process-global, so two tests capturing at
+    /// once would record into, or uninstall, each other's recorder. The
+    /// capture is therefore taken once and each test gets a clone.
     fn captured_run() -> (Trace, QueryStatsSnapshot) {
+        static CAPTURE: OnceLock<(Trace, QueryStatsSnapshot)> = OnceLock::new();
+        CAPTURE.get_or_init(capture).clone()
+    }
+
+    fn capture() -> (Trace, QueryStatsSnapshot) {
         let mut rng = Prng::seed_from_u64(700);
         let model = build_mlp(
             &MlpSpec {

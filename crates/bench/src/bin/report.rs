@@ -95,10 +95,6 @@ fn run_analyze(args: &[String], trace_path: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    // The distributed section spawns this binary as its worker process.
-    if relock_bench::maybe_dist_worker() {
-        return ExitCode::SUCCESS;
-    }
     let args: Vec<String> = std::env::args().collect();
     if let Some(trace_path) = flag_value(&args, "--analyze") {
         return run_analyze(&args, &trace_path);

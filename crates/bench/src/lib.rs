@@ -436,39 +436,6 @@ pub fn bench_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Resolves the worker process for distributed measurements: the
-/// `RELOCK_DIST_WORKER` env var (path to a standalone `dist_worker`
-/// binary) when set, otherwise this very binary re-invoked with the
-/// hidden `dist-worker` argument — every bench bin that runs distributed
-/// work answers that mode via [`maybe_dist_worker`], so the measurements
-/// never depend on another crate's binary having been built first.
-pub fn dist_worker_command() -> (std::path::PathBuf, Vec<String>) {
-    match std::env::var_os("RELOCK_DIST_WORKER") {
-        Some(program) => (program.into(), Vec::new()),
-        None => (
-            std::env::current_exe().expect("locate own binary"),
-            vec!["dist-worker".to_string()],
-        ),
-    }
-}
-
-/// Serves the hidden `dist-worker` re-invocation of a bench bin (see
-/// [`dist_worker_command`]). Call first thing in `main`; returns `true`
-/// when this process was a worker and has already run to completion, in
-/// which case the bin must exit successfully without benching anything.
-pub fn maybe_dist_worker() -> bool {
-    let mut args = std::env::args().skip(1);
-    if args.next().as_deref() != Some("dist-worker") {
-        return false;
-    }
-    let socket = args.next().expect("dist-worker needs a socket path");
-    if let Err(e) = relock_dist::worker_main(&socket) {
-        eprintln!("dist-worker: {e}");
-        std::process::exit(1);
-    }
-    true
-}
-
 /// Env-driven architecture filter (`RELOCK_ARCHS=mlp,resnet`).
 pub fn arch_filter() -> Vec<Arch> {
     match std::env::var("RELOCK_ARCHS") {

@@ -198,7 +198,6 @@ pub fn matrix_entries() -> Vec<BenchEntry> {
             queries: Some(c.queries),
             cache_hit_rate: None,
             evictions: None,
-            workers: None,
             backend: None,
             lock_variant: Some(c.variant.to_string()),
         })

@@ -21,7 +21,6 @@
 
 use crate::{attack_config, bench_threads, prepare, Arch, Scale};
 use relock_attack::{AttackState, CheckpointPolicy, DecryptionReport, Decryptor};
-use relock_dist::{DistCoordinator, DistOptions};
 use relock_locking::CountingOracle;
 use relock_serve::{Broker, BrokerConfig, ChaosConfig, ChaosCrash, ChaosOracle};
 use relock_tensor::backend;
@@ -38,7 +37,7 @@ use std::time::{Duration, Instant};
 ///
 /// v2: added the optional `evictions` field (campaign-soak LRU counter).
 /// v3: added the optional `workers` field (worker-process count of the
-/// distributed-attack section, e.g. `dist_mlp32_workers4`).
+/// distributed-attack section).
 /// v4: added the optional `backend` field (resolved gemm-backend name of
 /// kernel-pinned benchmarks, e.g. `scalar` / `simd-avx512`), the
 /// `forward_batch32_simd` comparison point, and a single-precision
@@ -55,7 +54,10 @@ use std::time::{Duration, Instant};
 /// v8: removed the single-precision monolithic entry along with the
 /// single-precision learning path: everything computes in double
 /// precision (DESIGN.md §3g).
-pub const BENCH_SCHEMA_VERSION: u64 = 8;
+/// v9: removed the `workers` field and the 4-process MLP-32 entry along
+/// with the multi-process executor: the sharded phases run on
+/// threads of one process (DESIGN.md §3e).
+pub const BENCH_SCHEMA_VERSION: u64 = 9;
 
 /// One measured benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,9 +79,6 @@ pub struct BenchEntry {
     /// concurrent interleaving, so `diff` reports changes as notes, never
     /// failures.
     pub evictions: Option<u64>,
-    /// Worker *processes* used by a distributed-attack measurement
-    /// (absent for in-process benchmarks).
-    pub workers: Option<u64>,
     /// Gemm-backend name a kernel-pinned benchmark ran on: `scalar` for
     /// the scalar-pinned entries, else the CPU-detected backend
     /// (`simd-avx512` or `scalar`); absent for benchmarks that don't pin
@@ -125,9 +124,6 @@ impl BenchDoc {
                 }
                 if let Some(ev) = e.evictions {
                     fields.push(("evictions".to_string(), Value::num_u64(ev)));
-                }
-                if let Some(w) = e.workers {
-                    fields.push(("workers".to_string(), Value::num_u64(w)));
                 }
                 if let Some(b) = &e.backend {
                     fields.push(("backend".to_string(), Value::str(b)));
@@ -192,10 +188,6 @@ impl BenchDoc {
                 },
                 evictions: match entry.get("evictions") {
                     Some(v) => Some(v.as_u64().ok_or("non-integer 'evictions'")?),
-                    None => None,
-                },
-                workers: match entry.get("workers") {
-                    Some(v) => Some(v.as_u64().ok_or("non-integer 'workers'")?),
                     None => None,
                 },
                 backend: match entry.get("backend") {
@@ -413,7 +405,6 @@ fn entry(
         queries,
         cache_hit_rate,
         evictions: None,
-        workers: None,
         backend: None,
         lock_variant: None,
     }
@@ -557,9 +548,8 @@ fn time_sharded(p: &crate::Prepared, threads: usize, reps: usize) -> (Vec<f64>, 
     (samples, last.expect("reps >= 1"))
 }
 
-/// Sequential vs 4-thread vs 4-process MLP-32 attack against the
-/// fixed-latency oracle — the parallel and distributed sections. The
-/// sharded engine and the dist coordinator are bit-identical by
+/// Sequential vs 4-thread MLP-32 attack against the fixed-latency
+/// oracle — the parallel section. The sharded engine is bit-identical by
 /// contract, so keys and query counts are asserted equal before the
 /// timings are reported.
 fn mlp32_entries(reps: usize) -> Vec<BenchEntry> {
@@ -588,73 +578,7 @@ fn mlp32_entries(reps: usize) -> Vec<BenchEntry> {
             Some(par.queries),
             None,
         ),
-        dist_mlp32_entry(&p, &seq, reps),
     ]
-}
-
-/// 4-worker-*process* MLP-32 attack against the same fixed-latency
-/// oracle, through the `relock-dist` supervised coordinator (DESIGN.md
-/// §4b). Worker processes are this bench binary re-invoked in its hidden
-/// `dist-worker` mode (see [`crate::dist_worker_command`]); all oracle
-/// traffic is proxied back to this process's broker, so the result must
-/// be bit-identical to the sequential reference.
-fn dist_mlp32_entry(p: &crate::Prepared, seq: &DecryptionReport, reps: usize) -> BenchEntry {
-    const WORKERS: usize = 4;
-    let mut cfg = attack_config(Arch::Mlp, Scale::Fast);
-    cfg.threads = 1;
-    let decryptor = Decryptor::new(cfg);
-    let g = p.model.white_box();
-    let oracle = ChaosOracle::new(
-        CountingOracle::new(&p.model),
-        ChaosConfig {
-            seed: 1,
-            latency_spike_rate: 1.0,
-            latency_spike: ORACLE_LATENCY,
-            ..ChaosConfig::default()
-        },
-    );
-    let model_path =
-        std::env::temp_dir().join(format!("relock-dist-bench-{}.rlk", std::process::id()));
-    let mut w = std::io::BufWriter::new(
-        std::fs::File::create(&model_path).expect("create bench model file"),
-    );
-    p.model.save(&mut w).expect("save bench model");
-    drop(w);
-    let (program, worker_args) = crate::dist_worker_command();
-    let mut samples = Vec::with_capacity(reps);
-    let mut last: Option<DecryptionReport> = None;
-    for _ in 0..reps {
-        let mut opts = DistOptions::new(&program);
-        opts.workers = WORKERS;
-        opts.worker_args = worker_args.clone();
-        let coord = DistCoordinator::new(&model_path, opts).expect("bind coordinator socket");
-        let broker = Broker::with_config(&oracle, BrokerConfig::default());
-        let t = Instant::now();
-        let report = decryptor
-            .run_brokered_with(g, &broker, &mut Prng::seed_from_u64(43), &coord)
-            .expect("attack run");
-        samples.push(t.elapsed().as_secs_f64() * 1e3);
-        let d = coord.report();
-        assert_eq!(
-            d.fell_back, None,
-            "clean bench run must not fall back: {d:?}"
-        );
-        last = Some(report);
-    }
-    let _ = std::fs::remove_file(&model_path);
-    let dist = last.expect("reps >= 1");
-    assert_eq!(dist.key, seq.key, "distributed run must stay bit-identical");
-    assert_eq!(dist.queries, seq.queries);
-    BenchEntry {
-        workers: Some(WORKERS as u64),
-        ..entry(
-            "dist_mlp32_workers4",
-            "ms",
-            samples,
-            Some(dist.queries),
-            None,
-        )
-    }
 }
 
 /// Kill-and-resume soak (the soak bin's workload, MLP-12, 3 scheduled
@@ -797,7 +721,6 @@ mod tests {
                     queries: Some(4242),
                     cache_hit_rate: Some(0.3125),
                     evictions: Some(17),
-                    workers: Some(4),
                     backend: None,
                     lock_variant: None,
                 },
@@ -810,7 +733,6 @@ mod tests {
                     queries: None,
                     cache_hit_rate: None,
                     evictions: None,
-                    workers: None,
                     backend: Some("scalar".to_string()),
                     lock_variant: None,
                 },
@@ -894,7 +816,6 @@ mod tests {
             queries: None,
             cache_hit_rate: None,
             evictions: None,
-            workers: None,
             backend: None,
             lock_variant: None,
         });
@@ -940,7 +861,6 @@ mod tests {
             queries: Some(64),
             cache_hit_rate: None,
             evictions: None,
-            workers: None,
             backend: None,
             lock_variant: Some("sar".to_string()),
         });

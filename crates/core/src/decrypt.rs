@@ -127,20 +127,21 @@ pub struct PausedSession {
 /// one PRNG stream per item in canonical order *before* calling the
 /// executor, and it interprets the returned vectors in canonical item
 /// order. An executor is therefore free to schedule items however it
-/// likes (threads, worker processes, remote machines) as long as item `i`
-/// consumes exactly `rngs[i]` and lands its result in position `i` — the
-/// same contract `run_sharded` honours in-process (DESIGN.md §3e, §4b).
+/// likes as long as item `i` consumes exactly `rngs[i]` and lands its
+/// result in position `i` — the contract `run_sharded` honours for
+/// [`LocalExecutor`] (DESIGN.md §3e). The trait exists so a caller can
+/// wrap [`LocalExecutor`], for instance to time the sharded phases, and
+/// hand the wrapper to [`Decryptor::run_brokered_with`].
 ///
 /// Serial phases (learning attack, layer validation, target selection)
 /// never go through the executor; they stay on the driver's thread.
 pub trait PhaseExecutor: Sync {
     /// Runs Algorithm 1 on every site of a layer and returns the bits in
-    /// site order. Site `i` starts from a clone of `rngs[i]`. An executor
-    /// must drive the shared [`infer_rounds`] loop, which sends one oracle
-    /// batch per round in canonical site order; only the white-box half
-    /// of each round ([`site_probe_with`]) is the executor's to schedule.
-    /// Broker batches and the batch-size histogram are part of the
-    /// asserted books, so a private loop would break the contract.
+    /// site order. Site `i` starts from a clone of `rngs[i]`. The oracle
+    /// sees one batch per lock-step round in canonical site order; broker
+    /// batches and the batch-size histogram are part of the asserted
+    /// books, so a wrapper must delegate to [`LocalExecutor`] rather than
+    /// query the oracle itself.
     fn infer_sites(
         &self,
         g: &Graph,
@@ -169,11 +170,10 @@ pub trait PhaseExecutor: Sync {
     ) -> Vec<Result<ValidationVerdict, OracleError>>;
 }
 
-/// The in-process [`PhaseExecutor`]: shards items across
-/// `AttackConfig::threads` scoped worker threads pulling from a shared
-/// atomic counter (see `run_sharded`). This is what every entry point
-/// without an explicit executor uses, and what the distributed
-/// coordinator falls back to when its circuit breaker opens.
+/// The thread-pool [`PhaseExecutor`]: shards items across
+/// `AttackConfig::threads` scoped threads pulling from a shared atomic
+/// counter (see `run_sharded`). Every entry point without an explicit
+/// executor uses it.
 #[derive(Debug, Default)]
 pub struct LocalExecutor {
     pool: WorkspacePool,
@@ -315,9 +315,10 @@ impl Decryptor {
 
     /// Runs the attack like [`Decryptor::run_brokered`], delegating the
     /// sharded phases (per-site inference, correction waves) to a
-    /// caller-supplied [`PhaseExecutor`] — e.g. a multi-process
-    /// coordinator. The determinism contract guarantees the result is
-    /// bit-identical to the in-process run for any conforming executor.
+    /// caller-supplied [`PhaseExecutor`], such as a wrapper that times a
+    /// [`LocalExecutor`]. The determinism contract guarantees the result
+    /// is bit-identical to [`Decryptor::run_brokered`] for any conforming
+    /// executor.
     ///
     /// # Errors
     ///
@@ -370,33 +371,6 @@ impl Decryptor {
         )?)
     }
 
-    /// Runs the attack like [`Decryptor::run_with_checkpoints`],
-    /// delegating the sharded phases to `executor` (see
-    /// [`Decryptor::run_brokered_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Decryptor::run_with_checkpoints`].
-    pub fn run_checkpointed_with<O: Oracle>(
-        &self,
-        white_box: &Graph,
-        broker: &Broker<O>,
-        rng: &mut Prng,
-        sink: &dyn CheckpointSink,
-        policy: CheckpointPolicy,
-        executor: &dyn PhaseExecutor,
-    ) -> Result<DecryptionReport, AttackError> {
-        Self::completed(self.drive(
-            white_box,
-            broker,
-            rng,
-            None,
-            Some((sink, policy)),
-            None,
-            Some(executor),
-        )?)
-    }
-
     /// Continues a checkpointed run, or starts fresh when the sink holds
     /// no usable checkpoint.
     ///
@@ -434,35 +408,6 @@ impl Decryptor {
             Some((sink, policy)),
             None,
             None,
-        )?)?;
-        Ok((report, status))
-    }
-
-    /// Continues a checkpointed run like [`Decryptor::resume`], delegating
-    /// the sharded phases to `executor` (see
-    /// [`Decryptor::run_brokered_with`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Decryptor::resume`].
-    pub fn resume_with<O: Oracle>(
-        &self,
-        white_box: &Graph,
-        broker: &Broker<O>,
-        rng: &mut Prng,
-        sink: &dyn CheckpointSink,
-        policy: CheckpointPolicy,
-        executor: &dyn PhaseExecutor,
-    ) -> Result<(DecryptionReport, ResumeStatus), AttackError> {
-        let (state, status) = Self::load_state(sink, white_box);
-        let report = Self::completed(self.drive(
-            white_box,
-            broker,
-            rng,
-            state,
-            Some((sink, policy)),
-            None,
-            Some(executor),
         )?)?;
         Ok((report, status))
     }

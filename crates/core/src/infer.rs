@@ -31,17 +31,17 @@ pub type InferredBits = Vec<(KeySlot, Option<bool>)>;
 /// One site's Algorithm-1 progress between rounds: its private PRNG
 /// stream and the witness attempts it has left.
 #[derive(Debug, Clone)]
-pub struct SiteCursor {
+pub(crate) struct SiteCursor {
     /// The site's own stream, pre-forked in canonical site order
     /// (DESIGN.md §3e). Only the white-box half consumes it.
-    pub rng: Prng,
+    rng: Prng,
     /// Attempts left before the site settles on ⊥.
-    pub attempts: usize,
+    attempts: usize,
 }
 
 impl SiteCursor {
     /// A fresh cursor on `rng` with all `cfg.max_site_attempts` attempts.
-    pub fn new(rng: Prng, cfg: &AttackConfig) -> Self {
+    pub(crate) fn new(rng: Prng, cfg: &AttackConfig) -> Self {
         SiteCursor {
             rng,
             attempts: cfg.max_site_attempts,
@@ -51,7 +51,7 @@ impl SiteCursor {
 
 /// What the white-box half returns for one site: its 3-row probe (`None`
 /// once the site has settled on ⊥) and its advanced cursor.
-pub type ProbeStep = (Option<Tensor>, SiteCursor);
+pub(crate) type ProbeStep = (Option<Tensor>, SiteCursor);
 
 /// The discrete "linear region signature" of a point: ReLU activity masks
 /// and max-pool winners over the ancestors of `upto`. Two points share a
@@ -89,8 +89,9 @@ fn region_signature(
 /// paper's ⊥) when the pre-image does not exist, the neuron is not
 /// sensitizable, or the oracle responses stay indecisive.
 ///
-/// This is the one-site case of [`infer_rounds`]: every round sends the
-/// site's single probe, and `rng` is left where the site's search stopped.
+/// This is the one-site case of the lock-step rounds the decryptor runs
+/// per layer: every round sends the site's single probe, and `rng` is
+/// left where the site's search stopped.
 /// `keys` must hold the already-decrypted bits of preceding layers; bits
 /// of the current and subsequent layers are irrelevant (Lemma 1).
 pub fn key_bit_inference(
@@ -131,7 +132,7 @@ pub fn key_bit_inference(
 /// algebraically. Reads shared state (`g`, `keys`) and mutates only `ws`
 /// and `cursor`, so the sites of a layer compute their probes
 /// concurrently without synchronizing.
-pub fn site_probe_with(
+pub(crate) fn site_probe_with(
     g: &Graph,
     ws: &mut Workspace,
     keys: &KeyAssignment,
@@ -314,7 +315,7 @@ fn round_verdicts(
 /// stopped. Because a site's stream is consumed only by its own white-box
 /// half, its outcome does not depend on how `white_box` schedules the
 /// items or on which other sites share its rounds.
-pub fn infer_rounds(
+pub(crate) fn infer_rounds(
     sites: &[LockSite],
     cursors: &mut [SiteCursor],
     oracle: &dyn Oracle,

@@ -86,9 +86,7 @@ pub use decrypt::{
     SessionOutcome,
 };
 pub use error::AttackError;
-pub use infer::{
-    infer_rounds, key_bit_inference, site_probe_with, InferredBits, ProbeStep, SiteCursor,
-};
+pub use infer::{key_bit_inference, InferredBits};
 pub use learning::{
     learning_attack, multipliers_from_pairs, multipliers_to_pairs, round_to_bits,
     LearnedMultipliers,

@@ -1,14 +1,13 @@
 //! Shared conformance-test harness.
 //!
 //! The differential suites — `parallel_equiv` (thread sweep),
-//! `dist_equiv` (worker-process sweep), and `variant_matrix` (lock-variant
-//! × attack matrix) — all compare complete attack runs on the same
+//! `variant_matrix` (lock-variant × attack matrix), `chaos_soak` and
+//! `trace_equiv` — all compare complete attack runs on the same
 //! observables: recovered key, underlying query count, broker accounting,
 //! and every checkpoint frame byte-for-byte with wall-clock fields zeroed.
 //! This module is their single source of victims, sinks, normalizers, and
-//! assertions; it is compiled into the library so downstream crates'
-//! integration tests (relock-dist, relock-campaign) reuse it instead of
-//! copy-pasting.
+//! assertions; it is compiled into the library so the integration tests
+//! reuse it instead of copy-pasting.
 //!
 //! Not part of the public API — hidden from docs and exempt from semver.
 
@@ -23,8 +22,6 @@ use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
 use std::collections::BTreeMap;
 use std::io;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Duration;
 
@@ -109,18 +106,6 @@ pub fn normalize_frame(frame: &[u8]) -> Vec<u8> {
     st.encode()
 }
 
-/// Additionally zeroes the whole broker-stats block. Under process-kill
-/// chaos a re-executed item legitimately re-*requests* rows (served from
-/// the memo cache, so `underlying` never moves), which perturbs the
-/// request-side accounting inside frames; the attack state proper — PRNG
-/// streams, key bits, phase cuts — must still be byte-identical.
-pub fn normalize_frame_no_stats(frame: &[u8]) -> Vec<u8> {
-    let mut st = AttackState::decode(frame).expect("engine wrote an undecodable frame");
-    st.timing_nanos = [0; 4];
-    st.stats = QueryStatsSnapshot::default();
-    st.encode()
-}
-
 /// A stats snapshot with its wall-clock field zeroed, for equality checks.
 pub fn strip_clock(stats: &QueryStatsSnapshot) -> QueryStatsSnapshot {
     let mut s = stats.clone();
@@ -165,8 +150,7 @@ pub fn run_threads(
     }
 }
 
-/// The in-process sequential reference every parallel or distributed run
-/// is held to.
+/// The sequential reference every multi-threaded run is held to.
 pub fn sequential_run(model: &LockedModel, cfg: &AttackConfig, attack_seed: u64) -> RunTrace {
     run_threads(model, *cfg, 1, attack_seed)
 }
@@ -198,59 +182,6 @@ pub fn assert_traces_match(t: &RunTrace, reference: &RunTrace, ctx: &str) {
             "{ctx}: checkpoint frame {i} of {} is not byte-identical",
             reference.frames.len()
         );
-    }
-}
-
-/// The chaos-robust observables: the key, the paper's underlying query
-/// count, and every checkpoint frame modulo request-side broker stats.
-pub fn assert_chaos_traces_match(t: &RunTrace, reference: &RunTrace, ctx: &str) {
-    assert_eq!(
-        t.report.key, reference.report.key,
-        "{ctx}: recovered key diverged"
-    );
-    assert_eq!(
-        t.report.queries, reference.report.queries,
-        "{ctx}: underlying query count diverged"
-    );
-    assert_eq!(
-        t.frames.len(),
-        reference.frames.len(),
-        "{ctx}: checkpoint cadence diverged"
-    );
-    for (i, (p, r)) in t.frames.iter().zip(&reference.frames).enumerate() {
-        assert_eq!(
-            normalize_frame_no_stats(p),
-            normalize_frame_no_stats(r),
-            "{ctx}: checkpoint frame {i} diverged beyond broker stats"
-        );
-    }
-}
-
-/// Saves a victim where worker processes can load it; deleted on drop
-/// even when an assertion unwinds.
-pub struct ModelFile {
-    /// Path of the serialized model.
-    pub path: PathBuf,
-}
-
-impl ModelFile {
-    /// Serializes `model` to a unique file under the system temp dir.
-    pub fn save(model: &LockedModel) -> ModelFile {
-        static SEQ: AtomicU64 = AtomicU64::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "relock-dist-test-{}-{}.model",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut f = std::fs::File::create(&path).expect("create model file");
-        model.save(&mut f).expect("save model");
-        ModelFile { path }
-    }
-}
-
-impl Drop for ModelFile {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
     }
 }
 

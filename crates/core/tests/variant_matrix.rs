@@ -3,9 +3,7 @@
 //! Every cell of the matrix must be bit-identical however the engine is
 //! spread out. For the oracle-guided decryption cells that means the
 //! full [`RunTrace`] contract — key, query count, broker accounting, and
-//! every checkpoint frame byte-for-byte — across thread counts (the
-//! worker-process dimension of the same contract lives in
-//! `crates/dist/tests/dist_equiv.rs`, which needs the worker binary).
+//! every checkpoint frame byte-for-byte — across thread counts.
 //! The sampling and oracle-less cells are sequential by construction, so
 //! their conformance axis is replay: identical seeds must reproduce the
 //! identical key, score, and query count.

@@ -289,7 +289,7 @@ impl Op {
         match self {
             Op::Input { size } => Ok(*size),
             Op::Linear { w, b, .. } => {
-                let (out, inp) = (w.dims()[0], w.dims()[1]);
+                let (out, inp) = matrix_dims("linear", w)?;
                 if b.numel() != out {
                     return Err(format!("linear bias {} != out {}", b.numel(), out));
                 }
@@ -301,11 +301,10 @@ impl Op {
             Op::Conv2d { w, b, geom } => {
                 geom.validate()
                     .map_err(|why| format!("conv geometry: {why}"))?;
-                let out_c = w.dims()[0];
-                if w.dims()[1] != geom.patch_len() {
+                let (out_c, cols) = matrix_dims("conv", w)?;
+                if cols != geom.patch_len() {
                     return Err(format!(
-                        "conv kernel cols {} != patch len {}",
-                        w.dims()[1],
+                        "conv kernel cols {cols} != patch len {}",
                         geom.patch_len()
                     ));
                 }
@@ -392,52 +391,48 @@ impl Op {
                 if *k == 0 || *stride == 0 {
                     return Err("max pool needs k, stride >= 1".into());
                 }
-                if in_sizes[0] != channels * in_h * in_w {
+                let expect = checked_product("max pool input", &[*channels, *in_h, *in_w])?;
+                if in_sizes[0] != expect {
+                    return Err(format!("max pool input {} != {expect}", in_sizes[0]));
+                }
+                if k > in_h || k > in_w {
                     return Err(format!(
-                        "max pool input {} != {}",
-                        in_sizes[0],
-                        channels * in_h * in_w
+                        "max pool window {k} larger than input {in_h}x{in_w}"
                     ));
                 }
                 let oh = (in_h - k) / stride + 1;
                 let ow = (in_w - k) / stride + 1;
-                Ok(channels * oh * ow)
+                checked_product("max pool output", &[*channels, oh, ow])
             }
             Op::AvgPoolGlobal {
                 channels,
                 positions,
             } => {
-                if in_sizes[0] != channels * positions {
-                    return Err(format!(
-                        "avg pool input {} != {}",
-                        in_sizes[0],
-                        channels * positions
-                    ));
+                let expect = checked_product("avg pool input", &[*channels, *positions])?;
+                if in_sizes[0] != expect {
+                    return Err(format!("avg pool input {} != {expect}", in_sizes[0]));
                 }
                 Ok(*channels)
             }
             Op::TokenTranspose { rows, cols } => {
-                if in_sizes[0] != rows * cols {
-                    return Err(format!(
-                        "transpose input {} != {}",
-                        in_sizes[0],
-                        rows * cols
-                    ));
+                let expect = checked_product("transpose input", &[*rows, *cols])?;
+                if in_sizes[0] != expect {
+                    return Err(format!("transpose input {} != {expect}", in_sizes[0]));
                 }
-                Ok(rows * cols)
+                Ok(expect)
             }
             Op::TokenLinear { tokens, w, b } => {
-                let (out, inp) = (w.dims()[0], w.dims()[1]);
+                let (out, inp) = matrix_dims("token linear", w)?;
                 if b.numel() != out {
                     return Err(format!("token linear bias {} != out {}", b.numel(), out));
                 }
-                if in_sizes[0] != tokens * inp {
+                if in_sizes[0] != checked_product("token linear input", &[*tokens, inp])? {
                     return Err(format!(
                         "token linear input {} != tokens {} × in {}",
                         in_sizes[0], tokens, inp
                     ));
                 }
-                Ok(tokens * out)
+                checked_product("token linear output", &[*tokens, out])
             }
             Op::LayerNorm {
                 tokens,
@@ -448,20 +443,21 @@ impl Op {
                 if gamma.numel() != *dim || beta.numel() != *dim {
                     return Err("layer norm affine params must have length dim".into());
                 }
-                if in_sizes[0] != tokens * dim {
+                let expect = checked_product("layer norm input", &[*tokens, *dim])?;
+                if in_sizes[0] != expect {
                     return Err(format!(
                         "layer norm input {} != tokens {} × dim {}",
                         in_sizes[0], tokens, dim
                     ));
                 }
-                Ok(tokens * dim)
+                Ok(expect)
             }
             Op::Attention {
                 tokens,
                 heads,
                 head_dim,
             } => {
-                let expect = tokens * heads * head_dim;
+                let expect = checked_product("attention input", &[*tokens, *heads, *head_dim])?;
                 for (i, &s) in in_sizes.iter().enumerate() {
                     if s != expect {
                         return Err(format!("attention input {i} is {s}, expected {expect}"));
@@ -470,7 +466,7 @@ impl Op {
                 Ok(expect)
             }
             Op::MeanTokens { tokens, dim } => {
-                if in_sizes[0] != tokens * dim {
+                if in_sizes[0] != checked_product("mean tokens input", &[*tokens, *dim])? {
                     return Err(format!(
                         "mean tokens input {} != tokens {} × dim {}",
                         in_sizes[0], tokens, dim
@@ -524,6 +520,23 @@ impl Op {
                 Op::KeyedSign { .. } | Op::KeyedScale { .. } | Op::KeyedTrigger { .. }
             )
     }
+}
+
+/// The `(rows, cols)` of a weight matrix, or an error naming `what`
+/// unless `w` has rank 2.
+fn matrix_dims(what: &str, w: &Tensor) -> Result<(usize, usize), String> {
+    match *w.dims() {
+        [rows, cols] => Ok((rows, cols)),
+        ref dims => Err(format!("{what} weight must be rank 2, got dims {dims:?}")),
+    }
+}
+
+/// The product of `factors`, or an error naming `what` when it overflows.
+fn checked_product(what: &str, factors: &[usize]) -> Result<usize, String> {
+    factors
+        .iter()
+        .try_fold(1usize, |acc, &f| acc.checked_mul(f))
+        .ok_or_else(|| format!("{what} size {factors:?} overflows usize"))
 }
 
 #[cfg(test)]
@@ -595,5 +608,103 @@ mod tests {
             stride: 2,
         };
         assert_eq!(op.infer_out_size(&[3 * 36]).unwrap(), 3 * 9);
+    }
+
+    #[test]
+    fn rank_1_weights_are_errors() {
+        let geom = ConvGeometry {
+            in_channels: 1,
+            in_h: 4,
+            in_w: 4,
+            k_h: 3,
+            k_w: 3,
+            stride: 1,
+            pad: 0,
+        };
+        let ops = [
+            Op::Linear {
+                w: Tensor::zeros([3]),
+                b: Tensor::zeros([3]),
+                weight_locks: vec![],
+            },
+            Op::Conv2d {
+                w: Tensor::zeros([9]),
+                b: Tensor::zeros([1]),
+                geom,
+            },
+            Op::TokenLinear {
+                tokens: 2,
+                w: Tensor::zeros([3]),
+                b: Tensor::zeros([3]),
+            },
+        ];
+        for (op, input) in ops.iter().zip([3, 16, 6]) {
+            let err = op.infer_out_size(&[input]).unwrap_err();
+            assert!(err.contains("rank 2"), "{}: {err}", op.kind());
+        }
+    }
+
+    #[test]
+    fn pool_window_larger_than_its_input_is_an_error() {
+        for (in_h, in_w) in [(2, 5), (5, 2)] {
+            let op = Op::MaxPool2d {
+                channels: 1,
+                in_h,
+                in_w,
+                k: 3,
+                stride: 1,
+            };
+            let err = op.infer_out_size(&[in_h * in_w]).unwrap_err();
+            assert!(err.contains("larger than input"), "{err}");
+        }
+    }
+
+    #[test]
+    fn overflowing_sizes_are_errors() {
+        let big = usize::MAX / 2 + 1;
+        let ops = [
+            Op::MaxPool2d {
+                channels: big,
+                in_h: 2,
+                in_w: 1,
+                k: 1,
+                stride: 1,
+            },
+            Op::AvgPoolGlobal {
+                channels: big,
+                positions: 2,
+            },
+            Op::TokenTranspose { rows: big, cols: 2 },
+            Op::TokenLinear {
+                tokens: big,
+                w: Tensor::zeros([1, 2]),
+                b: Tensor::zeros([1]),
+            },
+            Op::TokenLinear {
+                tokens: big,
+                w: Tensor::zeros([2, 1]),
+                b: Tensor::zeros([2]),
+            },
+            Op::LayerNorm {
+                tokens: big,
+                dim: 2,
+                gamma: Tensor::zeros([2]),
+                beta: Tensor::zeros([2]),
+            },
+            Op::Attention {
+                tokens: big,
+                heads: 2,
+                head_dim: 1,
+            },
+            Op::MeanTokens {
+                tokens: big,
+                dim: 2,
+            },
+        ];
+        for op in &ops {
+            let inputs = vec![big; op.arity()];
+            let err = op.infer_out_size(&inputs).unwrap_err();
+            assert!(err.contains("overflows"), "{}: {err}", op.kind());
+        }
     }
 }

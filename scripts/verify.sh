@@ -29,7 +29,7 @@ echo "==> verify-parity (CI jobs <-> verify.sh steps)"
 scripts/verify_parity.sh
 
 # Thread matrix: AttackConfig::default() honours RELOCK_THREADS, so the
-# same suites re-run with the sharded engine at 4 workers — bit-identical
+# same suites re-run with the sharded engine on 4 threads — bit-identical
 # by contract — both under the harness's own test parallelism and
 # serially (the serial pass isolates any cross-test interference).
 # ci-job: test-matrix
@@ -70,15 +70,6 @@ cargo run -p relock-bench --release --bin campaign_soak -- 8 4 256
 # ci-job: campaign-soak
 echo "==> campaign soak on one slot"
 cargo run -p relock-bench --release --bin campaign_soak -- 8 1 256
-
-# Distributed soak: the multi-process attack (4 worker processes over a
-# Unix socket) under process-level chaos — SIGKILL mid-wave, a stalled
-# heartbeat, a truncated frame — must recover a key and query count
-# bit-identical to the in-process reference, without tripping the
-# circuit breaker.
-# ci-job: dist-soak
-echo "==> dist soak (multi-process attack bench)"
-cargo run -p relock-bench --release --bin dist_soak -- 4 16 42 43
 
 # The benchmark (perfbench/, a workspace of its own) implements
 # PhaseExecutor and wraps LocalExecutor through the public attack API;

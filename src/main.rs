@@ -5,8 +5,7 @@
 //!                [--variant sign|scale:<f>|sar|antisat]
 //! relock inspect victim.rlk
 //! relock attack  victim.rlk [--monolithic] [--seed N] [--fast] [--budget N]
-//!                [--threads N] [--workers N]
-//!                [--trace events.jsonl] [--stats-json stats.json]
+//!                [--threads N] [--trace events.jsonl] [--stats-json stats.json]
 //!                [--variant sign|scale:<f>|sar|antisat]
 //!                [--checkpoint state.rlcp [--checkpoint-every N] [--resume]]
 //! relock serve   [--listen tcp:127.0.0.1:7433] [--workers N] [--cache-mb N]
@@ -38,12 +37,9 @@
 //! of random probes plus a greedy bit-flip climb — instead of the per-site
 //! decryption pipeline; see DESIGN.md §3h for why that sampling degrades.
 //!
-//! `attack --workers N` shards the per-site and per-candidate phases
-//! across N local worker *processes* under the supervised coordinator of
-//! `relock-dist` (DESIGN.md §4b): heartbeat-monitored workers are
-//! respawned with seeded backoff when they die, and the result is
-//! bit-identical to the single-process run. The coordinator respawns the
-//! CLI itself with the hidden `dist-worker <socket>` subcommand.
+//! `attack --threads N` shards the per-site and per-candidate phases
+//! across N threads of this process (DESIGN.md §3e); keys, query counts
+//! and checkpoint frames are bit-identical at every thread count.
 //!
 //! `serve` starts the resident campaign daemon; `submit`/`status`/`pause`/
 //! `resume`/`cancel` speak its wire protocol (DESIGN.md §4). The daemon
@@ -70,7 +66,7 @@ const DEFAULT_LISTEN: &str = "tcp:127.0.0.1:7433";
 /// The usage text. It doubles as the flag whitelist: see [`known_flags`].
 fn usage_text() -> String {
     format!(
-        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--workers <n>] [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n                 [--checkpoint <file> [--checkpoint-every <rows>] [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--threads <n>] [--full] [--monolithic]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --workers <n> runs the sharded phases across <n> supervised worker processes\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --workers/--checkpoint"
+        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n                 [--checkpoint <file> [--checkpoint-every <rows>] [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--threads <n>] [--full] [--monolithic]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --checkpoint"
     )
 }
 
@@ -363,10 +359,6 @@ fn write_stats_json(path: &str, snap: &relock_attack::QueryStatsSnapshot) -> Res
 fn run_attack(args: &Args) -> Result<(), String> {
     let path = args.positional.first().ok_or("attack needs a model file")?;
     let seed = args.u64_value("seed", 7)?;
-    let workers = args.u64_value("workers", 1)? as usize;
-    if workers == 0 {
-        return Err("--workers expects a count >= 1".into());
-    }
     let stats_json = match args.flag("stats-json") {
         None => None,
         Some(Some(p)) => Some(p.clone()),
@@ -376,9 +368,6 @@ fn run_attack(args: &Args) -> Result<(), String> {
     let oracle = CountingOracle::new(&model);
     let mut rng = Prng::seed_from_u64(seed);
     if args.flag("monolithic").is_some() {
-        if workers > 1 {
-            return Err("--workers applies to the decryption attack, not --monolithic".into());
-        }
         let report = MonolithicAttack::new(MonolithicConfig {
             learning: LearningConfig {
                 samples: 300,
@@ -435,9 +424,6 @@ fn run_attack(args: &Args) -> Result<(), String> {
     // attack: one batch of random oracle probes and a greedy bit-flip climb
     // on output agreement. It runs as a single in-process segment.
     if cfg.variant.is_trigger() {
-        if workers > 1 {
-            return Err("--workers is not supported for trigger variants (sar/antisat)".into());
-        }
         if checkpoint.is_some() {
             return Err("--checkpoint is not supported for trigger variants (sar/antisat)".into());
         }
@@ -471,21 +457,6 @@ fn run_attack(args: &Args) -> Result<(), String> {
         return Ok(());
     }
 
-    // With `--workers N` (N > 1) the sharded phases run across supervised
-    // worker processes: the coordinator re-invokes this binary with the
-    // hidden `dist-worker` subcommand and proxies all oracle traffic, so
-    // the result is bit-identical to the single-process run.
-    let coordinator = if workers > 1 {
-        let program = std::env::current_exe().map_err(|e| format!("locating own binary: {e}"))?;
-        let absolute = std::fs::canonicalize(path).map_err(|e| format!("{path}: {e}"))?;
-        let mut opts = relock_dist::DistOptions::new(program);
-        opts.workers = workers;
-        opts.worker_args = vec!["dist-worker".to_string()];
-        Some(relock_dist::DistCoordinator::new(absolute, opts).map_err(|e| e.to_string())?)
-    } else {
-        None
-    };
-
     let start = std::time::Instant::now();
     let decryptor = Decryptor::new(cfg);
     let broker = Broker::with_config(
@@ -496,26 +467,16 @@ fn run_attack(args: &Args) -> Result<(), String> {
         },
     );
     let report = match &checkpoint {
-        None => match &coordinator {
-            None => decryptor
-                .run_brokered(model.white_box(), &broker, &mut rng)
-                .map_err(|e| e.to_string())?,
-            Some(coord) => decryptor
-                .run_brokered_with(model.white_box(), &broker, &mut rng, coord)
-                .map_err(|e| e.to_string())?,
-        },
+        None => decryptor
+            .run_brokered(model.white_box(), &broker, &mut rng)
+            .map_err(|e| e.to_string())?,
         Some(path) => {
             let sink = FileCheckpointSink::new(path);
             let policy = CheckpointPolicy::every_queries(every);
             if args.flag("resume").is_some() {
-                let (report, status) = match &coordinator {
-                    None => decryptor
-                        .resume(model.white_box(), &broker, &mut rng, &sink, policy)
-                        .map_err(|e| e.to_string())?,
-                    Some(coord) => decryptor
-                        .resume_with(model.white_box(), &broker, &mut rng, &sink, policy, coord)
-                        .map_err(|e| e.to_string())?,
-                };
+                let (report, status) = decryptor
+                    .resume(model.white_box(), &broker, &mut rng, &sink, policy)
+                    .map_err(|e| e.to_string())?;
                 match &status {
                     ResumeStatus::Fresh => println!("no checkpoint at {path}; starting fresh"),
                     ResumeStatus::FellBack { reason } => {
@@ -527,37 +488,12 @@ fn run_attack(args: &Args) -> Result<(), String> {
                 }
                 report
             } else {
-                match &coordinator {
-                    None => decryptor
-                        .run_with_checkpoints(model.white_box(), &broker, &mut rng, &sink, policy)
-                        .map_err(|e| e.to_string())?,
-                    Some(coord) => decryptor
-                        .run_checkpointed_with(
-                            model.white_box(),
-                            &broker,
-                            &mut rng,
-                            &sink,
-                            policy,
-                            coord,
-                        )
-                        .map_err(|e| e.to_string())?,
-                }
+                decryptor
+                    .run_with_checkpoints(model.white_box(), &broker, &mut rng, &sink, policy)
+                    .map_err(|e| e.to_string())?
             }
         }
     };
-    if let Some(coord) = &coordinator {
-        let d = coord.report();
-        match &d.fell_back {
-            Some(reason) => println!(
-                "distributed: {} workers, {} respawns, {} lease expiries — FELL BACK in-process ({reason})",
-                d.workers, d.respawns, d.lease_expiries
-            ),
-            None => println!(
-                "distributed: {} workers, {} respawns, {} lease expiries, {} rows proxied",
-                d.workers, d.respawns, d.lease_expiries, d.routed_rows
-            ),
-        }
-    }
     println!("DNN decryption attack:");
     println!("  extracted key: {}", report.key);
     println!(
@@ -735,20 +671,6 @@ fn main() -> ExitCode {
     let Some(cmd) = raw.first().cloned() else {
         return usage();
     };
-    // Hidden: the coordinator of `attack --workers N` respawns this
-    // binary as `relock dist-worker <socket>` for each worker process.
-    if cmd == "dist-worker" {
-        return match raw.get(1) {
-            Some(socket) => match relock_dist::worker_main(socket) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("dist-worker: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            None => usage(),
-        };
-    }
     let Some(known) = known_flags(&cmd) else {
         return usage();
     };

@@ -30,13 +30,18 @@ fn unknown_flag_exits_2_and_names_the_flag() {
 
 /// A script still passing a flag the CLI no longer has must fail rather
 /// than silently run on defaults: `--adaptive` (the online correction
-/// controller) and `--precision` (the single-precision learning path).
+/// controller), `--precision` (the single-precision learning path) and
+/// `attack --workers` (the multi-process executor).
 #[test]
 fn removed_flags_exit_2_and_name_the_flag() {
-    let cases: [(&[&str], &str); 3] = [
+    let cases: [(&[&str], &str); 4] = [
         (
             &["attack", "victim.rlk", "--fast", "--adaptive"],
             "--adaptive",
+        ),
+        (
+            &["attack", "victim.rlk", "--fast", "--workers", "2"],
+            "--workers",
         ),
         (
             &["attack", "victim.rlk", "--fast", "--precision", "f32"],
@@ -62,6 +67,19 @@ fn removed_flags_exit_2_and_name_the_flag() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
         assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
     }
+}
+
+/// The worker-process subcommand went with the multi-process executor: it
+/// is an unknown subcommand now, so it exits 2 with the usage text.
+#[test]
+fn removed_worker_subcommand_exits_2_with_usage() {
+    let out = relock(&["dist-worker", "/tmp/x"]);
+    assert_eq!(out.status.code(), Some(2), "stderr: {}", stderr(&out));
+    assert!(
+        stderr(&out).starts_with("usage:"),
+        "stderr: {}",
+        stderr(&out)
+    );
 }
 
 /// A model file with a degenerate conv geometry is a typed load error
