@@ -23,7 +23,9 @@
 //! the same code path that updates [`QueryStatsSnapshot`], so
 //! [`Analysis::reconcile`] demands *exact* equality against a
 //! `--stats-json` sidecar — any drift is a bug in the instrumentation,
-//! never tolerance noise, and CI fails on it.
+//! never tolerance noise, and CI fails on it. The capture's own recorder
+//! invariants ([`Trace::check`]: span pairing, timestamps in arrival
+//! order) are problems too.
 
 use relock_serve::{bucket_label, bucket_of, QueryStatsSnapshot, HISTOGRAM_BUCKETS};
 use relock_trace::json::Value;
@@ -113,9 +115,9 @@ pub struct Analysis {
     pub waves: u64,
     /// Checkpoint frames persisted (`checkpoint.write` counters).
     pub checkpoint_writes: u64,
-    /// Internal inconsistencies found in the trace alone (ledger
-    /// imbalance, histogram drift against batch count). Empty on a
-    /// healthy capture.
+    /// Internal inconsistencies found in the trace alone (every
+    /// [`Trace::check`] violation, ledger imbalance, histogram drift
+    /// against batch count). Empty on a healthy capture.
     pub problems: Vec<String>,
 }
 
@@ -155,10 +157,13 @@ pub fn analyze(trace: &Trace) -> Result<Analysis, String> {
     let mut request_marks: Vec<(usize, String)> = Vec::new();
     let mut windows = vec![HitWindow::default(); DECAY_WINDOWS.min(events.len().max(1))];
 
+    // A capture is untrusted input: its values add up saturating, so a
+    // forged or corrupt counter near `u64::MAX` cannot overflow a total.
+    let add = |total: &mut u64, v: u64| *total = total.saturating_add(v);
     for (idx, ev) in events.iter().enumerate() {
-        let Event::Counter {
-            label,
-            scope,
+        let &Event::Counter {
+            ref label,
+            ref scope,
             value,
             ..
         } = ev
@@ -170,22 +175,28 @@ pub fn analyze(trace: &Trace) -> Result<Analysis, String> {
         match label.as_ref() {
             "broker.requested" => {
                 let p = phases.entry(scope_key()).or_default();
-                p.requested += value;
+                add(&mut p.requested, value);
                 p.batches += 1;
                 request_marks.push((idx, scope.as_deref().unwrap_or(UNTAGGED).to_string()));
-                windows[window].requested += value;
+                add(&mut windows[window].requested, value);
             }
             "broker.cache_hits" => {
-                phases.entry(scope_key()).or_default().cache_hits += value;
-                windows[window].cache_hits += value;
+                add(
+                    &mut phases.entry(scope_key()).or_default().cache_hits,
+                    value,
+                );
+                add(&mut windows[window].cache_hits, value);
             }
             "broker.underlying" => {
-                phases.entry(scope_key()).or_default().underlying += value;
+                add(
+                    &mut phases.entry(scope_key()).or_default().underlying,
+                    value,
+                );
             }
             "broker.retry" => {
-                phases.entry(scope_key()).or_default().retries += value;
+                add(&mut phases.entry(scope_key()).or_default().retries, value);
             }
-            "chaos.injected" => injected_faults += value,
+            "chaos.injected" => add(&mut injected_faults, value),
             "checkpoint.write" => checkpoint_writes += 1,
             _ => {}
         }
@@ -203,13 +214,16 @@ pub fn analyze(trace: &Trace) -> Result<Analysis, String> {
             "broker.batch" => {
                 histogram[bucket_of(span.arg.max(1))] += 1;
                 let d = span.duration_nanos();
-                stall_nanos += d;
+                add(&mut stall_nanos, d);
                 let scope = request_marks
                     .iter()
                     .find(|&&(idx, _)| span.begin_index < idx && idx < span.end_index)
                     .map(|(_, s)| s.as_str())
                     .unwrap_or(UNTAGGED);
-                phases.entry(scope.to_string()).or_default().stall_nanos += d;
+                add(
+                    &mut phases.entry(scope.to_string()).or_default().stall_nanos,
+                    d,
+                );
             }
             "attack.layer" => layers += 1,
             "attack.wave" => waves += 1,
@@ -226,24 +240,26 @@ pub fn analyze(trace: &Trace) -> Result<Analysis, String> {
         .collect();
     phases.sort_by(|a, b| a.scope.cmp(&b.scope));
 
-    let requested: u64 = phases.iter().map(|p| p.requested).sum();
-    let cache_hits: u64 = phases.iter().map(|p| p.cache_hits).sum();
-    let underlying: u64 = phases.iter().map(|p| p.underlying).sum();
-    let batches: u64 = phases.iter().map(|p| p.batches).sum();
-    let retries: u64 = phases.iter().map(|p| p.retries).sum();
+    let total =
+        |field: fn(&PhaseAccount) -> u64| phases.iter().map(field).fold(0, u64::saturating_add);
+    let requested = total(|p| p.requested);
+    let cache_hits = total(|p| p.cache_hits);
+    let underlying = total(|p| p.underlying);
+    let batches = total(|p| p.batches);
+    let retries = total(|p| p.retries);
 
-    // Trace-internal consistency: the ledger must balance per scope and
-    // in total, and every batch must appear in exactly one histogram
-    // bucket. These hold by construction; a violation is instrumentation
-    // drift, not noise.
-    let mut problems = Vec::new();
-    if requested != cache_hits + underlying {
+    // Trace-internal consistency: the recorder's invariants hold, the
+    // ledger balances per scope and in total, and every batch appears in
+    // exactly one histogram bucket. These hold by construction; a
+    // violation is instrumentation drift, not noise.
+    let mut problems = trace.check();
+    if Some(requested) != cache_hits.checked_add(underlying) {
         problems.push(format!(
             "ledger imbalance: requested {requested} != cache_hits {cache_hits} + underlying {underlying}"
         ));
     }
     for p in &phases {
-        if p.requested != p.cache_hits + p.underlying {
+        if Some(p.requested) != p.cache_hits.checked_add(p.underlying) {
             problems.push(format!(
                 "scope {:?} imbalance: requested {} != cache_hits {} + underlying {}",
                 p.scope, p.requested, p.cache_hits, p.underlying
@@ -481,26 +497,16 @@ impl Analysis {
 mod tests {
     use super::*;
     use relock_attack::{AttackConfig, Decryptor};
-    use relock_locking::{CountingOracle, LockSpec};
+    use relock_locking::{CountingOracle, LockSpec, LockedModel};
     use relock_nn::{build_mlp, MlpSpec};
     use relock_serve::{Broker, BrokerConfig};
     use relock_tensor::rng::Prng;
-    use std::sync::{Arc, OnceLock};
+    use relock_trace::FlightRecorder;
+    use std::sync::Arc;
 
-    /// Runs a small seeded attack under a recorder and returns the
-    /// capture alongside the broker's own books.
-    ///
-    /// The recorder slot is process-global, so two tests capturing at
-    /// once would record into, or uninstall, each other's recorder. The
-    /// capture is therefore taken once and each test gets a clone.
-    fn captured_run() -> (Trace, QueryStatsSnapshot) {
-        static CAPTURE: OnceLock<(Trace, QueryStatsSnapshot)> = OnceLock::new();
-        CAPTURE.get_or_init(capture).clone()
-    }
-
-    fn capture() -> (Trace, QueryStatsSnapshot) {
+    fn victim() -> LockedModel {
         let mut rng = Prng::seed_from_u64(700);
-        let model = build_mlp(
+        build_mlp(
             &MlpSpec {
                 input: 12,
                 hidden: vec![10, 6],
@@ -509,18 +515,29 @@ mod tests {
             LockSpec::evenly(16),
             &mut rng,
         )
-        .unwrap();
-        let flight = Arc::new(relock_trace::FlightRecorder::new());
-        let snap = relock_trace::with_recorder(flight.clone(), || {
-            let oracle = CountingOracle::new(&model);
-            let broker = Broker::with_config(&oracle, BrokerConfig::default());
-            Decryptor::new(AttackConfig::fast())
-                .run_brokered(model.white_box(), &broker, &mut Prng::seed_from_u64(701))
-                .expect("attack succeeds");
-            broker.snapshot()
-        });
+        .unwrap()
+    }
+
+    /// Runs a seeded attack whose broker carries its own recorder and
+    /// returns the capture alongside the broker's own books.
+    fn capture_with(model: &LockedModel, seed: u64, threads: usize) -> (Trace, QueryStatsSnapshot) {
+        let flight = Arc::new(FlightRecorder::new());
+        let oracle = CountingOracle::new(model);
+        let broker =
+            Broker::with_config(&oracle, BrokerConfig::default()).with_trace(flight.clone());
+        let cfg = AttackConfig {
+            threads,
+            ..AttackConfig::fast()
+        };
+        Decryptor::new(cfg)
+            .run_brokered(model.white_box(), &broker, &mut Prng::seed_from_u64(seed))
+            .expect("attack succeeds");
         let trace = Trace::parse(&flight.to_jsonl()).expect("capture parses");
-        (trace, snap)
+        (trace, broker.snapshot())
+    }
+
+    fn captured_run() -> (Trace, QueryStatsSnapshot) {
+        capture_with(&victim(), 701, 1)
     }
 
     #[test]
@@ -613,5 +630,148 @@ mod tests {
         // The span can no longer close, so spans() errors and analyze
         // refuses the capture.
         assert!(analyze(&truncated).is_err());
+    }
+
+    /// Two traced attacks at once, each with its own broker and recorder:
+    /// neither capture sees the other's events, so each reconciles exactly
+    /// against its own broker's books.
+    #[test]
+    fn concurrent_runs_keep_separate_complete_captures() {
+        let model = victim();
+        let runs = std::thread::scope(|scope| {
+            let a = scope.spawn(|| capture_with(&model, 701, 1));
+            let b = scope.spawn(|| capture_with(&model, 702, 2));
+            [a.join().unwrap(), b.join().unwrap()]
+        });
+        for (i, (trace, snap)) in runs.iter().enumerate() {
+            let analysis = analyze(trace).expect("structurally sound capture");
+            assert!(
+                analysis.problems.is_empty(),
+                "run {i}: {:?}",
+                analysis.problems
+            );
+            let drift = analysis.reconcile(snap);
+            assert!(drift.is_empty(), "run {i}: books drifted: {drift:?}");
+            assert!(analysis.layers > 0, "run {i}: attack.layer spans present");
+        }
+    }
+
+    fn event_t(e: &Event) -> u64 {
+        match e {
+            Event::SpanBegin { t, .. } | Event::SpanEnd { t, .. } | Event::Counter { t, .. } => *t,
+        }
+    }
+
+    fn with_t(e: &Event, t: u64) -> Event {
+        match e.clone() {
+            Event::SpanBegin { id, label, arg, .. } => Event::SpanBegin { id, label, arg, t },
+            Event::SpanEnd { id, label, .. } => Event::SpanEnd { id, label, t },
+            Event::Counter {
+                label,
+                scope,
+                value,
+                ..
+            } => Event::Counter {
+                label,
+                scope,
+                value,
+                t,
+            },
+        }
+    }
+
+    /// A capture whose timestamps run backwards somewhere breaks a
+    /// recorder invariant; analyze reports it, so `report --analyze`
+    /// exits non-zero.
+    #[test]
+    fn swapped_timestamps_are_a_problem() {
+        let (trace, snap) = captured_run();
+        let mut events = trace.events().to_vec();
+        let i = (1..events.len())
+            .find(|&i| event_t(&events[i - 1]) < event_t(&events[i]))
+            .expect("the clock advanced somewhere");
+        let (a, b) = (event_t(&events[i - 1]), event_t(&events[i]));
+        events[i - 1] = with_t(&events[i - 1], b);
+        events[i] = with_t(&events[i], a);
+        let text: String = events.iter().map(|e| e.to_jsonl() + "\n").collect();
+        let swapped = Trace::parse(&text).unwrap();
+        let analysis = analyze(&swapped).expect("spans still pair");
+        assert!(
+            analysis.problems.iter().any(|p| p.contains("monotone")),
+            "{:?}",
+            analysis.problems
+        );
+        // The counters are untouched, so the books still agree: only the
+        // check can catch it.
+        assert!(analysis.reconcile(&snap).is_empty());
+    }
+
+    /// Counter values are untrusted: two that overflow a `u64` total
+    /// saturate and show up as an imbalance instead of a panic.
+    #[test]
+    fn overflowing_counter_values_are_a_problem_not_a_panic() {
+        let line = format!(
+            "{{\"ev\":\"count\",\"label\":\"broker.requested\",\"value\":{},\"t\":1}}\n",
+            u64::MAX
+        );
+        let trace = Trace::parse(&line.repeat(2)).unwrap();
+        let analysis = analyze(&trace).expect("no spans to pair");
+        assert_eq!(analysis.requested, u64::MAX);
+        assert!(
+            analysis.problems.iter().any(|p| p.contains("imbalance")),
+            "{:?}",
+            analysis.problems
+        );
+    }
+
+    /// Seeded mutations of a real capture — bit flips, JSON-significant
+    /// bytes, deleted and duplicated runs — go through parse, analyze and
+    /// reconcile without a panic: a capture is untrusted input.
+    #[test]
+    fn mutated_captures_never_panic_the_reader() {
+        let (trace, snap) = captured_run();
+        let original: Vec<u8> = trace
+            .events()
+            .iter()
+            .flat_map(|e| (e.to_jsonl() + "\n").into_bytes())
+            .collect();
+        const SIGNIFICANT: &[u8] = b"{}[]:,\"\\-+.0123456789eE \n";
+        let mut rng = Prng::seed_from_u64(0x7ace);
+        let (mut parsed, mut analyzed) = (0u32, 0u32);
+        for _ in 0..10_000 {
+            let mut bytes = original.clone();
+            for _ in 0..1 + rng.below(3) {
+                let at = rng.below(bytes.len());
+                match rng.below(4) {
+                    0 => bytes[at] ^= 1 << rng.below(8),
+                    1 => bytes[at] = SIGNIFICANT[rng.below(SIGNIFICANT.len())],
+                    2 => {
+                        let end = (at + 1 + rng.below(32)).min(bytes.len());
+                        bytes.drain(at..end);
+                    }
+                    _ => {
+                        let end = (at + 1 + rng.below(64)).min(bytes.len());
+                        let run = bytes[at..end].to_vec();
+                        bytes.splice(at..at, run);
+                    }
+                }
+                if bytes.is_empty() {
+                    break;
+                }
+            }
+            let Ok(mutant) = Trace::parse(&String::from_utf8_lossy(&bytes)) else {
+                continue;
+            };
+            parsed += 1;
+            if let Ok(analysis) = analyze(&mutant) {
+                analyzed += 1;
+                let _ = analysis.reconcile(&snap);
+                let _ = analysis.render();
+            }
+        }
+        assert!(
+            parsed > 0 && analyzed > 0,
+            "parsed {parsed}, analyzed {analyzed}"
+        );
     }
 }

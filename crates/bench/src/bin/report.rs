@@ -21,10 +21,11 @@
 //! waves; the human table goes to stdout and the machine-readable
 //! document to `--out` (default `ANALYZE.json`). The exit code is
 //! non-zero if the capture is structurally broken, internally
-//! inconsistent, or — when a `--stats` sidecar (the run's `--stats-json`
-//! output) is given — disagrees with the broker's own books in *any*
-//! counter. Both books are written by the same code paths, so equality is
-//! exact, never a tolerance.
+//! inconsistent (any `Trace::check` violation, such as timestamps out of
+//! arrival order, included), or — when a `--stats` sidecar (the run's
+//! `--stats-json` output) is given — disagrees with the broker's own
+//! books in *any* counter. Both books are written by the same code paths,
+//! so equality is exact, never a tolerance.
 
 use relock_bench::analyze::analyze;
 use relock_bench::report::{diff, run_report, BenchDoc};

@@ -349,7 +349,6 @@ enum Desired {
 
 #[derive(Debug)]
 struct CampaignHandle {
-    id: u64,
     tenant: String,
     monolithic: bool,
     /// Trigger-variant campaigns run the sampling search as one
@@ -498,7 +497,6 @@ impl CampaignHub {
             // beyond the submissions racing each other.
             let live = self.live_campaigns();
             if live >= cap {
-                relock_trace::counter("campaign.overloaded", 1);
                 return Err(HubError::Overloaded { live, cap });
             }
         }
@@ -522,7 +520,6 @@ impl CampaignHub {
             }
         }
         let handle = Arc::new(CampaignHandle {
-            id,
             tenant: cfg.tenant.clone(),
             monolithic: cfg.monolithic,
             trigger: cfg.variant.is_trigger(),
@@ -552,7 +549,6 @@ impl CampaignHub {
             .lock()
             .expect("campaign table poisoned")
             .insert(id, Arc::clone(&handle));
-        relock_trace::counter("campaign.submitted", 1);
         let shared = self.shared.clone();
         let sched = Arc::clone(&self.sched);
         let worker = std::thread::Builder::new()
@@ -616,7 +612,6 @@ impl CampaignHub {
         *h.gate.lock().expect("campaign gate poisoned") = Desired::Hold;
         h.halt.store(true, Ordering::Relaxed);
         h.gate_cv.notify_all();
-        relock_trace::counter("campaign.pause_requested", 1);
         Ok(())
     }
 
@@ -629,7 +624,6 @@ impl CampaignHub {
         h.halt.store(false, Ordering::Relaxed);
         *h.gate.lock().expect("campaign gate poisoned") = Desired::Run;
         h.gate_cv.notify_all();
-        relock_trace::counter("campaign.resumed", 1);
         Ok(())
     }
 
@@ -645,7 +639,6 @@ impl CampaignHub {
         // Wake a held worker so it can observe the cancel.
         *h.gate.lock().expect("campaign gate poisoned") = Desired::Run;
         h.gate_cv.notify_all();
-        relock_trace::counter("campaign.cancelled", 1);
         Ok(())
     }
 
@@ -783,7 +776,6 @@ fn run_campaign(
         {
             let mut desired = handle.gate.lock().expect("campaign gate poisoned");
             if *desired == Desired::Hold && !handle.cancel.load(Ordering::Relaxed) {
-                relock_trace::counter("campaign.paused", 1);
                 handle.set_state(CampaignState::Paused);
                 while *desired == Desired::Hold && !handle.cancel.load(Ordering::Relaxed) {
                     desired = handle
@@ -816,11 +808,9 @@ fn run_campaign(
             max_queries: cfg.query_budget.map(|b| b.saturating_sub(spent)),
             deadline: cfg.deadline.map(|d| d.saturating_sub(submitted.elapsed())),
             retry: cfg.retry,
-            ..BrokerConfig::default()
         };
         let broker =
             Broker::with_shared_cache(&oracle, broker_cfg, &shared, namespace, Some(lease.clone()));
-        let span = relock_trace::span("campaign.segment", handle.id);
         let segment = catch_unwind(AssertUnwindSafe(|| {
             let mut rng = Prng::seed_from_u64(cfg.seed);
             if cfg.monolithic {
@@ -875,7 +865,6 @@ fn run_campaign(
                 }
             }
         }));
-        drop(span);
         lease.leave();
         let crashes = oracle.crashes();
         match segment {
@@ -894,7 +883,6 @@ fn run_campaign(
                     v.validated = validated;
                     v.state = CampaignState::Completed;
                 });
-                relock_trace::counter("campaign.completed", 1);
                 return;
             }
             Ok(Segment::Paused {
@@ -921,7 +909,6 @@ fn run_campaign(
                     v.error = Some(message);
                     v.state = CampaignState::Failed;
                 });
-                relock_trace::counter("campaign.failed", 1);
                 return;
             }
             Err(payload) => {
@@ -941,7 +928,6 @@ fn run_campaign(
                     v.error = Some(message);
                     v.state = CampaignState::Failed;
                 });
-                relock_trace::counter("campaign.failed", 1);
                 return;
             }
         }

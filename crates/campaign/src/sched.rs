@@ -137,7 +137,6 @@ impl FairScheduler {
             if state.in_use < self.slots && state.next_tenant().map(String::as_str) == Some(tenant)
             {
                 state.charge(tenant);
-                relock_trace::counter("sched.grant", 1);
                 if state.in_use < self.slots {
                     // Two releases can land before their waiters wake; a
                     // waiter that woke first, saw this tenant ahead of it

@@ -32,6 +32,7 @@ use relock_graph::{Graph, KeyAssignment, KeySlot, LockSite, NodeId, Workspace, W
 use relock_locking::{Key, Oracle, OracleError};
 use relock_serve::{Broker, BrokerConfig};
 use relock_tensor::rng::Prng;
+use relock_trace::FlightRecorder;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
@@ -268,8 +269,9 @@ impl Decryptor {
     /// [`Broker`]: responses are memoized (repeat probes are free),
     /// [`AttackConfig::query_budget`] is enforced, and the returned
     /// report carries the broker's query-accounting snapshot. To share a
-    /// broker (and its cache/budget) across runs, or to configure workers,
-    /// deadlines, and retries, use [`Decryptor::run_brokered`].
+    /// broker (and its cache/budget) across runs, to configure deadlines
+    /// and retries, or to record the run into a flight recorder, use
+    /// [`Decryptor::run_brokered`].
     ///
     /// # Errors
     ///
@@ -296,7 +298,10 @@ impl Decryptor {
     ///
     /// Procedure scopes are tagged on the broker, so its snapshot breaks
     /// query counts down by `key_bit_inference` / `learning_attack` /
-    /// `key_vector_validation` / `error_correction`. If the broker's
+    /// `key_vector_validation` / `error_correction`. When the broker
+    /// carries a recorder ([`Broker::with_trace`]), the run records its
+    /// `attack.layer` and `attack.wave` spans and `checkpoint.write`
+    /// counters there too. If the broker's
     /// budget or deadline runs out mid-attack, the run **degrades** rather
     /// than fails: unprobeable layers commit their learned candidates with
     /// `validated = false` in the [`LayerReport`].
@@ -601,10 +606,12 @@ impl Decryptor {
             }
         }
 
+        let trace = broker.trace();
         let mut writer = ckpt.map(|(sink, policy)| CkptWriter {
             sink,
             policy,
             last_rows: 0,
+            trace,
         });
         // Builds the snapshot for a cut. Never consumes the PRNG, so
         // checkpointed and plain runs stay bit-identical.
@@ -658,7 +665,7 @@ impl Decryptor {
         };
 
         for li in start_layer..layers.len() {
-            let _layer_span = relock_trace::span("attack.layer", li as u64);
+            let _layer_span = trace.map(|t| t.span("attack.layer", li as u64));
             let (keyed_node, layer_sites) = &layers[li];
             let mut report = LayerReport {
                 keyed_node: *keyed_node,
@@ -981,7 +988,7 @@ impl Decryptor {
                 let mut applied: Option<Vec<usize>> = None;
                 let mut ci = correction_from;
                 while ci < candidates.len() && applied.is_none() && !starved {
-                    let _wave_span = relock_trace::span("attack.wave", ci as u64);
+                    let _wave_span = trace.map(|t| t.span("attack.wave", ci as u64));
                     if let Some(w) = writer.as_mut() {
                         // `ci > correction_from` guarantees liveness: a
                         // segment must validate at least one wave before it
@@ -1228,7 +1235,6 @@ fn run_sharded<T: Send>(
 ) -> Vec<T> {
     let workers = threads.min(n);
     if workers <= 1 {
-        let _worker_span = relock_trace::span("attack.worker", 0);
         let mut ws = pool.acquire();
         return (0..n).map(|i| eval(i, &mut ws)).collect();
     }
@@ -1236,11 +1242,10 @@ fn run_sharded<T: Send>(
     let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
-            .map(|w| {
+            .map(|_| {
                 let next = &next;
                 let eval = &eval;
                 scope.spawn(move || {
-                    let _worker_span = relock_trace::span("attack.worker", w as u64);
                     // Workspaces are never shared across threads; one
                     // pooled workspace per worker amortizes over all the
                     // items it pulls and is returned for later phases.
@@ -1302,6 +1307,8 @@ struct CkptWriter<'a> {
     sink: &'a dyn CheckpointSink,
     policy: CheckpointPolicy,
     last_rows: u64,
+    /// Hears a `checkpoint.write` (frame bytes) per persisted frame.
+    trace: Option<&'a FlightRecorder>,
 }
 
 impl CkptWriter<'_> {
@@ -1318,7 +1325,9 @@ impl CkptWriter<'_> {
         self.sink
             .save(&bytes)
             .map_err(|e| AttackError::Checkpoint(CheckpointError::Io(e.to_string())))?;
-        relock_trace::counter("checkpoint.write", bytes.len() as u64);
+        if let Some(trace) = self.trace {
+            trace.counter("checkpoint.write", bytes.len() as u64);
+        }
         self.last_rows = rows_now;
         Ok(())
     }

@@ -72,18 +72,32 @@ impl MonolithicAttack {
 
     /// Runs the baseline against `oracle`.
     ///
-    /// Traffic is routed through a `relock-serve` [`Broker`] like the
+    /// Traffic is routed through a fresh `relock-serve` [`Broker`] like the
     /// decryption attack's, so the reported query count follows the same
-    /// accounting semantics (underlying rows; cache hits free).
+    /// accounting semantics (underlying rows; cache hits free). To use a
+    /// caller's broker, for instance one that records into a flight
+    /// recorder, use [`MonolithicAttack::run_brokered`].
     pub fn run(&self, white_box: &Graph, oracle: &dyn Oracle, rng: &mut Prng) -> MonolithicReport {
+        self.run_brokered(white_box, &Broker::new(oracle), rng)
+    }
+
+    /// Runs the baseline through a caller-supplied [`Broker`], tagging its
+    /// traffic with the `learning_attack` scope. The report's `queries`
+    /// counts this run's underlying rows; its `stats` are the broker's
+    /// snapshot.
+    pub fn run_brokered<O: Oracle>(
+        &self,
+        white_box: &Graph,
+        broker: &Broker<O>,
+        rng: &mut Prng,
+    ) -> MonolithicReport {
         let start = Instant::now();
-        let broker = Broker::new(oracle);
         broker.set_scope(Some(Procedure::LearningAttack.label()));
         let start_queries = broker.query_count();
         let free: Vec<KeySlot> = (0..white_box.key_slot_count()).map(KeySlot).collect();
         let learned = learning_attack(
             white_box,
-            &broker,
+            broker,
             &HashMap::new(),
             &free,
             &LearnedMultipliers::new(),

@@ -39,17 +39,6 @@ impl Procedure {
             Procedure::ErrorCorrection => "error_correction",
         }
     }
-
-    /// The trace-span label of this procedure (`proc.` + [`label`], kept
-    /// static so recording sites never allocate).
-    pub const fn span_label(self) -> &'static str {
-        match self {
-            Procedure::KeyBitInference => "proc.key_bit_inference",
-            Procedure::LearningAttack => "proc.learning_attack",
-            Procedure::KeyVectorValidation => "proc.key_vector_validation",
-            Procedure::ErrorCorrection => "proc.error_correction",
-        }
-    }
 }
 
 impl fmt::Display for Procedure {
@@ -58,7 +47,8 @@ impl fmt::Display for Procedure {
     }
 }
 
-/// Accumulated wall-clock time per procedure.
+/// Accumulated wall-clock time per procedure: the run's one record of
+/// procedure time (a trace capture carries none).
 #[derive(Debug, Clone, Default)]
 pub struct TimingBreakdown {
     spans: [Duration; 4],
@@ -125,10 +115,8 @@ impl TimingBreakdown {
         }
     }
 
-    /// Times `f`, attributing the span to `p` (and mirroring it to the
-    /// trace layer as a `proc.*` span when a recorder is installed).
+    /// Times `f`, attributing the span to `p`.
     pub fn time<T>(&mut self, p: Procedure, f: impl FnOnce() -> T) -> T {
-        let _trace_span = relock_trace::span(p.span_label(), 0);
         let start = Instant::now();
         let out = f();
         self.add(p, start.elapsed());

@@ -3,9 +3,6 @@
 //! paths and must agree exactly — including under fault-injected retries,
 //! where a double-count would be easiest to introduce (a retried batch
 //! must be counted once in both books, not once per attempt).
-//!
-//! Own test binary: the recorder is a process global, so installs here
-//! can't pollute (or be polluted by) other suites.
 
 use relock_attack::{AttackConfig, Decryptor};
 use relock_locking::{CountingOracle, LockSpec, LockedModel, Oracle};
@@ -14,11 +11,9 @@ use relock_serve::{
     Broker, BrokerConfig, ChaosConfig, ChaosOracle, QueryStatsSnapshot, RetryPolicy,
 };
 use relock_tensor::rng::Prng;
-use relock_trace::FlightRecorder;
-use std::sync::{Arc, Mutex};
+use relock_trace::{FlightRecorder, Trace};
+use std::sync::Arc;
 use std::time::Duration;
-
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
 
 fn mlp_victim() -> LockedModel {
     let mut rng = Prng::seed_from_u64(500);
@@ -35,8 +30,10 @@ fn mlp_victim() -> LockedModel {
 }
 
 /// Asserts every global trace total equals the corresponding snapshot
-/// field, and that the per-scope trace books sum to those globals.
+/// field, and that the per-scope trace books sum to those globals. The
+/// capture is read back through its JSONL, as `report --analyze` reads it.
 fn assert_books_agree(flight: &FlightRecorder, snap: &QueryStatsSnapshot, ctx: &str) {
+    let flight = Trace::parse(&flight.to_jsonl()).expect("captured JSONL parses");
     assert!(
         snap.is_balanced(),
         "{ctx}: requested must equal cache_hits + underlying: {snap:?}"
@@ -100,7 +97,6 @@ fn assert_books_agree(flight: &FlightRecorder, snap: &QueryStatsSnapshot, ctx: &
 /// `retries == injected_faults` in *both* ledgers.
 #[test]
 fn trace_and_snapshot_books_agree_under_transient_chaos() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let model = mlp_victim();
     let chaos = ChaosOracle::new(
         CountingOracle::new(&model),
@@ -110,6 +106,7 @@ fn trace_and_snapshot_books_agree_under_transient_chaos() {
             ..ChaosConfig::default()
         },
     );
+    let flight = Arc::new(FlightRecorder::new());
     let broker = Broker::with_config(
         &chaos,
         BrokerConfig {
@@ -121,17 +118,14 @@ fn trace_and_snapshot_books_agree_under_transient_chaos() {
             },
             ..BrokerConfig::default()
         },
-    );
-    let flight = Arc::new(FlightRecorder::new());
-    let report = relock_trace::with_recorder(flight.clone(), || {
-        let report = Decryptor::new(AttackConfig::fast())
-            .run_brokered(model.white_box(), &broker, &mut Prng::seed_from_u64(501))
-            .unwrap();
-        // Publish while the recorder is installed, so the delta lands in
-        // both ledgers.
-        chaos.sync_stats(broker.stats());
-        report
-    });
+    )
+    .with_trace(Arc::clone(&flight));
+    let report = Decryptor::new(AttackConfig::fast())
+        .run_brokered(model.white_box(), &broker, &mut Prng::seed_from_u64(501))
+        .unwrap();
+    // Publish through the broker's stats, so the delta lands in both
+    // ledgers.
+    chaos.sync_stats(broker.stats());
     assert_eq!(report.fidelity(model.true_key()), 1.0);
 
     let snap = broker.snapshot();
@@ -148,7 +142,6 @@ fn trace_and_snapshot_books_agree_under_transient_chaos() {
 /// not lose or double-count a row in either ledger.
 #[test]
 fn trace_and_snapshot_books_agree_under_parallel_chaos() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let model = mlp_victim();
     let chaos = ChaosOracle::new(
         CountingOracle::new(&model),
@@ -160,6 +153,7 @@ fn trace_and_snapshot_books_agree_under_parallel_chaos() {
             ..ChaosConfig::default()
         },
     );
+    let flight = Arc::new(FlightRecorder::new());
     let broker = Broker::with_config(
         &chaos,
         BrokerConfig {
@@ -171,19 +165,16 @@ fn trace_and_snapshot_books_agree_under_parallel_chaos() {
             },
             ..BrokerConfig::default()
         },
-    );
+    )
+    .with_trace(Arc::clone(&flight));
     let cfg = AttackConfig {
         threads: 4,
         ..AttackConfig::fast()
     };
-    let flight = Arc::new(FlightRecorder::new());
-    let report = relock_trace::with_recorder(flight.clone(), || {
-        let report = Decryptor::new(cfg)
-            .run_brokered(model.white_box(), &broker, &mut Prng::seed_from_u64(501))
-            .unwrap();
-        chaos.sync_stats(broker.stats());
-        report
-    });
+    let report = Decryptor::new(cfg)
+        .run_brokered(model.white_box(), &broker, &mut Prng::seed_from_u64(501))
+        .unwrap();
+    chaos.sync_stats(broker.stats());
     assert_eq!(report.fidelity(model.true_key()), 1.0);
 
     let snap = broker.snapshot();
@@ -203,21 +194,20 @@ fn trace_and_snapshot_books_agree_under_parallel_chaos() {
 /// both books — the cross-check is not only about the chaos path.
 #[test]
 fn trace_and_snapshot_books_agree_on_a_clean_run() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let model = mlp_victim();
     let oracle = CountingOracle::new(&model);
-    let broker = Broker::with_config(&oracle, BrokerConfig::default());
     let flight = Arc::new(FlightRecorder::new());
-    let report = relock_trace::with_recorder(flight.clone(), || {
-        Decryptor::new(AttackConfig::fast())
-            .run_brokered(model.white_box(), &broker, &mut Prng::seed_from_u64(501))
-            .unwrap()
-    });
+    let broker =
+        Broker::with_config(&oracle, BrokerConfig::default()).with_trace(Arc::clone(&flight));
+    let report = Decryptor::new(AttackConfig::fast())
+        .run_brokered(model.white_box(), &broker, &mut Prng::seed_from_u64(501))
+        .unwrap();
     assert_eq!(report.fidelity(model.true_key()), 1.0);
     let snap = broker.snapshot();
     assert_eq!(snap.retries, 0);
     assert_eq!(snap.injected_faults, 0);
-    assert_eq!(flight.counter_total("broker.retry"), 0);
-    assert_eq!(flight.counter_total("chaos.injected"), 0);
+    let trace = Trace::parse(&flight.to_jsonl()).expect("captured JSONL parses");
+    assert_eq!(trace.counter_total("broker.retry"), 0);
+    assert_eq!(trace.counter_total("chaos.injected"), 0);
     assert_books_agree(&flight, &snap, "clean run");
 }

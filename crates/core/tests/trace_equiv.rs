@@ -1,29 +1,37 @@
-//! No-overhead / no-feedback contract of the trace layer: a fully
-//! instrumented MLP-16 attack run under a `NullRecorder` — or a real
-//! `FlightRecorder` — must be bit-identical to the un-instrumented path:
+//! No-feedback contract of the trace layer: an MLP-16 attack whose broker
+//! carries a `FlightRecorder` must be bit-identical to the untraced run:
 //! same key, same underlying query count, same broker accounting, same
 //! checkpoint frames byte-for-byte (wall-clock fields zeroed), at 1 and 4
-//! threads. Tracing observes the engine; it must never steer it.
-//!
-//! This file is its own test binary on purpose: the recorder is a process
-//! global, so installs here can't leak into other suites, and the tests
-//! below serialize among themselves with a lock.
+//! threads. Tracing observes the engine; it must never steer it. And what
+//! it records is the nine-label catalogue of DESIGN.md §3f, nothing else.
 
 use relock_attack::{
     AttackConfig, AttackState, CheckpointPolicy, CheckpointSink, DecryptionReport, Decryptor,
 };
 use relock_locking::{CountingOracle, LockSpec, LockedModel};
 use relock_nn::{build_mlp, MlpSpec};
-use relock_serve::{Broker, BrokerConfig, QueryStatsSnapshot};
+use relock_serve::{
+    Broker, BrokerConfig, ChaosConfig, ChaosOracle, QueryStatsSnapshot, RetryPolicy,
+};
 use relock_tensor::rng::Prng;
-use relock_trace::{Event, FlightRecorder, NullRecorder};
+use relock_trace::{Event, FlightRecorder, Trace};
+use std::collections::BTreeSet;
 use std::io;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// Serializes recorder installs across the tests in this binary — the
-/// recorder is process-global state.
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
+/// Every label the program records: three spans and six counters.
+const CATALOGUE: [&str; 9] = [
+    "broker.batch",
+    "attack.layer",
+    "attack.wave",
+    "broker.requested",
+    "broker.cache_hits",
+    "broker.underlying",
+    "broker.retry",
+    "chaos.injected",
+    "checkpoint.write",
+];
 
 fn mlp16_victim() -> LockedModel {
     let mut rng = Prng::seed_from_u64(700);
@@ -84,13 +92,17 @@ struct RunTrace {
     frames: Vec<Vec<u8>>,
 }
 
-fn run(model: &LockedModel, threads: usize) -> RunTrace {
+/// A checkpointed run, recorded into `trace` when one is given.
+fn run(model: &LockedModel, threads: usize, trace: Option<&Arc<FlightRecorder>>) -> RunTrace {
     let cfg = AttackConfig {
         threads,
         ..AttackConfig::fast()
     };
     let oracle = CountingOracle::new(model);
-    let broker = Broker::with_config(&oracle, BrokerConfig::default());
+    let mut broker = Broker::with_config(&oracle, BrokerConfig::default());
+    if let Some(flight) = trace {
+        broker = broker.with_trace(Arc::clone(flight));
+    }
     let sink = RecordingSink::default();
     let (report, _status) = Decryptor::new(cfg)
         .resume(
@@ -128,16 +140,21 @@ fn assert_same_run(a: &RunTrace, b: &RunTrace, ctx: &str) {
     }
 }
 
-/// The headline contract: un-instrumented vs `NullRecorder` vs
-/// `FlightRecorder`, at 1 and 4 threads, all bit-identical — and the
-/// flight recorder must have actually captured the instrumentation it was
-/// installed to observe (a trivially-empty trace would prove nothing).
+/// The capture a recorder holds, read back through its JSONL as
+/// `report --analyze` reads a `--trace` file.
+fn capture(flight: &FlightRecorder) -> Trace {
+    Trace::parse(&flight.to_jsonl()).expect("captured JSONL parses")
+}
+
+/// The headline contract: untraced vs `FlightRecorder`, at 1 and 4
+/// threads, bit-identical — and the flight recorder must have actually
+/// captured the run it observed (a trivially-empty trace would prove
+/// nothing).
 #[test]
 fn instrumented_attack_is_bit_identical_to_uninstrumented() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let model = mlp16_victim();
     for threads in [1usize, 4] {
-        let bare = run(&model, threads);
+        let bare = run(&model, threads, None);
         assert_eq!(
             bare.report.fidelity(model.true_key()),
             1.0,
@@ -145,21 +162,26 @@ fn instrumented_attack_is_bit_identical_to_uninstrumented() {
         );
         assert!(!bare.frames.is_empty(), "EVERY_CUT must persist frames");
 
-        let null = relock_trace::with_recorder(Arc::new(NullRecorder), || run(&model, threads));
-        assert_same_run(&null, &bare, &format!("NullRecorder threads {threads}"));
-
         let flight = Arc::new(FlightRecorder::new());
-        let traced = relock_trace::with_recorder(flight.clone(), || run(&model, threads));
+        let traced = run(&model, threads, Some(&flight));
         assert_same_run(&traced, &bare, &format!("FlightRecorder threads {threads}"));
 
-        // The trace must cover every instrumented subsystem of this run.
-        for label in ["attack.layer", "broker.batch", "proc.key_bit_inference"] {
+        let trace = capture(&flight);
+        // Every begin has exactly one end, and the stamps follow arrival
+        // order even with worker threads recording at once.
+        assert!(
+            trace.check().is_empty(),
+            "threads {threads}: {:?}",
+            trace.check()
+        );
+        let spans = trace.spans().expect("spans pair");
+        for label in ["attack.layer", "broker.batch"] {
             assert!(
-                flight.span_count(label) > 0,
+                spans.iter().any(|s| s.label == label),
                 "threads {threads}: no '{label}' span captured"
             );
         }
-        let checkpoint_writes = flight
+        let checkpoint_writes = trace
             .events()
             .iter()
             .filter(|e| matches!(e, Event::Counter { label, .. } if label == "checkpoint.write"))
@@ -170,49 +192,76 @@ fn instrumented_attack_is_bit_identical_to_uninstrumented() {
             "threads {threads}: one checkpoint.write counter per persisted frame"
         );
         assert_eq!(
-            flight.counter_total("broker.requested"),
+            trace.counter_total("broker.requested"),
             traced.report.stats.requested,
             "threads {threads}: trace books must match the broker snapshot"
         );
-        assert!(
-            flight.span_count("attack.worker") > 0,
-            "threads {threads}: no shard-worker span captured"
-        );
-        // Every begin has exactly one end: the guards all fired.
-        let (begins, ends) = flight
-            .events()
-            .iter()
-            .fold((0usize, 0usize), |(b, e), ev| match ev {
-                Event::SpanBegin { .. } => (b + 1, e),
-                Event::SpanEnd { .. } => (b, e + 1),
-                Event::Counter { .. } => (b, e),
-            });
-        assert_eq!(begins, ends, "threads {threads}: unbalanced span guards");
     }
 }
 
-/// Uninstalling mid-process restores the bare path: events stop flowing
-/// and the engine still replays the identical run.
-#[test]
-fn uninstall_restores_the_bare_path() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
-    let model = mlp16_victim();
-    let bare = run(&model, 1);
+/// A transient-fault run, recorded: a 10% drop rate that retries absorb.
+fn chaos_capture(model: &LockedModel) -> Trace {
+    let chaos = ChaosOracle::new(
+        CountingOracle::new(model),
+        ChaosConfig {
+            seed: 13,
+            transient_rate: 0.10,
+            ..ChaosConfig::default()
+        },
+    );
     let flight = Arc::new(FlightRecorder::new());
-    relock_trace::install(flight.clone());
-    assert!(
-        relock_trace::enabled(),
-        "install must arm the hot-path flag"
-    );
-    let _installed = relock_trace::uninstall().expect("a recorder was installed");
-    assert!(!relock_trace::enabled(), "uninstall must disarm it");
-    let after = run(&model, 1);
-    assert_same_run(&after, &bare, "post-uninstall");
-    assert!(
-        flight.is_empty(),
-        "no events may arrive after uninstall: {:?}",
-        flight.events().first()
-    );
+    let broker = Broker::with_config(
+        &chaos,
+        BrokerConfig {
+            retry: RetryPolicy {
+                max_attempts: 24,
+                base_backoff: Duration::ZERO,
+                multiplier: 1,
+                ..RetryPolicy::default()
+            },
+            ..BrokerConfig::default()
+        },
+    )
+    .with_trace(Arc::clone(&flight));
+    Decryptor::new(AttackConfig::fast())
+        .run_brokered(model.white_box(), &broker, &mut Prng::seed_from_u64(701))
+        .unwrap();
+    chaos.sync_stats(broker.stats());
+    capture(&flight)
+}
+
+/// Real captures use only the nine catalogued labels: checkpointed runs
+/// at 1 and 4 threads and a transient-chaos run.
+#[test]
+fn captures_use_only_the_nine_catalogued_labels() {
+    let model = mlp16_victim();
+    let mut seen = BTreeSet::new();
+    let mut captures = Vec::new();
+    for threads in [1usize, 4] {
+        let flight = Arc::new(FlightRecorder::new());
+        run(&model, threads, Some(&flight));
+        captures.push(capture(&flight));
+    }
+    captures.push(chaos_capture(&model));
+    for trace in &captures {
+        for event in trace.events() {
+            let label = event.label();
+            assert!(CATALOGUE.contains(&label), "uncatalogued label '{label}'");
+            seen.insert(label.to_string());
+        }
+    }
+    for label in [
+        "broker.batch",
+        "attack.layer",
+        "broker.retry",
+        "chaos.injected",
+        "checkpoint.write",
+    ] {
+        assert!(
+            seen.contains(label),
+            "no '{label}' in any capture: {seen:?}"
+        );
+    }
 }
 
 /// The JSONL a real attack writes round-trips losslessly: every line
@@ -220,10 +269,9 @@ fn uninstall_restores_the_bare_path() {
 /// byte-identical — the property `--trace` files rely on.
 #[test]
 fn captured_attack_trace_round_trips_through_jsonl() {
-    let _guard = RECORDER_LOCK.lock().unwrap();
     let model = mlp16_victim();
     let flight = Arc::new(FlightRecorder::new());
-    relock_trace::with_recorder(flight.clone(), || run(&model, 1));
+    run(&model, 1, Some(&flight));
     let events = flight.events();
     assert!(!events.is_empty());
     let jsonl = flight.to_jsonl();

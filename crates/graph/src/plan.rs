@@ -56,7 +56,6 @@ impl ExecPlan {
     /// Analyzes a graph. Nodes are stored in topological order, so a single
     /// forward sweep suffices to close the ancestor relation.
     pub(crate) fn compile(g: &Graph) -> ExecPlan {
-        relock_trace::counter("plan.compile", 1);
         let n = g.nodes().len();
         let words = n.div_ceil(64).max(1);
         let mut ancestors = vec![0u64; n * words];

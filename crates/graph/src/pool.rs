@@ -42,7 +42,6 @@ impl WorkspacePool {
     /// Checks a workspace out of the pool, creating a fresh one when every
     /// pooled workspace is in use. The guard returns it on drop.
     pub fn acquire(&self) -> PooledWorkspace<'_> {
-        relock_trace::counter("workspace.checkout", 1);
         let ws = self
             .idle
             .lock()

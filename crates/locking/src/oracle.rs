@@ -350,7 +350,7 @@ impl CountingOracle {
     /// worker threads that issued the queries have been joined, and
     /// `thread::scope`'s join provides the happens-before edge; `fetch_add`
     /// itself is a single atomic RMW, so no increments are lost even under
-    /// concurrent batches from a worker pool.
+    /// concurrent batches from the attack's worker threads.
     pub fn add_queries(&self, rows: u64) {
         self.counter.fetch_add(rows, Ordering::Relaxed);
     }
@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn counter_is_exact_under_concurrent_batches() {
-        // The broker's worker pool hits the counter from several threads
+        // The attack's sharded phases hit the counter from several threads
         // at once; every row must be counted exactly once (N per N-row
         // batch, not 1), and the post-join read must see the full total.
         let m = tiny_locked_model();

@@ -8,9 +8,9 @@
 //! 2. **Budgeting** — the surviving miss rows reserve query budget
 //!    all-or-nothing and check the wall-clock deadline; exhaustion surfaces
 //!    as a typed [`OracleError`] instead of a panic.
-//! 3. **Dispatch** — misses go to the backend as one batch, sharded across
-//!    a scoped worker pool when large, retried with backoff on transient
-//!    `Backend` failures.
+//! 3. **Dispatch** — misses go to the backend as one batch on the
+//!    caller's thread, retried with backoff on transient `Backend`
+//!    failures.
 //! 4. **Metrics** — [`QueryStats`] records requested/hit/underlying row
 //!    counts (per procedure scope), batch shapes, retries, and backend
 //!    latency.
@@ -24,15 +24,20 @@
 //! A broker built over a [`SharedCache`] may carry a [`WaitHook`] on the
 //! waits inside its batches, so a caller that bounds compute with a slot
 //! can give the slot back while a batch waits (the campaign hub does).
+//!
+//! A broker may also carry the run's [`FlightRecorder`]
+//! ([`Broker::with_trace`]): its stats then record the scoped broker
+//! counters, each batch a `broker.batch` span, and the attack driver finds
+//! the same recorder through [`Broker::trace`].
 
 use crate::budget::QueryBudget;
 use crate::cache::{row_key_ns, MemoCache, RowKey, SharedCache};
 use crate::flight::{Claim, FlightEntry, FlightTable};
-use crate::pool::evaluate_sharded;
 use crate::retry::RetryPolicy;
 use crate::stats::{QueryStats, QueryStatsSnapshot};
 use relock_locking::{Oracle, OracleError};
 use relock_tensor::Tensor;
+use relock_trace::FlightRecorder;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,39 +73,14 @@ pub trait WaitHook: Send + Sync + fmt::Debug {
 }
 
 /// Tunables of a [`Broker`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BrokerConfig {
-    /// Worker threads for large underlying batches (1 = caller thread).
-    pub workers: usize,
-    /// Minimum rows per worker shard before fanning out.
-    pub min_rows_per_shard: usize,
-    /// Memoize responses by bit-exact input bytes.
-    pub memoize: bool,
     /// Underlying-query budget (`None` = unlimited).
     pub max_queries: Option<u64>,
     /// Wall-clock deadline from broker construction (`None` = unlimited).
     pub deadline: Option<Duration>,
     /// Retry policy for transient backend failures.
     pub retry: RetryPolicy,
-    /// Byte cap on the private memo cache (`None` = unbounded, the
-    /// one-shot attack default). Ignored by
-    /// [`Broker::with_shared_cache`], where the shared cache brings its
-    /// own cap.
-    pub memo_byte_cap: Option<usize>,
-}
-
-impl Default for BrokerConfig {
-    fn default() -> Self {
-        BrokerConfig {
-            workers: 1,
-            min_rows_per_shard: 8,
-            memoize: true,
-            max_queries: None,
-            deadline: None,
-            retry: RetryPolicy::default(),
-            memo_byte_cap: None,
-        }
-    }
 }
 
 /// A batching, memoizing, budgeted, metered front-end over any [`Oracle`].
@@ -125,21 +105,17 @@ pub struct Broker<O> {
 }
 
 impl<O: Oracle> Broker<O> {
-    /// Wraps `inner` with default configuration (memoization on, no budget).
+    /// Wraps `inner` with default configuration (no budget).
     pub fn new(inner: O) -> Self {
         Broker::with_config(inner, BrokerConfig::default())
     }
 
-    /// Wraps `inner` with explicit configuration. The deadline clock starts
-    /// now.
+    /// Wraps `inner` with explicit configuration over a private, unbounded
+    /// memo cache. The deadline clock starts now.
     pub fn with_config(inner: O, config: BrokerConfig) -> Self {
-        let cache = match config.memo_byte_cap {
-            Some(cap) => MemoCache::bounded(cap),
-            None => MemoCache::new(),
-        };
         Broker {
             inner,
-            cache: Arc::new(cache),
+            cache: Arc::new(MemoCache::new()),
             flights: Arc::new(FlightTable::new()),
             key_ns: None,
             budget: QueryBudget::new(config.max_queries, config.deadline),
@@ -179,6 +155,18 @@ impl<O: Oracle> Broker<O> {
         }
     }
 
+    /// Records this broker's traffic, and the attack it serves, into
+    /// `recorder` (see the module docs). Without one nothing is recorded.
+    pub fn with_trace(mut self, recorder: Arc<FlightRecorder>) -> Self {
+        self.stats.trace = Some(recorder);
+        self
+    }
+
+    /// The run's recorder, if [`Broker::with_trace`] attached one.
+    pub fn trace(&self) -> Option<&FlightRecorder> {
+        self.stats.trace.as_deref()
+    }
+
     /// Tags subsequent traffic with a procedure label for per-scope
     /// accounting (`None` clears it).
     pub fn set_scope(&self, label: Option<&'static str>) {
@@ -216,25 +204,9 @@ impl<O: Oracle> Broker<O> {
     fn serve_batch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
         let started = Instant::now();
         let rows = x.dims()[0];
-        let _batch_span = relock_trace::span("broker.batch", rows as u64);
+        let _batch_span = self.trace().map(|t| t.span("broker.batch", rows as u64));
         let cols = x.dims()[1];
         let q = self.inner.output_dim();
-
-        if !self.config.memoize {
-            self.budget.try_reserve(rows as u64)?;
-            let y = match self.dispatch(x) {
-                Ok(y) => y,
-                Err(e) => {
-                    // The backend never answered these rows: hand the
-                    // reservation back so `#Q` counts answered rows only.
-                    self.budget.refund(rows as u64);
-                    return Err(e);
-                }
-            };
-            self.stats
-                .record_batch(rows as u64, 0, rows as u64, started.elapsed());
-            return Ok(y);
-        }
 
         // Stage 1: cache lookup, in-batch dedupe, and single-flight
         // coalescing against concurrent batches. Each round classifies the
@@ -361,22 +333,15 @@ impl<O: Oracle> Broker<O> {
         Ok(Tensor::from_vec(out, [rows, q]))
     }
 
-    /// Sends a miss batch to the backend under the retry policy and pool.
+    /// Sends a miss batch to the backend under the retry policy.
     fn dispatch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
         let mut retries = 0u64;
-        // Each dispatch salts its own jitter stream: shards that hit the
-        // same transient outage back off on decorrelated schedules
-        // instead of thundering back at the oracle in lockstep.
+        // Each dispatch salts its own jitter stream: concurrent batches
+        // that hit the same transient outage back off on decorrelated
+        // schedules instead of thundering back at the oracle in lockstep.
         let salt = self.dispatch_seq.fetch_add(1, Ordering::Relaxed);
         let out = self.config.retry.run_salted(
-            || {
-                evaluate_sharded(
-                    &self.inner,
-                    x,
-                    self.config.workers,
-                    self.config.min_rows_per_shard,
-                )
-            },
+            || self.inner.try_query_batch(x),
             || {
                 retries += 1;
                 self.waiting();
@@ -509,24 +474,6 @@ mod tests {
         // ...but cached rows still answer: hits are free.
         broker.try_query_batch(&x).unwrap();
         assert_eq!(o.query_count(), 3);
-    }
-
-    #[test]
-    fn memoize_off_always_hits_backend() {
-        let o = oracle();
-        let broker = Broker::with_config(
-            &o,
-            BrokerConfig {
-                memoize: false,
-                ..BrokerConfig::default()
-            },
-        );
-        let mut rng = Prng::seed_from_u64(54);
-        let x = rng.normal_tensor([2, 5]);
-        broker.query_batch(&x);
-        broker.query_batch(&x);
-        assert_eq!(o.query_count(), 4);
-        assert_eq!(broker.snapshot().cache_hits, 0);
     }
 
     /// A deterministic backend that stalls each dispatch long enough to
@@ -902,15 +849,9 @@ mod tests {
     #[test]
     fn snapshot_surfaces_eviction_counters() {
         let o = oracle();
-        // A cap far below the traffic forces evictions on the private
-        // cache path too.
-        let broker = Broker::with_config(
-            &o,
-            BrokerConfig {
-                memo_byte_cap: Some(1024),
-                ..BrokerConfig::default()
-            },
-        );
+        // A cap far below the traffic forces evictions.
+        let shared = crate::SharedCache::bounded(1024);
+        let broker = Broker::with_shared_cache(&o, BrokerConfig::default(), &shared, 9, None);
         let mut rng = Prng::seed_from_u64(58);
         for _ in 0..8 {
             broker.query_batch(&rng.normal_tensor([8, 5]));

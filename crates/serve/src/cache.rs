@@ -25,8 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of independently locked shards; a power of two so the shard
-/// index is a cheap mask. Sharding keeps the worker pool's insertions from
-/// serializing on one lock.
+/// index is a cheap mask. Sharding keeps concurrent batches' insertions
+/// from serializing on one lock.
 const SHARDS: usize = 16;
 
 /// Fixed per-entry bookkeeping estimate (map nodes, recency index, `Box`
@@ -183,7 +183,6 @@ impl MemoCache {
         }
         if evicted > 0 {
             self.evicted.fetch_add(evicted, Ordering::Relaxed);
-            relock_trace::counter("broker.cache_evicted", evicted);
         }
     }
 

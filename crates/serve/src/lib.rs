@@ -4,16 +4,19 @@
 //! the attack talks to a [`Broker`], the broker talks to the hardware.
 //! Four concerns live here, factored out of the attack code:
 //!
-//! - **Batching** ([`Broker`] + its worker pool) — large batches shard
-//!   across scoped threads and reassemble in order;
-//! - **Memoization** ([`Broker`] with `memoize`) — responses are cached by
-//!   the *bit-exact* bytes of the input row, so re-probing a validation
+//! - **Batching** ([`Broker`]) — a batch's uncached rows go to the backend
+//!   as one call, deduplicated within the batch and coalesced with
+//!   concurrent batches' identical rows;
+//! - **Memoization** ([`Broker`], [`SharedCache`]) — responses are cached
+//!   by the *bit-exact* bytes of the input row, so re-probing a validation
 //!   witness is free;
 //! - **Budgets** ([`QueryBudget`]) — underlying-query and wall-clock limits
 //!   with typed [`relock_locking::OracleError`] failures the attack
 //!   degrades on, plus [`RetryPolicy`] backoff for flaky transports;
 //! - **Metrics** ([`QueryStats`]) — per-procedure query accounting, cache
-//!   hit rate, batch-size histogram, backend latency.
+//!   hit rate, batch-size histogram, backend latency, mirrored into the
+//!   run's flight recorder when the broker carries one
+//!   ([`Broker::with_trace`]).
 //!
 //! ## Query accounting semantics
 //!
@@ -52,7 +55,6 @@ mod budget;
 mod cache;
 mod chaos;
 mod flight;
-mod pool;
 mod retry;
 mod stats;
 

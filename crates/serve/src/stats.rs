@@ -3,10 +3,11 @@
 //! query-complexity column.
 
 use relock_trace::json::Value;
+use relock_trace::FlightRecorder;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// Batch-size histogram buckets: `1, 2–3, 4–7, …, ≥128` (powers of two).
@@ -60,6 +61,9 @@ pub struct QueryStats {
     oracle_nanos: AtomicU64,
     histogram: [AtomicU64; HISTOGRAM_BUCKETS],
     scope: Mutex<ScopeState>,
+    /// The run's recorder, when the broker was given one
+    /// (`Broker::with_trace`).
+    pub(crate) trace: Option<Arc<FlightRecorder>>,
 }
 
 #[derive(Debug, Default)]
@@ -102,13 +106,13 @@ impl QueryStats {
         // Trace events are emitted here, where the scope label is in hand,
         // so the flight-recorder totals and this snapshot's books agree at
         // every call site by construction (the chaos soak cross-checks it).
-        if relock_trace::enabled() {
-            relock_trace::scoped_counter("broker.requested", label, requested);
+        if let Some(trace) = &self.trace {
+            trace.scoped_counter("broker.requested", label, requested);
             if hits > 0 {
-                relock_trace::scoped_counter("broker.cache_hits", label, hits);
+                trace.scoped_counter("broker.cache_hits", label, hits);
             }
             if underlying > 0 {
-                relock_trace::scoped_counter("broker.underlying", label, underlying);
+                trace.scoped_counter("broker.underlying", label, underlying);
             }
         }
     }
@@ -116,10 +120,10 @@ impl QueryStats {
     /// Records `n` backend retry attempts (beyond the first try).
     pub fn record_retries(&self, n: u64) {
         self.retries.fetch_add(n, Ordering::Relaxed);
-        if relock_trace::enabled() {
+        if let Some(trace) = &self.trace {
             let scope = self.scope.lock().expect("scope poisoned");
             let label = scope.current.unwrap_or("(untagged)");
-            relock_trace::scoped_counter("broker.retry", label, n);
+            trace.scoped_counter("broker.retry", label, n);
         }
     }
 
@@ -128,7 +132,9 @@ impl QueryStats {
     /// apart from organic backend trouble.
     pub fn record_injected_faults(&self, n: u64) {
         self.injected_faults.fetch_add(n, Ordering::Relaxed);
-        relock_trace::counter("chaos.injected", n);
+        if let Some(trace) = &self.trace {
+            trace.counter("chaos.injected", n);
+        }
     }
 
     /// Rows actually issued to the underlying oracle so far.

@@ -66,27 +66,6 @@ fn broker_is_observationally_equivalent_and_never_wasteful() {
     }
 }
 
-/// The worker pool preserves row order and bit-exactness.
-#[test]
-fn multi_worker_broker_matches_single_worker() {
-    let reference = locked_oracle(70);
-    let backend = locked_oracle(70);
-    let broker = Broker::with_config(
-        &backend,
-        BrokerConfig {
-            workers: 4,
-            min_rows_per_shard: 4,
-            ..BrokerConfig::default()
-        },
-    );
-    let mut rng = Prng::seed_from_u64(700);
-    let x = rng.normal_tensor([61, 6]);
-    let expect = reference.query_batch(&x);
-    let got = broker.query_batch(&x);
-    assert_eq!(expect.as_slice(), got.as_slice());
-    assert_eq!(backend.query_count(), 61);
-}
-
 /// Budget exhaustion is a typed error, charges nothing, and cached rows
 /// keep answering afterwards.
 #[test]

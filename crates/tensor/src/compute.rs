@@ -17,10 +17,6 @@
 //! once while [`set_thread_override`] can re-route any later dispatch, so
 //! tests and the CLI can vary the worker count per case without the
 //! stale-env footgun the old `OnceLock`-only cache had.
-//!
-//! The row-splitting policy (`split_rows`) is shared with the
-//! `relock-serve` oracle worker pool, which historically carried its own
-//! copy.
 
 use crate::backend::{active_backend, Backend};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -76,7 +72,7 @@ pub fn set_thread_override(n: Option<usize>) {
 /// ranges of at least `min_rows_per_shard` rows each (the first
 /// `rows % shards` ranges take one extra row). Returns a single full range
 /// when the work does not warrant splitting; an empty `Vec` for zero rows.
-pub fn split_rows(rows: usize, workers: usize, min_rows_per_shard: usize) -> Vec<(usize, usize)> {
+fn split_rows(rows: usize, workers: usize, min_rows_per_shard: usize) -> Vec<(usize, usize)> {
     if rows == 0 {
         return Vec::new();
     }
@@ -172,7 +168,6 @@ pub fn gemm_nn_into_backend(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    relock_trace::counter("gemm.nn", 1);
     if out.is_empty() {
         return;
     }
@@ -217,7 +212,6 @@ pub fn gemm_nt_into_backend(
     debug_assert_eq!(a.len(), m * k);
     debug_assert_eq!(b.len(), n * k);
     debug_assert_eq!(out.len(), m * n);
-    relock_trace::counter("gemm.nt", 1);
     if out.is_empty() {
         return;
     }
@@ -266,7 +260,6 @@ pub fn gemm_tn_into_backend(
     debug_assert_eq!(a.len(), k * m);
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    relock_trace::counter("gemm.tn", 1);
     if out.is_empty() {
         return;
     }

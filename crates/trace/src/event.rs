@@ -1,13 +1,13 @@
-//! The structured events a [`Recorder`](crate::Recorder) receives, and
-//! their JSONL wire form.
+//! The structured events a [`FlightRecorder`](crate::FlightRecorder)
+//! records, and their JSONL wire form.
 //!
 //! Three event shapes cover the whole instrumentation surface:
 //!
 //! * span begin/end pairs (matched by `id`) for nested work — layers,
-//!   correction waves, worker lifetimes, broker batches;
-//! * counters for monotone totals — gemm invocations, checkpoint bytes,
-//!   workspace checkouts — optionally tagged with the broker's procedure
-//!   scope so the trace books can be reconciled against
+//!   correction waves, broker batches;
+//! * counters for monotone totals — broker rows, retries, injected
+//!   faults, checkpoint bytes — optionally tagged with the broker's
+//!   procedure scope so the trace books can be reconciled against
 //!   `QueryStatsSnapshot` per-scope accounting.
 //!
 //! Every event encodes to exactly one JSON line with a fixed key order
@@ -22,11 +22,11 @@ use std::borrow::Cow;
 pub type Label = Cow<'static, str>;
 
 /// One structured trace event. Timestamps (`t`) are nanoseconds since the
-/// first event-producing call in the process.
+/// recorder was created.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Event {
-    /// A span opened: `id` is process-unique, `arg` is a label-specific
-    /// payload (layer index, wave number, worker slot, batch rows…).
+    /// A span opened: `id` is unique within the capture, `arg` is a
+    /// label-specific payload (layer index, wave number, batch rows…).
     SpanBegin {
         id: u64,
         label: Label,
@@ -153,9 +153,9 @@ mod tests {
                 t: 912,
             },
             Event::Counter {
-                label: Label::Borrowed("gemm.nn"),
+                label: Label::Borrowed("checkpoint.write"),
                 scope: None,
-                value: 1,
+                value: 812,
                 t: 44,
             },
             Event::Counter {

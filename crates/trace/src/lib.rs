@@ -1,35 +1,30 @@
 //! Flight-recorder observability: a zero-dependency structured-event
 //! layer (DESIGN.md §3f).
 //!
-//! Hot paths — gemm kernels, broker batches, sharded workers — call
-//! [`counter`] and [`span`] unconditionally. When no recorder is
-//! installed (the default, equivalent to [`NullRecorder`]) each call is
-//! one relaxed atomic load and a predicted branch: no clock read, no
-//! allocation, no lock. That is the *no-overhead-when-disabled contract*:
-//! the planned-execution and parallel-equivalence property suites must
-//! pass unchanged with instrumentation compiled in, and the engine's
-//! bit-identical determinism contract is untouched because tracing never
-//! feeds back into computation.
+//! A [`FlightRecorder`] belongs to one run. Whoever starts the run (the
+//! CLI's `attack --trace`, a test) creates it and attaches it to the
+//! run's query broker; the broker, its stats and the attack driver record
+//! through that handle, and a run without one records nothing at the cost
+//! of an `Option` check. Two concurrent runs with their own recorders
+//! produce two separate, complete captures.
 //!
-//! The recorder is process-global, like the `log` crate's logger:
-//! [`install`] a [`Recorder`] (typically a [`FlightRecorder`]), run the
-//! workload, [`uninstall`] and drain. Events carry `&'static str` labels
-//! from a fixed catalogue (see DESIGN.md §3f) and encode to JSONL via
-//! [`Event::to_jsonl`]; a captured file parses back into typed events,
-//! paired spans, and per-`(label, scope)` counter books via [`Trace`].
+//! Events carry `&'static str` labels from a fixed catalogue (see
+//! DESIGN.md §3f) and encode to JSONL via [`Event::to_jsonl`]; a captured
+//! file parses back into typed events, paired spans, and per-`(label,
+//! scope)` counter books via [`Trace`].
 //!
 //! ```
-//! use std::sync::Arc;
+//! use relock_trace::{FlightRecorder, Trace};
 //!
-//! let flight = Arc::new(relock_trace::FlightRecorder::new());
-//! relock_trace::install(flight.clone());
+//! let flight = FlightRecorder::new();
 //! {
-//!     let _span = relock_trace::span("example.work", 7);
-//!     relock_trace::counter("example.items", 3);
+//!     let _span = flight.span("example.work", 7);
+//!     flight.counter("example.items", 3);
 //! }
-//! relock_trace::uninstall();
-//! assert_eq!(flight.counter_total("example.items"), 3);
-//! assert_eq!(flight.span_count("example.work"), 1);
+//! let trace = Trace::parse(&flight.to_jsonl()).unwrap();
+//! assert_eq!(trace.counter_total("example.items"), 3);
+//! assert_eq!(trace.spans().unwrap().len(), 1);
+//! assert!(trace.check().is_empty());
 //! ```
 
 pub mod json;
@@ -39,246 +34,5 @@ mod flight;
 mod reader;
 
 pub use event::{Event, Label};
-pub use flight::FlightRecorder;
+pub use flight::{FlightRecorder, SpanGuard};
 pub use reader::{SpanRecord, Trace, TraceReadError};
-
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
-use std::time::Instant;
-
-/// A sink for structured events. Implementations must be cheap and
-/// non-blocking enough to sit on the attack's hot paths while enabled,
-/// and must never panic into the instrumented code.
-pub trait Recorder: Send + Sync {
-    /// Receives one event. Called from any thread.
-    fn record(&self, event: Event);
-}
-
-/// Discards every event. Installing it still exercises the full event
-/// construction path (ids, timestamps), which the instrumented-equivalence
-/// tests use to prove tracing cannot perturb the attack.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    fn record(&self, _event: Event) {}
-}
-
-/// The disabled fast path is a single relaxed load of this flag.
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static RECORDER: RwLock<Option<Arc<dyn Recorder>>> = RwLock::new(None);
-static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
-static ANCHOR: OnceLock<Instant> = OnceLock::new();
-
-/// Nanoseconds since the process's first event — the `t` field of every
-/// event. Only read while a recorder is enabled.
-fn now_nanos() -> u64 {
-    ANCHOR.get_or_init(Instant::now).elapsed().as_nanos() as u64
-}
-
-/// Installs `recorder` as the process-global event sink and enables the
-/// instrumentation. Replaces any previous recorder.
-pub fn install(recorder: Arc<dyn Recorder>) {
-    let mut slot = RECORDER.write().expect("recorder slot poisoned");
-    *slot = Some(recorder);
-    ENABLED.store(true, Ordering::SeqCst);
-}
-
-/// Disables the instrumentation and returns the previous recorder, if
-/// any. In-flight span guards finish silently.
-pub fn uninstall() -> Option<Arc<dyn Recorder>> {
-    let mut slot = RECORDER.write().expect("recorder slot poisoned");
-    ENABLED.store(false, Ordering::SeqCst);
-    slot.take()
-}
-
-/// Whether a recorder is installed. This is the hot-path gate: one
-/// relaxed atomic load.
-#[inline(always)]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-fn emit(event: Event) {
-    if let Some(recorder) = RECORDER.read().expect("recorder slot poisoned").as_ref() {
-        recorder.record(event);
-    }
-}
-
-/// Records a counter increment. A no-op (one atomic load) when disabled.
-#[inline(always)]
-pub fn counter(label: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    emit(Event::Counter {
-        label: Label::Borrowed(label),
-        scope: None,
-        value,
-        t: now_nanos(),
-    });
-}
-
-/// Records a counter increment tagged with a procedure scope (the
-/// broker's per-scope accounting labels). A no-op when disabled.
-#[inline(always)]
-pub fn scoped_counter(label: &'static str, scope: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    emit(Event::Counter {
-        label: Label::Borrowed(label),
-        scope: Some(Label::Borrowed(scope)),
-        value,
-        t: now_nanos(),
-    });
-}
-
-/// Opens a span; the returned guard emits the matching end event on drop.
-/// A no-op guard (no events, no clock reads) when disabled.
-#[inline(always)]
-#[must_use = "the span closes when the guard drops"]
-pub fn span(label: &'static str, arg: u64) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard { id: 0, label };
-    }
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    emit(Event::SpanBegin {
-        id,
-        label: Label::Borrowed(label),
-        arg,
-        t: now_nanos(),
-    });
-    SpanGuard { id, label }
-}
-
-/// RAII guard of an open span (see [`span`]). `id == 0` marks a guard
-/// created while disabled, which stays silent on drop.
-#[derive(Debug)]
-pub struct SpanGuard {
-    id: u64,
-    label: &'static str,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if self.id == 0 {
-            return;
-        }
-        emit(Event::SpanEnd {
-            id: self.id,
-            label: Label::Borrowed(self.label),
-            t: now_nanos(),
-        });
-    }
-}
-
-/// Installs `recorder`, runs `f`, and uninstalls again — even if `f`
-/// panics, so a poisoned test cannot leave the global recorder armed.
-pub fn with_recorder<T>(recorder: Arc<dyn Recorder>, f: impl FnOnce() -> T) -> T {
-    struct Disarm;
-    impl Drop for Disarm {
-        fn drop(&mut self) {
-            uninstall();
-        }
-    }
-    install(recorder);
-    let _disarm = Disarm;
-    f()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use std::sync::Mutex;
-
-    /// The recorder slot is process-global, so tests that install one are
-    /// serialized through this lock (the harness runs tests on threads of
-    /// one process).
-    static GLOBAL_RECORDER_LOCK: Mutex<()> = Mutex::new(());
-
-    #[test]
-    fn disabled_calls_record_nothing() {
-        let _guard = GLOBAL_RECORDER_LOCK.lock().unwrap();
-        assert!(!enabled());
-        counter("test.counter", 1);
-        scoped_counter("test.counter", "scope", 1);
-        let _span = span("test.span", 0);
-        drop(_span);
-        // Nothing observable happened; installing now must start empty.
-        let flight = Arc::new(FlightRecorder::new());
-        install(flight.clone());
-        uninstall();
-        assert!(flight.is_empty());
-    }
-
-    #[test]
-    fn spans_nest_and_counters_accumulate() {
-        let _guard = GLOBAL_RECORDER_LOCK.lock().unwrap();
-        let flight = Arc::new(FlightRecorder::new());
-        with_recorder(flight.clone(), || {
-            let _outer = span("test.outer", 1);
-            {
-                let _inner = span("test.inner", 2);
-                counter("test.work", 5);
-                counter("test.work", 7);
-                scoped_counter("test.rows", "learning_attack", 3);
-            }
-        });
-        assert!(!enabled());
-        let events = flight.events();
-        assert_eq!(events.len(), 7);
-        assert_eq!(flight.counter_total("test.work"), 12);
-        assert_eq!(flight.span_count("test.outer"), 1);
-        assert_eq!(flight.span_count("test.inner"), 1);
-        // Begin/end ids pair up and close innermost-first.
-        let begin_id = |label: &str| {
-            events
-                .iter()
-                .find_map(|e| match e {
-                    Event::SpanBegin { id, label: l, .. } if l == label => Some(*id),
-                    _ => None,
-                })
-                .unwrap()
-        };
-        let end_pos = |want: u64| {
-            events
-                .iter()
-                .position(|e| matches!(e, Event::SpanEnd { id, .. } if *id == want))
-                .unwrap()
-        };
-        assert!(end_pos(begin_id("test.inner")) < end_pos(begin_id("test.outer")));
-        // Timestamps are monotone in arrival order.
-        let stamps: Vec<u64> = events
-            .iter()
-            .map(|e| match e {
-                Event::SpanBegin { t, .. }
-                | Event::SpanEnd { t, .. }
-                | Event::Counter { t, .. } => *t,
-            })
-            .collect();
-        assert!(stamps.windows(2).all(|w| w[0] <= w[1]));
-    }
-
-    #[test]
-    fn with_recorder_uninstalls_on_panic() {
-        let _guard = GLOBAL_RECORDER_LOCK.lock().unwrap();
-        let result = std::panic::catch_unwind(|| {
-            with_recorder(Arc::new(NullRecorder), || panic!("boom"));
-        });
-        assert!(result.is_err());
-        assert!(!enabled(), "panic must not leave the recorder armed");
-    }
-
-    #[test]
-    fn null_recorder_swallows_a_full_event_stream() {
-        let _guard = GLOBAL_RECORDER_LOCK.lock().unwrap();
-        with_recorder(Arc::new(NullRecorder), || {
-            for i in 0..100 {
-                let _span = span("test.null", i);
-                counter("test.null.count", i);
-            }
-        });
-        assert!(!enabled());
-    }
-}

@@ -4,14 +4,15 @@
 //! order. [`Trace::parse`] turns the text back into typed events with
 //! line-numbered errors, and the model layer on top pairs span begin/end
 //! events into [`SpanRecord`]s and re-derives the per-`(label, scope)`
-//! counter books — the same totals a live [`FlightRecorder`] reports —
-//! so an offline analysis pass can reconcile a capture against
-//! `QueryStatsSnapshot` exactly.
+//! counter books, so an offline analysis pass can reconcile a capture
+//! against `QueryStatsSnapshot` exactly. Tests read a live
+//! [`FlightRecorder`] the same way, through its JSONL.
 //!
-//! [`Trace::check`] is the schema gate CI runs on every capture: span
-//! pairing, label agreement across a pair, and arrival-order timestamp
-//! monotonicity are recorder invariants, so any violation means the
-//! capture (or the writer) drifted from the wire contract.
+//! [`Trace::check`] is the schema gate: span pairing, label agreement
+//! across a pair, and arrival-order timestamp monotonicity are recorder
+//! invariants, so any violation means the capture (or the writer) drifted
+//! from the wire contract. `report --analyze` reports every violation as
+//! a problem and exits non-zero on it.
 //!
 //! [`FlightRecorder`]: crate::FlightRecorder
 
@@ -43,14 +44,15 @@ impl std::error::Error for TraceReadError {}
 /// A span begin/end pair reconstructed from a capture.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// The process-unique span id shared by the begin and end events.
+    /// The span id shared by the begin and end events, unique within the
+    /// capture.
     pub id: u64,
     /// The span label (`attack.layer`, `broker.batch`, …).
     pub label: String,
     /// The begin event's label-specific payload (layer index, wave
     /// number, batch rows…).
     pub arg: u64,
-    /// Begin timestamp (nanos since the process's first event).
+    /// Begin timestamp (nanos since the recorder was created).
     pub begin_t: u64,
     /// End timestamp.
     pub end_t: u64,
@@ -115,8 +117,7 @@ impl Trace {
         self.events.is_empty()
     }
 
-    /// Sum of all counter events with `label`, across every scope — the
-    /// offline twin of `FlightRecorder::counter_total`.
+    /// Sum of all counter events with `label`, across every scope.
     pub fn counter_total(&self, label: &str) -> u64 {
         self.events
             .iter()
@@ -246,20 +247,19 @@ impl Trace {
 mod tests {
     use super::*;
     use crate::{FlightRecorder, Label};
-    use std::sync::Arc;
 
     fn capture() -> String {
-        let flight = Arc::new(FlightRecorder::new());
-        crate::with_recorder(flight.clone(), || {
-            let _outer = crate::span("test.outer", 3);
+        let flight = FlightRecorder::new();
+        {
+            let _outer = flight.span("test.outer", 3);
             {
-                let _inner = crate::span("test.inner", 9);
-                crate::counter("test.items", 5);
-                crate::scoped_counter("test.rows", "learning_attack", 40);
-                crate::scoped_counter("test.rows", "error_correction", 2);
+                let _inner = flight.span("test.inner", 9);
+                flight.counter("test.items", 5);
+                flight.scoped_counter("test.rows", "learning_attack", 40);
+                flight.scoped_counter("test.rows", "error_correction", 2);
             }
-            crate::counter("test.items", 7);
-        });
+            flight.counter("test.items", 7);
+        }
         flight.to_jsonl()
     }
 

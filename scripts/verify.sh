@@ -90,24 +90,28 @@ RELOCK_THREADS=4 cargo test -q -p relock-attack --test variant_matrix
 cargo test -q -p relock-locking --test trigger_props
 cargo run -p relock-bench --release --bin matrix
 
-# Trace-driven analysis gate: capture a seeded attack with the flight
-# recorder, mine the capture with `report --analyze`, and demand the
-# trace-side books reconcile *exactly* against the broker's own
-# QueryStatsSnapshot — any accounting or schema drift fails. The trained
-# LeNet-16 victim runs §3.8 error correction, so the gate covers it.
+# Trace-driven analysis gate: capture a seeded attack at 1 and 2 threads
+# with the flight recorder, mine each capture with `report --analyze`, and
+# demand the trace-side books reconcile *exactly* against the broker's own
+# QueryStatsSnapshot — any accounting or schema drift, or a timestamp out
+# of arrival order, fails. The trained LeNet-16 victim runs §3.8 error
+# correction, so the gate covers it.
 # ci-job: analyze
 echo "==> analyze (flight-recorder accounting gate)"
 analyze_dir=$(mktemp -d /tmp/relock-analyze.XXXXXX)
 trap 'rm -rf "$analyze_dir"' EXIT
 ./target/release/relock lock --arch lenet --bits 16 \
   --out "$analyze_dir/victim.rlk" --seed 1
-./target/release/relock attack "$analyze_dir/victim.rlk" --fast --seed 1 \
-  --trace "$analyze_dir/trace.jsonl" \
-  --stats-json "$analyze_dir/stats.json"
-cargo run -p relock-bench --release --bin report -q -- \
-  --analyze "$analyze_dir/trace.jsonl" \
-  --stats "$analyze_dir/stats.json" \
-  --out "$analyze_dir/ANALYZE.json"
+for threads in 1 2; do
+  ./target/release/relock attack "$analyze_dir/victim.rlk" --fast --seed 1 \
+    --threads "$threads" \
+    --trace "$analyze_dir/trace-t$threads.jsonl" \
+    --stats-json "$analyze_dir/stats-t$threads.json"
+  cargo run -p relock-bench --release --bin report -q -- \
+    --analyze "$analyze_dir/trace-t$threads.jsonl" \
+    --stats "$analyze_dir/stats-t$threads.json" \
+    --out "$analyze_dir/ANALYZE-t$threads.json"
+done
 
 # Unified bench report + benchdiff: fails on any query-count drift vs
 # the committed baseline (deterministic); local timing only warns, like

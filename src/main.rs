@@ -20,7 +20,9 @@
 //!
 //! Each subcommand accepts exactly the flags its usage line lists; any
 //! other flag (a typo such as `--seeed`) exits 2 with the usage text
-//! instead of silently running on defaults.
+//! instead of silently running on defaults. Every subcommand writes its
+//! output through one fallible writer, so a reader that goes away early
+//! (`relock inspect victim.rlk | head -1`) ends the run quietly with exit 0.
 //!
 //! `lock` plays the IP owner: builds one of the four §4.2 victims, embeds
 //! a random key, (optionally) trains the network as a function of that
@@ -56,9 +58,11 @@ use relock::prelude::*;
 use relock_attack::LearningConfig;
 use relock_campaign::{CampaignHub, Client, Request, ServerHandle};
 use relock_trace::json::Value;
+use relock_trace::FlightRecorder;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, ErrorKind, Write};
 use std::process::ExitCode;
+use std::sync::Arc;
 
 /// Default daemon address shared by `serve` and every client subcommand.
 const DEFAULT_LISTEN: &str = "tcp:127.0.0.1:7433";
@@ -101,6 +105,36 @@ fn known_flags(cmd: &str) -> Option<Vec<String>> {
     }
     flags
 }
+
+/// Why a subcommand stopped: a message for the user, or a failed write to
+/// stdout. Every other I/O error is turned into a message where it
+/// happens, so `Stdout` means the output stream itself failed.
+enum CliError {
+    Msg(String),
+    Stdout(std::io::Error),
+}
+
+impl From<String> for CliError {
+    fn from(msg: String) -> Self {
+        CliError::Msg(msg)
+    }
+}
+
+impl From<&str> for CliError {
+    fn from(msg: &str) -> Self {
+        CliError::Msg(msg.to_string())
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Stdout(e)
+    }
+}
+
+/// What a subcommand returns; it writes its output to the `out` it is
+/// given.
+type CmdResult = Result<(), CliError>;
 
 struct Args {
     positional: Vec<String>,
@@ -254,7 +288,7 @@ fn build_victim(
     Ok(out)
 }
 
-fn cmd_lock(args: &Args) -> Result<(), String> {
+fn cmd_lock(args: &Args, out: &mut dyn Write) -> CmdResult {
     let arch = args.value("arch").ok_or("--arch is required")?.to_string();
     let bits = args.u64_value("bits", 16)? as usize;
     let out_path = args.value("out").ok_or("--out is required")?.to_string();
@@ -264,17 +298,18 @@ fn cmd_lock(args: &Args) -> Result<(), String> {
     let (mut model, data) = build_victim(&arch, bits, variant, &mut rng)?;
     if args.flag("no-train").is_none() {
         let summary = Trainer::default().fit(&mut model, &data, &mut rng);
-        println!(
+        writeln!(
+            out,
             "trained {arch} ({bits}-bit key): test accuracy {:.1}%",
             100.0 * summary.final_test_accuracy
-        );
+        )?;
     } else {
-        println!("built untrained {arch} ({bits}-bit key)");
+        writeln!(out, "built untrained {arch} ({bits}-bit key)")?;
     }
     let file = File::create(&out_path).map_err(|e| e.to_string())?;
     let mut w = BufWriter::new(file);
     model.save(&mut w).map_err(|e| e.to_string())?;
-    println!("wrote {out_path}");
+    writeln!(out, "wrote {out_path}")?;
     Ok(())
 }
 
@@ -284,19 +319,19 @@ fn load_model(path: &str) -> Result<LockedModel, String> {
     LockedModel::load(&mut r).map_err(|e| e.to_string())
 }
 
-fn cmd_inspect(args: &Args) -> Result<(), String> {
+fn cmd_inspect(args: &Args, out: &mut dyn Write) -> CmdResult {
     let path = args
         .positional
         .first()
         .ok_or("inspect needs a model file")?;
     let model = load_model(path)?;
     let g = model.white_box();
-    println!("model: {path}");
-    println!("  input  : {} features", g.input_size());
-    println!("  output : {} logits", g.output_size());
-    println!("  nodes  : {}", g.nodes().len());
-    println!("  params : {}", g.param_count());
-    println!("  key    : {} bits", g.key_slot_count());
+    writeln!(out, "model: {path}")?;
+    writeln!(out, "  input  : {} features", g.input_size())?;
+    writeln!(out, "  output : {} logits", g.output_size())?;
+    writeln!(out, "  nodes  : {}", g.nodes().len())?;
+    writeln!(out, "  params : {}", g.param_count())?;
+    writeln!(out, "  key    : {} bits", g.key_slot_count())?;
     let sites = g.lock_sites();
     let mut by_node: Vec<(NodeId, usize)> = Vec::new();
     for s in &sites {
@@ -306,41 +341,43 @@ fn cmd_inspect(args: &Args) -> Result<(), String> {
         }
     }
     for (node, count) in by_node {
-        println!(
+        writeln!(
+            out,
             "  layer {node}: {count} protected unit(s), layout {:?}",
             sites
                 .iter()
                 .find(|s| s.keyed_node == node)
                 .map(|s| (s.layout.n_units, s.layout.unit_len))
                 .unwrap_or((0, 0))
-        );
+        )?;
     }
     let wl = g.weight_lock_slots();
     if !wl.is_empty() {
-        println!("  weight-element locks: {}", wl.len());
+        writeln!(out, "  weight-element locks: {}", wl.len())?;
     }
     Ok(())
 }
 
-/// Wraps the attack with the flight recorder when `--trace <file>` is
-/// given: every structured event of the run (layer/wave/worker spans,
-/// broker per-scope counters, gemm and checkpoint counters) drains to the
-/// file as JSONL, even when the attack itself fails.
-fn cmd_attack(args: &Args) -> Result<(), String> {
+/// Runs the attack, recording it when `--trace <file>` is given: the run's
+/// broker carries a fresh flight recorder, and its events (`broker.batch`,
+/// `attack.layer` and `attack.wave` spans; the scoped broker counters,
+/// `chaos.injected` and `checkpoint.write`) drain to the file as JSONL,
+/// even when the attack itself fails.
+fn cmd_attack(args: &Args, out: &mut dyn Write) -> CmdResult {
     let trace_path = match args.flag("trace") {
         None => None,
         Some(Some(path)) => Some(path.clone()),
         Some(None) => return Err("--trace expects a file path".into()),
     };
     let Some(trace_path) = trace_path else {
-        return run_attack(args);
+        return run_attack(args, None, out);
     };
-    let flight = std::sync::Arc::new(relock_trace::FlightRecorder::new());
-    let result = relock_trace::with_recorder(flight.clone(), || run_attack(args));
+    let flight = Arc::new(FlightRecorder::new());
+    let result = run_attack(args, Some(&flight), out);
     flight
         .write_jsonl(std::path::Path::new(&trace_path))
         .map_err(|e| format!("{trace_path}: {e}"))?;
-    println!("wrote {} trace events to {trace_path}", flight.len());
+    writeln!(out, "wrote {} trace events to {trace_path}", flight.len())?;
     result
 }
 
@@ -349,14 +386,18 @@ fn cmd_attack(args: &Args) -> Result<(), String> {
 /// `--trace` capture against.
 ///
 /// [`QueryStatsSnapshot`]: relock_attack::QueryStatsSnapshot
-fn write_stats_json(path: &str, snap: &relock_attack::QueryStatsSnapshot) -> Result<(), String> {
+fn write_stats_json(
+    path: &str,
+    snap: &relock_attack::QueryStatsSnapshot,
+    out: &mut dyn Write,
+) -> CmdResult {
     let text = snap.to_json_value().to_pretty() + "\n";
     std::fs::write(path, text).map_err(|e| format!("{path}: {e}"))?;
-    println!("wrote query accounting to {path}");
+    writeln!(out, "wrote query accounting to {path}")?;
     Ok(())
 }
 
-fn run_attack(args: &Args) -> Result<(), String> {
+fn run_attack(args: &Args, trace: Option<&Arc<FlightRecorder>>, out: &mut dyn Write) -> CmdResult {
     let path = args.positional.first().ok_or("attack needs a model file")?;
     let seed = args.u64_value("seed", 7)?;
     let stats_json = match args.flag("stats-json") {
@@ -366,6 +407,15 @@ fn run_attack(args: &Args) -> Result<(), String> {
     };
     let model = load_model(path)?;
     let oracle = CountingOracle::new(&model);
+    // Every path routes its traffic through one broker, which carries the
+    // run's recorder under `--trace`.
+    let brokered = |config: BrokerConfig| {
+        let broker = Broker::with_config(&oracle, config);
+        match trace {
+            Some(flight) => broker.with_trace(Arc::clone(flight)),
+            None => broker,
+        }
+    };
     let mut rng = Prng::seed_from_u64(seed);
     if args.flag("monolithic").is_some() {
         let report = MonolithicAttack::new(MonolithicConfig {
@@ -375,17 +425,22 @@ fn run_attack(args: &Args) -> Result<(), String> {
             },
             input_scale: 3.0,
         })
-        .run(model.white_box(), &oracle, &mut rng);
-        println!("monolithic learning attack:");
-        println!("  extracted key: {}", report.key);
-        println!(
+        .run_brokered(
+            model.white_box(),
+            &brokered(BrokerConfig::default()),
+            &mut rng,
+        );
+        writeln!(out, "monolithic learning attack:")?;
+        writeln!(out, "  extracted key: {}", report.key)?;
+        writeln!(
+            out,
             "  fidelity {:.1}%   queries {}   time {:.2}s",
             100.0 * report.key.fidelity(model.true_key()),
             report.queries,
             report.elapsed.as_secs_f64()
-        );
+        )?;
         if let Some(p) = &stats_json {
-            write_stats_json(p, &report.stats)?;
+            write_stats_json(p, &report.stats, out)?;
         }
         return Ok(());
     }
@@ -427,13 +482,10 @@ fn run_attack(args: &Args) -> Result<(), String> {
         if checkpoint.is_some() {
             return Err("--checkpoint is not supported for trigger variants (sar/antisat)".into());
         }
-        let broker = Broker::with_config(
-            &oracle,
-            BrokerConfig {
-                max_queries: cfg.query_budget,
-                ..BrokerConfig::default()
-            },
-        );
+        let broker = brokered(BrokerConfig {
+            max_queries: cfg.query_budget,
+            ..BrokerConfig::default()
+        });
         let start = std::time::Instant::now();
         let report = sampling_key_search(
             model.white_box(),
@@ -441,31 +493,29 @@ fn run_attack(args: &Args) -> Result<(), String> {
             &SamplingConfig::from_attack(&cfg),
             &mut rng,
         );
-        println!("sampling key search ({} lock):", cfg.variant);
-        println!("  extracted key: {}", report.key);
-        println!(
+        writeln!(out, "sampling key search ({} lock):", cfg.variant)?;
+        writeln!(out, "  extracted key: {}", report.key)?;
+        writeln!(
+            out,
             "  fidelity {:.1}%   agreement {:.1}%   queries {}   time {:.2}s",
             100.0 * report.key.fidelity(model.true_key()),
             100.0 * report.agreement,
             report.queries,
             start.elapsed().as_secs_f64()
-        );
-        print!("{}", broker.stats().snapshot());
+        )?;
+        write!(out, "{}", broker.stats().snapshot())?;
         if let Some(p) = &stats_json {
-            write_stats_json(p, &broker.stats().snapshot())?;
+            write_stats_json(p, &broker.stats().snapshot(), out)?;
         }
         return Ok(());
     }
 
     let start = std::time::Instant::now();
     let decryptor = Decryptor::new(cfg);
-    let broker = Broker::with_config(
-        &oracle,
-        BrokerConfig {
-            max_queries: decryptor.config().query_budget,
-            ..BrokerConfig::default()
-        },
-    );
+    let broker = brokered(BrokerConfig {
+        max_queries: decryptor.config().query_budget,
+        ..BrokerConfig::default()
+    });
     let report = match &checkpoint {
         None => decryptor
             .run_brokered(model.white_box(), &broker, &mut rng)
@@ -478,12 +528,14 @@ fn run_attack(args: &Args) -> Result<(), String> {
                     .resume(model.white_box(), &broker, &mut rng, &sink, policy)
                     .map_err(|e| e.to_string())?;
                 match &status {
-                    ResumeStatus::Fresh => println!("no checkpoint at {path}; starting fresh"),
+                    ResumeStatus::Fresh => {
+                        writeln!(out, "no checkpoint at {path}; starting fresh")?
+                    }
                     ResumeStatus::FellBack { reason } => {
-                        println!("checkpoint unusable ({reason}); starting fresh");
+                        writeln!(out, "checkpoint unusable ({reason}); starting fresh")?;
                     }
                     ResumeStatus::Resumed { layer, phase } => {
-                        println!("resumed from {path} at layer {layer} ({phase})");
+                        writeln!(out, "resumed from {path} at layer {layer} ({phase})")?;
                     }
                 }
                 report
@@ -494,26 +546,28 @@ fn run_attack(args: &Args) -> Result<(), String> {
             }
         }
     };
-    println!("DNN decryption attack:");
-    println!("  extracted key: {}", report.key);
-    println!(
+    writeln!(out, "DNN decryption attack:")?;
+    writeln!(out, "  extracted key: {}", report.key)?;
+    writeln!(
+        out,
         "  fidelity {:.1}%   queries {}   time {:.2}s   validated {}",
         100.0 * report.fidelity(model.true_key()),
         report.queries,
         start.elapsed().as_secs_f64(),
         report.fully_validated()
-    );
+    )?;
     for p in Procedure::ALL {
-        println!(
+        writeln!(
+            out,
             "  {:<24}{:>8.3}s ({:>5.1}%)",
             p.to_string(),
             report.timing.of(p).as_secs_f64(),
             100.0 * report.timing.fraction(p)
-        );
+        )?;
     }
-    print!("{}", report.stats);
+    write!(out, "{}", report.stats)?;
     if let Some(p) = &stats_json {
-        write_stats_json(p, &report.stats)?;
+        write_stats_json(p, &report.stats, out)?;
     }
     Ok(())
 }
@@ -521,7 +575,7 @@ fn run_attack(args: &Args) -> Result<(), String> {
 /// Starts the resident campaign daemon and blocks until a client sends
 /// `shutdown`. `--workers` sets the hub's slots, which bound campaigns
 /// computing at once; campaigns waiting on their oracles hold none.
-fn cmd_serve(args: &Args) -> Result<(), String> {
+fn cmd_serve(args: &Args, out: &mut dyn Write) -> CmdResult {
     let listen = args.value("listen").unwrap_or(DEFAULT_LISTEN).to_string();
     let workers = args.u64_value("workers", 4)? as usize;
     let cache_mb = args.u64_value("cache-mb", 64)?;
@@ -534,18 +588,20 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let hub = CampaignHub::with_admission_cap(workers, cap, Some(max_live));
     let server = ServerHandle::spawn(hub, &listen).map_err(|e| format!("{listen}: {e}"))?;
     match cap {
-        Some(bytes) => println!(
+        Some(bytes) => writeln!(
+            out,
             "campaign daemon on {} ({workers} slots, {} MiB shared cache)",
             server.addr(),
             bytes >> 20
-        ),
-        None => println!(
+        )?,
+        None => writeln!(
+            out,
             "campaign daemon on {} ({workers} slots, unbounded shared cache)",
             server.addr()
-        ),
+        )?,
     }
     server.join();
-    println!("campaign daemon stopped");
+    writeln!(out, "campaign daemon stopped")?;
     Ok(())
 }
 
@@ -562,10 +618,11 @@ fn positional_id(args: &Args, what: &str) -> Result<u64, String> {
         .map_err(|_| "campaign ids are numbers".to_string())
 }
 
-fn print_campaign(c: &Value) {
+fn print_campaign(out: &mut dyn Write, c: &Value) -> std::io::Result<()> {
     let field_str = |k: &str| c.get(k).and_then(Value::as_str).unwrap_or("-").to_string();
     let field_u64 = |k: &str| c.get(k).and_then(Value::as_u64).unwrap_or(0);
-    println!(
+    writeln!(
+        out,
         "campaign {} [{}]  tenant {}  queries {}  hits {}  layer {} ({})  segments {}",
         field_u64("id"),
         field_str("state"),
@@ -575,19 +632,21 @@ fn print_campaign(c: &Value) {
         field_u64("layer"),
         field_str("phase"),
         field_u64("segments"),
-    );
+    )?;
     if let Some(key) = c.get("key").and_then(Value::as_str) {
-        println!(
+        writeln!(
+            out,
             "  key: {key}  validated: {}",
             c.get("validated").and_then(Value::as_bool).unwrap_or(false)
-        );
+        )?;
     }
     if let Some(error) = c.get("error").and_then(Value::as_str) {
-        println!("  error: {error}");
+        writeln!(out, "  error: {error}")?;
     }
+    Ok(())
 }
 
-fn cmd_submit(args: &Args) -> Result<(), String> {
+fn cmd_submit(args: &Args, out: &mut dyn Write) -> CmdResult {
     let path = args.positional.first().ok_or("submit needs a model file")?;
     let absolute = std::fs::canonicalize(path).map_err(|e| format!("{path}: {e}"))?;
     let mut client = connect(args)?;
@@ -607,11 +666,11 @@ fn cmd_submit(args: &Args) -> Result<(), String> {
         checkpoint: None,
     })?;
     let id = response.get("id").and_then(Value::as_u64).unwrap_or(0);
-    println!("submitted campaign {id}");
+    writeln!(out, "submitted campaign {id}")?;
     Ok(())
 }
 
-fn cmd_status(args: &Args) -> Result<(), String> {
+fn cmd_status(args: &Args, out: &mut dyn Write) -> CmdResult {
     let mut client = connect(args)?;
     match args.positional.first() {
         Some(raw) => {
@@ -620,7 +679,7 @@ fn cmd_status(args: &Args) -> Result<(), String> {
             let campaign = response
                 .get("campaign")
                 .ok_or("malformed status response")?;
-            print_campaign(campaign);
+            print_campaign(out, campaign)?;
         }
         None => {
             let response = client.call_ok(&Request::List)?;
@@ -629,26 +688,27 @@ fn cmd_status(args: &Args) -> Result<(), String> {
                 .and_then(Value::as_arr)
                 .ok_or("malformed list response")?;
             if campaigns.is_empty() {
-                println!("no campaigns");
+                writeln!(out, "no campaigns")?;
             }
             for c in campaigns {
-                print_campaign(c);
+                print_campaign(out, c)?;
             }
             let stats = client.call_ok(&Request::Stats)?;
             if let Some(cache) = stats.get("cache") {
-                println!(
+                writeln!(
+                    out,
                     "shared cache: {} rows / {} B resident, {} evicted",
                     cache.get("rows").and_then(Value::as_u64).unwrap_or(0),
                     cache.get("bytes").and_then(Value::as_u64).unwrap_or(0),
                     cache.get("evicted").and_then(Value::as_u64).unwrap_or(0),
-                );
+                )?;
             }
         }
     }
     Ok(())
 }
 
-fn cmd_lifecycle(args: &Args, verb: &str) -> Result<(), String> {
+fn cmd_lifecycle(args: &Args, verb: &str, out: &mut dyn Write) -> CmdResult {
     let id = positional_id(args, verb)?;
     let request = match verb {
         "pause" => Request::Pause { id },
@@ -656,13 +716,13 @@ fn cmd_lifecycle(args: &Args, verb: &str) -> Result<(), String> {
         _ => Request::Cancel { id },
     };
     connect(args)?.call_ok(&request)?;
-    println!("{verb} acknowledged for campaign {id}");
+    writeln!(out, "{verb} acknowledged for campaign {id}")?;
     Ok(())
 }
 
-fn cmd_shutdown(args: &Args) -> Result<(), String> {
+fn cmd_shutdown(args: &Args, out: &mut dyn Write) -> CmdResult {
     connect(args)?.call_ok(&Request::Shutdown)?;
-    println!("daemon shutting down");
+    writeln!(out, "daemon shutting down")?;
     Ok(())
 }
 
@@ -679,20 +739,28 @@ fn main() -> ExitCode {
         eprintln!("error: unknown flag --{name} for `relock {cmd}`");
         return usage();
     }
+    let mut stdout = std::io::stdout();
+    let out: &mut dyn Write = &mut stdout;
     let result = match cmd.as_str() {
-        "lock" => cmd_lock(&args),
-        "inspect" => cmd_inspect(&args),
-        "attack" => cmd_attack(&args),
-        "serve" => cmd_serve(&args),
-        "submit" => cmd_submit(&args),
-        "status" => cmd_status(&args),
-        "pause" | "resume" | "cancel" => cmd_lifecycle(&args, cmd.as_str()),
-        "shutdown" => cmd_shutdown(&args),
+        "lock" => cmd_lock(&args, out),
+        "inspect" => cmd_inspect(&args, out),
+        "attack" => cmd_attack(&args, out),
+        "serve" => cmd_serve(&args, out),
+        "submit" => cmd_submit(&args, out),
+        "status" => cmd_status(&args, out),
+        "pause" | "resume" | "cancel" => cmd_lifecycle(&args, cmd.as_str(), out),
+        "shutdown" => cmd_shutdown(&args, out),
         _ => return usage(),
     };
-    match result {
+    match result.and_then(|()| Ok(out.flush()?)) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // The reader went away: nothing is left to tell it.
+        Err(CliError::Stdout(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(CliError::Stdout(e)) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(CliError::Msg(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }

@@ -153,3 +153,38 @@ fn listed_flags_lock_and_attack() {
         String::from_utf8_lossy(&attack.stdout)
     );
 }
+
+/// A reader that goes away early ends the run quietly, as in
+/// `relock inspect victim.rlk | head -1`: exit 0 and nothing on stderr,
+/// never a panic on the closed pipe.
+#[test]
+fn closed_stdout_ends_the_run_quietly() {
+    let model = scratch("pipe.rlk");
+    let path = model.to_str().expect("utf-8 temp path");
+    let lock = relock(&[
+        "lock",
+        "--arch",
+        "mlp",
+        "--bits",
+        "8",
+        "--out",
+        path,
+        "--no-train",
+    ]);
+    assert!(lock.status.success(), "lock: {}", stderr(&lock));
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_relock"))
+        .args(["inspect", path])
+        .stdout(writer)
+        .output()
+        .expect("spawn relock");
+    let _ = std::fs::remove_file(&model);
+    assert!(
+        !stderr(&out).contains("panicked"),
+        "stderr: {}",
+        stderr(&out)
+    );
+    assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
+    assert!(out.stderr.is_empty(), "stderr: {}", stderr(&out));
+}
