@@ -8,9 +8,7 @@
 //! soak [mlp|lenet|resnet|vit] [key_bits] [prep_seed] [attack_seed] [kills]
 //! ```
 
-use relock_attack::{
-    AttackState, CheckpointPolicy, DecryptionReport, Decryptor, MemoryCheckpointSink,
-};
+use relock_attack::{AttackState, DecryptionReport, Decryptor, MemoryCheckpointSink};
 use relock_bench::{attack_config, prepare, Arch, Scale};
 use relock_locking::CountingOracle;
 use relock_serve::{Broker, BrokerConfig, ChaosConfig, ChaosCrash, ChaosOracle};
@@ -69,7 +67,7 @@ fn main() -> ExitCode {
         let broker = Broker::with_config(&chaos, BrokerConfig::default());
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             let mut rng = Prng::seed_from_u64(attack_seed);
-            decryptor.resume(g, &broker, &mut rng, &sink, CheckpointPolicy::EVERY_CUT)
+            decryptor.resume(g, &broker, &mut rng, &sink)
         }));
         match attempt {
             Ok(Ok((report, _status))) => break report,

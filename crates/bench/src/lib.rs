@@ -427,13 +427,12 @@ pub fn run_decryption(
     )
 }
 
-/// Worker threads available to the compute kernels, as reported in the
-/// `threads` field of `report`'s `BENCH.json` so perf numbers carry their
+/// Worker threads of the compute kernels: the machine's available
+/// parallelism ([`relock_tensor::compute::max_threads`]). `report` records
+/// it in the `threads` field of `BENCH.json` so perf numbers carry their
 /// machine context.
 pub fn bench_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    relock_tensor::compute::max_threads()
 }
 
 /// Env-driven architecture filter (`RELOCK_ARCHS=mlp,resnet`).

@@ -20,7 +20,7 @@
 //! pin that down.
 
 use crate::{attack_config, bench_threads, prepare, Arch, Scale};
-use relock_attack::{AttackState, CheckpointPolicy, DecryptionReport, Decryptor};
+use relock_attack::{AttackState, DecryptionReport, Decryptor};
 use relock_locking::CountingOracle;
 use relock_serve::{Broker, BrokerConfig, ChaosConfig, ChaosCrash, ChaosOracle};
 use relock_tensor::backend;
@@ -616,7 +616,7 @@ fn soak_entry() -> BenchEntry {
         let broker = Broker::with_config(&chaos, BrokerConfig::default());
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             let mut rng = Prng::seed_from_u64(43);
-            decryptor.resume(g, &broker, &mut rng, &sink, CheckpointPolicy::EVERY_CUT)
+            decryptor.resume(g, &broker, &mut rng, &sink)
         }));
         match attempt {
             Ok(Ok((report, _status))) => break report,

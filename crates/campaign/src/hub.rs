@@ -39,21 +39,17 @@
 
 use crate::sched::FairScheduler;
 use relock_attack::{
-    sampling_key_search, AttackConfig, AttackState, CheckpointPolicy, CheckpointSink, Decryptor,
-    FileCheckpointSink, MemoryCheckpointSink, MonolithicAttack, MonolithicConfig, SamplingConfig,
-    SessionOutcome,
+    sampling_key_search, AttackConfig, AttackState, CheckpointSink, Decryptor,
+    MemoryCheckpointSink, MonolithicAttack, MonolithicConfig, SamplingConfig, SessionOutcome,
 };
 use relock_locking::{CountingOracle, Key, LockVariant, LockedModel, Oracle, OracleError};
 use relock_serve::{
-    Broker, BrokerConfig, ChaosConfig, ChaosCrash, ChaosOracle, QueryStatsSnapshot, RetryPolicy,
-    WaitHook,
+    Broker, BrokerConfig, ChaosConfig, ChaosCrash, ChaosOracle, QueryStatsSnapshot, WaitHook,
 };
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
 use std::collections::HashMap;
-use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -146,39 +142,6 @@ impl Oracle for HostedOracle {
     }
 }
 
-/// Where a campaign's RLCP frames live: in memory (the default) or on
-/// disk when the submitter asked for a durable checkpoint path.
-#[derive(Debug, Clone)]
-enum HubSink {
-    Memory(Arc<MemoryCheckpointSink>),
-    File(FileCheckpointSink),
-}
-
-impl HubSink {
-    fn bytes(&self) -> Option<Vec<u8>> {
-        match self {
-            HubSink::Memory(m) => m.contents(),
-            HubSink::File(f) => f.load().ok().flatten(),
-        }
-    }
-}
-
-impl CheckpointSink for HubSink {
-    fn save(&self, bytes: &[u8]) -> io::Result<()> {
-        match self {
-            HubSink::Memory(m) => m.save(bytes),
-            HubSink::File(f) => f.save(bytes),
-        }
-    }
-
-    fn load(&self) -> io::Result<Option<Vec<u8>>> {
-        match self {
-            HubSink::Memory(m) => m.load(),
-            HubSink::File(f) => f.load(),
-        }
-    }
-}
-
 /// How to run one campaign. Everything here is per-campaign; the cache
 /// cap and slot count are hub-wide ([`CampaignHub::new`]).
 #[derive(Debug, Clone)]
@@ -191,10 +154,6 @@ pub struct CampaignConfig {
     pub weight: u64,
     /// Underlying-query budget for the whole campaign (`None` unlimited).
     pub query_budget: Option<u64>,
-    /// Wall-clock deadline from submission (`None` unlimited).
-    pub deadline: Option<Duration>,
-    /// Attack worker threads inside a segment (1 = sequential).
-    pub threads: usize,
     /// Use the fast attack preset (small line/sample counts).
     pub fast: bool,
     /// Run the §4.3 monolithic learning baseline instead of Algorithm 2.
@@ -207,10 +166,6 @@ pub struct CampaignConfig {
     pub variant: LockVariant,
     /// Deterministic fault schedule wrapped around the oracle.
     pub chaos: Option<ChaosConfig>,
-    /// Persist RLCP frames to this path instead of daemon memory.
-    pub checkpoint_path: Option<PathBuf>,
-    /// Retry policy of the campaign's brokers.
-    pub retry: RetryPolicy,
 }
 
 impl Default for CampaignConfig {
@@ -220,14 +175,10 @@ impl Default for CampaignConfig {
             seed: 1,
             weight: 1,
             query_budget: None,
-            deadline: None,
-            threads: 1,
             fast: true,
             monolithic: false,
             variant: LockVariant::Sign,
             chaos: None,
-            checkpoint_path: None,
-            retry: RetryPolicy::default(),
         }
     }
 }
@@ -245,7 +196,7 @@ pub enum CampaignState {
     Paused,
     /// The key was recovered; see [`CampaignView::key`].
     Completed,
-    /// The attack errored (budget, deadline, backend, or panic).
+    /// The attack errored (budget, backend, or panic).
     Failed,
     /// Cancelled by request.
     Cancelled,
@@ -362,7 +313,8 @@ struct CampaignHandle {
     gate_cv: Condvar,
     view: Mutex<CampaignView>,
     view_cv: Condvar,
-    sink: HubSink,
+    /// The campaign's last RLCP frame.
+    sink: MemoryCheckpointSink,
 }
 
 impl CampaignHandle {
@@ -502,10 +454,7 @@ impl CampaignHub {
         }
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         self.sched.set_weight(&cfg.tenant, cfg.weight);
-        let sink = match &cfg.checkpoint_path {
-            Some(path) => HubSink::File(FileCheckpointSink::new(path.clone())),
-            None => HubSink::Memory(Arc::new(MemoryCheckpointSink::new())),
-        };
+        let sink = MemoryCheckpointSink::new();
         // Seed progress from the migrated frame so budgets keep charging
         // against the whole campaign, not just this daemon's share of it.
         let mut baseline = (0u64, 0usize, String::from("layer-start"));
@@ -646,7 +595,7 @@ impl CampaignHub {
     /// with [`CampaignHub::submit_checkpointed`] to migrate a paused
     /// campaign to another daemon instance.
     pub fn checkpoint_bytes(&self, id: u64) -> Result<Option<Vec<u8>>, HubError> {
-        Ok(self.handle(id)?.sink.bytes())
+        Ok(self.handle(id)?.sink.contents())
     }
 
     fn wait_where(
@@ -763,14 +712,14 @@ fn run_campaign(
     } else {
         AttackConfig::default()
     };
-    attack_cfg.threads = cfg.threads.max(1);
+    // One thread of compute per slot, whatever `RELOCK_THREADS` says.
+    attack_cfg.threads = 1;
     attack_cfg.variant = cfg.variant;
     let decryptor = Decryptor::new(attack_cfg);
     let mut mono_cfg = MonolithicConfig::default();
     if cfg.fast {
         mono_cfg.learning.samples = 256;
     }
-    let submitted = Instant::now();
     loop {
         // Gate: hold while a pause is in force.
         {
@@ -806,8 +755,7 @@ fn run_campaign(
         let spent = handle.view.lock().expect("campaign view poisoned").queries;
         let broker_cfg = BrokerConfig {
             max_queries: cfg.query_budget.map(|b| b.saturating_sub(spent)),
-            deadline: cfg.deadline.map(|d| d.saturating_sub(submitted.elapsed())),
-            retry: cfg.retry,
+            ..BrokerConfig::default()
         };
         let broker =
             Broker::with_shared_cache(&oracle, broker_cfg, &shared, namespace, Some(lease.clone()));
@@ -846,7 +794,6 @@ fn run_campaign(
                     &broker,
                     &mut rng,
                     &handle.sink,
-                    CheckpointPolicy::EVERY_CUT,
                     &handle.halt,
                 ) {
                     Ok((SessionOutcome::Completed(report), _)) => Segment::Done {

@@ -19,13 +19,13 @@
 //!   resume / cancel. Pause rides the checkpoint layer — a paused campaign
 //!   *is* an RLCP v2 frame, so it can be carried across a daemon restart
 //!   and resumed bit-identically on the other side;
-//! - a **wire protocol** ([`proto`]): newline-delimited length-prefixed
-//!   JSON frames over TCP or a Unix socket, spoken by [`serve_forever`]
-//!   and [`Client`]. See `DESIGN.md` §4 for the frame and request
-//!   catalogue.
+//! - a **wire protocol** ([`Request`], [`read_frame`], [`write_frame`]):
+//!   newline-delimited length-prefixed JSON frames over TCP or a Unix
+//!   socket, spoken by [`serve_forever`] and [`Client`]. See `DESIGN.md`
+//!   §4 for the frame and request catalogue.
 //!
-//! The module split mirrors those four concerns: [`sched`], [`hub`],
-//! [`proto`], [`server`] / [`client`].
+//! The private module split mirrors those four concerns: `sched`, `hub`,
+//! `proto`, `server` / `client`.
 
 mod client;
 mod hub;

@@ -118,8 +118,6 @@ pub enum Request {
         weight: u64,
         /// Underlying-query budget.
         budget: Option<u64>,
-        /// Attack threads per segment.
-        threads: u64,
         /// Fast attack preset.
         fast: bool,
         /// Monolithic baseline instead of Algorithm 2.
@@ -172,16 +170,21 @@ pub(crate) fn hex_encode(bytes: &[u8]) -> String {
     out
 }
 
+/// Decodes a hex string over its bytes, so a non-ASCII character is an
+/// invalid digit rather than a slice across a char boundary.
 fn hex_decode(text: &str) -> Result<Vec<u8>, ProtoError> {
-    if !text.len().is_multiple_of(2) {
+    let bytes = text.as_bytes();
+    if !bytes.len().is_multiple_of(2) {
         return Err(ProtoError::Malformed("odd-length hex string".into()));
     }
-    (0..text.len())
-        .step_by(2)
-        .map(|i| {
-            u8::from_str_radix(&text[i..i + 2], 16)
-                .map_err(|_| ProtoError::Malformed("invalid hex digit".into()))
-        })
+    let digit = |b: u8| {
+        char::from(b)
+            .to_digit(16)
+            .ok_or_else(|| ProtoError::Malformed("invalid hex digit".into()))
+    };
+    bytes
+        .chunks_exact(2)
+        .map(|pair| Ok((digit(pair[0])? * 16 + digit(pair[1])?) as u8))
         .collect()
 }
 
@@ -210,7 +213,6 @@ impl Request {
                 seed,
                 weight,
                 budget,
-                threads,
                 fast,
                 monolithic,
                 variant,
@@ -223,7 +225,6 @@ impl Request {
                 if let Some(b) = budget {
                     fields.push(("budget".into(), Value::num_u64(*b)));
                 }
-                fields.push(("threads".into(), Value::num_u64(*threads)));
                 fields.push(("fast".into(), Value::Bool(*fast)));
                 fields.push(("monolithic".into(), Value::Bool(*monolithic)));
                 fields.push(("variant".into(), Value::str(variant.clone())));
@@ -275,7 +276,6 @@ impl Request {
                 seed: doc.get("seed").and_then(Value::as_u64).unwrap_or(1),
                 weight: doc.get("weight").and_then(Value::as_u64).unwrap_or(1),
                 budget: doc.get("budget").and_then(Value::as_u64),
-                threads: doc.get("threads").and_then(Value::as_u64).unwrap_or(1),
                 fast: doc.get("fast").and_then(Value::as_bool).unwrap_or(true),
                 monolithic: doc
                     .get("monolithic")
@@ -352,7 +352,6 @@ mod tests {
                 seed: 42,
                 weight: 3,
                 budget: Some(10_000),
-                threads: 2,
                 fast: true,
                 monolithic: false,
                 variant: "sar".into(),
@@ -383,7 +382,6 @@ mod tests {
                 seed: 5,
                 weight: 1,
                 budget: None,
-                threads: 1,
                 fast: false,
                 monolithic: true,
                 variant: "sign".into(),
@@ -434,5 +432,131 @@ mod tests {
             Request::from_value(&doc),
             Err(ProtoError::Malformed(_))
         ));
+        // An even byte count whose second character is two bytes wide: the
+        // decoder must not slice inside it.
+        let doc = Value::parse(r#"{"op":"submit","model_path":"x","checkpoint":"aéa"}"#).unwrap();
+        assert!(matches!(
+            Request::from_value(&doc),
+            Err(ProtoError::Malformed(_))
+        ));
+    }
+
+    /// A field the protocol no longer has (an older client's `threads`) is
+    /// ignored like any other unknown field.
+    #[test]
+    fn unknown_submit_fields_are_ignored() {
+        let doc = Value::parse(r#"{"op":"submit","model_path":"m","threads":4}"#).unwrap();
+        let Request::Submit { model_path, .. } = Request::from_value(&doc).unwrap() else {
+            panic!("a submit frame decodes to Submit");
+        };
+        assert_eq!(model_path, "m");
+    }
+
+    /// A real RLCP frame: a tiny MLP attack checkpointed at every cut.
+    fn real_checkpoint() -> Vec<u8> {
+        use relock_attack::{AttackConfig, Decryptor, MemoryCheckpointSink};
+        use relock_locking::{CountingOracle, LockSpec};
+        use relock_nn::{build_mlp, MlpSpec};
+        use relock_serve::Broker;
+        use relock_tensor::rng::Prng;
+        let spec = MlpSpec {
+            input: 5,
+            hidden: vec![7],
+            classes: 3,
+        };
+        let model = build_mlp(&spec, LockSpec::evenly(4), &mut Prng::seed_from_u64(3)).unwrap();
+        let oracle = CountingOracle::new(&model);
+        let sink = MemoryCheckpointSink::new();
+        Decryptor::new(AttackConfig::fast())
+            .run_with_checkpoints(
+                model.white_box(),
+                &Broker::new(&oracle),
+                &mut Prng::seed_from_u64(4),
+                &sink,
+            )
+            .unwrap();
+        sink.contents().expect("a checkpointed run persists frames")
+    }
+
+    /// Seeded mutations of real `submit` (with a checkpoint), `status` and
+    /// `list` frames — bit flips, JSON-significant bytes, hex digits,
+    /// multi-byte characters, deleted and duplicated runs — go through
+    /// `read_frame` and `Request::from_value` without a panic: frames are
+    /// untrusted input. Half the mutants keep a correct length line, so
+    /// most of them reach the request decoder.
+    #[test]
+    fn mutated_frames_never_panic_the_decoder() {
+        use relock_tensor::rng::Prng;
+        let requests = [
+            Request::Submit {
+                model_path: "/srv/victim.rlk".into(),
+                tenant: "alice".into(),
+                seed: 42,
+                weight: 2,
+                budget: Some(5_000),
+                fast: true,
+                monolithic: false,
+                variant: "sign".into(),
+                checkpoint: Some(real_checkpoint()),
+            },
+            Request::Status { id: 7 },
+            Request::List,
+        ];
+        let payloads: Vec<Vec<u8>> = requests
+            .iter()
+            .map(|r| r.to_value().to_compact().into_bytes())
+            .collect();
+        const SIGNIFICANT: &[u8] = b"{}[]:,\"\\-+.0123456789abcdefABCDEF \n";
+        let mut rng = Prng::seed_from_u64(0xf4a3);
+        let (mut decoded, mut rejected) = (0u32, 0u32);
+        for case in 0..10_000 {
+            let mut payload = payloads[case % payloads.len()].clone();
+            for _ in 0..1 + rng.below(3) {
+                if payload.is_empty() {
+                    break;
+                }
+                let at = rng.below(payload.len());
+                match rng.below(5) {
+                    0 => payload[at] ^= 1 << rng.below(8),
+                    1 => payload[at] = SIGNIFICANT[rng.below(SIGNIFICANT.len())],
+                    2 => {
+                        let wide = ["é", "€", "𝄞"][rng.below(3)].as_bytes();
+                        payload.splice(at..at, wide.iter().copied());
+                    }
+                    3 => {
+                        let end = (at + 1 + rng.below(32)).min(payload.len());
+                        payload.drain(at..end);
+                    }
+                    _ => {
+                        let end = (at + 1 + rng.below(64)).min(payload.len());
+                        let run = payload[at..end].to_vec();
+                        payload.splice(at..at, run);
+                    }
+                }
+            }
+            let mut wire = format!("{}\n", payload.len()).into_bytes();
+            wire.extend_from_slice(&payload);
+            if case % 2 == 1 {
+                // Damage the framing too: the length line or the cut.
+                let at = rng.below(wire.len());
+                match rng.below(3) {
+                    0 => wire[at] ^= 1 << rng.below(8),
+                    1 => wire.truncate(at),
+                    _ => wire.insert(at, b'9'),
+                }
+            }
+            let mut r = wire.as_slice();
+            while let Ok(Some(doc)) = read_frame(&mut r) {
+                match Request::from_value(&doc) {
+                    Ok(_) => decoded += 1,
+                    Err(ProtoError::Malformed(_)) => rejected += 1,
+                    Err(ProtoError::Io(e)) => panic!("decoding a value did I/O: {e}"),
+                }
+            }
+        }
+        assert!(
+            decoded > 0 && rejected > 0,
+            "decoded {decoded}, rejected {rejected}"
+        );
     }
 }

@@ -310,7 +310,6 @@ fn dispatch(hub: &Arc<CampaignHub>, shutdown: &AtomicBool, request: Request) -> 
             seed,
             weight,
             budget,
-            threads,
             fast,
             monolithic,
             variant,
@@ -338,7 +337,6 @@ fn dispatch(hub: &Arc<CampaignHub>, shutdown: &AtomicBool, request: Request) -> 
                 seed,
                 weight,
                 query_budget: budget,
-                threads: threads as usize,
                 fast,
                 monolithic,
                 variant,

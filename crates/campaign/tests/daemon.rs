@@ -91,7 +91,6 @@ fn tcp_daemon_runs_a_campaign_end_to_end() {
             seed: 71,
             weight: 2,
             budget: None,
-            threads: 1,
             fast: true,
             monolithic: false,
             variant: "sign".into(),
@@ -175,7 +174,6 @@ fn unix_socket_daemon_speaks_the_same_protocol() {
             seed: 72,
             weight: 1,
             budget: None,
-            threads: 1,
             fast: true,
             monolithic: false,
             variant: "sign".into(),
@@ -252,7 +250,6 @@ fn full_hub_rejects_submissions_with_the_overloaded_code() {
             seed: 5,
             weight: 1,
             budget: None,
-            threads: 1,
             fast: true,
             monolithic: false,
             variant: "sign".into(),
@@ -281,7 +278,6 @@ fn submit_with_a_bad_model_path_is_a_request_error() {
             seed: 1,
             weight: 1,
             budget: None,
-            threads: 1,
             fast: true,
             monolithic: false,
             variant: "sign".into(),
@@ -323,7 +319,6 @@ fn submit_of_a_model_with_an_out_of_range_key_slot_is_a_request_error() {
             seed: 1,
             weight: 1,
             budget: None,
-            threads: 1,
             fast: true,
             monolithic: false,
             variant: "sign".into(),
@@ -370,7 +365,6 @@ fn trigger_variant_round_trips_and_unknown_variants_are_rejected() {
             seed: 73,
             weight: 1,
             budget: None,
-            threads: 1,
             fast: true,
             monolithic: false,
             variant: "quantum".into(),
@@ -392,7 +386,6 @@ fn trigger_variant_round_trips_and_unknown_variants_are_rejected() {
             seed: 73,
             weight: 1,
             budget: None,
-            threads: 1,
             fast: true,
             monolithic: false,
             variant: "sar".into(),

@@ -168,7 +168,7 @@ impl CheckpointSink for FileCheckpointSink {
 }
 
 /// In-memory sink for tests and soak harnesses. `set` lets a test plant a
-/// corrupted blob; `saves` counts writes so throttling is observable.
+/// corrupted blob; `saves` counts writes.
 #[derive(Debug, Default)]
 pub struct MemoryCheckpointSink {
     cell: Mutex<Option<Vec<u8>>>,
@@ -206,27 +206,6 @@ impl CheckpointSink for MemoryCheckpointSink {
 
     fn load(&self) -> io::Result<Option<Vec<u8>>> {
         Ok(self.contents())
-    }
-}
-
-/// How often mid-layer phase cuts are persisted. Layer commits always
-/// checkpoint regardless of the policy — they are the cheapest state to
-/// carry and the most expensive to lose.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckpointPolicy {
-    /// Minimum underlying oracle queries between two mid-layer writes;
-    /// `0` persists every cut.
-    pub every_queries: u64,
-}
-
-impl CheckpointPolicy {
-    /// Persist every phase cut (the default).
-    pub const EVERY_CUT: CheckpointPolicy = CheckpointPolicy { every_queries: 0 };
-
-    /// Persist a mid-layer cut only after at least `n` underlying queries
-    /// since the previous write.
-    pub fn every_queries(n: u64) -> Self {
-        CheckpointPolicy { every_queries: n }
     }
 }
 

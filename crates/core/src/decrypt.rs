@@ -16,8 +16,8 @@
 //! assignment, and a committed layer has passed the rigorous validation.
 
 use crate::checkpoint::{
-    AttackState, CheckpointError, CheckpointPolicy, CheckpointSink, LayerReportState, PhaseCut,
-    ResumeStatus, SerialTarget,
+    AttackState, CheckpointError, CheckpointSink, LayerReportState, PhaseCut, ResumeStatus,
+    SerialTarget,
 };
 use crate::config::AttackConfig;
 use crate::correct::{correction_plan, EXHAUSTIVE_BITS};
@@ -269,8 +269,8 @@ impl Decryptor {
     /// [`Broker`]: responses are memoized (repeat probes are free),
     /// [`AttackConfig::query_budget`] is enforced, and the returned
     /// report carries the broker's query-accounting snapshot. To share a
-    /// broker (and its cache/budget) across runs, to configure deadlines
-    /// and retries, or to record the run into a flight recorder, use
+    /// broker (and its cache/budget) across runs, to configure retries,
+    /// or to record the run into a flight recorder, use
     /// [`Decryptor::run_brokered`].
     ///
     /// # Errors
@@ -301,10 +301,10 @@ impl Decryptor {
     /// `key_vector_validation` / `error_correction`. When the broker
     /// carries a recorder ([`Broker::with_trace`]), the run records its
     /// `attack.layer` and `attack.wave` spans and `checkpoint.write`
-    /// counters there too. If the broker's
-    /// budget or deadline runs out mid-attack, the run **degrades** rather
-    /// than fails: unprobeable layers commit their learned candidates with
-    /// `validated = false` in the [`LayerReport`].
+    /// counters there too. If the broker's budget runs out mid-attack,
+    /// the run **degrades** rather than fails: unprobeable layers commit
+    /// their learned candidates with `validated = false` in the
+    /// [`LayerReport`].
     ///
     /// # Errors
     ///
@@ -349,9 +349,8 @@ impl Decryptor {
 
     /// Runs the attack like [`Decryptor::run_brokered`], persisting a
     /// crash-consistent [`AttackState`] snapshot through `sink` at every
-    /// phase cut the `policy` admits (layer commits always persist). A run
-    /// killed at any point — even mid-layer — can be continued with
-    /// [`Decryptor::resume`].
+    /// phase cut. A run killed at any point — even mid-layer — can be
+    /// continued with [`Decryptor::resume`].
     ///
     /// # Errors
     ///
@@ -363,17 +362,8 @@ impl Decryptor {
         broker: &Broker<O>,
         rng: &mut Prng,
         sink: &dyn CheckpointSink,
-        policy: CheckpointPolicy,
     ) -> Result<DecryptionReport, AttackError> {
-        Self::completed(self.drive(
-            white_box,
-            broker,
-            rng,
-            None,
-            Some((sink, policy)),
-            None,
-            None,
-        )?)
+        Self::completed(self.drive(white_box, broker, rng, None, Some(sink), None, None)?)
     }
 
     /// Continues a checkpointed run, or starts fresh when the sink holds
@@ -402,18 +392,10 @@ impl Decryptor {
         broker: &Broker<O>,
         rng: &mut Prng,
         sink: &dyn CheckpointSink,
-        policy: CheckpointPolicy,
     ) -> Result<(DecryptionReport, ResumeStatus), AttackError> {
         let (state, status) = Self::load_state(sink, white_box);
-        let report = Self::completed(self.drive(
-            white_box,
-            broker,
-            rng,
-            state,
-            Some((sink, policy)),
-            None,
-            None,
-        )?)?;
+        let report =
+            Self::completed(self.drive(white_box, broker, rng, state, Some(sink), None, None)?)?;
         Ok((report, status))
     }
 
@@ -438,19 +420,10 @@ impl Decryptor {
         broker: &Broker<O>,
         rng: &mut Prng,
         sink: &dyn CheckpointSink,
-        policy: CheckpointPolicy,
         pause: &AtomicBool,
     ) -> Result<(SessionOutcome, ResumeStatus), AttackError> {
         let (state, status) = Self::load_state(sink, white_box);
-        let outcome = self.drive(
-            white_box,
-            broker,
-            rng,
-            state,
-            Some((sink, policy)),
-            Some(pause),
-            None,
-        )?;
+        let outcome = self.drive(white_box, broker, rng, state, Some(sink), Some(pause), None)?;
         Ok((outcome, status))
     }
 
@@ -534,7 +507,7 @@ impl Decryptor {
         broker: &Broker<O>,
         rng: &mut Prng,
         resume_state: Option<AttackState>,
-        ckpt: Option<(&dyn CheckpointSink, CheckpointPolicy)>,
+        ckpt: Option<&dyn CheckpointSink>,
         pause: Option<&AtomicBool>,
         executor: Option<&dyn PhaseExecutor>,
     ) -> Result<SessionOutcome, AttackError> {
@@ -607,12 +580,7 @@ impl Decryptor {
         }
 
         let trace = broker.trace();
-        let mut writer = ckpt.map(|(sink, policy)| CkptWriter {
-            sink,
-            policy,
-            last_rows: 0,
-            trace,
-        });
+        let writer = ckpt.map(|sink| CkptWriter { sink, trace });
         // Builds the snapshot for a cut. Never consumes the PRNG, so
         // checkpointed and plain runs stay bit-identical.
         let make_state = |layer_index: usize,
@@ -749,22 +717,20 @@ impl Decryptor {
                         report.algebraic += 1;
                     }
                 }
-                if let Some(w) = writer.as_mut() {
+                if let Some(w) = &writer {
                     let pausing = pause_requested();
-                    w.write(pausing, oracle.query_count() - start_queries, || {
-                        make_state(
-                            li,
-                            PhaseCut::PostInfer {
-                                inferred: inf.iter().map(|&(s, b)| (s.index(), b)).collect(),
-                            },
-                            &ka,
-                            &committed,
-                            &warm,
-                            &layers_out,
-                            rng,
-                            &timing,
-                        )
-                    })?;
+                    w.write(make_state(
+                        li,
+                        PhaseCut::PostInfer {
+                            inferred: inf.iter().map(|&(s, b)| (s.index(), b)).collect(),
+                        },
+                        &ka,
+                        &committed,
+                        &warm,
+                        &layers_out,
+                        rng,
+                        &timing,
+                    ))?;
                     if pausing {
                         return Ok(paused_at(li, "post-inference"));
                     }
@@ -830,27 +796,25 @@ impl Decryptor {
                         report.learned += 1;
                     }
                 }
-                if let Some(w) = writer.as_mut() {
+                if let Some(w) = &writer {
                     // Written BEFORE the validation target is drawn: target
                     // selection consumes the PRNG, so a resume from this
                     // cut redraws the identical target from the restored
                     // state.
                     let pausing = pause_requested();
-                    w.write(pausing, oracle.query_count() - start_queries, || {
-                        make_state(
-                            li,
-                            PhaseCut::PostLearn {
-                                unresolved: unresolved.iter().map(|s| s.index()).collect(),
-                                confidences: sorted_pairs(&confidences),
-                            },
-                            &ka,
-                            &committed,
-                            &warm,
-                            &layers_out,
-                            rng,
-                            &timing,
-                        )
-                    })?;
+                    w.write(make_state(
+                        li,
+                        PhaseCut::PostLearn {
+                            unresolved: unresolved.iter().map(|s| s.index()).collect(),
+                            confidences: sorted_pairs(&confidences),
+                        },
+                        &ka,
+                        &committed,
+                        &warm,
+                        &layers_out,
+                        rng,
+                        &timing,
+                    ))?;
                     if pausing {
                         return Ok(paused_at(li, "post-learning"));
                     }
@@ -873,7 +837,7 @@ impl Decryptor {
                     .get(li + 1)
                     .map(|(_, next_sites)| self.validation_target(white_box, next_sites, rng));
                 broker.set_scope(Some(Procedure::KeyVectorValidation.label()));
-                // A starved oracle (budget/deadline/backend gone) cannot
+                // A starved oracle (budget or backend gone) cannot
                 // judge the candidate; the run degrades by committing the
                 // learned bits unvalidated and pressing on — §3.6's
                 // learning path is the fallback the paper's adversary is
@@ -989,32 +953,30 @@ impl Decryptor {
                 let mut ci = correction_from;
                 while ci < candidates.len() && applied.is_none() && !starved {
                     let _wave_span = trace.map(|t| t.span("attack.wave", ci as u64));
-                    if let Some(w) = writer.as_mut() {
+                    if let Some(w) = &writer {
                         // `ci > correction_from` guarantees liveness: a
                         // segment must validate at least one wave before it
                         // may pause at a wave boundary, so a caller that
                         // re-raises the flag immediately after every resume
                         // still finishes eventually.
                         let pausing = ci > correction_from && pause_requested();
-                        w.write(pausing, oracle.query_count() - start_queries, || {
-                            make_state(
-                                li,
-                                PhaseCut::Correcting {
-                                    confidences: sorted_pairs(&confidences),
-                                    algebraic: report.algebraic as u64,
-                                    learned: report.learned as u64,
-                                    rounds: report.validation_rounds as u64,
-                                    tried: ci as u64,
-                                    target: target.as_ref().map(SerialTarget::from_target),
-                                },
-                                &ka,
-                                &committed,
-                                &warm,
-                                &layers_out,
-                                rng,
-                                &timing,
-                            )
-                        })?;
+                        w.write(make_state(
+                            li,
+                            PhaseCut::Correcting {
+                                confidences: sorted_pairs(&confidences),
+                                algebraic: report.algebraic as u64,
+                                learned: report.learned as u64,
+                                rounds: report.validation_rounds as u64,
+                                tried: ci as u64,
+                                target: target.as_ref().map(SerialTarget::from_target),
+                            },
+                            &ka,
+                            &committed,
+                            &warm,
+                            &layers_out,
+                            rng,
+                            &timing,
+                        ))?;
                         if pausing {
                             return Ok(paused_at(li, "correcting"));
                         }
@@ -1084,21 +1046,17 @@ impl Decryptor {
                 committed.insert(site.slot, ka.to_bits()[site.slot.index()]);
             }
             layers_out.push(report);
-            if let Some(w) = writer.as_mut() {
-                // Layer commits always persist — losing one would cost a
-                // whole layer's oracle traffic on the next resume.
-                w.write(true, oracle.query_count() - start_queries, || {
-                    make_state(
-                        li + 1,
-                        PhaseCut::LayerStart,
-                        &ka,
-                        &committed,
-                        &warm,
-                        &layers_out,
-                        rng,
-                        &timing,
-                    )
-                })?;
+            if let Some(w) = &writer {
+                w.write(make_state(
+                    li + 1,
+                    PhaseCut::LayerStart,
+                    &ka,
+                    &committed,
+                    &warm,
+                    &layers_out,
+                    rng,
+                    &timing,
+                ))?;
                 // A pause on the final commit still completes the run:
                 // there is nothing left to resume.
                 if pause_requested() && li + 1 < layers.len() {
@@ -1300,35 +1258,22 @@ struct RestoredCorrection {
     target: Option<ValidationTarget>,
 }
 
-/// Throttled checkpoint writer: layer commits always persist; mid-layer
-/// cuts persist once the policy's query quantum has elapsed since the last
-/// write. The snapshot builder runs only when a write actually happens.
+/// Checkpoint writer: persists the snapshot of every cut it is given.
 struct CkptWriter<'a> {
     sink: &'a dyn CheckpointSink,
-    policy: CheckpointPolicy,
-    last_rows: u64,
     /// Hears a `checkpoint.write` (frame bytes) per persisted frame.
     trace: Option<&'a FlightRecorder>,
 }
 
 impl CkptWriter<'_> {
-    fn write(
-        &mut self,
-        force: bool,
-        rows_now: u64,
-        build: impl FnOnce() -> AttackState,
-    ) -> Result<(), AttackError> {
-        if !force && rows_now.saturating_sub(self.last_rows) < self.policy.every_queries {
-            return Ok(());
-        }
-        let bytes = build().encode();
+    fn write(&self, state: AttackState) -> Result<(), AttackError> {
+        let bytes = state.encode();
         self.sink
             .save(&bytes)
             .map_err(|e| AttackError::Checkpoint(CheckpointError::Io(e.to_string())))?;
         if let Some(trace) = self.trace {
             trace.counter("checkpoint.write", bytes.len() as u64);
         }
-        self.last_rows = rows_now;
         Ok(())
     }
 }
@@ -1437,15 +1382,9 @@ mod tests {
         let sink = MemoryCheckpointSink::new();
         let broker = Broker::with_config(&oracle, BrokerConfig::default());
         let r1 = dec
-            .run_with_checkpoints(
-                g,
-                &broker,
-                &mut Prng::seed_from_u64(141),
-                &sink,
-                CheckpointPolicy::EVERY_CUT,
-            )
+            .run_with_checkpoints(g, &broker, &mut Prng::seed_from_u64(141), &sink)
             .unwrap();
-        assert!(sink.saves() >= 2, "one forced write per layer at least");
+        assert!(sink.saves() >= 2, "one write per layer commit at least");
         let broker2 = Broker::with_config(&oracle, BrokerConfig::default());
         let r2 = dec
             .run_brokered(g, &broker2, &mut Prng::seed_from_u64(141))
@@ -1458,13 +1397,7 @@ mod tests {
         let broker3 = Broker::with_config(&oracle, BrokerConfig::default());
         let before = oracle.query_count();
         let (r3, status) = dec
-            .resume(
-                g,
-                &broker3,
-                &mut Prng::seed_from_u64(999),
-                &sink,
-                CheckpointPolicy::EVERY_CUT,
-            )
+            .resume(g, &broker3, &mut Prng::seed_from_u64(999), &sink)
             .unwrap();
         assert!(status.resumed(), "got {status:?}");
         assert_eq!(r3.key, r1.key);
@@ -1476,13 +1409,7 @@ mod tests {
         let empty = MemoryCheckpointSink::new();
         let broker4 = Broker::with_config(&oracle, BrokerConfig::default());
         let (r4, status) = dec
-            .resume(
-                g,
-                &broker4,
-                &mut Prng::seed_from_u64(141),
-                &empty,
-                CheckpointPolicy::EVERY_CUT,
-            )
+            .resume(g, &broker4, &mut Prng::seed_from_u64(141), &empty)
             .unwrap();
         assert_eq!(status, ResumeStatus::Fresh);
         assert_eq!(r4.key, r1.key);
@@ -1524,14 +1451,7 @@ mod tests {
             assert!(segments < 200, "pause/resume livelock");
             let seg_broker = Broker::with_config(&oracle, BrokerConfig::default());
             let (outcome, _) = dec
-                .resume_session(
-                    g,
-                    &seg_broker,
-                    &mut Prng::seed_from_u64(151),
-                    &sink,
-                    CheckpointPolicy::EVERY_CUT,
-                    &pause,
-                )
+                .resume_session(g, &seg_broker, &mut Prng::seed_from_u64(151), &sink, &pause)
                 .unwrap();
             match outcome {
                 SessionOutcome::Completed(r) => break r,

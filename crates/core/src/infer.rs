@@ -242,10 +242,10 @@ fn lemma2_verdict(out: &Tensor, cfg: &AttackConfig) -> Option<bool> {
 /// splits the answer back into one tensor per request, in request order.
 /// Through a broker the whole round is then a single request: one budget
 /// reservation, one dispatch. `None` when the round holds a single
-/// request or the oracle refuses the batch (budget, deadline, dead
-/// backend); the caller then falls back to one call per request, in the
-/// same order, so a budget too small for the round still answers the
-/// requests it can afford, first come first served.
+/// request or the oracle refuses the batch (budget, dead backend); the
+/// caller then falls back to one call per request, in the same order, so
+/// a budget too small for the round still answers the requests it can
+/// afford, first come first served.
 pub(crate) fn batched(oracle: &dyn Oracle, requests: &[Tensor]) -> Option<Vec<Tensor>> {
     if requests.len() < 2 {
         return None;

@@ -29,7 +29,7 @@
 //! [`CheckpointSink`] at every phase cut, and [`Decryptor::resume`]
 //! continues bit-identically from the last snapshot (falling back to a
 //! fresh run when the checkpoint is missing, corrupt, or incompatible).
-//! See the [`checkpoint`](crate::checkpoint) module docs for the cut
+//! See the [`checkpoint`] module docs for the cut
 //! placement rules and the on-disk format.
 //!
 //! ## Example
@@ -72,8 +72,8 @@ mod validate;
 mod weightlock;
 
 pub use checkpoint::{
-    AttackState, CheckpointError, CheckpointPolicy, CheckpointSink, FileCheckpointSink,
-    LayerReportState, MemoryCheckpointSink, PhaseCut, ResumeStatus, SerialTarget, CHECKPOINT_MAGIC,
+    AttackState, CheckpointError, CheckpointSink, FileCheckpointSink, LayerReportState,
+    MemoryCheckpointSink, PhaseCut, ResumeStatus, SerialTarget, CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
 };
 pub use config::{AttackConfig, LearningConfig};

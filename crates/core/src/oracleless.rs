@@ -228,9 +228,9 @@ fn confidence_fitness(white_box: &Graph, probes: &Tensor, key: &Key) -> f64 {
 ///
 /// Evolves a population of candidate keys under tournament selection,
 /// uniform crossover and per-bit mutation, scoring each candidate by
-/// [white-box confidence](confidence_fitness) on a fixed random probe
-/// batch. Sequential and fully determined by `rng`; ties keep the earlier
-/// individual.
+/// white-box confidence (the mean top-class softmax probability) on a
+/// fixed random probe batch. Sequential and fully determined by `rng`;
+/// ties keep the earlier individual.
 pub fn neuroevolution_key_search(
     white_box: &Graph,
     cfg: &EvolutionConfig,

@@ -11,7 +11,7 @@
 //!
 //! Not part of the public API — hidden from docs and exempt from semver.
 
-use crate::checkpoint::{AttackState, CheckpointPolicy, CheckpointSink};
+use crate::checkpoint::{AttackState, CheckpointSink};
 use crate::config::AttackConfig;
 use crate::decrypt::{DecryptionReport, Decryptor};
 use relock_graph::LockSite;
@@ -140,7 +140,6 @@ pub fn run_threads(
             &broker,
             &mut Prng::seed_from_u64(attack_seed),
             &sink,
-            CheckpointPolicy::EVERY_CUT,
         )
         .unwrap();
     assert!(!status.resumed(), "empty sink must start fresh");

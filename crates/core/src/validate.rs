@@ -440,7 +440,7 @@ impl Vote {
 /// pass, on `rng` itself. Returns `None` when the white box says the
 /// location is not observable from the output, `Some(true)` on a
 /// confirmed oracle kink, `Some(false)` when the oracle is smooth there.
-/// Oracle failures (budget, deadline, dead backend) propagate.
+/// Oracle failures (budget, dead backend) propagate.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn oracle_kink_at(
     g: &Graph,
@@ -531,9 +531,9 @@ pub fn key_vector_validation(
 ///
 /// # Errors
 ///
-/// A typed [`OracleError`] (budget exhausted, deadline passed, backend
-/// down) surfaces as `Err` so the decryptor can fall back to its learned
-/// candidate instead of mistaking starvation for evidence.
+/// A typed [`OracleError`] (budget exhausted, backend down) surfaces as
+/// `Err` so the decryptor can fall back to its learned candidate instead
+/// of mistaking starvation for evidence.
 #[allow(clippy::too_many_arguments)]
 pub fn key_vector_validation_checked_with(
     g: &Graph,

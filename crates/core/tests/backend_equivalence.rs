@@ -16,8 +16,7 @@
 //! process-global: concurrent test threads flipping it would race.
 
 use relock_attack::{
-    AttackConfig, AttackState, CheckpointPolicy, Decryptor, MemoryCheckpointSink, MonolithicAttack,
-    MonolithicConfig,
+    AttackConfig, AttackState, Decryptor, MemoryCheckpointSink, MonolithicAttack, MonolithicConfig,
 };
 use relock_locking::{CountingOracle, Key, LockSpec, LockedModel};
 use relock_nn::{build_mlp, MlpSpec};
@@ -53,7 +52,6 @@ fn decryption_under(scalar: bool, model: &LockedModel) -> (Key, u64, Vec<u8>) {
             &broker,
             &mut Prng::seed_from_u64(7101),
             &sink,
-            CheckpointPolicy::EVERY_CUT,
         )
         .expect("attack run");
     force_scalar(false);

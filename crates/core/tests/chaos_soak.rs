@@ -7,9 +7,7 @@
 //! mid-soak corruption test checks the clean-fallback contract.
 
 use relock_attack::testutil::{mlp16_victim, sequential_run, strip_clock, RecordingSink, RunTrace};
-use relock_attack::{
-    AttackConfig, AttackState, CheckpointPolicy, DecryptionReport, Decryptor, MemoryCheckpointSink,
-};
+use relock_attack::{AttackConfig, AttackState, DecryptionReport, Decryptor, MemoryCheckpointSink};
 use relock_locking::{CountingOracle, LockSpec, LockedModel, Oracle};
 use relock_nn::{build_lenet, build_mlp, LenetSpec, MlpSpec};
 use relock_serve::{Broker, BrokerConfig, ChaosConfig, ChaosCrash, ChaosOracle, RetryPolicy};
@@ -100,7 +98,7 @@ fn soak(model: &LockedModel, attack_seed: u64, crash_at: Vec<u64>) -> SoakOutcom
         let broker = Broker::with_config(&chaos, BrokerConfig::default());
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             let mut rng = Prng::seed_from_u64(attack_seed);
-            dec.resume(g, &broker, &mut rng, &sink, CheckpointPolicy::EVERY_CUT)
+            dec.resume(g, &broker, &mut rng, &sink)
         }));
         match attempt {
             Ok(Ok((report, _status))) => {
@@ -213,7 +211,7 @@ fn corrupted_mid_soak_checkpoint_still_recovers_exact_key() {
         let broker = Broker::with_config(&chaos, BrokerConfig::default());
         let attempt = catch_unwind(AssertUnwindSafe(|| {
             let mut rng = Prng::seed_from_u64(501);
-            dec.resume(g, &broker, &mut rng, &sink, CheckpointPolicy::EVERY_CUT)
+            dec.resume(g, &broker, &mut rng, &sink)
         }));
         match attempt {
             Ok(Ok((report, _))) => break report,
@@ -382,13 +380,7 @@ fn corrected_run_replays_across_checkpoint_resume() {
             let broker = Broker::with_config(&chaos, BrokerConfig::default());
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 let mut rng = Prng::seed_from_u64(732);
-                dec.resume(
-                    victim.white_box(),
-                    &broker,
-                    &mut rng,
-                    &sink,
-                    CheckpointPolicy::EVERY_CUT,
-                )
+                dec.resume(victim.white_box(), &broker, &mut rng, &sink)
             }));
             match attempt {
                 Ok(Ok((report, status))) => {

@@ -4,8 +4,8 @@
 //! damage and fall back to a fresh run instead of panicking.
 
 use relock_attack::{
-    AttackConfig, AttackState, CheckpointError, CheckpointPolicy, Decryptor, LayerReportState,
-    MemoryCheckpointSink, PhaseCut, QueryStatsSnapshot, ResumeStatus, ScopeCounts, SerialTarget,
+    AttackConfig, AttackState, CheckpointError, Decryptor, LayerReportState, MemoryCheckpointSink,
+    PhaseCut, QueryStatsSnapshot, ResumeStatus, ScopeCounts, SerialTarget,
 };
 use relock_locking::{CountingOracle, LockSpec};
 use relock_nn::{build_mlp, MlpSpec};
@@ -258,13 +258,7 @@ fn corrupted_checkpoint_falls_back_to_clean_fresh_run() {
     let sink = MemoryCheckpointSink::new();
     let broker = Broker::with_config(&oracle, BrokerConfig::default());
     let reference = dec
-        .run_with_checkpoints(
-            g,
-            &broker,
-            &mut Prng::seed_from_u64(4601),
-            &sink,
-            CheckpointPolicy::EVERY_CUT,
-        )
+        .run_with_checkpoints(g, &broker, &mut Prng::seed_from_u64(4601), &sink)
         .unwrap();
 
     // Smash a byte in the middle of the stored frame.
@@ -275,13 +269,7 @@ fn corrupted_checkpoint_falls_back_to_clean_fresh_run() {
 
     let broker2 = Broker::with_config(&oracle, BrokerConfig::default());
     let (report, status) = dec
-        .resume(
-            g,
-            &broker2,
-            &mut Prng::seed_from_u64(4601),
-            &sink,
-            CheckpointPolicy::EVERY_CUT,
-        )
+        .resume(g, &broker2, &mut Prng::seed_from_u64(4601), &sink)
         .unwrap();
     match &status {
         ResumeStatus::FellBack { reason } => {
@@ -299,13 +287,7 @@ fn corrupted_checkpoint_falls_back_to_clean_fresh_run() {
     // from the (now valid) final snapshot.
     let broker3 = Broker::with_config(&oracle, BrokerConfig::default());
     let (again, status) = dec
-        .resume(
-            g,
-            &broker3,
-            &mut Prng::seed_from_u64(4601),
-            &sink,
-            CheckpointPolicy::EVERY_CUT,
-        )
+        .resume(g, &broker3, &mut Prng::seed_from_u64(4601), &sink)
         .unwrap();
     assert!(status.resumed(), "got {status:?}");
     assert_eq!(again.key, reference.key);
@@ -335,13 +317,7 @@ fn sampled_damage_always_falls_back_and_recovers_exact_key() {
     let sink = MemoryCheckpointSink::new();
     let broker = Broker::with_config(&oracle, BrokerConfig::default());
     let reference = dec
-        .run_with_checkpoints(
-            g,
-            &broker,
-            &mut Prng::seed_from_u64(4801),
-            &sink,
-            CheckpointPolicy::EVERY_CUT,
-        )
+        .run_with_checkpoints(g, &broker, &mut Prng::seed_from_u64(4801), &sink)
         .unwrap();
     let pristine = sink.contents().expect("run must have checkpointed");
 
@@ -358,13 +334,7 @@ fn sampled_damage_always_falls_back_and_recovers_exact_key() {
         sink.set(Some(bad));
         let broker = Broker::with_config(&oracle, BrokerConfig::default());
         let (report, status) = dec
-            .resume(
-                g,
-                &broker,
-                &mut Prng::seed_from_u64(4801),
-                &sink,
-                CheckpointPolicy::EVERY_CUT,
-            )
+            .resume(g, &broker, &mut Prng::seed_from_u64(4801), &sink)
             .unwrap();
         assert!(
             matches!(status, ResumeStatus::FellBack { .. }),

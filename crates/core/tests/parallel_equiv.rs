@@ -31,7 +31,7 @@ fn assert_parallel_matches_sequential(
         );
         assert!(
             !reference.frames.is_empty(),
-            "{label} seed {seed}: EVERY_CUT must persist at least one frame"
+            "{label} seed {seed}: a checkpointed run must persist at least one frame"
         );
         for threads in [2usize, 4, 8] {
             let t = run_threads(model, cfg, threads, seed);

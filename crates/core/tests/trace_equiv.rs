@@ -5,9 +5,7 @@
 //! threads. Tracing observes the engine; it must never steer it. And what
 //! it records is the nine-label catalogue of DESIGN.md §3f, nothing else.
 
-use relock_attack::{
-    AttackConfig, AttackState, CheckpointPolicy, CheckpointSink, DecryptionReport, Decryptor,
-};
+use relock_attack::{AttackConfig, AttackState, CheckpointSink, DecryptionReport, Decryptor};
 use relock_locking::{CountingOracle, LockSpec, LockedModel};
 use relock_nn::{build_mlp, MlpSpec};
 use relock_serve::{
@@ -110,7 +108,6 @@ fn run(model: &LockedModel, threads: usize, trace: Option<&Arc<FlightRecorder>>)
             &broker,
             &mut Prng::seed_from_u64(701),
             &sink,
-            CheckpointPolicy::EVERY_CUT,
         )
         .unwrap();
     RunTrace {
@@ -160,7 +157,10 @@ fn instrumented_attack_is_bit_identical_to_uninstrumented() {
             1.0,
             "threads {threads}: reference run must recover the key exactly"
         );
-        assert!(!bare.frames.is_empty(), "EVERY_CUT must persist frames");
+        assert!(
+            !bare.frames.is_empty(),
+            "a checkpointed run must persist frames"
+        );
 
         let flight = Arc::new(FlightRecorder::new());
         let traced = run(&model, threads, Some(&flight));

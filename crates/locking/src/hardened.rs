@@ -151,9 +151,9 @@ impl<O: Oracle> Oracle for LabelOnlyOracle<O> {
 
 /// Fails a deterministic pseudo-random fraction of requests with
 /// [`OracleError::Backend`] — a fault-injection double for a lossy
-/// hardware link. Only the fallible surface observes the failures; pair
-/// it with the `relock-serve` broker (or its `RetryOracle`) to study
-/// retry-with-backoff behaviour.
+/// hardware link. Only the fallible surface observes the failures; put
+/// the `relock-serve` broker in front of it, whose `RetryPolicy` retries
+/// them with backoff, to study retry behaviour.
 #[derive(Debug)]
 pub struct UnreliableOracle<O> {
     inner: O,

@@ -12,13 +12,12 @@ use relock_tensor::Tensor;
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Failures of the fallible oracle surface.
 ///
 /// Bare hardware oracles never fail (their [`Oracle::try_query_batch`]
 /// default forwards to the infallible path), but brokered or flaky
-/// transports do: a query broker enforces budgets and deadlines, and a
+/// transports do: a query broker enforces budgets, and a
 /// real accelerator link can drop requests. Procedures that can degrade
 /// gracefully (validation, error correction, the learning harvest) call
 /// the `try_` surface and treat these as a signal to fall back rather
@@ -33,13 +32,6 @@ pub enum OracleError {
         budget: u64,
         /// Rows the rejected request asked for.
         requested: u64,
-    },
-    /// The wall-clock deadline for the whole query session has passed.
-    DeadlineExceeded {
-        /// Time elapsed since the session started.
-        elapsed: Duration,
-        /// The configured deadline.
-        deadline: Duration,
     },
     /// The transport/backend failed (after any configured retries).
     Backend {
@@ -60,12 +52,6 @@ impl fmt::Display for OracleError {
             } => write!(
                 f,
                 "query budget exhausted: {spent}/{budget} spent, {requested} more requested"
-            ),
-            OracleError::DeadlineExceeded { elapsed, deadline } => write!(
-                f,
-                "query deadline exceeded: {:.3}s elapsed of {:.3}s allowed",
-                elapsed.as_secs_f64(),
-                deadline.as_secs_f64()
             ),
             OracleError::Backend { message, attempts } => {
                 write!(
@@ -235,7 +221,7 @@ pub trait Oracle: Sync {
     }
 
     /// Fallible batch query. Bare oracles never fail; brokered oracles
-    /// return [`OracleError::BudgetExhausted`] / `DeadlineExceeded`, and
+    /// return [`OracleError::BudgetExhausted`], and
     /// flaky transports [`OracleError::Backend`]. Budget-aware procedures
     /// must use this surface and degrade on `Err`.
     fn try_query_batch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
@@ -297,7 +283,7 @@ impl<O: Oracle + ?Sized> Oracle for &O {
 /// with an atomic query counter.
 ///
 /// Evaluation runs through the graph's planned engine: each query checks a
-/// [`Workspace`] out of an internal pool, so the per-node buffers of the
+/// [`Workspace`](relock_graph::Workspace) out of an internal pool, so the per-node buffers of the
 /// forward pass are reused across the attack's hundreds of thousands of
 /// queries instead of reallocated. The pool grows to the peak number of
 /// concurrently querying threads and no further.

@@ -6,8 +6,8 @@
 //!    hits are served from cache and never touch the backend (or the
 //!    budget). Duplicate rows *within* one batch are deduplicated too.
 //! 2. **Budgeting** — the surviving miss rows reserve query budget
-//!    all-or-nothing and check the wall-clock deadline; exhaustion surfaces
-//!    as a typed [`OracleError`] instead of a panic.
+//!    all-or-nothing; exhaustion surfaces as a typed [`OracleError`]
+//!    instead of a panic.
 //! 3. **Dispatch** — misses go to the backend as one batch on the
 //!    caller's thread, retried with backoff on transient `Backend`
 //!    failures.
@@ -42,7 +42,7 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// A hook on the waits inside a brokered batch, for a caller that bounds
 /// concurrent compute with a slot it should not hold while it waits.
@@ -77,8 +77,6 @@ pub trait WaitHook: Send + Sync + fmt::Debug {
 pub struct BrokerConfig {
     /// Underlying-query budget (`None` = unlimited).
     pub max_queries: Option<u64>,
-    /// Wall-clock deadline from broker construction (`None` = unlimited).
-    pub deadline: Option<Duration>,
     /// Retry policy for transient backend failures.
     pub retry: RetryPolicy,
 }
@@ -111,14 +109,14 @@ impl<O: Oracle> Broker<O> {
     }
 
     /// Wraps `inner` with explicit configuration over a private, unbounded
-    /// memo cache. The deadline clock starts now.
+    /// memo cache.
     pub fn with_config(inner: O, config: BrokerConfig) -> Self {
         Broker {
             inner,
             cache: Arc::new(MemoCache::new()),
             flights: Arc::new(FlightTable::new()),
             key_ns: None,
-            budget: QueryBudget::new(config.max_queries, config.deadline),
+            budget: QueryBudget::new(config.max_queries),
             stats: QueryStats::new(),
             dispatch_seq: AtomicU64::new(0),
             wait: None,
@@ -131,8 +129,8 @@ impl<O: Oracle> Broker<O> {
     /// other tenants of the cache: callers fronting the *same* backend
     /// must pass the same namespace (typically a content hash of the
     /// locked model) to share hits, and callers fronting different
-    /// backends must pass different namespaces. Budget, deadline, stats,
-    /// and retry behaviour stay per-broker. `wait`, when given, hears of
+    /// backends must pass different namespaces. Budget, stats and retry
+    /// behaviour stay per-broker. `wait`, when given, hears of
     /// every wait in a batch and of every batch's return (see
     /// [`WaitHook`]).
     pub fn with_shared_cache(
@@ -147,7 +145,7 @@ impl<O: Oracle> Broker<O> {
             cache: Arc::clone(&shared.cache),
             flights: Arc::clone(&shared.flights),
             key_ns: Some(namespace),
-            budget: QueryBudget::new(config.max_queries, config.deadline),
+            budget: QueryBudget::new(config.max_queries),
             stats: QueryStats::new(),
             dispatch_seq: AtomicU64::new(0),
             wait,
@@ -401,6 +399,7 @@ mod tests {
     use relock_locking::{CountingOracle, LockSpec};
     use relock_nn::{build_mlp, MlpSpec};
     use relock_tensor::rng::Prng;
+    use std::time::Duration;
 
     fn oracle() -> CountingOracle {
         let mut rng = Prng::seed_from_u64(50);
@@ -617,7 +616,6 @@ mod tests {
                     max_attempts: 1,
                     ..RetryPolicy::default()
                 },
-                ..BrokerConfig::default()
             },
         );
         let x = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0], [4, 2]);

@@ -1,8 +1,7 @@
-//! Query-budget and deadline enforcement.
+//! Query-budget enforcement.
 //!
 //! The paper scores attacks by oracle query complexity (Table 1's `#Q`
-//! column); a realistic adversary also has a wall-clock window on the
-//! hardware. [`QueryBudget`] makes both limits first-class: every
+//! column). [`QueryBudget`] makes that limit first-class: every
 //! *underlying* query must reserve budget before it is issued, cache hits
 //! reserve nothing (they are free by the broker's accounting semantics),
 //! and an exhausted budget surfaces as a typed
@@ -11,32 +10,26 @@
 
 use relock_locking::OracleError;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
 
-/// A shared, thread-safe query/deadline budget.
+/// A shared, thread-safe query budget.
 #[derive(Debug)]
 pub struct QueryBudget {
     limit: Option<u64>,
     spent: AtomicU64,
-    started: Instant,
-    deadline: Option<Duration>,
 }
 
 impl QueryBudget {
-    /// A budget of `limit` underlying rows (`None` = unlimited) and an
-    /// optional wall-clock deadline starting now.
-    pub fn new(limit: Option<u64>, deadline: Option<Duration>) -> Self {
+    /// A budget of `limit` underlying rows (`None` = unlimited).
+    pub fn new(limit: Option<u64>) -> Self {
         QueryBudget {
             limit,
             spent: AtomicU64::new(0),
-            started: Instant::now(),
-            deadline,
         }
     }
 
     /// An unlimited budget.
     pub fn unlimited() -> Self {
-        QueryBudget::new(None, None)
+        QueryBudget::new(None)
     }
 
     /// Underlying rows reserved so far.
@@ -48,17 +41,6 @@ impl QueryBudget {
     pub fn remaining(&self) -> Option<u64> {
         self.limit
             .map(|l| l.saturating_sub(self.spent.load(Ordering::Relaxed)))
-    }
-
-    /// Errors if the wall-clock deadline has passed.
-    pub fn check_deadline(&self) -> Result<(), OracleError> {
-        if let Some(deadline) = self.deadline {
-            let elapsed = self.started.elapsed();
-            if elapsed > deadline {
-                return Err(OracleError::DeadlineExceeded { elapsed, deadline });
-            }
-        }
-        Ok(())
     }
 
     /// Returns `rows` previously reserved queries to the budget. The broker
@@ -88,7 +70,6 @@ impl QueryBudget {
     /// is never silently truncated — callers that can shrink their request
     /// consult [`QueryBudget::remaining`] first).
     pub fn try_reserve(&self, rows: u64) -> Result<(), OracleError> {
-        self.check_deadline()?;
         let Some(limit) = self.limit else {
             self.spent.fetch_add(rows, Ordering::Relaxed);
             return Ok(());
@@ -130,7 +111,7 @@ mod tests {
 
     #[test]
     fn reservation_is_all_or_nothing() {
-        let b = QueryBudget::new(Some(10), None);
+        let b = QueryBudget::new(Some(10));
         b.try_reserve(7).unwrap();
         let err = b.try_reserve(4).unwrap_err();
         assert_eq!(
@@ -149,7 +130,7 @@ mod tests {
 
     #[test]
     fn concurrent_reservations_never_over_commit() {
-        let b = QueryBudget::new(Some(1000), None);
+        let b = QueryBudget::new(Some(1000));
         std::thread::scope(|scope| {
             for _ in 0..8 {
                 let b = &b;
@@ -166,7 +147,7 @@ mod tests {
 
     #[test]
     fn refund_returns_reserved_rows() {
-        let b = QueryBudget::new(Some(10), None);
+        let b = QueryBudget::new(Some(10));
         b.try_reserve(8).unwrap();
         b.refund(5);
         assert_eq!(b.spent(), 3);
@@ -175,15 +156,5 @@ mod tests {
         b.refund(100);
         assert_eq!(b.spent(), 0);
         assert_eq!(b.remaining(), Some(10));
-    }
-
-    #[test]
-    fn expired_deadline_is_typed() {
-        let b = QueryBudget::new(None, Some(Duration::ZERO));
-        std::thread::sleep(Duration::from_millis(2));
-        assert!(matches!(
-            b.try_reserve(1),
-            Err(OracleError::DeadlineExceeded { .. })
-        ));
     }
 }

@@ -10,9 +10,9 @@
 //! - **Memoization** ([`Broker`], [`SharedCache`]) — responses are cached
 //!   by the *bit-exact* bytes of the input row, so re-probing a validation
 //!   witness is free;
-//! - **Budgets** ([`QueryBudget`]) — underlying-query and wall-clock limits
-//!   with typed [`relock_locking::OracleError`] failures the attack
-//!   degrades on, plus [`RetryPolicy`] backoff for flaky transports;
+//! - **Budgets** ([`QueryBudget`]) — an underlying-query limit with a typed
+//!   [`relock_locking::OracleError`] failure the attack degrades on, plus
+//!   [`RetryPolicy`] backoff for flaky transports;
 //! - **Metrics** ([`QueryStats`]) — per-procedure query accounting, cache
 //!   hit rate, batch-size histogram, backend latency, mirrored into the
 //!   run's flight recorder when the broker carries one
@@ -62,7 +62,7 @@ pub use broker::{Broker, BrokerConfig, WaitHook};
 pub use budget::QueryBudget;
 pub use cache::SharedCache;
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosCrash, ChaosOracle, Corruption};
-pub use retry::{RetryOracle, RetryPolicy};
+pub use retry::RetryPolicy;
 pub use stats::{
     bucket_label, bucket_of, QueryStats, QueryStatsSnapshot, ScopeCounts, HISTOGRAM_BUCKETS,
 };

@@ -3,8 +3,8 @@
 //! Hardened deployments drop or garble requests ([`relock_locking::UnreliableOracle`]
 //! models the transport side of this); a broker that gave up on the first
 //! `Backend` error would starve the attack. [`RetryPolicy`] retries
-//! transient failures with exponential backoff; budget and deadline errors
-//! are *not* retried (they are deterministic).
+//! transient failures with exponential backoff; budget errors are *not*
+//! retried (they are deterministic).
 //!
 //! Backoffs carry **seeded jitter**: a pure exponential schedule makes
 //! every caller that failed together retry together, so concurrent shards
@@ -14,9 +14,8 @@
 //! broker salts with its dispatch sequence number), decorrelated across
 //! callers. Jitter only changes *when* a retry fires, never its outcome.
 
-use relock_locking::{Oracle, OracleError};
+use relock_locking::OracleError;
 use relock_tensor::rng::Prng;
-use relock_tensor::Tensor;
 use std::time::Duration;
 
 /// Default stream key for backoff jitter (see [`RetryPolicy::jitter_seed`]).
@@ -97,22 +96,10 @@ impl RetryPolicy {
 
     /// Runs `f` under this policy. Returns the first success, the first
     /// non-retryable error, or the last `Backend` error with its `attempts`
-    /// field set to the true total. Also reports the number of retries
-    /// performed through `on_retry` (for metrics).
-    ///
-    /// Jitter is drawn with salt `0`; callers running many concurrent
-    /// retry loops should use [`RetryPolicy::run_salted`] with distinct
-    /// salts so their backoffs decorrelate.
-    pub fn run<T>(
-        &self,
-        f: impl FnMut() -> Result<T, OracleError>,
-        on_retry: impl FnMut(),
-    ) -> Result<T, OracleError> {
-        self.run_salted(f, on_retry, 0)
-    }
-
-    /// Like [`RetryPolicy::run`], with a caller-chosen jitter salt
-    /// (typically a per-dispatch sequence number).
+    /// field set to the true total. Also reports each retry through
+    /// `on_retry` (for metrics). Backoff jitter is drawn with the caller's
+    /// `salt` (typically a per-dispatch sequence number), so concurrent
+    /// retry loops with distinct salts decorrelate.
     pub fn run_salted<T>(
         &self,
         mut f: impl FnMut() -> Result<T, OracleError>,
@@ -134,8 +121,8 @@ impl RetryPolicy {
                         }
                     }
                 }
-                // Budget/deadline failures are deterministic — retrying
-                // would just burn wall clock.
+                // Budget failures are deterministic — retrying would just
+                // burn wall clock.
                 Err(e) => return Err(e),
             }
         }
@@ -143,54 +130,6 @@ impl RetryPolicy {
             message: last_message,
             attempts,
         })
-    }
-}
-
-/// A standalone oracle wrapper applying a [`RetryPolicy`] to every
-/// fallible query — for callers that want retries without the rest of the
-/// broker machinery.
-#[derive(Debug)]
-pub struct RetryOracle<O> {
-    inner: O,
-    policy: RetryPolicy,
-}
-
-impl<O: Oracle> RetryOracle<O> {
-    /// Wraps `inner` under `policy`.
-    pub fn new(inner: O, policy: RetryPolicy) -> Self {
-        RetryOracle { inner, policy }
-    }
-
-    /// Unwraps the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-}
-
-impl<O: Oracle> Oracle for RetryOracle<O> {
-    fn query_batch(&self, x: &Tensor) -> Tensor {
-        self.try_query_batch(x)
-            .expect("retries exhausted; use try_query_batch to observe the failure")
-    }
-
-    fn try_query_batch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
-        self.policy.run(|| self.inner.try_query_batch(x), || {})
-    }
-
-    fn query_count(&self) -> u64 {
-        self.inner.query_count()
-    }
-
-    fn input_dim(&self) -> usize {
-        self.inner.input_dim()
-    }
-
-    fn output_dim(&self) -> usize {
-        self.inner.output_dim()
-    }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        self.inner.remaining_budget()
     }
 }
 
@@ -222,7 +161,7 @@ mod tests {
             ..RetryPolicy::default()
         };
         let mut retries = 0u32;
-        let out = policy.run(flaky(2), || retries += 1).unwrap();
+        let out = policy.run_salted(flaky(2), || retries += 1, 0).unwrap();
         assert_eq!(out, 3);
         assert_eq!(retries, 2);
     }
@@ -235,7 +174,7 @@ mod tests {
             multiplier: 1,
             ..RetryPolicy::default()
         };
-        let err = policy.run(flaky(99), || {}).unwrap_err();
+        let err = policy.run_salted(flaky(99), || {}, 0).unwrap_err();
         assert_eq!(
             err,
             OracleError::Backend {
@@ -298,7 +237,7 @@ mod tests {
         let policy = RetryPolicy::default();
         let mut calls = 0u32;
         let err = policy
-            .run(
+            .run_salted(
                 || {
                     calls += 1;
                     Err::<(), _>(OracleError::BudgetExhausted {
@@ -308,6 +247,7 @@ mod tests {
                     })
                 },
                 || {},
+                0,
             )
             .unwrap_err();
         assert!(matches!(err, OracleError::BudgetExhausted { .. }));

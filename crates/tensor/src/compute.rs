@@ -11,15 +11,13 @@
 //! lets the attack's checkpoint/determinism suites hold while the kernels
 //! run tiled, parallel, and vectorized.
 //!
-//! Kernel selection and worker counts are **read at dispatch time**: the
-//! backend is the CPU-detected one unless [`crate::backend::force_scalar`]
-//! pins the scalar reference, and `RELOCK_THREADS` seeds the worker count
-//! once while [`set_thread_override`] can re-route any later dispatch, so
-//! tests and the CLI can vary the worker count per case without the
-//! stale-env footgun the old `OnceLock`-only cache had.
+//! The backend is **read at dispatch time**: the CPU-detected one unless
+//! [`crate::backend::force_scalar`] pins the scalar reference. A gemm large
+//! enough to shard splits across [`max_threads`] workers, the machine's
+//! available parallelism (which honours affinity masks and cgroup CPU
+//! quotas).
 
 use crate::backend::{active_backend, Backend};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// Flop threshold (`m·k·n`) below which a gemm never spawns threads: tiny
@@ -31,41 +29,15 @@ const PAR_FLOPS: usize = 200_000;
 /// coordination than it gains.
 const MIN_ROWS_PER_SHARD: usize = 8;
 
-/// 0 = no override; otherwise the pinned worker count.
-static THREADS_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Process-default worker count: `RELOCK_THREADS` if set, otherwise the
-/// machine's available parallelism. Read once.
-fn default_threads() -> usize {
+/// Worker threads available to the kernels: the machine's available
+/// parallelism, measured once per process.
+pub fn max_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
-        std::env::var("RELOCK_THREADS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(std::num::NonZeroUsize::get)
-                    .unwrap_or(1)
-            })
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
     })
-}
-
-/// Worker threads available to the kernels: the runtime override when set
-/// (see [`set_thread_override`]), else the process default. Read at every
-/// dispatch — never cached past a call.
-pub fn max_threads() -> usize {
-    match THREADS_OVERRIDE.load(Ordering::Relaxed) {
-        0 => default_threads(),
-        n => n,
-    }
-}
-
-/// Pins (or with `None` releases) the kernel worker count for subsequent
-/// dispatches in this process, overriding `RELOCK_THREADS`. `Some(0)` is
-/// clamped to one worker.
-pub fn set_thread_override(n: Option<usize>) {
-    THREADS_OVERRIDE.store(n.map_or(0, |v| v.max(1)), Ordering::Relaxed);
 }
 
 /// Splits `rows` into at most `workers` contiguous, near-equal `(lo, hi)`
@@ -476,17 +448,5 @@ mod tests {
         let mut out: Vec<f64> = Vec::new();
         gemm_nn_into_with(&[], &[1.0, 2.0], &mut out, 0, 1, 2, 4);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn thread_override_is_read_at_dispatch_time() {
-        set_thread_override(Some(2));
-        assert_eq!(max_threads(), 2);
-        set_thread_override(Some(5));
-        assert_eq!(max_threads(), 5);
-        set_thread_override(Some(0));
-        assert_eq!(max_threads(), 1, "Some(0) clamps to one worker");
-        set_thread_override(None);
-        assert!(max_threads() >= 1);
     }
 }

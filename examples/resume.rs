@@ -61,7 +61,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             &broker,
             &mut Prng::seed_from_u64(7),
             &sink,
-            CheckpointPolicy::EVERY_CUT,
         )
     }));
     let _ = std::panic::take_hook();
@@ -84,7 +83,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &broker,
         &mut Prng::seed_from_u64(7),
         &sink,
-        CheckpointPolicy::EVERY_CUT,
     )?;
     match &status {
         ResumeStatus::Resumed { layer, phase } => {

@@ -23,6 +23,12 @@ cargo test --workspace -q
 echo "==> tidiness (no stray scratch dirs)"
 test ! -e examples_tmp
 
+# Rustdoc with warnings as errors: a doc link to a private or deleted
+# item fails the gate.
+# ci-job: check
+echo "==> cargo doc (RUSTDOCFLAGS=-D warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 # CI ↔ local parity: every ci.yml job mirrored by a tagged step here.
 # ci-job: check
 echo "==> verify-parity (CI jobs <-> verify.sh steps)"

@@ -10,7 +10,7 @@
 //! - [`locking`] — the HPNN logic-locking scheme, its §3.9 variants, and the
 //!   query-counting oracle;
 //! - [`serve`] — the oracle query broker (batching, memoization, query
-//!   budgets/deadlines, retries, serving metrics) that every attack routes
+//!   budgets, retries, serving metrics) that every attack routes
 //!   its traffic through;
 //! - [`attack`] — the paper's primary contribution: the DNN decryption
 //!   algorithm (Algorithms 1–2), the monolithic learning baseline, and the
@@ -49,10 +49,9 @@ pub use relock_tensor as tensor;
 pub mod prelude {
     pub use relock_attack::{
         neuroevolution_key_search, sampling_key_search, weight_lock_attack, weight_stats_attack,
-        AttackConfig, AttackState, CheckpointPolicy, CheckpointSink, DecryptionReport, Decryptor,
-        EvolutionConfig, FileCheckpointSink, MemoryCheckpointSink, MonolithicAttack,
-        MonolithicConfig, OracleLessReport, Procedure, ResumeStatus, SamplingConfig,
-        SamplingReport,
+        AttackConfig, AttackState, CheckpointSink, DecryptionReport, Decryptor, EvolutionConfig,
+        FileCheckpointSink, MemoryCheckpointSink, MonolithicAttack, MonolithicConfig,
+        OracleLessReport, Procedure, ResumeStatus, SamplingConfig, SamplingReport,
     };
     pub use relock_data::{cifar_like, mnist_like, two_moons, Dataset};
     pub use relock_graph::{Graph, GraphBuilder, KeyAssignment, KeySlot, NodeId, Op};

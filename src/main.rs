@@ -7,11 +7,11 @@
 //! relock attack  victim.rlk [--monolithic] [--seed N] [--fast] [--budget N]
 //!                [--threads N] [--trace events.jsonl] [--stats-json stats.json]
 //!                [--variant sign|scale:<f>|sar|antisat]
-//!                [--checkpoint state.rlcp [--checkpoint-every N] [--resume]]
+//!                [--checkpoint state.rlcp [--resume]]
 //! relock serve   [--listen tcp:127.0.0.1:7433] [--workers N] [--cache-mb N]
 //!                [--max-campaigns N]
 //! relock submit  victim.rlk [--listen A] [--tenant T] [--seed N] [--weight N]
-//!                [--budget N] [--threads N] [--full] [--monolithic]
+//!                [--budget N] [--full] [--monolithic]
 //!                [--variant sign|scale:<f>|sar|antisat]
 //! relock status  [id] [--listen A]
 //! relock pause   <id> [--listen A]     relock resume <id> [--listen A]
@@ -23,6 +23,8 @@
 //! instead of silently running on defaults. Every subcommand writes its
 //! output through one fallible writer, so a reader that goes away early
 //! (`relock inspect victim.rlk | head -1`) ends the run quietly with exit 0.
+//! Errors and the usage text go to stderr; a closed stderr loses them but
+//! never changes the exit code.
 //!
 //! `lock` plays the IP owner: builds one of the four §4.2 victims, embeds
 //! a random key, (optionally) trains the network as a function of that
@@ -42,13 +44,15 @@
 //! `attack --threads N` shards the per-site and per-candidate phases
 //! across N threads of this process (DESIGN.md §3e); keys, query counts
 //! and checkpoint frames are bit-identical at every thread count.
+//! `attack --checkpoint <file>` persists the attack's state at every phase
+//! cut, and `--resume` continues from the file.
 //!
 //! `serve` starts the resident campaign daemon; `submit`/`status`/`pause`/
 //! `resume`/`cancel` speak its wire protocol (DESIGN.md §4). The daemon
 //! hosts many concurrent campaigns over one shared query cache with
 //! fair-share scheduling across tenants. `serve --workers N` is its slot
-//! count: at most N campaigns compute at once, and a campaign waiting on
-//! its oracle holds no slot.
+//! count: at most N campaigns compute at once, each on one thread, and a
+//! campaign waiting on its oracle holds no slot.
 //!
 //! Everything computes in f64. The gemm kernels follow the CPU: the
 //! AVX-512 backend where the CPU has it, the scalar reference elsewhere,
@@ -70,12 +74,13 @@ const DEFAULT_LISTEN: &str = "tcp:127.0.0.1:7433";
 /// The usage text. It doubles as the flag whitelist: see [`known_flags`].
 fn usage_text() -> String {
     format!(
-        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n                 [--checkpoint <file> [--checkpoint-every <rows>] [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--threads <n>] [--full] [--monolithic]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --checkpoint"
+        "usage:\n  relock lock    --arch <mlp|lenet|resnet|vit> --bits <n> --out <file> [--seed <n>] [--no-train]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock inspect <file>\n  relock attack  <file> [--monolithic] [--seed <n>] [--fast] [--budget <n>] [--threads <n>]\n                 [--trace <file>] [--stats-json <file>]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n                 [--checkpoint <file> [--resume]]\n  relock serve   [--listen <addr>] [--workers <n>] [--cache-mb <n>] [--max-campaigns <n>]\n  relock submit  <file> [--listen <addr>] [--tenant <name>] [--seed <n>] [--weight <n>]\n                 [--budget <n>] [--full] [--monolithic]\n                 [--variant <sign|scale:<f>|sar|antisat>]\n  relock status  [id] [--listen <addr>]\n  relock pause   <id> [--listen <addr>]\n  relock resume  <id> [--listen <addr>]\n  relock cancel  <id> [--listen <addr>]\n  relock shutdown [--listen <addr>]\n\n  <addr> is tcp:HOST:PORT or a unix socket path (default {DEFAULT_LISTEN})\n  attack --stats-json <file> writes the final QueryStatsSnapshot for `report --analyze`\n  trigger variants (sar/antisat) run the sampling attack: no --checkpoint"
     )
 }
 
 fn usage() -> ExitCode {
-    eprintln!("{}", usage_text());
+    // Here and below, a closed stderr loses the text, never the exit code.
+    let _ = writeln!(std::io::stderr(), "{}", usage_text());
     ExitCode::from(2)
 }
 
@@ -468,11 +473,10 @@ fn run_attack(args: &Args, trace: Option<&Arc<FlightRecorder>>, out: &mut dyn Wr
         if args.flag("checkpoint").is_some() {
             return Err("--checkpoint expects a file path".into());
         }
-        if args.flag("resume").is_some() || args.flag("checkpoint-every").is_some() {
-            return Err("--resume/--checkpoint-every require --checkpoint <file>".into());
+        if args.flag("resume").is_some() {
+            return Err("--resume requires --checkpoint <file>".into());
         }
     }
-    let every = args.u64_value("checkpoint-every", 0)?;
 
     // Trigger locks (sar/antisat) defeat the per-site algebraic localisation
     // the decryption attack is built on, so they dispatch to the sampling
@@ -522,10 +526,9 @@ fn run_attack(args: &Args, trace: Option<&Arc<FlightRecorder>>, out: &mut dyn Wr
             .map_err(|e| e.to_string())?,
         Some(path) => {
             let sink = FileCheckpointSink::new(path);
-            let policy = CheckpointPolicy::every_queries(every);
             if args.flag("resume").is_some() {
                 let (report, status) = decryptor
-                    .resume(model.white_box(), &broker, &mut rng, &sink, policy)
+                    .resume(model.white_box(), &broker, &mut rng, &sink)
                     .map_err(|e| e.to_string())?;
                 match &status {
                     ResumeStatus::Fresh => {
@@ -541,7 +544,7 @@ fn run_attack(args: &Args, trace: Option<&Arc<FlightRecorder>>, out: &mut dyn Wr
                 report
             } else {
                 decryptor
-                    .run_with_checkpoints(model.white_box(), &broker, &mut rng, &sink, policy)
+                    .run_with_checkpoints(model.white_box(), &broker, &mut rng, &sink)
                     .map_err(|e| e.to_string())?
             }
         }
@@ -659,7 +662,6 @@ fn cmd_submit(args: &Args, out: &mut dyn Write) -> CmdResult {
             Some(s) => Some(s.parse().map_err(|_| "--budget expects a number")?),
             None => None,
         },
-        threads: args.u64_value("threads", 1)?,
         fast: args.flag("full").is_none(),
         monolithic: args.flag("monolithic").is_some(),
         variant: variant_flag(args)?.to_string(),
@@ -736,7 +738,10 @@ fn main() -> ExitCode {
     };
     let args = Args::parse(&raw[1..]);
     if let Some((name, _)) = args.flags.iter().find(|(n, _)| !known.contains(n)) {
-        eprintln!("error: unknown flag --{name} for `relock {cmd}`");
+        let _ = writeln!(
+            std::io::stderr(),
+            "error: unknown flag --{name} for `relock {cmd}`"
+        );
         return usage();
     }
     let mut stdout = std::io::stdout();
@@ -757,11 +762,11 @@ fn main() -> ExitCode {
         // The reader went away: nothing is left to tell it.
         Err(CliError::Stdout(e)) if e.kind() == ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(CliError::Stdout(e)) => {
-            eprintln!("error: cannot write to stdout: {e}");
+            let _ = writeln!(std::io::stderr(), "error: cannot write to stdout: {e}");
             ExitCode::FAILURE
         }
         Err(CliError::Msg(msg)) => {
-            eprintln!("error: {msg}");
+            let _ = writeln!(std::io::stderr(), "error: {msg}");
             ExitCode::FAILURE
         }
     }

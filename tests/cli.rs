@@ -30,11 +30,13 @@ fn unknown_flag_exits_2_and_names_the_flag() {
 
 /// A script still passing a flag the CLI no longer has must fail rather
 /// than silently run on defaults: `--adaptive` (the online correction
-/// controller), `--precision` (the single-precision learning path) and
-/// `attack --workers` (the multi-process executor).
+/// controller), `--precision` (the single-precision learning path),
+/// `attack --workers` (the multi-process executor), `--checkpoint-every`
+/// (the checkpoint write throttle) and `submit --threads` (a campaign
+/// computes on one thread per slot).
 #[test]
 fn removed_flags_exit_2_and_name_the_flag() {
-    let cases: [(&[&str], &str); 4] = [
+    let cases: [(&[&str], &str); 6] = [
         (
             &["attack", "victim.rlk", "--fast", "--adaptive"],
             "--adaptive",
@@ -61,11 +63,28 @@ fn removed_flags_exit_2_and_name_the_flag() {
             ],
             "--precision",
         ),
+        (
+            &[
+                "attack",
+                "v.rlk",
+                "--checkpoint",
+                "s.rlcp",
+                "--checkpoint-every",
+                "10",
+            ],
+            "--checkpoint-every",
+        ),
+        (&["submit", "v.rlk", "--threads", "2"], "--threads"),
     ];
     for (args, flag) in cases {
         let out = relock(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
         assert!(stderr(&out).contains(flag), "{args:?}: {}", stderr(&out));
+        assert!(
+            stderr(&out).contains("usage:"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
     }
 }
 
@@ -187,4 +206,27 @@ fn closed_stdout_ends_the_run_quietly() {
     );
     assert_eq!(out.status.code(), Some(0), "stderr: {}", stderr(&out));
     assert!(out.stderr.is_empty(), "stderr: {}", stderr(&out));
+}
+
+/// With stderr's reader gone, a run that would print the usage text or an
+/// error still exits with its documented code (2 for usage, 1 for a
+/// failed command), never 101 from a panic on the closed pipe.
+#[test]
+fn closed_stderr_keeps_the_exit_code() {
+    let cases: [(&[&str], i32); 4] = [
+        (&[], 2),
+        (&["nonsense"], 2),
+        (&["inspect", "x.rlk", "--seeed", "1"], 2),
+        (&["inspect", "/nonexistent.rlk"], 1),
+    ];
+    for (args, code) in cases {
+        let (reader, writer) = std::io::pipe().expect("create a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_relock"))
+            .args(args)
+            .stderr(writer)
+            .output()
+            .expect("spawn relock");
+        assert_eq!(out.status.code(), Some(code), "{args:?}");
+    }
 }
