@@ -581,10 +581,10 @@ fn mlp32_entries(reps: usize) -> Vec<BenchEntry> {
     ]
 }
 
-/// Kill-and-resume soak (the soak bin's workload, MLP-12, 3 scheduled
-/// kills): total wall clock across all segments, and the soaked session's
-/// cumulative query count. Asserts the resumed key is bit-identical to
-/// the uninterrupted reference.
+/// Kill-and-resume soak (MLP-12 at lock seed 42, attack seed 43, 3
+/// scheduled kills): total wall clock across all segments, and the soaked
+/// session's cumulative query count. Asserts that every kill fired and
+/// that the resumed key is bit-identical to the uninterrupted reference.
 fn soak_entry() -> BenchEntry {
     let kills = 3u64;
     let p = prepare(Arch::Mlp, 12, Scale::Fast, 42);

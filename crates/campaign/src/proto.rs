@@ -188,17 +188,27 @@ fn hex_decode(text: &str) -> Result<Vec<u8>, ProtoError> {
         .collect()
 }
 
-fn field_u64(doc: &Value, key: &str) -> Result<u64, ProtoError> {
+/// An optional field, read by `get`: `None` when absent. A field present
+/// with another type is malformed, never taken for an absent one.
+fn opt_field<'a, T>(
+    doc: &'a Value,
+    key: &str,
+    get: fn(&'a Value) -> Option<T>,
+) -> Result<Option<T>, ProtoError> {
     doc.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| ProtoError::Malformed(format!("missing or non-integer field {key:?}")))
+        .map(|v| {
+            get(v).ok_or_else(|| ProtoError::Malformed(format!("field {key:?} has the wrong type")))
+        })
+        .transpose()
 }
 
-fn field_str(doc: &Value, key: &str) -> Result<String, ProtoError> {
-    doc.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| ProtoError::Malformed(format!("missing or non-string field {key:?}")))
+/// A required field, read by `get`.
+fn field<'a, T>(
+    doc: &'a Value,
+    key: &str,
+    get: fn(&'a Value) -> Option<T>,
+) -> Result<T, ProtoError> {
+    opt_field(doc, key, get)?.ok_or_else(|| ProtoError::Malformed(format!("missing field {key:?}")))
 }
 
 impl Request {
@@ -261,53 +271,36 @@ impl Request {
         Value::Obj(fields)
     }
 
-    /// Decodes a wire object.
+    /// Decodes a wire object. An absent optional field takes its default;
+    /// a field of the wrong type is [`ProtoError::Malformed`]; an unknown
+    /// field is ignored.
     pub fn from_value(doc: &Value) -> Result<Request, ProtoError> {
-        let op = field_str(doc, "op")?;
-        Ok(match op.as_str() {
+        let id = || field(doc, "id", Value::as_u64);
+        Ok(match field(doc, "op", Value::as_str)? {
             "ping" => Request::Ping,
             "submit" => Request::Submit {
-                model_path: field_str(doc, "model_path")?,
-                tenant: doc
-                    .get("tenant")
-                    .and_then(Value::as_str)
+                model_path: field(doc, "model_path", Value::as_str)?.to_string(),
+                tenant: opt_field(doc, "tenant", Value::as_str)?
                     .unwrap_or("default")
                     .to_string(),
-                seed: doc.get("seed").and_then(Value::as_u64).unwrap_or(1),
-                weight: doc.get("weight").and_then(Value::as_u64).unwrap_or(1),
-                budget: doc.get("budget").and_then(Value::as_u64),
-                fast: doc.get("fast").and_then(Value::as_bool).unwrap_or(true),
-                monolithic: doc
-                    .get("monolithic")
-                    .and_then(Value::as_bool)
-                    .unwrap_or(false),
-                variant: doc
-                    .get("variant")
-                    .and_then(Value::as_str)
+                seed: opt_field(doc, "seed", Value::as_u64)?.unwrap_or(1),
+                weight: opt_field(doc, "weight", Value::as_u64)?.unwrap_or(1),
+                budget: opt_field(doc, "budget", Value::as_u64)?,
+                fast: opt_field(doc, "fast", Value::as_bool)?.unwrap_or(true),
+                monolithic: opt_field(doc, "monolithic", Value::as_bool)?.unwrap_or(false),
+                variant: opt_field(doc, "variant", Value::as_str)?
                     .unwrap_or("sign")
                     .to_string(),
-                checkpoint: doc
-                    .get("checkpoint")
-                    .and_then(Value::as_str)
+                checkpoint: opt_field(doc, "checkpoint", Value::as_str)?
                     .map(hex_decode)
                     .transpose()?,
             },
-            "status" => Request::Status {
-                id: field_u64(doc, "id")?,
-            },
+            "status" => Request::Status { id: id()? },
             "list" => Request::List,
-            "pause" => Request::Pause {
-                id: field_u64(doc, "id")?,
-            },
-            "resume" => Request::Resume {
-                id: field_u64(doc, "id")?,
-            },
-            "cancel" => Request::Cancel {
-                id: field_u64(doc, "id")?,
-            },
-            "checkpoint" => Request::Checkpoint {
-                id: field_u64(doc, "id")?,
-            },
+            "pause" => Request::Pause { id: id()? },
+            "resume" => Request::Resume { id: id()? },
+            "cancel" => Request::Cancel { id: id()? },
+            "checkpoint" => Request::Checkpoint { id: id()? },
             "stats" => Request::Stats,
             "shutdown" => Request::Shutdown,
             other => {
@@ -439,6 +432,38 @@ mod tests {
             Request::from_value(&doc),
             Err(ProtoError::Malformed(_))
         ));
+        // A present field of the wrong type is rejected, never read as its
+        // default: a string or negative budget would run unbudgeted.
+        for field in [
+            r#""budget":"5""#,
+            r#""budget":-5"#,
+            r#""budget":null"#,
+            r#""seed":"7""#,
+            r#""seed":1.5"#,
+            r#""weight":true"#,
+            r#""fast":"yes""#,
+            r#""monolithic":0"#,
+            r#""checkpoint":12"#,
+            r#""tenant":3"#,
+            r#""variant":["sign"]"#,
+        ] {
+            let text = format!(r#"{{"op":"submit","model_path":"m",{field}}}"#);
+            let doc = Value::parse(&text).unwrap();
+            assert!(
+                matches!(Request::from_value(&doc), Err(ProtoError::Malformed(_))),
+                "{text}"
+            );
+        }
+        for text in [
+            r#"{"op":"submit","model_path":7}"#,
+            r#"{"op":"status","id":"3"}"#,
+        ] {
+            let doc = Value::parse(text).unwrap();
+            assert!(
+                matches!(Request::from_value(&doc), Err(ProtoError::Malformed(_))),
+                "{text}"
+            );
+        }
     }
 
     /// A field the protocol no longer has (an older client's `threads`) is

@@ -9,11 +9,17 @@
 //! exact PRNG state at that cut, and the accumulated timing and broker
 //! accounting.
 //!
+//! [`AttackState`] is the decryptor's session itself, in the decryptor's
+//! own types, and [`AttackState::encode`] / [`AttackState::decode`] are the
+//! only code that maps it to integers.
+//! A resumed run enters the same phase code as a fresh one, at the cut
+//! its state holds.
+//!
 //! ## Consistent cuts
 //!
 //! Snapshots are only taken at **phase cuts** — points in Algorithm 2
-//! where the attack's mutable state is fully described by plain data and
-//! the next action consumes the PRNG stream from a known position:
+//! where the attack's mutable state is fully described by the session
+//! and the next action consumes the PRNG stream from a known position:
 //!
 //! - `LayerStart` — before a layer's algebraic pass (also written after
 //!   every layer commit, with the *next* layer's index);
@@ -39,17 +45,22 @@
 //!
 //! The trailing checksum covers everything before it, so truncation and
 //! bit rot are both detected; [`AttackState::decode`] returns a typed
-//! [`CheckpointError`] instead of panicking, and `Decryptor::resume`
-//! degrades any load failure into a fresh run. [`FileCheckpointSink`]
+//! [`CheckpointError`] instead of panicking. `Decryptor::resume` then
+//! checks that the decoded session fits the graph (key width, layers,
+//! every slot, node and unit its cut names) and degrades any failure into
+//! a fresh run. [`FileCheckpointSink`]
 //! writes atomically (temp file + rename) so a crash *during* a save
 //! leaves the previous checkpoint intact.
 
 use crate::decrypt::LayerReport;
-use crate::telemetry::QueryStatsSnapshot;
+use crate::infer::InferredBits;
+use crate::learning::LearnedMultipliers;
+use crate::telemetry::{QueryStatsSnapshot, TimingBreakdown};
 use crate::validate::ValidationTarget;
-use relock_graph::{KeySlot, NodeId, UnitLayout};
+use relock_graph::{KeyAssignment, KeySlot, NodeId, UnitLayout};
 use relock_serve::{ScopeCounts, HISTOGRAM_BUCKETS};
 use relock_tensor::rng::PrngState;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
@@ -238,99 +249,49 @@ impl ResumeStatus {
     }
 }
 
-/// A [`ValidationTarget`] flattened to plain indices for serialization.
-/// The `Correcting` cut must carry the target verbatim: redrawing it on
-/// resume would consume the PRNG differently than the original run.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SerialTarget {
-    /// Index of the node feeding the next layer's ReLU.
-    pub surface_node: usize,
-    /// The next layer's unit layout as
-    /// `[n_units, unit_len, unit_stride, elem_stride]`.
-    pub layout: [usize; 4],
-    /// Units to probe, each with its own key-slot index if locked.
-    pub units: Vec<(usize, Option<usize>)>,
-}
-
-impl SerialTarget {
-    /// Flattens a live target.
-    pub fn from_target(t: &ValidationTarget) -> Self {
-        SerialTarget {
-            surface_node: t.surface_node.index(),
-            layout: [
-                t.layout.n_units,
-                t.layout.unit_len,
-                t.layout.unit_stride,
-                t.layout.elem_stride,
-            ],
-            units: t
-                .units
-                .iter()
-                .map(|&(u, s)| (u, s.map(|s| s.index())))
-                .collect(),
-        }
-    }
-
-    /// Rebuilds the live target.
-    pub fn to_target(&self) -> ValidationTarget {
-        ValidationTarget {
-            surface_node: NodeId(self.surface_node),
-            layout: UnitLayout {
-                n_units: self.layout[0],
-                unit_len: self.layout[1],
-                unit_stride: self.layout[2],
-                elem_stride: self.layout[3],
-            },
-            units: self
-                .units
-                .iter()
-                .map(|&(u, s)| (u, s.map(KeySlot)))
-                .collect(),
-        }
-    }
-}
-
-/// The point inside a layer's Algorithm-2 pass where a snapshot was taken.
-/// Slots are stored as plain indices; `Decryptor` maps them back.
+/// The point inside a layer's Algorithm-2 pass where a snapshot was taken,
+/// and the point a resumed run continues from: the decryptor runs a layer's
+/// phases from whatever cut its state holds.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhaseCut {
     /// Before the layer's algebraic pass (or after the previous layer's
     /// commit, with `layer_index` pointing at the next layer).
     LayerStart,
-    /// After Algorithm 1; `inferred` holds its per-site `(slot, bit)`
-    /// outcomes with `None` for ⊥. The snapshot's key bits already include
-    /// the algebraic commits.
+    /// After Algorithm 1, with its per-site outcomes (`None` for ⊥) in site
+    /// order. The state's key already holds the algebraic commits.
     PostInfer {
         /// Per-site inference outcomes in site order.
-        inferred: Vec<(usize, Option<bool>)>,
+        inferred: InferredBits,
     },
     /// After the learning attack, before the validation target is drawn.
-    /// The snapshot's key bits and warm-start multipliers already include
-    /// the learned assignment.
+    /// The state's key and warm starts already hold the learned
+    /// assignment.
     PostLearn {
-        /// Slots Algorithm 1 left unresolved (the relearn remedy needs
-        /// them).
-        unresolved: Vec<usize>,
-        /// Per-slot confidence levels, sorted by slot.
-        confidences: Vec<(usize, f64)>,
+        /// Slots Algorithm 1 left unresolved, in site order (the relearn
+        /// remedy needs them).
+        unresolved: Vec<KeySlot>,
+        /// Per-slot confidence levels.
+        confidences: BTreeMap<KeySlot, f64>,
     },
     /// Before error-correction candidate number `tried` (zero-based in
-    /// the deterministic candidate plan). The snapshot's key bits are the
-    /// pre-flip candidate.
+    /// the deterministic candidate plan). The state's key is the pre-flip
+    /// candidate.
     Correcting {
-        /// Per-slot confidence levels at correction entry, sorted by slot.
-        confidences: Vec<(usize, f64)>,
+        /// Per-slot confidence levels at correction entry.
+        confidences: BTreeMap<KeySlot, f64>,
         /// Bits the layer report attributes to Algorithm 1.
-        algebraic: u64,
+        algebraic: usize,
         /// Bits the layer report attributes to the learning attack.
-        learned: u64,
+        learned: usize,
         /// Validation rounds spent before this candidate.
-        rounds: u64,
+        rounds: usize,
         /// Index of the next candidate to try.
-        tried: u64,
-        /// The already-drawn validation target (`None` on the last layer,
-        /// where validation compares outputs directly).
-        target: Option<SerialTarget>,
+        tried: usize,
+        /// The already-drawn validation target, carried verbatim: redrawing
+        /// it on resume would consume the PRNG differently than the
+        /// original run. `None` on the last layer, where validation
+        /// compares outputs directly.
+        target: Option<ValidationTarget>,
     },
 }
 
@@ -346,76 +307,31 @@ impl PhaseCut {
     }
 }
 
-/// A [`LayerReport`] flattened for serialization.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LayerReportState {
-    /// Index of the keyed node implementing the layer.
-    pub keyed_node: usize,
-    /// Key bits in the layer.
-    pub bits: u64,
-    /// Bits resolved algebraically.
-    pub algebraic: u64,
-    /// Bits resolved by the learning attack.
-    pub learned: u64,
-    /// Validation rounds run.
-    pub validation_rounds: u64,
-    /// Bits repaired by error correction.
-    pub corrected: u64,
-    /// Whether the committed vector passed validation.
-    pub validated: bool,
-}
-
-impl LayerReportState {
-    /// Flattens a live report.
-    pub fn from_report(r: &LayerReport) -> Self {
-        LayerReportState {
-            keyed_node: r.keyed_node.index(),
-            bits: r.bits as u64,
-            algebraic: r.algebraic as u64,
-            learned: r.learned as u64,
-            validation_rounds: r.validation_rounds as u64,
-            corrected: r.corrected as u64,
-            validated: r.validated,
-        }
-    }
-
-    /// Rebuilds the live report.
-    pub fn to_report(&self) -> LayerReport {
-        LayerReport {
-            keyed_node: NodeId(self.keyed_node),
-            bits: self.bits as usize,
-            algebraic: self.algebraic as usize,
-            learned: self.learned as usize,
-            validation_rounds: self.validation_rounds as usize,
-            corrected: self.corrected as usize,
-            validated: self.validated,
-        }
-    }
-}
-
-/// Everything needed to continue a decryption run from a phase cut.
+/// An attack session: everything needed to continue a decryption run from
+/// a phase cut. `Decryptor` runs on this value directly, so a snapshot is
+/// the session itself: a cut is written by setting [`AttackState::cut`]
+/// and saving [`AttackState::encode`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct AttackState {
-    /// Key width of the graph the snapshot belongs to.
-    pub n_slots: usize,
     /// Zero-based index of the layer being worked on (== the number of
     /// locked layers when the run had finished).
     pub layer_index: usize,
-    /// Where inside the layer the snapshot was taken.
+    /// Where inside the layer the session stands.
     pub cut: PhaseCut,
-    /// The working key assignment's bits (committed layers, algebraic
-    /// commits, and provisional later-layer estimates alike).
-    pub key_bits: Vec<bool>,
-    /// Committed `(slot, bit)` pairs, sorted by slot.
-    pub committed: Vec<(usize, bool)>,
-    /// Warm-start multipliers as `(slot, multiplier)` pairs, sorted.
-    pub warm: Vec<(usize, f64)>,
+    /// The working key assignment (committed layers, algebraic commits,
+    /// and provisional later-layer estimates alike); its length is the
+    /// key width of the graph the session belongs to.
+    pub key: KeyAssignment,
+    /// Committed bits.
+    pub committed: BTreeMap<KeySlot, bool>,
+    /// The learning attack's warm-start multipliers.
+    pub warm: LearnedMultipliers,
     /// Reports of fully committed layers, in processing order.
-    pub reports: Vec<LayerReportState>,
+    pub reports: Vec<LayerReport>,
     /// Exact PRNG state at the cut.
     pub rng: PrngState,
-    /// Accumulated per-procedure timing, as nanoseconds.
-    pub timing_nanos: [u64; 4],
+    /// Accumulated per-procedure timing.
+    pub timing: TimingBreakdown,
     /// Accumulated broker accounting up to the cut (all segments).
     pub stats: QueryStatsSnapshot,
     /// Underlying oracle queries spent up to the cut (all segments).
@@ -458,6 +374,15 @@ fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// `len | (slot, value)*`, in slot order.
+fn put_slot_map<T: Copy>(out: &mut Vec<u8>, map: &BTreeMap<KeySlot, T>, put: fn(&mut Vec<u8>, T)) {
+    put_usize(out, map.len());
+    for (slot, &v) in map {
+        put_usize(out, slot.index());
+        put(out, v);
+    }
+}
+
 struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
@@ -496,6 +421,10 @@ impl<'a> Reader<'a> {
             .map_err(|_| CheckpointError::Corrupt("index overflows usize".into()))
     }
 
+    fn slot(&mut self) -> Result<KeySlot, CheckpointError> {
+        Ok(KeySlot(self.usize()?))
+    }
+
     fn f64(&mut self) -> Result<f64, CheckpointError> {
         Ok(f64::from_bits(self.u64()?))
     }
@@ -526,6 +455,39 @@ impl<'a> Reader<'a> {
             .map_err(|_| CheckpointError::Corrupt("scope label is not UTF-8".into()))
     }
 
+    /// A `len`-prefixed sequence. A forged length reserves no more than
+    /// 2^20 items up front; the items themselves must then be present.
+    fn seq<T>(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<Vec<T>, CheckpointError> {
+        let n = self.usize()?;
+        let mut out = Vec::with_capacity(n.min(1 << 20));
+        for _ in 0..n {
+            out.push(item(self)?);
+        }
+        Ok(out)
+    }
+
+    /// A [`put_slot_map`] map. Slots must be strictly increasing, so every
+    /// accepted map re-encodes to the bytes it came from.
+    fn slot_map<T>(
+        &mut self,
+        value: impl Fn(&mut Self) -> Result<T, CheckpointError>,
+    ) -> Result<BTreeMap<KeySlot, T>, CheckpointError> {
+        let mut map = BTreeMap::new();
+        for _ in 0..self.usize()? {
+            let slot = self.slot()?;
+            if map.last_key_value().is_some_and(|(&last, _)| last >= slot) {
+                return Err(CheckpointError::Corrupt(format!(
+                    "slot {slot} out of order"
+                )));
+            }
+            map.insert(slot, value(self)?);
+        }
+        Ok(map)
+    }
+
     fn done(&self) -> Result<(), CheckpointError> {
         if self.pos == self.buf.len() {
             Ok(())
@@ -548,33 +510,47 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 }
 
 impl AttackState {
+    /// A fresh session over an `n_slots`-bit key whose random stream
+    /// starts at `rng`: layer 0, nothing committed, nothing spent.
+    pub(crate) fn fresh(n_slots: usize, rng: PrngState) -> Self {
+        AttackState {
+            layer_index: 0,
+            cut: PhaseCut::LayerStart,
+            key: KeyAssignment::all_zero_bits(n_slots),
+            committed: BTreeMap::new(),
+            warm: LearnedMultipliers::new(),
+            reports: Vec::new(),
+            rng,
+            timing: TimingBreakdown::new(),
+            stats: QueryStatsSnapshot::default(),
+            queries: 0,
+        }
+    }
+
     /// Serializes the state into the framed `RLCP` format.
     pub fn encode(&self) -> Vec<u8> {
         let mut p = Vec::new();
-        put_usize(&mut p, self.n_slots);
+        let bits = self.key.to_bits();
+        put_usize(&mut p, bits.len());
         put_usize(&mut p, self.layer_index);
-        put_usize(&mut p, self.key_bits.len());
-        for &b in &self.key_bits {
+        put_usize(&mut p, bits.len());
+        for &b in &bits {
             put_bool(&mut p, b);
         }
-        put_usize(&mut p, self.committed.len());
-        for &(i, b) in &self.committed {
-            put_usize(&mut p, i);
-            put_bool(&mut p, b);
-        }
-        put_usize(&mut p, self.warm.len());
-        for &(i, m) in &self.warm {
-            put_usize(&mut p, i);
-            put_f64(&mut p, m);
-        }
+        put_slot_map(&mut p, &self.committed, put_bool);
+        put_slot_map(&mut p, &self.warm, put_f64);
         put_usize(&mut p, self.reports.len());
         for r in &self.reports {
-            put_usize(&mut p, r.keyed_node);
-            put_u64(&mut p, r.bits);
-            put_u64(&mut p, r.algebraic);
-            put_u64(&mut p, r.learned);
-            put_u64(&mut p, r.validation_rounds);
-            put_u64(&mut p, r.corrected);
+            put_usize(&mut p, r.keyed_node.index());
+            for n in [
+                r.bits,
+                r.algebraic,
+                r.learned,
+                r.validation_rounds,
+                r.corrected,
+            ] {
+                put_usize(&mut p, n);
+            }
             put_bool(&mut p, r.validated);
         }
         for &w in &self.rng.s {
@@ -587,7 +563,7 @@ impl AttackState {
                 put_f64(&mut p, v);
             }
         }
-        for &n in &self.timing_nanos {
+        for n in self.timing.as_nanos() {
             put_u64(&mut p, n);
         }
         put_u64(&mut p, self.stats.requested);
@@ -613,8 +589,8 @@ impl AttackState {
             PhaseCut::PostInfer { inferred } => {
                 p.push(1);
                 put_usize(&mut p, inferred.len());
-                for &(i, b) in inferred {
-                    put_usize(&mut p, i);
+                for &(slot, b) in inferred {
+                    put_usize(&mut p, slot.index());
                     put_opt_bool(&mut p, b);
                 }
             }
@@ -624,14 +600,10 @@ impl AttackState {
             } => {
                 p.push(2);
                 put_usize(&mut p, unresolved.len());
-                for &i in unresolved {
-                    put_usize(&mut p, i);
+                for slot in unresolved {
+                    put_usize(&mut p, slot.index());
                 }
-                put_usize(&mut p, confidences.len());
-                for &(i, c) in confidences {
-                    put_usize(&mut p, i);
-                    put_f64(&mut p, c);
-                }
+                put_slot_map(&mut p, confidences, put_f64);
             }
             PhaseCut::Correcting {
                 confidences,
@@ -642,31 +614,27 @@ impl AttackState {
                 target,
             } => {
                 p.push(3);
-                put_usize(&mut p, confidences.len());
-                for &(i, c) in confidences {
-                    put_usize(&mut p, i);
-                    put_f64(&mut p, c);
+                put_slot_map(&mut p, confidences, put_f64);
+                for n in [*algebraic, *learned, *rounds, *tried] {
+                    put_usize(&mut p, n);
                 }
-                put_u64(&mut p, *algebraic);
-                put_u64(&mut p, *learned);
-                put_u64(&mut p, *rounds);
-                put_u64(&mut p, *tried);
                 match target {
                     None => p.push(0),
                     Some(t) => {
                         p.push(1);
-                        put_usize(&mut p, t.surface_node);
-                        for &d in &t.layout {
+                        put_usize(&mut p, t.surface_node.index());
+                        let l = &t.layout;
+                        for d in [l.n_units, l.unit_len, l.unit_stride, l.elem_stride] {
                             put_usize(&mut p, d);
                         }
                         put_usize(&mut p, t.units.len());
-                        for &(u, s) in &t.units {
+                        for &(u, slot) in &t.units {
                             put_usize(&mut p, u);
-                            match s {
+                            match slot {
                                 None => p.push(0),
                                 Some(s) => {
                                     p.push(1);
-                                    put_usize(&mut p, s);
+                                    put_usize(&mut p, s.index());
                                 }
                             }
                         }
@@ -686,7 +654,8 @@ impl AttackState {
     }
 
     /// Parses a framed checkpoint, validating magic, version, declared
-    /// length, and checksum before touching the payload.
+    /// length, and checksum before touching the payload. Whether the state
+    /// fits a graph is the resuming `Decryptor`'s check.
     ///
     /// # Errors
     ///
@@ -723,36 +692,26 @@ impl AttackState {
 
         let n_slots = r.usize()?;
         let layer_index = r.usize()?;
-        let n_bits = r.usize()?;
-        let mut key_bits = Vec::with_capacity(n_bits.min(1 << 20));
-        for _ in 0..n_bits {
-            key_bits.push(r.bool()?);
+        let bits = r.seq(Reader::bool)?;
+        if bits.len() != n_slots {
+            return Err(CheckpointError::Corrupt(format!(
+                "key holds {} bits, the header says {n_slots}",
+                bits.len()
+            )));
         }
-        let n_committed = r.usize()?;
-        let mut committed = Vec::with_capacity(n_committed.min(1 << 20));
-        for _ in 0..n_committed {
-            let i = r.usize()?;
-            committed.push((i, r.bool()?));
-        }
-        let n_warm = r.usize()?;
-        let mut warm = Vec::with_capacity(n_warm.min(1 << 20));
-        for _ in 0..n_warm {
-            let i = r.usize()?;
-            warm.push((i, r.f64()?));
-        }
-        let n_reports = r.usize()?;
-        let mut reports = Vec::with_capacity(n_reports.min(1 << 20));
-        for _ in 0..n_reports {
-            reports.push(LayerReportState {
-                keyed_node: r.usize()?,
-                bits: r.u64()?,
-                algebraic: r.u64()?,
-                learned: r.u64()?,
-                validation_rounds: r.u64()?,
-                corrected: r.u64()?,
+        let committed = r.slot_map(Reader::bool)?;
+        let warm = r.slot_map(Reader::f64)?;
+        let reports = r.seq(|r| {
+            Ok(LayerReport {
+                keyed_node: NodeId(r.usize()?),
+                bits: r.usize()?,
+                algebraic: r.usize()?,
+                learned: r.usize()?,
+                validation_rounds: r.usize()?,
+                corrected: r.usize()?,
                 validated: r.bool()?,
-            });
-        }
+            })
+        })?;
         let s = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
         let spare_normal = match r.u8()? {
             0 => None,
@@ -764,7 +723,7 @@ impl AttackState {
             }
         };
         let rng = PrngState { s, spare_normal };
-        let timing_nanos = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+        let timing = TimingBreakdown::from_nanos([r.u64()?, r.u64()?, r.u64()?, r.u64()?]);
         let mut stats = QueryStatsSnapshot {
             requested: r.u64()?,
             cache_hits: r.u64()?,
@@ -778,87 +737,52 @@ impl AttackState {
         for i in 0..HISTOGRAM_BUCKETS {
             stats.histogram[i] = r.u64()?;
         }
-        let n_scopes = r.usize()?;
-        for _ in 0..n_scopes {
-            let label = r.str()?;
-            stats.per_scope.push((
-                label,
+        stats.per_scope = r.seq(|r| {
+            Ok((
+                r.str()?,
                 ScopeCounts {
                     requested: r.u64()?,
                     cache_hits: r.u64()?,
                     underlying: r.u64()?,
                 },
-            ));
-        }
+            ))
+        })?;
         let queries = r.u64()?;
         let cut = match r.u8()? {
             0 => PhaseCut::LayerStart,
-            1 => {
-                let n = r.usize()?;
-                let mut inferred = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let i = r.usize()?;
-                    inferred.push((i, r.opt_bool()?));
-                }
-                PhaseCut::PostInfer { inferred }
-            }
-            2 => {
-                let n = r.usize()?;
-                let mut unresolved = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    unresolved.push(r.usize()?);
-                }
-                let n = r.usize()?;
-                let mut confidences = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let i = r.usize()?;
-                    confidences.push((i, r.f64()?));
-                }
-                PhaseCut::PostLearn {
-                    unresolved,
-                    confidences,
-                }
-            }
+            1 => PhaseCut::PostInfer {
+                inferred: r.seq(|r| Ok((r.slot()?, r.opt_bool()?)))?,
+            },
+            2 => PhaseCut::PostLearn {
+                unresolved: r.seq(Reader::slot)?,
+                confidences: r.slot_map(Reader::f64)?,
+            },
             3 => {
-                let n = r.usize()?;
-                let mut confidences = Vec::with_capacity(n.min(1 << 20));
-                for _ in 0..n {
-                    let i = r.usize()?;
-                    confidences.push((i, r.f64()?));
-                }
-                let algebraic = r.u64()?;
-                let learned = r.u64()?;
-                let rounds = r.u64()?;
-                let tried = r.u64()?;
+                let confidences = r.slot_map(Reader::f64)?;
+                let [algebraic, learned, rounds, tried] =
+                    [r.usize()?, r.usize()?, r.usize()?, r.usize()?];
                 let target = match r.u8()? {
                     0 => None,
-                    1 => {
-                        let surface_node = r.usize()?;
-                        let layout = [r.usize()?, r.usize()?, r.usize()?, r.usize()?];
-                        let n = r.usize()?;
-                        let mut units = Vec::with_capacity(n.min(1 << 20));
-                        for _ in 0..n {
-                            let u = r.usize()?;
-                            let s = match r.u8()? {
-                                0 => None,
-                                1 => Some(r.usize()?),
+                    1 => Some(ValidationTarget {
+                        surface_node: NodeId(r.usize()?),
+                        layout: UnitLayout {
+                            n_units: r.usize()?,
+                            unit_len: r.usize()?,
+                            unit_stride: r.usize()?,
+                            elem_stride: r.usize()?,
+                        },
+                        units: r.seq(|r| {
+                            let unit = r.usize()?;
+                            match r.u8()? {
+                                0 => Ok((unit, None)),
+                                1 => Ok((unit, Some(r.slot()?))),
                                 b => {
-                                    return Err(CheckpointError::Corrupt(format!(
-                                        "bad unit-slot tag {b}"
-                                    )))
+                                    Err(CheckpointError::Corrupt(format!("bad unit-slot tag {b}")))
                                 }
-                            };
-                            units.push((u, s));
-                        }
-                        Some(SerialTarget {
-                            surface_node,
-                            layout,
-                            units,
-                        })
-                    }
-                    b => {
-                        return Err(CheckpointError::Corrupt(format!("bad target tag {b}")));
-                    }
+                            }
+                        })?,
+                    }),
+                    b => return Err(CheckpointError::Corrupt(format!("bad target tag {b}"))),
                 };
                 PhaseCut::Correcting {
                     confidences,
@@ -873,73 +797,17 @@ impl AttackState {
         };
         r.done()?;
         Ok(AttackState {
-            n_slots,
             layer_index,
             cut,
-            key_bits,
+            key: KeyAssignment::from_bits(&bits),
             committed,
             warm,
             reports,
             rng,
-            timing_nanos,
+            timing,
             stats,
             queries,
         })
-    }
-
-    /// The cut's stable phase name (see [`PhaseCut::phase_name`]).
-    pub fn phase_name(&self) -> &'static str {
-        self.cut.phase_name()
-    }
-
-    /// The largest key-slot index referenced anywhere in the snapshot, or
-    /// `None` when no slot is referenced. Compatibility checks compare it
-    /// against the graph's key width.
-    pub fn max_slot_index(&self) -> Option<usize> {
-        let mut max: Option<usize> = None;
-        let mut see = |i: usize| max = Some(max.map_or(i, |m| m.max(i)));
-        for &(i, _) in &self.committed {
-            see(i);
-        }
-        for &(i, _) in &self.warm {
-            see(i);
-        }
-        match &self.cut {
-            PhaseCut::LayerStart => {}
-            PhaseCut::PostInfer { inferred } => {
-                for &(i, _) in inferred {
-                    see(i);
-                }
-            }
-            PhaseCut::PostLearn {
-                unresolved,
-                confidences,
-            } => {
-                for &i in unresolved {
-                    see(i);
-                }
-                for &(i, _) in confidences {
-                    see(i);
-                }
-            }
-            PhaseCut::Correcting {
-                confidences,
-                target,
-                ..
-            } => {
-                for &(i, _) in confidences {
-                    see(i);
-                }
-                if let Some(t) = target {
-                    for &(_, s) in &t.units {
-                        if let Some(s) = s {
-                            see(s);
-                        }
-                    }
-                }
-            }
-        }
-        max
     }
 }
 
@@ -949,14 +817,13 @@ mod tests {
 
     fn sample_state(cut: PhaseCut) -> AttackState {
         AttackState {
-            n_slots: 6,
             layer_index: 1,
             cut,
-            key_bits: vec![true, false, true, true, false, false],
-            committed: vec![(0, true), (1, false), (2, true)],
-            warm: vec![(3, -0.75), (4, 0.25), (5, 0.9)],
-            reports: vec![LayerReportState {
-                keyed_node: 2,
+            key: KeyAssignment::from_bits(&[true, false, true, true, false, false]),
+            committed: [(KeySlot(0), true), (KeySlot(1), false), (KeySlot(2), true)].into(),
+            warm: [(KeySlot(3), -0.75), (KeySlot(4), 0.25), (KeySlot(5), 0.9)].into(),
+            reports: vec![LayerReport {
+                keyed_node: NodeId(2),
                 bits: 3,
                 algebraic: 2,
                 learned: 1,
@@ -968,7 +835,7 @@ mod tests {
                 s: [1, 2, 3, u64::MAX],
                 spare_normal: Some(-0.5),
             },
-            timing_nanos: [10, 20, 30, 40],
+            timing: TimingBreakdown::from_nanos([10, 20, 30, 40]),
             stats: QueryStatsSnapshot {
                 requested: 100,
                 cache_hits: 10,
@@ -996,25 +863,35 @@ mod tests {
     }
 
     fn all_cuts() -> Vec<PhaseCut> {
+        let conf = |c: [f64; 3]| (3..6).map(KeySlot).zip(c).collect();
         vec![
             PhaseCut::LayerStart,
             PhaseCut::PostInfer {
-                inferred: vec![(3, Some(true)), (4, None), (5, Some(false))],
+                inferred: vec![
+                    (KeySlot(3), Some(true)),
+                    (KeySlot(4), None),
+                    (KeySlot(5), Some(false)),
+                ],
             },
             PhaseCut::PostLearn {
-                unresolved: vec![4],
-                confidences: vec![(3, 1.0), (4, 0.4), (5, 1.0)],
+                unresolved: vec![KeySlot(4)],
+                confidences: conf([1.0, 0.4, 1.0]),
             },
             PhaseCut::Correcting {
-                confidences: vec![(3, 1.0), (4, 0.4), (5, 0.8)],
+                confidences: conf([1.0, 0.4, 0.8]),
                 algebraic: 2,
                 learned: 1,
                 rounds: 2,
                 tried: 5,
-                target: Some(SerialTarget {
-                    surface_node: 4,
-                    layout: [3, 2, 2, 1],
-                    units: vec![(0, Some(3)), (1, None), (2, Some(5))],
+                target: Some(ValidationTarget {
+                    surface_node: NodeId(4),
+                    layout: UnitLayout {
+                        n_units: 3,
+                        unit_len: 2,
+                        unit_stride: 2,
+                        elem_stride: 1,
+                    },
+                    units: vec![(0, Some(KeySlot(3))), (1, None), (2, Some(KeySlot(5)))],
                 }),
             },
         ]
@@ -1072,17 +949,27 @@ mod tests {
         );
     }
 
+    /// A map whose slots are not strictly increasing could not have come
+    /// from `encode`; accepting it would decode to a state that re-encodes
+    /// to other bytes.
     #[test]
-    fn max_slot_index_spans_cut_contents() {
-        let state = sample_state(all_cuts().pop().unwrap());
-        assert_eq!(state.max_slot_index(), Some(5));
-        let bare = AttackState {
-            committed: vec![],
-            warm: vec![],
-            cut: PhaseCut::LayerStart,
-            ..state
-        };
-        assert_eq!(bare.max_slot_index(), None);
+    fn out_of_order_slot_map_is_corrupt() {
+        let bytes = sample_state(PhaseCut::LayerStart).encode();
+        let mut p = bytes[16..bytes.len() - 8].to_vec();
+        // The committed map follows width, layer, and the 6 key bits.
+        let committed = 8 + 8 + 8 + 6;
+        assert_eq!(p[committed..committed + 8], 3u64.to_le_bytes());
+        // Swap the first two entries' slots (0 and 1): slot order breaks.
+        p[committed + 8] = 1;
+        p[committed + 8 + 9] = 0;
+        let mut bad = bytes[..16].to_vec();
+        bad.extend_from_slice(&p);
+        let sum = fnv1a64(&bad);
+        put_u64(&mut bad, sum);
+        match AttackState::decode(&bad) {
+            Err(CheckpointError::Corrupt(msg)) => assert!(msg.contains("out of order"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
     }
 
     #[test]

@@ -15,30 +15,24 @@
 //! Theorem 4's argument carries over: each correction round eliminates one
 //! assignment, and a committed layer has passed the rigorous validation.
 
-use crate::checkpoint::{
-    AttackState, CheckpointError, CheckpointSink, LayerReportState, PhaseCut, ResumeStatus,
-    SerialTarget,
-};
+use crate::checkpoint::{AttackState, CheckpointError, CheckpointSink, PhaseCut, ResumeStatus};
 use crate::config::AttackConfig;
 use crate::correct::{correction_plan, EXHAUSTIVE_BITS};
 use crate::error::AttackError;
 use crate::infer::{infer_rounds, site_probe_with, InferredBits, SiteCursor};
-use crate::learning::{
-    learning_attack, multipliers_from_pairs, multipliers_to_pairs, LearnedMultipliers,
-};
+use crate::learning::{learning_attack, LearnedMultipliers};
 use crate::telemetry::{Procedure, QueryStatsSnapshot, TimingBreakdown};
 use crate::validate::{key_vector_validation_checked_with, ValidationTarget, ValidationVerdict};
 use relock_graph::{Graph, KeyAssignment, KeySlot, LockSite, NodeId, Workspace, WorkspacePool};
 use relock_locking::{Key, Oracle, OracleError};
 use relock_serve::{Broker, BrokerConfig};
 use relock_tensor::rng::Prng;
-use relock_trace::FlightRecorder;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Per-layer attack statistics.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LayerReport {
     /// The keyed node implementing this layer's flipping units.
     pub keyed_node: NodeId,
@@ -393,7 +387,7 @@ impl Decryptor {
         rng: &mut Prng,
         sink: &dyn CheckpointSink,
     ) -> Result<(DecryptionReport, ResumeStatus), AttackError> {
-        let (state, status) = Self::load_state(sink, white_box);
+        let (state, status) = self.load_state(sink, white_box);
         let report =
             Self::completed(self.drive(white_box, broker, rng, state, Some(sink), None, None)?)?;
         Ok((report, status))
@@ -422,34 +416,31 @@ impl Decryptor {
         sink: &dyn CheckpointSink,
         pause: &AtomicBool,
     ) -> Result<(SessionOutcome, ResumeStatus), AttackError> {
-        let (state, status) = Self::load_state(sink, white_box);
+        let (state, status) = self.load_state(sink, white_box);
         let outcome = self.drive(white_box, broker, rng, state, Some(sink), Some(pause), None)?;
         Ok((outcome, status))
     }
 
-    /// Loads and validates the sink's checkpoint; unusable frames fall
-    /// back to a fresh start (see [`Decryptor::resume`]).
+    /// Loads the sink's checkpoint and checks that it fits `white_box`;
+    /// unusable frames fall back to a fresh start (see
+    /// [`Decryptor::resume`]).
     fn load_state(
+        &self,
         sink: &dyn CheckpointSink,
         white_box: &Graph,
     ) -> (Option<AttackState>, ResumeStatus) {
-        let loaded: Result<Option<AttackState>, String> = match sink.load() {
+        let loaded = match sink.load() {
             Err(e) => Err(format!("checkpoint sink load failed: {e}")),
-            Ok(None) => Ok(None),
+            Ok(None) => return (None, ResumeStatus::Fresh),
             Ok(Some(bytes)) => AttackState::decode(&bytes)
-                .and_then(|state| {
-                    Self::check_compat(&state, white_box)?;
-                    Ok(state)
-                })
-                .map(Some)
+                .and_then(|state| check_fit(&state, white_box, &self.cfg).map(|()| state))
                 .map_err(|e| e.to_string()),
         };
         match loaded {
-            Ok(None) => (None, ResumeStatus::Fresh),
-            Ok(Some(state)) => {
+            Ok(state) => {
                 let status = ResumeStatus::Resumed {
                     layer: state.layer_index,
-                    phase: state.phase_name(),
+                    phase: state.cut.phase_name(),
                 };
                 (Some(state), status)
             }
@@ -457,49 +448,10 @@ impl Decryptor {
         }
     }
 
-    /// Structural fit of a snapshot against the graph it would resume.
-    fn check_compat(state: &AttackState, g: &Graph) -> Result<(), CheckpointError> {
-        let n_slots = g.key_slot_count();
-        if state.n_slots != n_slots {
-            return Err(CheckpointError::Incompatible(format!(
-                "snapshot is for a {}-slot key, graph has {n_slots}",
-                state.n_slots
-            )));
-        }
-        if state.key_bits.len() != n_slots {
-            return Err(CheckpointError::Corrupt(format!(
-                "key bit vector holds {} bits, expected {n_slots}",
-                state.key_bits.len()
-            )));
-        }
-        let n_layers = group_layers(g).len();
-        if state.layer_index > n_layers {
-            return Err(CheckpointError::Incompatible(format!(
-                "layer index {} exceeds the graph's {n_layers} locked layers",
-                state.layer_index
-            )));
-        }
-        if state.reports.len() != state.layer_index {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} layer reports do not match layer index {}",
-                state.reports.len(),
-                state.layer_index
-            )));
-        }
-        if let Some(max) = state.max_slot_index() {
-            if max >= n_slots {
-                return Err(CheckpointError::Incompatible(format!(
-                    "snapshot references slot {max}, graph has {n_slots} slots"
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// The resumable Algorithm-2 driver behind every public entry point.
-    /// `resume_state` restores a previous segment's cut; `ckpt` persists
-    /// new cuts as the run progresses; `pause` (meaningful only with a
-    /// sink) requests a cooperative stop at the next cut.
+    /// `resume_state` is a previous segment's session; `ckpt` persists new
+    /// cuts as the run progresses; `pause` (meaningful only with a sink)
+    /// requests a cooperative stop at the next cut.
     #[allow(clippy::too_many_arguments)]
     fn drive<O: Oracle>(
         &self,
@@ -519,9 +471,7 @@ impl Decryptor {
                 got_in: oracle.input_dim(),
             });
         }
-        let start_queries = oracle.query_count();
         let layers = group_layers(white_box);
-        let n_slots = white_box.key_slot_count();
         // One execution workspace for the whole session: every white-box
         // evaluation of the serial phases (witness searches, Jacobians,
         // validation probes) reuses its buffers.
@@ -538,101 +488,52 @@ impl Decryptor {
             }
         };
 
-        // Session state: fresh defaults, or the snapshot's restoration.
-        let mut timing;
-        let mut layers_out: Vec<LayerReport>;
-        let mut ka;
-        let mut committed: HashMap<KeySlot, bool>;
-        let mut warm;
-        let baseline_stats: QueryStatsSnapshot;
-        let baseline_queries: u64;
-        let start_layer: usize;
-        let mut entry_cut: Option<PhaseCut>;
-        match resume_state {
+        // The session: a fresh one, or the snapshot a resumed segment
+        // continues. The snapshot's random stream replaces the caller's:
+        // the resumed segment must consume exactly where the cut left.
+        let mut st = match resume_state {
             Some(st) => {
-                timing = TimingBreakdown::from_nanos(st.timing_nanos);
-                layers_out = st.reports.iter().map(LayerReportState::to_report).collect();
-                ka = KeyAssignment::all_zero_bits(n_slots);
-                for (i, &bit) in st.key_bits.iter().enumerate() {
-                    ka.set_bit(KeySlot(i), bit);
-                }
-                committed = st.committed.iter().map(|&(i, b)| (KeySlot(i), b)).collect();
-                warm = multipliers_from_pairs(&st.warm);
-                baseline_stats = st.stats;
-                baseline_queries = st.queries;
-                start_layer = st.layer_index;
-                entry_cut = Some(st.cut);
-                // The snapshot's random stream replaces the caller's: the
-                // resumed segment must consume exactly where the cut left.
                 *rng = Prng::from_state(st.rng);
+                st
             }
-            None => {
-                timing = TimingBreakdown::new();
-                layers_out = Vec::new();
-                ka = KeyAssignment::all_zero_bits(n_slots);
-                committed = HashMap::new();
-                warm = LearnedMultipliers::new();
-                baseline_stats = QueryStatsSnapshot::default();
-                baseline_queries = 0;
-                start_layer = 0;
-                entry_cut = None;
-            }
-        }
-
+            None => AttackState::fresh(white_box.key_slot_count(), rng.state()),
+        };
+        // The session's books: what earlier segments spent plus this
+        // segment's broker.
+        let (spent_stats, spent_queries) = (st.stats.clone(), st.queries);
+        let start_queries = oracle.query_count();
+        let totals = || {
+            let mut stats = spent_stats.clone();
+            stats.merge(&broker.snapshot());
+            (
+                stats,
+                spent_queries + (oracle.query_count() - start_queries),
+            )
+        };
         let trace = broker.trace();
-        let writer = ckpt.map(|sink| CkptWriter { sink, trace });
-        // Builds the snapshot for a cut. Never consumes the PRNG, so
-        // checkpointed and plain runs stay bit-identical.
-        let make_state = |layer_index: usize,
-                          cut: PhaseCut,
-                          ka: &KeyAssignment,
-                          committed: &HashMap<KeySlot, bool>,
-                          warm: &LearnedMultipliers,
-                          layers_out: &[LayerReport],
-                          rng: &Prng,
-                          timing: &TimingBreakdown|
-         -> AttackState {
-            let mut committed_pairs: Vec<(usize, bool)> =
-                committed.iter().map(|(s, &b)| (s.index(), b)).collect();
-            committed_pairs.sort_unstable_by_key(|&(i, _)| i);
-            let mut stats = baseline_stats.clone();
-            stats.merge(&broker.snapshot());
-            AttackState {
-                n_slots,
-                layer_index,
-                cut,
-                key_bits: ka.to_bits(),
-                committed: committed_pairs,
-                warm: multipliers_to_pairs(warm),
-                reports: layers_out
-                    .iter()
-                    .map(LayerReportState::from_report)
-                    .collect(),
-                rng: rng.state(),
-                timing_nanos: timing.as_nanos(),
-                stats,
-                queries: baseline_queries + (oracle.query_count() - start_queries),
+        // Persists the session at its cut, when the run has a sink, and
+        // answers whether the caller asked to pause there. The pause flag
+        // is polled only here, where the frame captures the exact state;
+        // neither the poll nor the write consumes the PRNG or the oracle,
+        // so checkpointed, paused and plain runs stay bit-identical.
+        let save = |st: &mut AttackState, rng: &Prng| -> Result<bool, AttackError> {
+            let Some(sink) = ckpt else {
+                return Ok(false);
+            };
+            let pausing = pause.is_some_and(|p| p.load(Ordering::Relaxed));
+            st.rng = rng.state();
+            (st.stats, st.queries) = totals();
+            let bytes = st.encode();
+            sink.save(&bytes)
+                .map_err(|e| AttackError::Checkpoint(CheckpointError::Io(e.to_string())))?;
+            if let Some(trace) = trace {
+                trace.counter("checkpoint.write", bytes.len() as u64);
             }
-        };
-        // True once the caller requests a pause. Polled only at cut sites,
-        // right where a checkpoint frame can capture the exact state; the
-        // poll consumes neither the PRNG nor the oracle, so pausing cannot
-        // perturb the recovered key. Without a sink there is no frame to
-        // resume from, so the flag is ignored.
-        let pause_requested = || pause.is_some_and(|p| p.load(Ordering::Relaxed));
-        // Session-so-far summary for a Paused outcome.
-        let paused_at = |layer: usize, phase: &'static str| -> SessionOutcome {
-            let mut stats = baseline_stats.clone();
-            stats.merge(&broker.snapshot());
-            SessionOutcome::Paused(PausedSession {
-                layer,
-                phase,
-                queries: baseline_queries + (oracle.query_count() - start_queries),
-                stats,
-            })
+            Ok(pausing)
         };
 
-        for li in start_layer..layers.len() {
+        while st.layer_index < layers.len() {
+            let li = st.layer_index;
             let _layer_span = trace.map(|t| t.span("attack.layer", li as u64));
             let (keyed_node, layer_sites) = &layers[li];
             let mut report = LayerReport {
@@ -644,239 +545,149 @@ impl Decryptor {
                 corrected: 0,
                 validated: true,
             };
-            let cut = if li == start_layer {
-                entry_cut.take().unwrap_or(PhaseCut::LayerStart)
-            } else {
-                PhaseCut::LayerStart
+            // Free bits of a learning pass: this layer's ⊥ plus everything
+            // in later layers — the loss is only meaningful when later bits
+            // may co-adapt.
+            let free_with = |unresolved: &[KeySlot]| -> Vec<KeySlot> {
+                let later = layers[li + 1..]
+                    .iter()
+                    .flat_map(|(_, s)| s.iter().map(|s| s.slot));
+                unresolved.iter().copied().chain(later).collect()
             };
-
-            // Map the entry cut to what the snapshot already finished for
-            // this layer. All later layers enter at `LayerStart`.
-            let mut restored_inferred: Option<InferredBits> = None;
-            let mut restored_learn: Option<(Vec<KeySlot>, HashMap<KeySlot, f64>)> = None;
-            let mut restored_correction: Option<RestoredCorrection> = None;
-            match cut {
-                PhaseCut::LayerStart => {}
-                PhaseCut::PostInfer { inferred } => {
-                    restored_inferred =
-                        Some(inferred.iter().map(|&(i, b)| (KeySlot(i), b)).collect());
-                }
-                PhaseCut::PostLearn {
-                    unresolved,
-                    confidences,
-                } => {
-                    restored_learn = Some((
-                        unresolved.iter().map(|&i| KeySlot(i)).collect(),
-                        confidences.iter().map(|&(i, c)| (KeySlot(i), c)).collect(),
-                    ));
-                }
-                PhaseCut::Correcting {
-                    confidences,
-                    algebraic,
-                    learned,
-                    rounds,
-                    tried,
-                    target,
-                } => {
-                    restored_correction = Some(RestoredCorrection {
-                        confidences: confidences.iter().map(|&(i, c)| (KeySlot(i), c)).collect(),
-                        algebraic: algebraic as usize,
-                        learned: learned as usize,
-                        rounds: rounds as usize,
-                        tried: tried as usize,
-                        target: target.as_ref().map(SerialTarget::to_target),
-                    });
-                }
-            }
+            // Each phase below runs from the cut the previous one left, or
+            // from the cut a resumed frame holds, and advances it.
 
             // ---- Step 1: algebraic inference per site (Algorithm 1). ----
-            let inferred: InferredBits = if let Some(inf) = restored_inferred.take() {
-                // The snapshot's key bits already hold these commits; only
-                // the report tally is rebuilt.
-                report.algebraic = inf.iter().filter(|(_, b)| b.is_some()).count();
-                inf
-            } else if restored_learn.is_some() || restored_correction.is_some() {
-                Vec::new() // the snapshot is past this phase entirely
-            } else {
-                let inf: InferredBits = if cfg.disable_algebraic {
+            if matches!(st.cut, PhaseCut::LayerStart) {
+                let inferred: InferredBits = if cfg.disable_algebraic {
                     layer_sites.iter().map(|s| (s.slot, None)).collect()
                 } else {
                     broker.set_scope(Some(Procedure::KeyBitInference.label()));
-                    timing.time(Procedure::KeyBitInference, || {
+                    st.timing.time(Procedure::KeyBitInference, || {
                         // Forked in canonical site order — the parent
                         // stream advances by exactly `sites.len()`, no
                         // matter who executes the items or in what order.
                         let rngs: Vec<Prng> = layer_sites.iter().map(|_| rng.fork()).collect();
-                        executor.infer_sites(white_box, &ka, layer_sites, oracle, cfg, &rngs)
+                        executor.infer_sites(white_box, &st.key, layer_sites, oracle, cfg, &rngs)
                     })
                 };
-                for (slot, bit) in &inf {
+                for &(slot, bit) in &inferred {
                     if let Some(bit) = bit {
-                        ka.set_bit(*slot, *bit);
-                        committed.insert(*slot, *bit);
-                        report.algebraic += 1;
+                        st.key.set_bit(slot, bit);
+                        st.committed.insert(slot, bit);
                     }
                 }
-                if let Some(w) = &writer {
-                    let pausing = pause_requested();
-                    w.write(make_state(
-                        li,
-                        PhaseCut::PostInfer {
-                            inferred: inf.iter().map(|&(s, b)| (s.index(), b)).collect(),
-                        },
-                        &ka,
-                        &committed,
-                        &warm,
-                        &layers_out,
-                        rng,
-                        &timing,
-                    ))?;
-                    if pausing {
-                        return Ok(paused_at(li, "post-inference"));
-                    }
+                st.cut = PhaseCut::PostInfer { inferred };
+                if save(&mut st, rng)? {
+                    return Ok(paused(&st));
                 }
-                inf
-            };
+            }
 
             // ---- Step 2: learning attack on the remainder (§3.6). ----
-            // Free bits: this layer's ⊥ plus everything in later layers —
-            // the loss is only meaningful when later bits may co-adapt.
-            let (unresolved, mut confidences) = if let Some(rc) = &restored_correction {
-                report.algebraic = rc.algebraic;
-                report.learned = rc.learned;
-                (Vec::new(), rc.confidences.clone())
-            } else if let Some((u, c)) = restored_learn.take() {
-                // The snapshot's key bits and warm starts already hold the
-                // learned assignment.
-                report.algebraic = layer_sites.len() - u.len();
-                report.learned = u.len();
-                (u, c)
-            } else {
+            if let PhaseCut::PostInfer { inferred } = &st.cut {
                 let unresolved: Vec<KeySlot> = inferred
                     .iter()
                     .filter(|(_, b)| b.is_none())
                     .map(|(s, _)| *s)
                     .collect();
-                let mut confidences: HashMap<KeySlot, f64> = inferred
+                let mut confidences: BTreeMap<KeySlot, f64> = inferred
                     .iter()
                     .filter(|(_, b)| b.is_some())
                     .map(|(s, _)| (*s, 1.0))
                     .collect();
                 if !unresolved.is_empty() {
-                    let mut free: Vec<KeySlot> = unresolved.clone();
-                    for (_, later_sites) in &layers[li + 1..] {
-                        free.extend(later_sites.iter().map(|s| s.slot));
-                    }
                     broker.set_scope(Some(Procedure::LearningAttack.label()));
-                    let learned = timing.time(Procedure::LearningAttack, || {
+                    let learned = st.timing.time(Procedure::LearningAttack, || {
                         learning_attack(
                             white_box,
                             oracle,
-                            &committed,
-                            &free,
-                            &warm,
+                            &st.committed,
+                            &free_with(&unresolved),
+                            &st.warm,
                             &cfg.learning,
                             cfg.input_scale,
                             rng,
                         )
                     });
                     for (&slot, &m) in &learned {
-                        warm.insert(slot, m);
+                        st.warm.insert(slot, m);
                         // Provisionally assign *later-layer* bits too: the
                         // validation step's white-box observability predictions
                         // are far more accurate with the learning attack's
                         // estimates than with blanket zeros. These bits are
                         // overwritten when their own layers commit.
-                        ka.set_bit(slot, m < 0.0);
+                        st.key.set_bit(slot, m < 0.0);
                     }
                     for slot in &unresolved {
                         let m = learned.get(slot).copied().unwrap_or(0.0);
-                        ka.set_bit(*slot, m < 0.0);
+                        st.key.set_bit(*slot, m < 0.0);
                         confidences.insert(*slot, m.abs());
-                        report.learned += 1;
                     }
                 }
-                if let Some(w) = &writer {
-                    // Written BEFORE the validation target is drawn: target
-                    // selection consumes the PRNG, so a resume from this
-                    // cut redraws the identical target from the restored
-                    // state.
-                    let pausing = pause_requested();
-                    w.write(make_state(
-                        li,
-                        PhaseCut::PostLearn {
-                            unresolved: unresolved.iter().map(|s| s.index()).collect(),
-                            confidences: sorted_pairs(&confidences),
-                        },
-                        &ka,
-                        &committed,
-                        &warm,
-                        &layers_out,
-                        rng,
-                        &timing,
-                    ))?;
-                    if pausing {
-                        return Ok(paused_at(li, "post-learning"));
-                    }
+                // Cut BEFORE the validation target is drawn: target
+                // selection consumes the PRNG, so a resume from this cut
+                // redraws the identical target from the restored state.
+                st.cut = PhaseCut::PostLearn {
+                    unresolved,
+                    confidences,
+                };
+                if save(&mut st, rng)? {
+                    return Ok(paused(&st));
                 }
-                (unresolved, confidences)
-            };
+            }
 
-            // ---- Step 3: validation and error correction (§3.7/§3.8). ----
-            let mut starved = false;
-            let mut correction_from = 0usize;
-            let (target, ok) = if let Some(rc) = restored_correction.take() {
-                // Mid-correction resume: the earlier validations failed by
-                // construction, and the target travels *in* the snapshot —
-                // redrawing it here would diverge the random stream.
-                report.validation_rounds = rc.rounds;
-                correction_from = rc.tried;
-                (rc.target, false)
-            } else {
+            // ---- Step 3: validation (§3.7). ----
+            if let PhaseCut::PostLearn {
+                unresolved,
+                confidences,
+            } = &st.cut
+            {
+                let (unresolved, mut confidences) = (unresolved.clone(), confidences.clone());
+                report.algebraic = layer_sites.len() - unresolved.len();
+                report.learned = unresolved.len();
                 let target = layers
                     .get(li + 1)
                     .map(|(_, next_sites)| self.validation_target(white_box, next_sites, rng));
-                broker.set_scope(Some(Procedure::KeyVectorValidation.label()));
-                // A starved oracle (budget or backend gone) cannot
-                // judge the candidate; the run degrades by committing the
+                // A starved oracle (budget or backend gone) cannot judge
+                // the candidate; the run degrades by committing the
                 // learned bits unvalidated and pressing on — §3.6's
                 // learning path is the fallback the paper's adversary is
                 // left with.
-                let mut ok = match timing.time(Procedure::KeyVectorValidation, || {
-                    validate_arrival(
-                        white_box,
-                        &mut ws,
-                        &ka,
-                        target.as_ref(),
-                        oracle,
-                        cfg,
-                        rng,
-                        &mut report.validation_rounds,
-                    )
-                }) {
-                    Ok(v) => v.tolerated(),
-                    Err(_) => {
-                        starved = true;
-                        report.validated = false;
-                        true
+                let mut validate = |st: &mut AttackState, rng: &mut Prng| {
+                    broker.set_scope(Some(Procedure::KeyVectorValidation.label()));
+                    let verdict = st.timing.time(Procedure::KeyVectorValidation, || {
+                        validate_arrival(
+                            white_box,
+                            &mut ws,
+                            &st.key,
+                            target.as_ref(),
+                            oracle,
+                            cfg,
+                            rng,
+                            &mut report.validation_rounds,
+                        )
+                    });
+                    match verdict {
+                        Ok(v) => v.tolerated(),
+                        Err(_) => {
+                            report.validated = false;
+                            true
+                        }
                     }
                 };
+                let mut ok = validate(&mut st, rng);
                 if !ok && !unresolved.is_empty() {
                     // Cheap first remedy: one fresh learning round (new
                     // oracle samples, cold-started θ) often repairs several
                     // bits at once, where the Hamming search below pays one
                     // validation per candidate.
                     broker.set_scope(Some(Procedure::LearningAttack.label()));
-                    let relearned = timing.time(Procedure::LearningAttack, || {
-                        let mut free: Vec<KeySlot> = unresolved.clone();
-                        for (_, later_sites) in &layers[li + 1..] {
-                            free.extend(later_sites.iter().map(|s| s.slot));
-                        }
+                    let relearned = st.timing.time(Procedure::LearningAttack, || {
                         learning_attack(
                             white_box,
                             oracle,
-                            &committed,
-                            &free,
+                            &st.committed,
+                            &free_with(&unresolved),
                             &LearnedMultipliers::new(),
                             &cfg.learning,
                             cfg.input_scale,
@@ -885,59 +696,49 @@ impl Decryptor {
                     });
                     for slot in &unresolved {
                         let m = relearned.get(slot).copied().unwrap_or(0.0);
-                        ka.set_bit(*slot, m < 0.0);
+                        st.key.set_bit(*slot, m < 0.0);
                         confidences.insert(*slot, m.abs());
                     }
                     for (&slot, &m) in &relearned {
-                        warm.insert(slot, m);
-                        ka.set_bit(slot, m < 0.0);
+                        st.warm.insert(slot, m);
+                        st.key.set_bit(slot, m < 0.0);
                     }
-                    broker.set_scope(Some(Procedure::KeyVectorValidation.label()));
-                    ok = match timing.time(Procedure::KeyVectorValidation, || {
-                        validate_arrival(
-                            white_box,
-                            &mut ws,
-                            &ka,
-                            target.as_ref(),
-                            oracle,
-                            cfg,
-                            rng,
-                            &mut report.validation_rounds,
-                        )
-                    }) {
-                        Ok(v) => v.tolerated(),
-                        Err(_) => {
-                            starved = true;
-                            report.validated = false;
-                            true
-                        }
+                    ok = validate(&mut st, rng);
+                }
+                if !ok {
+                    st.cut = PhaseCut::Correcting {
+                        confidences,
+                        algebraic: report.algebraic,
+                        learned: report.learned,
+                        rounds: report.validation_rounds,
+                        tried: 0,
+                        target,
                     };
                 }
-                (target, ok)
-            };
-            if !ok {
+            }
+
+            // ---- Step 4: error correction (§3.8). ----
+            if let PhaseCut::Correcting {
+                confidences,
+                algebraic,
+                learned,
+                rounds,
+                tried,
+                target,
+            } = &st.cut
+            {
                 broker.set_scope(Some(Procedure::ErrorCorrection.label()));
                 let corr_start = Instant::now();
+                report.algebraic = *algebraic;
+                report.learned = *learned;
+                report.validation_rounds = *rounds;
+                let entry = *tried;
+                let target = target.clone();
                 let layer_slots: Vec<KeySlot> = layer_sites.iter().map(|s| s.slot).collect();
-                let conf_vec: Vec<f64> = layer_slots
-                    .iter()
-                    .map(|s| confidences.get(s).copied().unwrap_or(0.0))
-                    .collect();
-                // Small layers are searched exhaustively (the paper's
-                // Theorem 4 termination argument: at most 2^|K_i| rounds);
-                // larger ones within the configured Hamming budget.
                 let n_bits = layer_slots.len();
-                let effective_hamming = if n_bits <= 8 { n_bits } else { cfg.max_hamming };
-                // The deterministic candidate plan (confidence-ordered
-                // flips plus mirror candidates): a resumed run regenerates
-                // it identically and skips the first `correction_from`
-                // entries.
-                let candidates = correction_plan(
-                    &conf_vec,
-                    cfg.correction_window,
-                    effective_hamming,
-                    cfg.max_candidates_per_hd,
-                );
+                // A resumed run regenerates the plan identically and skips
+                // the first `tried` entries.
+                let candidates = layer_plan(cfg, layer_sites, confidences);
                 // Candidates are validated in fixed-width *waves*: every
                 // member of a wave is fully evaluated (each against its own
                 // clone of the assignment, on its own forked PRNG stream)
@@ -950,36 +751,20 @@ impl Decryptor {
                 // frame's `tried` index alone (DESIGN.md §3e).
                 const CORRECTION_WAVE: usize = 4;
                 let mut applied: Option<Vec<usize>> = None;
-                let mut ci = correction_from;
+                let mut starved = false;
+                let mut ci = entry;
                 while ci < candidates.len() && applied.is_none() && !starved {
                     let _wave_span = trace.map(|t| t.span("attack.wave", ci as u64));
-                    if let Some(w) = &writer {
-                        // `ci > correction_from` guarantees liveness: a
-                        // segment must validate at least one wave before it
-                        // may pause at a wave boundary, so a caller that
-                        // re-raises the flag immediately after every resume
-                        // still finishes eventually.
-                        let pausing = ci > correction_from && pause_requested();
-                        w.write(make_state(
-                            li,
-                            PhaseCut::Correcting {
-                                confidences: sorted_pairs(&confidences),
-                                algebraic: report.algebraic as u64,
-                                learned: report.learned as u64,
-                                rounds: report.validation_rounds as u64,
-                                tried: ci as u64,
-                                target: target.as_ref().map(SerialTarget::from_target),
-                            },
-                            &ka,
-                            &committed,
-                            &warm,
-                            &layers_out,
-                            rng,
-                            &timing,
-                        ))?;
-                        if pausing {
-                            return Ok(paused_at(li, "correcting"));
-                        }
+                    if let PhaseCut::Correcting { rounds, tried, .. } = &mut st.cut {
+                        (*rounds, *tried) = (report.validation_rounds, ci);
+                    }
+                    // `ci > entry` guarantees liveness: a segment must
+                    // validate at least one wave before it may pause at a
+                    // wave boundary, so a caller that re-raises the flag
+                    // immediately after every resume still finishes
+                    // eventually.
+                    if save(&mut st, rng)? && ci > entry {
+                        return Ok(paused(&st));
                     }
                     let wave = &candidates[ci..candidates.len().min(ci + CORRECTION_WAVE)];
                     report.validation_rounds += wave.len();
@@ -989,7 +774,7 @@ impl Decryptor {
                     let wave_rngs: Vec<Prng> = wave.iter().map(|_| rng.fork()).collect();
                     let verdicts = executor.validate_wave(
                         white_box,
-                        &ka,
+                        &st.key,
                         &layer_slots,
                         wave,
                         target.as_ref(),
@@ -1004,8 +789,8 @@ impl Decryptor {
                             Ok(ValidationVerdict::Pass) => {
                                 for &i in cand {
                                     let s = layer_slots[i];
-                                    let cur = ka.to_bits()[s.index()];
-                                    ka.set_bit(s, !cur);
+                                    let bit = st.key.multiplier(s) < 0.0;
+                                    st.key.set_bit(s, !bit);
                                 }
                                 applied = Some(cand.clone());
                                 break;
@@ -1022,7 +807,8 @@ impl Decryptor {
                     }
                     ci += wave.len();
                 }
-                timing.add(Procedure::ErrorCorrection, corr_start.elapsed());
+                st.timing
+                    .add(Procedure::ErrorCorrection, corr_start.elapsed());
                 match applied {
                     Some(cand) => report.corrected = cand.len(),
                     None if starved || cfg.continue_on_failure => {
@@ -1043,37 +829,27 @@ impl Decryptor {
 
             // Commit the layer.
             for site in layer_sites {
-                committed.insert(site.slot, ka.to_bits()[site.slot.index()]);
+                let bit = st.key.multiplier(site.slot) < 0.0;
+                st.committed.insert(site.slot, bit);
             }
-            layers_out.push(report);
-            if let Some(w) = &writer {
-                w.write(make_state(
-                    li + 1,
-                    PhaseCut::LayerStart,
-                    &ka,
-                    &committed,
-                    &warm,
-                    &layers_out,
-                    rng,
-                    &timing,
-                ))?;
-                // A pause on the final commit still completes the run:
-                // there is nothing left to resume.
-                if pause_requested() && li + 1 < layers.len() {
-                    return Ok(paused_at(li + 1, "layer-start"));
-                }
+            st.reports.push(report);
+            st.layer_index += 1;
+            st.cut = PhaseCut::LayerStart;
+            // A pause on the final commit still completes the run: there
+            // is nothing left to resume.
+            if save(&mut st, rng)? && st.layer_index < layers.len() {
+                return Ok(paused(&st));
             }
         }
 
         broker.set_scope(None);
-        let mut stats = baseline_stats;
-        stats.merge(&broker.snapshot());
+        let (stats, queries) = totals();
         Ok(SessionOutcome::Completed(DecryptionReport {
-            key: Key::from_bits(ka.to_bits()),
-            timing,
-            queries: baseline_queries + (oracle.query_count() - start_queries),
+            key: Key::from_bits(st.key.to_bits()),
+            timing: st.timing,
+            queries,
             stats,
-            layers: layers_out,
+            layers: st.reports,
         }))
     }
 
@@ -1086,26 +862,7 @@ impl Decryptor {
         next_sites: &[LockSite],
         rng: &mut Prng,
     ) -> ValidationTarget {
-        let keyed = next_sites[0].keyed_node;
-        // The hyperplane surface is the input of the ReLU consuming the
-        // keyed node — the keyed node itself in a sequential network, or
-        // the residual Add join in a ResNet block.
-        let consumers = g.consumers();
-        let mut surface_node = keyed;
-        for _ in 0..3 {
-            let next = consumers[surface_node.index()].iter().copied().find(|c| {
-                matches!(
-                    g.node(*c).op,
-                    relock_graph::Op::Add | relock_graph::Op::Relu
-                )
-            });
-            match next {
-                Some(c) if matches!(g.node(c).op, relock_graph::Op::Add) => {
-                    surface_node = c;
-                }
-                _ => break,
-            }
-        }
+        let surface_node = surface_node(g, next_sites[0].keyed_node);
         let layout = next_sites[0].layout;
         let slot_of_unit: HashMap<usize, KeySlot> =
             next_sites.iter().map(|s| (s.unit, s.slot)).collect();
@@ -1158,6 +915,173 @@ fn validate_arrival(
     }
     *rounds += 1;
     key_vector_validation_checked_with(g, ws, ka, target, oracle, cfg, rng)
+}
+
+/// The hyperplane surface of a keyed layer: the input of the ReLU
+/// consuming the keyed node — the keyed node itself in a sequential
+/// network, or the residual `Add` join in a ResNet block.
+fn surface_node(g: &Graph, keyed: NodeId) -> NodeId {
+    let consumers = g.consumers();
+    let mut surface = keyed;
+    for _ in 0..3 {
+        let next = consumers[surface.index()].iter().copied().find(|c| {
+            matches!(
+                g.node(*c).op,
+                relock_graph::Op::Add | relock_graph::Op::Relu
+            )
+        });
+        match next {
+            Some(c) if matches!(g.node(c).op, relock_graph::Op::Add) => surface = c,
+            _ => break,
+        }
+    }
+    surface
+}
+
+/// Whether a decoded session fits the graph it would resume on: the key
+/// width, the layer walk, and every slot, node and unit its cut names. A
+/// frame that passes cannot lead the decryptor outside the graph; one that
+/// fails makes `resume` fall back to a fresh run.
+fn check_fit(st: &AttackState, g: &Graph, cfg: &AttackConfig) -> Result<(), CheckpointError> {
+    let misfit = |msg: String| Err(CheckpointError::Incompatible(msg));
+    let n_slots = g.key_slot_count();
+    if st.key.len() != n_slots {
+        return misfit(format!(
+            "snapshot is for a {}-slot key, graph has {n_slots}",
+            st.key.len()
+        ));
+    }
+    let layers = group_layers(g);
+    if st.layer_index > layers.len() {
+        return misfit(format!(
+            "layer index {} exceeds the graph's {} locked layers",
+            st.layer_index,
+            layers.len()
+        ));
+    }
+    if st.reports.len() != st.layer_index {
+        return Err(CheckpointError::Corrupt(format!(
+            "{} layer reports do not match layer index {}",
+            st.reports.len(),
+            st.layer_index
+        )));
+    }
+    let mut slots = st.committed.keys().chain(st.warm.keys());
+    if let Some(s) = slots.find(|s| s.index() >= n_slots) {
+        return misfit(format!(
+            "snapshot references slot {s}, graph has {n_slots} slots"
+        ));
+    }
+    let Some((_, sites)) = layers.get(st.layer_index) else {
+        return match st.cut {
+            PhaseCut::LayerStart => Ok(()),
+            _ => misfit("the cut of a finished run must be a layer start".into()),
+        };
+    };
+    let in_layer = |s: &KeySlot| sites.iter().any(|site| site.slot == *s);
+    match &st.cut {
+        PhaseCut::LayerStart => Ok(()),
+        PhaseCut::PostInfer { inferred } => {
+            let matched = inferred.len() == sites.len()
+                && inferred
+                    .iter()
+                    .zip(sites)
+                    .all(|(&(s, _), site)| s == site.slot);
+            if matched {
+                Ok(())
+            } else {
+                misfit("inference outcomes are not the layer's sites".into())
+            }
+        }
+        PhaseCut::PostLearn {
+            unresolved,
+            confidences,
+        } => {
+            // In site order, each at most once.
+            let mut order = sites.iter();
+            if !unresolved.iter().all(|s| order.any(|site| site.slot == *s)) {
+                misfit("unresolved slots are not the layer's, in site order".into())
+            } else if !confidences.keys().all(in_layer) {
+                misfit("confidences name a slot outside the layer".into())
+            } else {
+                Ok(())
+            }
+        }
+        PhaseCut::Correcting {
+            confidences,
+            tried,
+            target,
+            ..
+        } => {
+            if !confidences.keys().all(in_layer) {
+                return misfit("confidences name a slot outside the layer".into());
+            }
+            // A cut is only ever taken before a candidate still to try.
+            let planned = layer_plan(cfg, sites, confidences).len();
+            if *tried >= planned {
+                return misfit(format!(
+                    "correction candidate {tried} is past the layer's {planned}-candidate plan"
+                ));
+            }
+            match (target, layers.get(st.layer_index + 1)) {
+                (None, None) => Ok(()),
+                (Some(t), Some((next_keyed, next_sites))) => {
+                    let layout = next_sites[0].layout;
+                    if t.surface_node != surface_node(g, *next_keyed) || t.layout != layout {
+                        return misfit("validation target is not the next layer's surface".into());
+                    }
+                    let slot_of =
+                        |u: usize| next_sites.iter().find(|s| s.unit == u).map(|s| s.slot);
+                    match t
+                        .units
+                        .iter()
+                        .find(|&&(u, s)| u >= layout.n_units || slot_of(u) != s)
+                    {
+                        Some((u, _)) => misfit(format!(
+                            "validation unit {u} is out of range or carries another unit's slot"
+                        )),
+                        None => Ok(()),
+                    }
+                }
+                (Some(_), None) => misfit("the last layer has no validation target".into()),
+                (None, Some(_)) => misfit("the validation target is missing".into()),
+            }
+        }
+    }
+}
+
+/// A layer's deterministic §3.8 candidate plan: confidence-ordered flips
+/// plus mirror candidates, a pure function of the layer's confidences.
+/// Small layers are searched exhaustively (the paper's Theorem 4
+/// termination argument: at most 2^|K_i| rounds); larger ones within the
+/// configured Hamming budget.
+fn layer_plan(
+    cfg: &AttackConfig,
+    sites: &[LockSite],
+    confidences: &BTreeMap<KeySlot, f64>,
+) -> Vec<Vec<usize>> {
+    let conf: Vec<f64> = sites
+        .iter()
+        .map(|s| confidences.get(&s.slot).copied().unwrap_or(0.0))
+        .collect();
+    let n_bits = sites.len();
+    let hamming = if n_bits <= 8 { n_bits } else { cfg.max_hamming };
+    correction_plan(
+        &conf,
+        cfg.correction_window,
+        hamming,
+        cfg.max_candidates_per_hd,
+    )
+}
+
+/// The paused outcome at the cut the session was just saved at.
+fn paused(st: &AttackState) -> SessionOutcome {
+    SessionOutcome::Paused(PausedSession {
+        layer: st.layer_index,
+        phase: st.cut.phase_name(),
+        queries: st.queries,
+        stats: st.stats.clone(),
+    })
 }
 
 /// Groups lock sites by keyed node; `NodeId` order is topological, so the
@@ -1238,44 +1162,6 @@ fn run_sharded<T: Send>(
         .into_iter()
         .map(|s| s.expect("every index was pulled"))
         .collect()
-}
-
-/// Confidence map → `(slot, value)` pairs sorted by slot index, so the
-/// serialized bytes do not depend on `HashMap` iteration order.
-fn sorted_pairs(m: &HashMap<KeySlot, f64>) -> Vec<(usize, f64)> {
-    let mut pairs: Vec<(usize, f64)> = m.iter().map(|(s, &v)| (s.index(), v)).collect();
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    pairs
-}
-
-/// A `Correcting` cut mapped back to the driver's live types.
-struct RestoredCorrection {
-    confidences: HashMap<KeySlot, f64>,
-    algebraic: usize,
-    learned: usize,
-    rounds: usize,
-    tried: usize,
-    target: Option<ValidationTarget>,
-}
-
-/// Checkpoint writer: persists the snapshot of every cut it is given.
-struct CkptWriter<'a> {
-    sink: &'a dyn CheckpointSink,
-    /// Hears a `checkpoint.write` (frame bytes) per persisted frame.
-    trace: Option<&'a FlightRecorder>,
-}
-
-impl CkptWriter<'_> {
-    fn write(&self, state: AttackState) -> Result<(), AttackError> {
-        let bytes = state.encode();
-        self.sink
-            .save(&bytes)
-            .map_err(|e| AttackError::Checkpoint(CheckpointError::Io(e.to_string())))?;
-        if let Some(trace) = self.trace {
-            trace.counter("checkpoint.write", bytes.len() as u64);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

@@ -14,26 +14,13 @@ use relock_graph::{Graph, KeyAssignment, KeySlot, Workspace};
 use relock_locking::Oracle;
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Outcome of a learning attack: the final continuous multiplier of every
 /// requested slot. Settled bits report ±1; `|multiplier|` is the paper's
-/// confidence level, which drives `error_correction`'s flip order.
-pub type LearnedMultipliers = HashMap<KeySlot, f64>;
-
-/// Stable encoding of a multiplier map for checkpoints: `(slot index,
-/// multiplier)` pairs sorted by slot, so identical maps serialize to
-/// identical bytes. Restore with [`multipliers_from_pairs`].
-pub fn multipliers_to_pairs(m: &LearnedMultipliers) -> Vec<(usize, f64)> {
-    let mut pairs: Vec<(usize, f64)> = m.iter().map(|(s, &v)| (s.index(), v)).collect();
-    pairs.sort_unstable_by_key(|&(i, _)| i);
-    pairs
-}
-
-/// Inverse of [`multipliers_to_pairs`].
-pub fn multipliers_from_pairs(pairs: &[(usize, f64)]) -> LearnedMultipliers {
-    pairs.iter().map(|&(i, v)| (KeySlot(i), v)).collect()
-}
+/// confidence level, which drives `error_correction`'s flip order. Slot
+/// order makes a map's checkpoint bytes a function of its contents.
+pub type LearnedMultipliers = BTreeMap<KeySlot, f64>;
 
 fn atanh_clamped(m: f64) -> f64 {
     let c = m.clamp(-0.985, 0.985);
@@ -56,7 +43,7 @@ fn atanh_clamped(m: f64) -> f64 {
 pub fn learning_attack(
     g: &Graph,
     oracle: &dyn Oracle,
-    fixed_bits: &HashMap<KeySlot, bool>,
+    fixed_bits: &BTreeMap<KeySlot, bool>,
     free_slots: &[KeySlot],
     warm_start: &LearnedMultipliers,
     cfg: &LearningConfig,
@@ -218,7 +205,7 @@ pub fn learning_attack(
 
 /// Rounds learned multipliers to key bits (`m < 0 ⇒ bit 1`) — the paper's
 /// final ⊥ replacement rule.
-pub fn round_to_bits(multipliers: &LearnedMultipliers) -> HashMap<KeySlot, bool> {
+pub fn round_to_bits(multipliers: &LearnedMultipliers) -> BTreeMap<KeySlot, bool> {
     multipliers.iter().map(|(&s, &m)| (s, m < 0.0)).collect()
 }
 
@@ -255,7 +242,7 @@ mod tests {
         let learned = learning_attack(
             g,
             &oracle,
-            &HashMap::new(),
+            &BTreeMap::new(),
             &free,
             &LearnedMultipliers::new(),
             &cfg,
@@ -303,7 +290,7 @@ mod tests {
         let oracle = CountingOracle::new(&model);
         let g = model.white_box();
         let sites = g.lock_sites();
-        let mut fixed = HashMap::new();
+        let mut fixed = BTreeMap::new();
         fixed.insert(sites[0].slot, model.true_key().bit(sites[0].slot.index()));
         let free: Vec<KeySlot> = sites[1..].iter().map(|s| s.slot).collect();
         let mut arng = Prng::seed_from_u64(113);
@@ -338,7 +325,7 @@ mod tests {
         let out = learning_attack(
             model.white_box(),
             &oracle,
-            &HashMap::new(),
+            &BTreeMap::new(),
             &[],
             &LearnedMultipliers::new(),
             &LearningConfig::default(),

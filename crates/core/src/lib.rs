@@ -72,9 +72,8 @@ mod validate;
 mod weightlock;
 
 pub use checkpoint::{
-    AttackState, CheckpointError, CheckpointSink, FileCheckpointSink, LayerReportState,
-    MemoryCheckpointSink, PhaseCut, ResumeStatus, SerialTarget, CHECKPOINT_MAGIC,
-    CHECKPOINT_VERSION,
+    AttackState, CheckpointError, CheckpointSink, FileCheckpointSink, MemoryCheckpointSink,
+    PhaseCut, ResumeStatus, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
 };
 pub use config::{AttackConfig, LearningConfig};
 pub use correct::{correction_candidates, correction_plan};
@@ -87,10 +86,7 @@ pub use decrypt::{
 };
 pub use error::AttackError;
 pub use infer::{key_bit_inference, InferredBits};
-pub use learning::{
-    learning_attack, multipliers_from_pairs, multipliers_to_pairs, round_to_bits,
-    LearnedMultipliers,
-};
+pub use learning::{learning_attack, round_to_bits, LearnedMultipliers};
 pub use monolithic::{MonolithicAttack, MonolithicConfig, MonolithicReport};
 pub use oracleless::{
     neuroevolution_key_search, weight_site_features, weight_stats_attack, EvolutionConfig,

@@ -14,7 +14,7 @@ use relock_graph::{Graph, KeySlot};
 use relock_locking::{Key, Oracle};
 use relock_serve::Broker;
 use relock_tensor::rng::Prng;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Configuration of the monolithic baseline.
@@ -98,7 +98,7 @@ impl MonolithicAttack {
         let learned = learning_attack(
             white_box,
             broker,
-            &HashMap::new(),
+            &BTreeMap::new(),
             &free,
             &LearnedMultipliers::new(),
             &self.cfg.learning,

@@ -49,7 +49,7 @@ impl fmt::Display for Procedure {
 
 /// Accumulated wall-clock time per procedure: the run's one record of
 /// procedure time (a trace capture carries none).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct TimingBreakdown {
     spans: [Duration; 4],
 }

@@ -14,6 +14,7 @@
 use crate::checkpoint::{AttackState, CheckpointSink};
 use crate::config::AttackConfig;
 use crate::decrypt::{DecryptionReport, Decryptor};
+use crate::telemetry::TimingBreakdown;
 use relock_graph::LockSite;
 use relock_locking::{CountingOracle, LockSpec, LockVariant, LockedModel, Oracle, OracleError};
 use relock_nn::{build_lenet, build_mlp, LenetSpec, MlpSpec};
@@ -101,7 +102,7 @@ impl CheckpointSink for RecordingSink {
 /// deterministic, so the normalized frames are compared byte-for-byte.
 pub fn normalize_frame(frame: &[u8]) -> Vec<u8> {
     let mut st = AttackState::decode(frame).expect("engine wrote an undecodable frame");
-    st.timing_nanos = [0; 4];
+    st.timing = TimingBreakdown::new();
     st.stats.oracle_time = Duration::ZERO;
     st.encode()
 }

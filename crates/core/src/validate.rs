@@ -34,7 +34,7 @@ use relock_tensor::Tensor;
 /// pre-activation itself; in a residual block it is `m̂·z + skip` — which
 /// depends on the unit's own (still unknown) key bit, so witnesses are
 /// searched **per bit hypothesis** on the ReLU-input node.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ValidationTarget {
     /// The node feeding the next layer's ReLU (the keyed node itself in a
     /// sequential network, the residual `Add` node in a ResNet block).

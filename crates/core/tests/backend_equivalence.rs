@@ -15,8 +15,9 @@
 //! Everything lives in ONE `#[test]` because the scalar pin is
 //! process-global: concurrent test threads flipping it would race.
 
+use relock_attack::testutil::normalize_frame;
 use relock_attack::{
-    AttackConfig, AttackState, Decryptor, MemoryCheckpointSink, MonolithicAttack, MonolithicConfig,
+    AttackConfig, Decryptor, MemoryCheckpointSink, MonolithicAttack, MonolithicConfig,
 };
 use relock_locking::{CountingOracle, Key, LockSpec, LockedModel};
 use relock_nn::{build_mlp, MlpSpec};
@@ -57,17 +58,6 @@ fn decryption_under(scalar: bool, model: &LockedModel) -> (Key, u64, Vec<u8>) {
     force_scalar(false);
     let frame = sink.contents().expect("at least one checkpoint frame");
     (report.key, report.queries, normalize_frame(&frame))
-}
-
-/// Re-encodes a checkpoint frame with its only non-deterministic content
-/// — wall-clock timings — zeroed. Everything else (key bits, PRNG state,
-/// layer reports, warm multiplier bit patterns, query accounting) must
-/// then be byte-identical across backends.
-fn normalize_frame(bytes: &[u8]) -> Vec<u8> {
-    let mut state = AttackState::decode(bytes).expect("valid checkpoint frame");
-    state.timing_nanos = [0; 4];
-    state.stats.oracle_time = std::time::Duration::ZERO;
-    state.encode()
 }
 
 /// Key + query count + multiplier bit patterns of the monolithic learning

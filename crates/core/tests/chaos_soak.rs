@@ -93,7 +93,7 @@ fn soak(model: &LockedModel, attack_seed: u64, crash_at: Vec<u64>) -> SoakOutcom
         if !crashes.is_empty() {
             let bytes = sink.contents().expect("crashed past the first checkpoint");
             let st = AttackState::decode(&bytes).expect("crash must leave a valid checkpoint");
-            resume_phases.push((st.layer_index, st.phase_name().to_string()));
+            resume_phases.push((st.layer_index, st.cut.phase_name().to_string()));
         }
         let broker = Broker::with_config(&chaos, BrokerConfig::default());
         let attempt = catch_unwind(AssertUnwindSafe(|| {

@@ -3,20 +3,23 @@
 //! truncated frame may ever decode — the resume path must detect the
 //! damage and fall back to a fresh run instead of panicking.
 
+use relock_attack::testutil::{mlp16_victim, run_threads};
 use relock_attack::{
-    AttackConfig, AttackState, CheckpointError, Decryptor, LayerReportState, MemoryCheckpointSink,
-    PhaseCut, QueryStatsSnapshot, ResumeStatus, ScopeCounts, SerialTarget,
+    AttackConfig, AttackState, CheckpointError, Decryptor, LayerReport, MemoryCheckpointSink,
+    PhaseCut, QueryStatsSnapshot, ResumeStatus, ScopeCounts, TimingBreakdown, ValidationTarget,
 };
+use relock_graph::{KeyAssignment, KeySlot, NodeId, UnitLayout};
 use relock_locking::{CountingOracle, LockSpec};
 use relock_nn::{build_mlp, MlpSpec};
 use relock_serve::{Broker, BrokerConfig};
 use relock_tensor::rng::{Prng, PrngState};
+use std::collections::BTreeMap;
 use std::time::Duration;
 
-fn random_pairs_f64(rng: &mut Prng, max_len: usize) -> Vec<(usize, f64)> {
+fn random_slot_map(rng: &mut Prng, max_len: usize) -> BTreeMap<KeySlot, f64> {
     let len = rng.below(max_len + 1);
     (0..len)
-        .map(|i| (i * 2 + rng.below(2), rng.normal()))
+        .map(|i| (KeySlot(i * 2 + rng.below(2)), rng.normal()))
         .collect()
 }
 
@@ -31,40 +34,31 @@ fn random_cut(rng: &mut Prng) -> PhaseCut {
                         1 => Some(false),
                         _ => Some(true),
                     };
-                    (i, bit)
+                    (KeySlot(i), bit)
                 })
                 .collect(),
         },
         2 => PhaseCut::PostLearn {
-            unresolved: (0..rng.below(7)).collect(),
-            confidences: random_pairs_f64(rng, 8),
+            unresolved: (0..rng.below(7)).map(KeySlot).collect(),
+            confidences: random_slot_map(rng, 8),
         },
         _ => PhaseCut::Correcting {
-            confidences: random_pairs_f64(rng, 8),
-            algebraic: rng.below(100) as u64,
-            learned: rng.below(100) as u64,
-            rounds: rng.below(1000) as u64,
-            tried: rng.below(500) as u64,
+            confidences: random_slot_map(rng, 8),
+            algebraic: rng.below(100),
+            learned: rng.below(100),
+            rounds: rng.below(1000),
+            tried: rng.below(500),
             target: if rng.flip() {
-                Some(SerialTarget {
-                    surface_node: rng.below(64),
-                    layout: [
-                        1 + rng.below(8),
-                        1 + rng.below(8),
-                        1 + rng.below(8),
-                        1 + rng.below(8),
-                    ],
+                Some(ValidationTarget {
+                    surface_node: NodeId(rng.below(64)),
+                    layout: UnitLayout {
+                        n_units: 1 + rng.below(8),
+                        unit_len: 1 + rng.below(8),
+                        unit_stride: 1 + rng.below(8),
+                        elem_stride: 1 + rng.below(8),
+                    },
                     units: (0..rng.below(6))
-                        .map(|u| {
-                            (
-                                u,
-                                if rng.flip() {
-                                    Some(rng.below(16))
-                                } else {
-                                    None
-                                },
-                            )
-                        })
+                        .map(|u| (u, rng.flip().then(|| KeySlot(rng.below(16)))))
                         .collect(),
                 })
             } else {
@@ -102,22 +96,21 @@ fn random_state(rng: &mut Prng) -> AttackState {
         })
         .collect();
     AttackState {
-        n_slots,
         layer_index: rng.below(5),
         cut: random_cut(rng),
-        key_bits: (0..n_slots).map(|_| rng.flip()).collect(),
+        key: KeyAssignment::from_bits(&(0..n_slots).map(|_| rng.flip()).collect::<Vec<_>>()),
         committed: (0..rng.below(n_slots + 1))
-            .map(|i| (i, rng.flip()))
+            .map(|i| (KeySlot(i), rng.flip()))
             .collect(),
-        warm: random_pairs_f64(rng, n_slots),
+        warm: random_slot_map(rng, n_slots),
         reports: (0..rng.below(4))
-            .map(|i| LayerReportState {
-                keyed_node: i * 3 + 1,
-                bits: rng.below(32) as u64,
-                algebraic: rng.below(32) as u64,
-                learned: rng.below(32) as u64,
-                validation_rounds: rng.below(64) as u64,
-                corrected: rng.below(8) as u64,
+            .map(|i| LayerReport {
+                keyed_node: NodeId(i * 3 + 1),
+                bits: rng.below(32),
+                algebraic: rng.below(32),
+                learned: rng.below(32),
+                validation_rounds: rng.below(64),
+                corrected: rng.below(8),
                 validated: rng.flip(),
             })
             .collect(),
@@ -130,12 +123,12 @@ fn random_state(rng: &mut Prng) -> AttackState {
             ],
             spare_normal: if rng.flip() { Some(rng.normal()) } else { None },
         },
-        timing_nanos: [
+        timing: TimingBreakdown::from_nanos([
             rng.below(1 << 30) as u64,
             rng.below(1 << 30) as u64,
             rng.below(1 << 30) as u64,
             rng.below(1 << 30) as u64,
-        ],
+        ]),
         stats,
         queries: rng.below(1 << 24) as u64,
     }
@@ -344,5 +337,97 @@ fn sampled_damage_always_falls_back_and_recovers_exact_key() {
             report.key, reference.key,
             "round {round}: fallback run diverged from the reference"
         );
+    }
+}
+
+/// A checksum-valid frame whose `Correcting` cut does not fit the graph
+/// makes `resume` fall back to a fresh run, never panic or fail. The
+/// frames are a real run's `Correcting` cut (learning-only MLP-16, seed
+/// 732) with one field of its validation target, or its candidate index,
+/// changed; the unchanged frame resumes to the uninterrupted run's key.
+#[test]
+fn correcting_frames_that_do_not_fit_the_graph_fall_back() {
+    let victim = mlp16_victim();
+    let g = victim.white_box();
+    let cfg = AttackConfig {
+        disable_algebraic: true,
+        ..AttackConfig::fast()
+    };
+    let reference = run_threads(&victim, cfg, 1, 732);
+    let frame = reference
+        .frames
+        .iter()
+        .map(|f| AttackState::decode(f).expect("engine frames decode"))
+        .find(|st| {
+            matches!(
+                st.cut,
+                PhaseCut::Correcting {
+                    target: Some(_),
+                    ..
+                }
+            )
+        })
+        .expect("seed 732 corrects a layer with a successor");
+    let retarget = |edit: &dyn Fn(&mut ValidationTarget)| {
+        let mut st = frame.clone();
+        if let PhaseCut::Correcting {
+            target: Some(t), ..
+        } = &mut st.cut
+        {
+            edit(t);
+        }
+        st
+    };
+    let resume = |cfg: AttackConfig, st: &AttackState| {
+        let sink = MemoryCheckpointSink::new();
+        sink.set(Some(st.encode()));
+        let oracle = CountingOracle::new(&victim);
+        let broker = Broker::with_config(&oracle, BrokerConfig::default());
+        Decryptor::new(cfg)
+            .resume(g, &broker, &mut Prng::seed_from_u64(732), &sink)
+            .expect("the run completes")
+    };
+
+    let (report, status) = resume(cfg, &frame);
+    assert!(status.resumed(), "the engine's own frame: {status:?}");
+    assert_eq!(report.key, reference.report.key);
+
+    let misfits: [(&str, AttackState); 7] = [
+        ("node 999", retarget(&|t| t.surface_node = NodeId(999))),
+        ("unit 500", retarget(&|t| t.units[0].0 = 500)),
+        ("1,000-unit layout", retarget(&|t| t.layout.n_units = 1000)),
+        ("elem_stride 100", retarget(&|t| t.layout.elem_stride = 100)),
+        (
+            "another unit's slot",
+            retarget(&|t| {
+                let locked = t.units.iter().position(|u| u.1.is_some()).unwrap();
+                t.units[locked].1 = None;
+            }),
+        ),
+        ("missing target", {
+            let mut st = frame.clone();
+            if let PhaseCut::Correcting { target, .. } = &mut st.cut {
+                *target = None;
+            }
+            st
+        }),
+        ("candidate past the plan", {
+            let mut st = frame.clone();
+            if let PhaseCut::Correcting { tried, .. } = &mut st.cut {
+                *tried = 1_000_000;
+            }
+            st
+        }),
+    ];
+    // The fallback runs fresh; the algebraic path keeps that run short.
+    for (what, st) in misfits {
+        let (report, status) = resume(AttackConfig::fast(), &st);
+        match &status {
+            ResumeStatus::FellBack { reason } => {
+                assert!(reason.contains("incompatible"), "{what}: {reason}")
+            }
+            other => panic!("{what}: expected FellBack, got {other:?}"),
+        }
+        assert_eq!(report.fidelity(victim.true_key()), 1.0, "{what}: fresh run");
     }
 }

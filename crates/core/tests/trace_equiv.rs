@@ -5,17 +5,16 @@
 //! threads. Tracing observes the engine; it must never steer it. And what
 //! it records is the nine-label catalogue of DESIGN.md §3f, nothing else.
 
-use relock_attack::{AttackConfig, AttackState, CheckpointSink, DecryptionReport, Decryptor};
-use relock_locking::{CountingOracle, LockSpec, LockedModel};
-use relock_nn::{build_mlp, MlpSpec};
-use relock_serve::{
-    Broker, BrokerConfig, ChaosConfig, ChaosOracle, QueryStatsSnapshot, RetryPolicy,
+use relock_attack::testutil::{
+    assert_traces_match, mlp16_victim, normalize_frame, RecordingSink, RunTrace,
 };
+use relock_attack::{AttackConfig, Decryptor};
+use relock_locking::{CountingOracle, LockedModel};
+use relock_serve::{Broker, BrokerConfig, ChaosConfig, ChaosOracle, RetryPolicy};
 use relock_tensor::rng::Prng;
 use relock_trace::{Event, FlightRecorder, Trace};
 use std::collections::BTreeSet;
-use std::io;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Every label the program records: three spans and six counters.
@@ -30,65 +29,6 @@ const CATALOGUE: [&str; 9] = [
     "chaos.injected",
     "checkpoint.write",
 ];
-
-fn mlp16_victim() -> LockedModel {
-    let mut rng = Prng::seed_from_u64(700);
-    build_mlp(
-        &MlpSpec {
-            input: 12,
-            hidden: vec![10, 6],
-            classes: 3,
-        },
-        LockSpec::evenly(16),
-        &mut rng,
-    )
-    .unwrap()
-}
-
-#[derive(Default)]
-struct RecordingSink {
-    frames: Mutex<Vec<Vec<u8>>>,
-}
-
-impl RecordingSink {
-    fn frames(&self) -> Vec<Vec<u8>> {
-        self.frames.lock().expect("sink poisoned").clone()
-    }
-}
-
-impl CheckpointSink for RecordingSink {
-    fn save(&self, bytes: &[u8]) -> io::Result<()> {
-        self.frames
-            .lock()
-            .expect("sink poisoned")
-            .push(bytes.to_vec());
-        Ok(())
-    }
-
-    fn load(&self) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.frames.lock().expect("sink poisoned").last().cloned())
-    }
-}
-
-/// Re-encodes a frame with wall-clock fields zeroed; everything else must
-/// be deterministic and is compared byte-for-byte.
-fn normalize_frame(frame: &[u8]) -> Vec<u8> {
-    let mut st = AttackState::decode(frame).expect("engine wrote an undecodable frame");
-    st.timing_nanos = [0; 4];
-    st.stats.oracle_time = Duration::ZERO;
-    st.encode()
-}
-
-fn strip_clock(stats: &QueryStatsSnapshot) -> QueryStatsSnapshot {
-    let mut s = stats.clone();
-    s.oracle_time = Duration::ZERO;
-    s
-}
-
-struct RunTrace {
-    report: DecryptionReport,
-    frames: Vec<Vec<u8>>,
-}
 
 /// A checkpointed run, recorded into `trace` when one is given.
 fn run(model: &LockedModel, threads: usize, trace: Option<&Arc<FlightRecorder>>) -> RunTrace {
@@ -113,27 +53,6 @@ fn run(model: &LockedModel, threads: usize, trace: Option<&Arc<FlightRecorder>>)
     RunTrace {
         report,
         frames: sink.frames().iter().map(|f| normalize_frame(f)).collect(),
-    }
-}
-
-fn assert_same_run(a: &RunTrace, b: &RunTrace, ctx: &str) {
-    assert_eq!(a.report.key, b.report.key, "{ctx}: recovered key diverged");
-    assert_eq!(
-        a.report.queries, b.report.queries,
-        "{ctx}: underlying query count diverged"
-    );
-    assert_eq!(
-        strip_clock(&a.report.stats),
-        strip_clock(&b.report.stats),
-        "{ctx}: broker accounting diverged"
-    );
-    assert_eq!(
-        a.frames.len(),
-        b.frames.len(),
-        "{ctx}: checkpoint cadence diverged"
-    );
-    for (i, (fa, fb)) in a.frames.iter().zip(&b.frames).enumerate() {
-        assert_eq!(fa, fb, "{ctx}: checkpoint frame {i} is not byte-identical");
     }
 }
 
@@ -164,7 +83,7 @@ fn instrumented_attack_is_bit_identical_to_uninstrumented() {
 
         let flight = Arc::new(FlightRecorder::new());
         let traced = run(&model, threads, Some(&flight));
-        assert_same_run(&traced, &bare, &format!("FlightRecorder threads {threads}"));
+        assert_traces_match(&traced, &bare, &format!("FlightRecorder threads {threads}"));
 
         let trace = capture(&flight);
         // Every begin has exactly one end, and the stamps follow arrival

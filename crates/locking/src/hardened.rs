@@ -7,12 +7,13 @@
 //! - [`QuantizedOracle`] rounds outputs to a fixed number of decimals
 //!   (e.g. a display-precision API);
 //! - [`NoisyOracle`] adds i.i.d. Gaussian noise to every logit;
-//! - [`LabelOnlyOracle`] reveals nothing but the argmax class (one-hot);
-//! - [`UnreliableOracle`] drops a fraction of requests on the floor,
-//!   modelling a flaky accelerator link — the failure mode the
-//!   `relock-serve` broker's retry policy exists for.
+//! - [`LabelOnlyOracle`] reveals nothing but the argmax class (one-hot).
+//!
+//! A flaky accelerator link (dropped requests, latency spikes, process
+//! death) is not a countermeasure; `relock-serve`'s seeded `ChaosOracle`
+//! injects those faults.
 
-use crate::oracle::{Oracle, OracleError};
+use crate::oracle::Oracle;
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
 use std::sync::Mutex;
@@ -149,88 +150,6 @@ impl<O: Oracle> Oracle for LabelOnlyOracle<O> {
     }
 }
 
-/// Fails a deterministic pseudo-random fraction of requests with
-/// [`OracleError::Backend`] — a fault-injection double for a lossy
-/// hardware link. Only the fallible surface observes the failures; put
-/// the `relock-serve` broker in front of it, whose `RetryPolicy` retries
-/// them with backoff, to study retry behaviour.
-#[derive(Debug)]
-pub struct UnreliableOracle<O> {
-    inner: O,
-    failure_rate: f64,
-    rng: Mutex<Prng>,
-}
-
-impl<O: Oracle> UnreliableOracle<O> {
-    /// Wraps `inner`; each `try_query_batch` fails independently with
-    /// probability `failure_rate`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `failure_rate` is outside `[0, 1]` or non-finite. A
-    /// rate of exactly `1.0` is accepted for the fallible surface but
-    /// internally capped just below it so [`Oracle::query_batch`]'s
-    /// resubmit loop cannot spin forever.
-    pub fn new(inner: O, failure_rate: f64, seed: u64) -> Self {
-        assert!(
-            failure_rate.is_finite() && (0.0..=1.0).contains(&failure_rate),
-            "UnreliableOracle failure_rate must be within [0, 1], got {failure_rate}"
-        );
-        UnreliableOracle {
-            inner,
-            failure_rate: failure_rate.min(0.999_999),
-            rng: Mutex::new(Prng::seed_from_u64(seed)),
-        }
-    }
-
-    /// Unwraps the inner oracle.
-    pub fn into_inner(self) -> O {
-        self.inner
-    }
-
-    fn roll_failure(&self) -> bool {
-        let mut rng = self.rng.lock().expect("rng poisoned");
-        rng.uniform() < self.failure_rate
-    }
-}
-
-impl<O: Oracle> Oracle for UnreliableOracle<O> {
-    /// The infallible surface retries internally until the link succeeds —
-    /// a dropped request costs nothing but time, so this models a caller
-    /// that blindly resubmits. Budgeted callers should use
-    /// [`Oracle::try_query_batch`] and a broker retry policy instead.
-    fn query_batch(&self, x: &Tensor) -> Tensor {
-        while self.roll_failure() {}
-        self.inner.query_batch(x)
-    }
-
-    fn try_query_batch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
-        if self.roll_failure() {
-            return Err(OracleError::Backend {
-                message: "injected transport failure".to_string(),
-                attempts: 1,
-            });
-        }
-        self.inner.try_query_batch(x)
-    }
-
-    fn query_count(&self) -> u64 {
-        self.inner.query_count()
-    }
-
-    fn input_dim(&self) -> usize {
-        self.inner.input_dim()
-    }
-
-    fn output_dim(&self) -> usize {
-        self.inner.output_dim()
-    }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        self.inner.remaining_budget()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -296,55 +215,6 @@ mod tests {
         let noisy = o.query(&x);
         let diff = clean.max_abs_diff(&noisy);
         assert!(diff > 0.0 && diff < 0.1, "noise diff {diff}");
-    }
-
-    #[test]
-    fn unreliable_oracle_fails_sometimes_but_never_corrupts() {
-        let m = model();
-        let o = UnreliableOracle::new(CountingOracle::new(&m), 0.5, 17);
-        let mut rng = Prng::seed_from_u64(804);
-        let x = rng.normal_tensor([1, 3]);
-        let clean = m.logits(&Tensor::from_slice(x.row(0)));
-        let (mut failures, mut successes) = (0u32, 0u32);
-        for _ in 0..64 {
-            match o.try_query_batch(&x) {
-                Ok(y) => {
-                    successes += 1;
-                    assert_eq!(y.row(0), clean.as_slice(), "successes are bit-exact");
-                }
-                Err(OracleError::Backend { .. }) => failures += 1,
-                Err(e) => panic!("unexpected error {e}"),
-            }
-        }
-        assert!(failures > 5, "only {failures} injected failures");
-        assert!(successes > 5, "only {successes} successes");
-    }
-
-    #[test]
-    #[should_panic(expected = "failure_rate must be within [0, 1]")]
-    fn unreliable_oracle_rejects_rate_above_one() {
-        let _ = UnreliableOracle::new(CountingOracle::new(&model()), 1.5, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "failure_rate must be within [0, 1]")]
-    fn unreliable_oracle_rejects_negative_rate() {
-        let _ = UnreliableOracle::new(CountingOracle::new(&model()), -0.25, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "failure_rate must be within [0, 1]")]
-    fn unreliable_oracle_rejects_nan_rate() {
-        let _ = UnreliableOracle::new(CountingOracle::new(&model()), f64::NAN, 0);
-    }
-
-    #[test]
-    fn unreliable_oracle_accepts_certain_failure_without_spinning_try() {
-        let o = UnreliableOracle::new(CountingOracle::new(&model()), 1.0, 3);
-        let x = Tensor::zeros([1, 3]);
-        for _ in 0..8 {
-            assert!(o.try_query_batch(&x).is_err(), "rate 1.0 must always fail");
-        }
     }
 
     #[test]

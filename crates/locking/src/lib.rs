@@ -25,7 +25,7 @@ mod key;
 mod oracle;
 mod scheme;
 
-pub use hardened::{LabelOnlyOracle, NoisyOracle, QuantizedOracle, UnreliableOracle};
+pub use hardened::{LabelOnlyOracle, NoisyOracle, QuantizedOracle};
 pub use key::Key;
 pub use oracle::{CountingOracle, LockedModel, Oracle, OracleError, OutputMode};
 pub use scheme::{

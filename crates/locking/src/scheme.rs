@@ -28,8 +28,8 @@ pub enum LockVariant {
     Scale(f64),
     /// SARLock-style trigger lock: each locked layer gets one comparator
     /// guarding the whole pre-activation, fired by the sign pattern of a
-    /// key-indexed input subspace. Corruption is confined to two of `2^d`
-    /// signature patterns per wrong key.
+    /// key-indexed input subspace. A wrong key corrupts only two of `2^d`
+    /// signature patterns.
     SarTrigger,
     /// Anti-SAT-style complementary-pair trigger lock: the layer's key
     /// bits split into halves `k1, k2`; any key with `k2 == k1` is correct

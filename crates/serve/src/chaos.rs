@@ -1,14 +1,14 @@
 //! Deterministic fault injection for soak-testing attacks.
 //!
 //! A multi-hour oracle-bound attack has to survive flaky links, slow
-//! backends, garbled responses, and outright process death. [`ChaosOracle`]
+//! backends, and outright process death. [`ChaosOracle`]
 //! wraps any [`Oracle`] and injects exactly those faults on a *seeded,
 //! reproducible schedule*, so a soak test can kill an attack at query
 //! 1 000, resume it from a checkpoint, and still assert bit-identical
 //! results — the schedule is a pure function of the seed and the call
 //! sequence, never of wall clock or OS scheduling.
 //!
-//! Four fault kinds, all driven by one [`ChaosConfig`]:
+//! Three fault kinds, all driven by one [`ChaosConfig`]:
 //!
 //! - **Transient errors** — a call fails with [`OracleError::Backend`]
 //!   (the broker's retry policy is expected to absorb these);
@@ -16,8 +16,6 @@
 //!   backend has computed its answer, so a caller that bounds compute with
 //!   a slot can give the slot back across the sleep alone:
 //!   [`ChaosOracle::with_wait_hook`]);
-//! - **Response corruption** — outputs are quantized or get low mantissa
-//!   bits flipped ([`Corruption`]), modelling a garbling link;
 //! - **Crash-at-query-N** — when cumulative underlying rows reach a
 //!   scheduled point the oracle panics with a [`ChaosCrash`] payload,
 //!   simulating process death mid-flight. Soak harnesses catch the unwind
@@ -36,22 +34,6 @@ use relock_tensor::Tensor;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// How a corrupted response is damaged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Corruption {
-    /// Round every output to this many decimal places (precision loss).
-    Quantize {
-        /// Decimal places kept.
-        decimals: u32,
-    },
-    /// XOR this many low mantissa bits of every output with schedule-drawn
-    /// random bits (a garbling transport; relative error ≈ 2^(bits−52)).
-    PerturbMantissa {
-        /// Low mantissa bits subject to flipping (1..=52).
-        bits: u32,
-    },
-}
-
 /// Tunables of the fault schedule. All rates are per `try_query_batch`
 /// call and must be finite probabilities in `[0, 1]`; `transient_rate`
 /// must stay below 1 so the infallible surface terminates.
@@ -65,10 +47,6 @@ pub struct ChaosConfig {
     pub latency_spike_rate: f64,
     /// Length of an injected latency spike.
     pub latency_spike: Duration,
-    /// Probability a call's response batch is corrupted.
-    pub corrupt_rate: f64,
-    /// Damage applied to corrupted responses.
-    pub corruption: Corruption,
     /// Cumulative underlying-row counts at which the oracle "crashes"
     /// (panics with [`ChaosCrash`]). Sorted and deduplicated on
     /// construction; each point fires once.
@@ -82,8 +60,6 @@ impl Default for ChaosConfig {
             transient_rate: 0.0,
             latency_spike_rate: 0.0,
             latency_spike: Duration::from_millis(1),
-            corrupt_rate: 0.0,
-            corruption: Corruption::Quantize { decimals: 6 },
             crash_at: Vec::new(),
         }
     }
@@ -108,8 +84,6 @@ pub struct ChaosCounters {
     pub transient_errors: u64,
     /// Calls delayed by a latency spike.
     pub latency_spikes: u64,
-    /// Response batches corrupted.
-    pub corrupted_batches: u64,
     /// Scheduled crashes fired.
     pub crashes: u64,
 }
@@ -117,7 +91,7 @@ pub struct ChaosCounters {
 impl ChaosCounters {
     /// Total faults across all kinds.
     pub fn total(&self) -> u64 {
-        self.transient_errors + self.latency_spikes + self.corrupted_batches + self.crashes
+        self.transient_errors + self.latency_spikes + self.crashes
     }
 }
 
@@ -151,8 +125,6 @@ struct ChaosState {
 struct CallPlan {
     transient: bool,
     spike: bool,
-    corrupt: bool,
-    rng: Prng,
 }
 
 /// An [`Oracle`] wrapper that injects faults on a deterministic, seeded
@@ -175,15 +147,13 @@ impl<O: Oracle> ChaosOracle<O> {
     ///
     /// # Panics
     ///
-    /// Panics if any rate is not a finite probability in `[0, 1]`, if
-    /// `transient_rate` is 1 (the infallible surface could never answer),
-    /// or if the corruption mode is degenerate (0 decimals kept is fine;
-    /// mantissa bits outside `1..=52` are not).
+    /// Panics if either rate is not a finite probability in `[0, 1]`, or
+    /// if `transient_rate` is 1 (the infallible surface could never
+    /// answer).
     pub fn new(inner: O, mut cfg: ChaosConfig) -> Self {
         for (name, rate) in [
             ("transient_rate", cfg.transient_rate),
             ("latency_spike_rate", cfg.latency_spike_rate),
-            ("corrupt_rate", cfg.corrupt_rate),
         ] {
             assert!(
                 rate.is_finite() && (0.0..=1.0).contains(&rate),
@@ -194,12 +164,6 @@ impl<O: Oracle> ChaosOracle<O> {
             cfg.transient_rate < 1.0,
             "ChaosConfig::transient_rate must be < 1 so queries can succeed"
         );
-        if let Corruption::PerturbMantissa { bits } = cfg.corruption {
-            assert!(
-                (1..=52).contains(&bits),
-                "PerturbMantissa bits must be in 1..=52, got {bits}"
-            );
-        }
         cfg.crash_at.sort_unstable();
         cfg.crash_at.dedup();
         ChaosOracle {
@@ -254,38 +218,16 @@ impl<O: Oracle> ChaosOracle<O> {
         // are enabled.
         let u_transient = rng.uniform();
         let u_spike = rng.uniform();
-        let u_corrupt = rng.uniform();
         CallPlan {
             transient: u_transient < self.cfg.transient_rate,
             spike: u_spike < self.cfg.latency_spike_rate,
-            corrupt: u_corrupt < self.cfg.corrupt_rate,
-            rng,
-        }
-    }
-
-    fn corrupt(&self, y: &mut Tensor, rng: &mut Prng) {
-        match self.cfg.corruption {
-            Corruption::Quantize { decimals } => {
-                let scale = 10f64.powi(decimals as i32);
-                for v in y.as_mut_slice() {
-                    *v = (*v * scale).round() / scale;
-                }
-            }
-            Corruption::PerturbMantissa { bits } => {
-                let mask = (1u64 << bits) - 1;
-                for v in y.as_mut_slice() {
-                    let flips = rng.next_u64() & mask;
-                    *v = f64::from_bits(v.to_bits() ^ flips);
-                }
-            }
         }
     }
 }
 
 impl<O: Oracle> Oracle for ChaosOracle<O> {
     /// The infallible surface resubmits through transient faults (like a
-    /// caller blindly retrying a dropped request); crashes and corruption
-    /// still apply.
+    /// caller blindly retrying a dropped request); crashes still apply.
     fn query_batch(&self, x: &Tensor) -> Tensor {
         loop {
             match self.try_query_batch(x) {
@@ -301,7 +243,7 @@ impl<O: Oracle> Oracle for ChaosOracle<O> {
         let mut state = self.state.lock().expect("chaos state poisoned");
         let k = state.calls;
         state.calls += 1;
-        let mut plan = self.plan(k);
+        let plan = self.plan(k);
         if plan.transient {
             state.counters.transient_errors += 1;
             return Err(OracleError::Backend {
@@ -325,10 +267,6 @@ impl<O: Oracle> Oracle for ChaosOracle<O> {
         if plan.spike {
             state.counters.latency_spikes += 1;
         }
-        let corrupting = plan.corrupt;
-        if corrupting {
-            state.counters.corrupted_batches += 1;
-        }
         state.rows += rows;
         drop(state);
         let answer = self.inner.try_query_batch(x);
@@ -338,11 +276,7 @@ impl<O: Oracle> Oracle for ChaosOracle<O> {
             }
             std::thread::sleep(self.cfg.latency_spike);
         }
-        let mut y = answer?;
-        if corrupting {
-            self.corrupt(&mut y, &mut plan.rng);
-        }
-        Ok(y)
+        answer
     }
 
     fn query_count(&self) -> u64 {
@@ -411,7 +345,8 @@ mod tests {
         let cfg = ChaosConfig {
             seed: 99,
             transient_rate: 0.4,
-            corrupt_rate: 0.3,
+            latency_spike_rate: 0.3,
+            latency_spike: Duration::ZERO,
             ..ChaosConfig::default()
         };
         let mut outcomes = Vec::new();
@@ -439,7 +374,7 @@ mod tests {
             outcomes[0].1.transient_errors > 0,
             "schedule injected nothing"
         );
-        assert!(outcomes[0].1.corrupted_batches > 0);
+        assert!(outcomes[0].1.latency_spikes > 0);
     }
 
     #[test]
@@ -462,37 +397,6 @@ mod tests {
         o.try_query_batch(&x2).unwrap();
         assert_eq!(o.query_count(), 6);
         assert_eq!(o.counters().crashes, 1, "each point fires once");
-    }
-
-    #[test]
-    fn corruption_modes_damage_but_preserve_shape() {
-        let m = model();
-        let base = CountingOracle::new(&m);
-        let mut rng = Prng::seed_from_u64(603);
-        let x = rng.normal_tensor([1, 3]);
-        let clean = m.logits(&Tensor::from_slice(x.row(0)));
-        for corruption in [
-            Corruption::Quantize { decimals: 1 },
-            Corruption::PerturbMantissa { bits: 20 },
-        ] {
-            let o = ChaosOracle::new(
-                &base,
-                ChaosConfig {
-                    seed: 5,
-                    corrupt_rate: 1.0,
-                    corruption,
-                    ..ChaosConfig::default()
-                },
-            );
-            let y = o.try_query_batch(&x).unwrap();
-            assert_eq!(y.dims(), [1, 2]);
-            let diff = clean.max_abs_diff(&Tensor::from_slice(y.row(0)));
-            assert!(diff > 0.0, "corruption {corruption:?} changed nothing");
-            assert!(
-                diff < 0.1,
-                "corruption {corruption:?} diff {diff} too large"
-            );
-        }
     }
 
     #[test]
@@ -586,7 +490,7 @@ mod tests {
         ChaosOracle::new(
             CountingOracle::new(&m),
             ChaosConfig {
-                corrupt_rate: 1.5,
+                latency_spike_rate: 1.5,
                 ..ChaosConfig::default()
             },
         );

@@ -18,6 +18,10 @@
 //!   run's flight recorder when the broker carries one
 //!   ([`Broker::with_trace`]).
 //!
+//! [`ChaosOracle`] is the workspace's one fault injector: a seeded
+//! per-call schedule of transient errors, latency spikes and crashes, for
+//! the retry tests and the kill-and-resume soaks.
+//!
 //! ## Query accounting semantics
 //!
 //! Cache hits are **free**: they never reach the backend, never reserve
@@ -61,7 +65,7 @@ mod stats;
 pub use broker::{Broker, BrokerConfig, WaitHook};
 pub use budget::QueryBudget;
 pub use cache::SharedCache;
-pub use chaos::{ChaosConfig, ChaosCounters, ChaosCrash, ChaosOracle, Corruption};
+pub use chaos::{ChaosConfig, ChaosCounters, ChaosCrash, ChaosOracle};
 pub use retry::RetryPolicy;
 pub use stats::{
     bucket_label, bucket_of, QueryStats, QueryStatsSnapshot, ScopeCounts, HISTOGRAM_BUCKETS,

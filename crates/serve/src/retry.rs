@@ -1,8 +1,8 @@
 //! Retry-with-backoff for flaky oracle transports.
 //!
-//! Hardened deployments drop or garble requests ([`relock_locking::UnreliableOracle`]
-//! models the transport side of this); a broker that gave up on the first
-//! `Backend` error would starve the attack. [`RetryPolicy`] retries
+//! Hardened deployments drop requests (the transient faults of
+//! [`crate::ChaosOracle`] model the transport side of this); a broker that
+//! gave up on the first `Backend` error would starve the attack. [`RetryPolicy`] retries
 //! transient failures with exponential backoff; budget errors are *not*
 //! retried (they are deterministic).
 //!

@@ -2,9 +2,9 @@
 //! equivalent to the bare oracle (bit-identical logits) while never issuing
 //! more underlying queries than an uncached client would.
 
-use relock_locking::{CountingOracle, LockSpec, Oracle, OracleError, UnreliableOracle};
+use relock_locking::{CountingOracle, LockSpec, Oracle, OracleError};
 use relock_nn::{build_mlp, MlpSpec};
-use relock_serve::{Broker, BrokerConfig, RetryPolicy};
+use relock_serve::{Broker, BrokerConfig, ChaosConfig, ChaosOracle, RetryPolicy};
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
 
@@ -104,7 +104,14 @@ fn exhausted_budget_is_typed_and_cache_survives() {
 #[test]
 fn retries_mask_flaky_transport() {
     let reference = locked_oracle(72);
-    let flaky = UnreliableOracle::new(locked_oracle(72), 0.4, 720);
+    let flaky = ChaosOracle::new(
+        locked_oracle(72),
+        ChaosConfig {
+            seed: 720,
+            transient_rate: 0.4,
+            ..ChaosConfig::default()
+        },
+    );
     let broker = Broker::with_config(
         &flaky,
         BrokerConfig {

@@ -1,13 +1,13 @@
-//! Determinism regression tests for the fault-injection stack: an
-//! `UnreliableOracle` seeded identically must drop the *same* requests in
+//! Determinism regression tests for the fault-injection stack: a
+//! `ChaosOracle` seeded identically must drop the *same* requests in
 //! the same order, and a broker retrying through it must therefore pay the
 //! same number of retries. The checkpoint/resume machinery in
 //! `relock-attack` leans on exactly this property — a resumed segment can
 //! only be bit-identical when the fault sequence replays.
 
-use relock_locking::{CountingOracle, LockSpec, Oracle, UnreliableOracle};
+use relock_locking::{CountingOracle, LockSpec, Oracle};
 use relock_nn::{build_mlp, MlpSpec};
-use relock_serve::{Broker, BrokerConfig, RetryPolicy};
+use relock_serve::{Broker, BrokerConfig, ChaosConfig, ChaosOracle, RetryPolicy};
 use relock_tensor::rng::Prng;
 use std::time::Duration;
 
@@ -26,6 +26,19 @@ fn locked_oracle(seed: u64) -> CountingOracle {
     CountingOracle::new(&model)
 }
 
+/// A backend that fails a seeded `rate` of its calls with a transient
+/// error.
+fn flaky(backend: CountingOracle, rate: f64, seed: u64) -> ChaosOracle<CountingOracle> {
+    ChaosOracle::new(
+        backend,
+        ChaosConfig {
+            seed,
+            transient_rate: rate,
+            ..ChaosConfig::default()
+        },
+    )
+}
+
 /// An instant-retry policy so the test never sleeps.
 fn fast_retry(max_attempts: u32) -> RetryPolicy {
     RetryPolicy {
@@ -37,9 +50,9 @@ fn fast_retry(max_attempts: u32) -> RetryPolicy {
 }
 
 #[test]
-fn unreliable_oracle_fault_sequence_is_seed_deterministic() {
+fn transient_fault_sequence_is_seed_deterministic() {
     let run = |seed: u64| -> Vec<bool> {
-        let oracle = UnreliableOracle::new(locked_oracle(90), 0.4, seed);
+        let oracle = flaky(locked_oracle(90), 0.4, seed);
         let mut rng = Prng::seed_from_u64(91);
         (0..64)
             .map(|_| oracle.try_query_batch(&rng.normal_tensor([1, 6])).is_ok())
@@ -57,7 +70,7 @@ fn unreliable_oracle_fault_sequence_is_seed_deterministic() {
 #[test]
 fn brokered_retries_are_seed_deterministic() {
     let run = |seed: u64| -> (u64, u64, Vec<f64>) {
-        let oracle = UnreliableOracle::new(locked_oracle(92), 0.3, seed);
+        let oracle = flaky(locked_oracle(92), 0.3, seed);
         let broker = Broker::with_config(
             &oracle,
             BrokerConfig {
@@ -89,9 +102,9 @@ fn brokered_retries_are_seed_deterministic() {
 fn retry_policy_never_changes_successful_responses() {
     // Retries only resubmit; they must not perturb the values returned.
     let clean = locked_oracle(94);
-    let flaky = UnreliableOracle::new(locked_oracle(94), 0.35, 5);
+    let oracle = flaky(locked_oracle(94), 0.35, 5);
     let broker = Broker::with_config(
-        &flaky,
+        &oracle,
         BrokerConfig {
             retry: fast_retry(32),
             ..BrokerConfig::default()

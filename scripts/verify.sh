@@ -54,13 +54,14 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Kill-and-resume soak with fixed seeds: crashes the attack three times
-# via scheduled chaos panics and requires a bit-identical key on resume.
-# (The chaos_soak/checkpoint_props test suites already ran above as part
-# of the workspace tests; this exercises the release-built bench path.)
+# Kill-and-resume soak and checkpoint fallback properties, release-built:
+# the attack is crashed at scheduled chaos points and must resume to a
+# bit-identical key, and every damaged or misfitting frame must fall back
+# to a fresh run. (`report`'s `soak_mlp12_resume` entry, run by the
+# perf-report step below, kills a release MLP-12 attack three times.)
 # ci-job: chaos-soak
-echo "==> chaos soak (kill-and-resume bench)"
-cargo run -p relock-bench --release --bin soak -- mlp 12 42 43 3
+echo "==> chaos soak suites (release)"
+cargo test --release -q -p relock-attack --test chaos_soak --test checkpoint_props
 
 # Multi-tenant campaign soak: 8 concurrent campaigns on one hub sharing
 # a 256 KiB LRU cache (evictions expected), fair-share scheduling across

@@ -230,3 +230,73 @@ fn closed_stderr_keeps_the_exit_code() {
         assert_eq!(out.status.code(), Some(code), "{args:?}");
     }
 }
+
+/// A checkpoint that decodes but does not fit the model, here a `Correcting`
+/// cut whose validation target names node 999, is reported and the attack
+/// runs fresh: exit 0, never a panic.
+#[test]
+fn resume_falls_back_on_a_frame_that_does_not_fit() {
+    use relock_attack::{
+        AttackState, PhaseCut, QueryStatsSnapshot, TimingBreakdown, ValidationTarget,
+    };
+    use relock_graph::{KeyAssignment, NodeId, UnitLayout};
+    use relock_tensor::rng::Prng;
+
+    let model = scratch("misfit.rlk");
+    let frame = scratch("misfit.rlcp");
+    let path = model.to_str().expect("utf-8 temp path");
+    let lock = relock(&[
+        "lock",
+        "--arch",
+        "mlp",
+        "--bits",
+        "16",
+        "--seed",
+        "1",
+        "--out",
+        path,
+        "--no-train",
+    ]);
+    assert!(lock.status.success(), "lock: {}", stderr(&lock));
+    let misfit = AttackState {
+        layer_index: 0,
+        cut: PhaseCut::Correcting {
+            confidences: Default::default(),
+            algebraic: 0,
+            learned: 0,
+            rounds: 0,
+            tried: 0,
+            target: Some(ValidationTarget {
+                surface_node: NodeId(999),
+                layout: UnitLayout::scalar(4),
+                units: vec![(0, None)],
+            }),
+        },
+        key: KeyAssignment::all_zero_bits(16),
+        committed: Default::default(),
+        warm: Default::default(),
+        reports: Vec::new(),
+        rng: Prng::seed_from_u64(1).state(),
+        timing: TimingBreakdown::new(),
+        stats: QueryStatsSnapshot::default(),
+        queries: 0,
+    };
+    std::fs::write(&frame, misfit.encode()).expect("write the frame");
+    let frame_path = frame.to_str().expect("utf-8 temp path");
+    let attack = relock(&[
+        "attack",
+        path,
+        "--fast",
+        "--checkpoint",
+        frame_path,
+        "--resume",
+    ]);
+    let _ = std::fs::remove_file(&model);
+    let _ = std::fs::remove_file(&frame);
+    let stdout = String::from_utf8_lossy(&attack.stdout);
+    assert_eq!(attack.status.code(), Some(0), "stderr: {}", stderr(&attack));
+    assert!(
+        stdout.contains("checkpoint unusable") && stdout.contains("starting fresh"),
+        "stdout: {stdout}"
+    );
+}
