@@ -1,11 +1,8 @@
 //! Microbenchmarks of the attack's primitive operations, using an in-tree
-//! timing harness (no external benchmark dependency).
-//!
-//! Gated behind the `microbench` feature so plain builds/tests never pay
-//! for it:
+//! timing harness (no external benchmark dependency):
 //!
 //! ```text
-//! cargo bench -p relock-bench --bench micro --features microbench
+//! cargo bench -p relock-bench --bench micro
 //! ```
 
 use relock_attack::{search_critical_point, AttackConfig};

@@ -20,8 +20,7 @@
 //! `RELOCK_KEYS=small,medium,large`.
 
 use relock_attack::{
-    AttackConfig, Decryptor, LearningConfig, MonolithicAttack, MonolithicConfig,
-    QueryStatsSnapshot, TimingBreakdown,
+    AttackConfig, Decryptor, LearningConfig, MonolithicAttack, QueryStatsSnapshot, TimingBreakdown,
 };
 use relock_data::{cifar_like, mnist_like, Dataset};
 use relock_locking::{CountingOracle, Key, LockSpec, LockedModel};
@@ -327,15 +326,11 @@ pub fn attack_config(arch: Arch, scale: Scale) -> AttackConfig {
         continue_on_failure: true,
         ..AttackConfig::default()
     };
-    // The synthetic tasks put hyperplanes within a few units of the origin.
-    cfg.input_scale = 3.0;
     if scale == Scale::Fast {
         cfg.learning = LearningConfig {
             samples: 160,
             batch: 16,
             epochs: 80,
-            lr: 0.08,
-            confidence: 0.95,
             patience: 15,
         };
         cfg.validation_neurons = 12;
@@ -351,21 +346,16 @@ pub fn attack_config(arch: Arch, scale: Scale) -> AttackConfig {
     cfg
 }
 
-/// The monolithic baseline's configuration.
-pub fn monolithic_config(scale: Scale) -> MonolithicConfig {
+/// The monolithic baseline's learning budgets.
+pub fn monolithic_config(scale: Scale) -> LearningConfig {
     match scale {
-        Scale::Fast => MonolithicConfig {
-            learning: LearningConfig {
-                samples: 200,
-                batch: 25,
-                epochs: 50,
-                lr: 0.08,
-                confidence: 0.95,
-                patience: 10,
-            },
-            input_scale: 3.0,
+        Scale::Fast => LearningConfig {
+            samples: 200,
+            batch: 25,
+            epochs: 50,
+            patience: 10,
         },
-        Scale::Paper => MonolithicConfig::default(),
+        Scale::Paper => LearningConfig::monolithic(),
     }
 }
 

@@ -33,7 +33,6 @@ use crate::report::BenchEntry;
 use crate::{attack_config, Arch, Scale};
 use relock_attack::{
     neuroevolution_key_search, sampling_key_search, weight_stats_attack, Decryptor,
-    EvolutionConfig, SamplingConfig,
 };
 use relock_data::{mnist_like, Dataset};
 use relock_locking::{CountingOracle, Key, LockSpec, LockVariant, LockedModel};
@@ -118,12 +117,7 @@ fn oracle_guided(victim: &LockedModel, variant: LockVariant, seed: u64) -> (Key,
     let broker = Broker::with_config(&oracle, BrokerConfig::default());
     let mut rng = Prng::seed_from_u64(seed);
     if cfg.variant.is_trigger() {
-        let report = sampling_key_search(
-            victim.white_box(),
-            &broker,
-            &SamplingConfig::from_attack(&cfg),
-            &mut rng,
-        );
+        let report = sampling_key_search(victim.white_box(), &broker, &cfg, &mut rng);
         (report.key, report.queries)
     } else {
         let report = Decryptor::new(cfg)
@@ -162,11 +156,7 @@ pub fn run_matrix() -> Vec<MatrixCell> {
                 }
                 "neuroevo" => {
                     let mut rng = Prng::seed_from_u64(seed + 4);
-                    let r = neuroevolution_key_search(
-                        victim.white_box(),
-                        &EvolutionConfig::default(),
-                        &mut rng,
-                    );
+                    let r = neuroevolution_key_search(victim.white_box(), &mut rng);
                     (r.key, r.queries)
                 }
                 other => unreachable!("unknown matrix attack {other}"),

@@ -39,15 +39,14 @@
 
 use crate::sched::FairScheduler;
 use relock_attack::{
-    sampling_key_search, AttackConfig, AttackState, CheckpointSink, Decryptor,
-    MemoryCheckpointSink, MonolithicAttack, MonolithicConfig, SamplingConfig, SessionOutcome,
+    sampling_key_search, AttackConfig, AttackState, CheckpointSink, Decryptor, LearningConfig,
+    MemoryCheckpointSink, MonolithicAttack, SessionOutcome,
 };
-use relock_locking::{CountingOracle, Key, LockVariant, LockedModel, Oracle, OracleError};
+use relock_locking::{CountingOracle, Key, LockVariant, LockedModel};
 use relock_serve::{
     Broker, BrokerConfig, ChaosConfig, ChaosCrash, ChaosOracle, QueryStatsSnapshot, WaitHook,
 };
 use relock_tensor::rng::Prng;
-use relock_tensor::Tensor;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -69,77 +68,6 @@ fn model_namespace(model: &LockedModel) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-/// The oracle a campaign queries: the victim model, optionally behind a
-/// deterministic chaos fault schedule.
-#[derive(Debug)]
-enum HostedOracle {
-    Plain(CountingOracle),
-    Chaos(ChaosOracle<CountingOracle>),
-}
-
-impl HostedOracle {
-    /// `wait` hears of each injected latency (see
-    /// [`ChaosOracle::with_wait_hook`]).
-    fn new(model: &LockedModel, chaos: Option<ChaosConfig>, wait: Arc<dyn WaitHook>) -> Self {
-        let counting = CountingOracle::new(model);
-        match chaos {
-            Some(cfg) => HostedOracle::Chaos(ChaosOracle::new(counting, cfg).with_wait_hook(wait)),
-            None => HostedOracle::Plain(counting),
-        }
-    }
-
-    fn crashes(&self) -> u64 {
-        match self {
-            HostedOracle::Plain(_) => 0,
-            HostedOracle::Chaos(c) => c.counters().crashes,
-        }
-    }
-}
-
-impl Oracle for HostedOracle {
-    fn query_batch(&self, x: &Tensor) -> Tensor {
-        match self {
-            HostedOracle::Plain(o) => o.query_batch(x),
-            HostedOracle::Chaos(o) => o.query_batch(x),
-        }
-    }
-
-    fn try_query_batch(&self, x: &Tensor) -> Result<Tensor, OracleError> {
-        match self {
-            HostedOracle::Plain(o) => o.try_query_batch(x),
-            HostedOracle::Chaos(o) => o.try_query_batch(x),
-        }
-    }
-
-    fn query_count(&self) -> u64 {
-        match self {
-            HostedOracle::Plain(o) => o.query_count(),
-            HostedOracle::Chaos(o) => o.query_count(),
-        }
-    }
-
-    fn input_dim(&self) -> usize {
-        match self {
-            HostedOracle::Plain(o) => o.input_dim(),
-            HostedOracle::Chaos(o) => o.input_dim(),
-        }
-    }
-
-    fn output_dim(&self) -> usize {
-        match self {
-            HostedOracle::Plain(o) => o.output_dim(),
-            HostedOracle::Chaos(o) => o.output_dim(),
-        }
-    }
-
-    fn remaining_budget(&self) -> Option<u64> {
-        match self {
-            HostedOracle::Plain(o) => o.remaining_budget(),
-            HostedOracle::Chaos(o) => o.remaining_budget(),
-        }
-    }
 }
 
 /// How to run one campaign. Everything here is per-campaign; the cache
@@ -164,7 +92,8 @@ pub struct CampaignConfig {
     /// hub dispatches them to the sampling key search, which runs as a
     /// single uninterruptible segment (like the monolithic baseline).
     pub variant: LockVariant,
-    /// Deterministic fault schedule wrapped around the oracle.
+    /// Deterministic fault schedule wrapped around the oracle (`None`
+    /// injects no fault).
     pub chaos: Option<ChaosConfig>,
 }
 
@@ -705,7 +634,13 @@ fn run_campaign(
     // The campaign's slot, owned by this thread: taken at the start of
     // each segment, given back at its end and across every wait inside.
     let lease = Arc::new(sched.lease(&handle.tenant));
-    let oracle = HostedOracle::new(&model, cfg.chaos.clone(), lease.clone());
+    // The victim behind its fault schedule; without one, the default
+    // schedule injects nothing.
+    let oracle = ChaosOracle::new(
+        CountingOracle::new(&model),
+        cfg.chaos.clone().unwrap_or_default(),
+    )
+    .with_wait_hook(lease.clone());
     let namespace = model_namespace(&model);
     let mut attack_cfg = if cfg.fast {
         AttackConfig::fast()
@@ -716,9 +651,9 @@ fn run_campaign(
     attack_cfg.threads = 1;
     attack_cfg.variant = cfg.variant;
     let decryptor = Decryptor::new(attack_cfg);
-    let mut mono_cfg = MonolithicConfig::default();
+    let mut mono_cfg = LearningConfig::monolithic();
     if cfg.fast {
-        mono_cfg.learning.samples = 256;
+        mono_cfg.samples = 256;
     }
     loop {
         // Gate: hold while a pause is in force.
@@ -776,12 +711,7 @@ fn run_campaign(
                 // record for them (DESIGN.md §3h). Single segment, not
                 // validated: agreement on random probes is not evidence
                 // of key correctness on a trigger lock.
-                let report = sampling_key_search(
-                    model.white_box(),
-                    &broker,
-                    &SamplingConfig::from_attack(&attack_cfg),
-                    &mut rng,
-                );
+                let report = sampling_key_search(model.white_box(), &broker, &attack_cfg, &mut rng);
                 Segment::Done {
                     key: report.key,
                     validated: false,
@@ -813,7 +743,7 @@ fn run_campaign(
             }
         }));
         lease.leave();
-        let crashes = oracle.crashes();
+        let crashes = oracle.counters().crashes;
         match segment {
             Ok(Segment::Done {
                 key,

@@ -57,7 +57,7 @@ use crate::infer::InferredBits;
 use crate::learning::LearnedMultipliers;
 use crate::telemetry::{QueryStatsSnapshot, TimingBreakdown};
 use crate::validate::ValidationTarget;
-use relock_graph::{KeyAssignment, KeySlot, NodeId, UnitLayout};
+use relock_graph::{bounded_vec, KeyAssignment, KeySlot, NodeId, UnitLayout};
 use relock_serve::{ScopeCounts, HISTOGRAM_BUCKETS};
 use relock_tensor::rng::PrngState;
 use std::collections::BTreeMap;
@@ -456,13 +456,14 @@ impl<'a> Reader<'a> {
     }
 
     /// A `len`-prefixed sequence. A forged length reserves no more than
-    /// 2^20 items up front; the items themselves must then be present.
+    /// [`bounded_vec`]'s 2^20 items up front; the items themselves must
+    /// then be present.
     fn seq<T>(
         &mut self,
         mut item: impl FnMut(&mut Self) -> Result<T, CheckpointError>,
     ) -> Result<Vec<T>, CheckpointError> {
         let n = self.usize()?;
-        let mut out = Vec::with_capacity(n.min(1 << 20));
+        let mut out = bounded_vec(n);
         for _ in 0..n {
             out.push(item(self)?);
         }

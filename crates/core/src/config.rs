@@ -1,4 +1,7 @@
-//! Attack configuration.
+//! Attack configuration: the budgets, probe tolerances and ablation
+//! switches a caller sets. Each tolerance no caller moves is a named
+//! constant beside the procedure it bounds; DESIGN.md §7 lists them with
+//! their contracts.
 
 use relock_locking::LockVariant;
 
@@ -15,7 +18,17 @@ fn env_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Hyper-parameters of the learning-based attack (paper §3.6).
+/// Standard deviation of every random input the attacks draw: §3.5 line
+/// anchors, §3.6 training samples, the last layer's direct check and the
+/// sampling and neuroevolution probes. It must roughly cover the region
+/// where the victim's hyperplanes live, and the synthetic tasks put them
+/// within a few units of the origin.
+pub(crate) const INPUT_SCALE: f64 = 3.0;
+
+/// Budgets of the learning-based attack (paper §3.6). Its Adam rate and
+/// settling threshold are the fixed [`learning_attack`] constants.
+///
+/// [`learning_attack`]: crate::learning_attack
 #[derive(Debug, Clone, Copy)]
 pub struct LearningConfig {
     /// Number of random oracle-labelled examples in the training set.
@@ -24,11 +37,6 @@ pub struct LearningConfig {
     pub batch: usize,
     /// Maximum training epochs.
     pub epochs: usize,
-    /// Adam learning rate on the key logits θ (multiplier = tanh θ).
-    pub lr: f64,
-    /// |multiplier| above which a key bit is *settled* (frozen to ±1)
-    /// during training — the paper's confidence threshold.
-    pub confidence: f64,
     /// Stop early after this many epochs without a new settled bit or a
     /// loss improvement.
     pub patience: usize,
@@ -40,31 +48,35 @@ impl Default for LearningConfig {
             samples: 192,
             batch: 24,
             epochs: 80,
-            lr: 0.08,
-            confidence: 0.95,
             patience: 15,
         }
     }
 }
 
-/// Tolerances and budgets of the DNN decryption algorithm.
+impl LearningConfig {
+    /// The §4.3 monolithic baseline's budgets: a larger sample set than
+    /// the per-layer attack's, matching the paper's 1k–10k queries.
+    pub fn monolithic() -> Self {
+        LearningConfig {
+            samples: 1000,
+            batch: 32,
+            epochs: 120,
+            patience: 20,
+        }
+    }
+}
+
+/// Budgets, probe tolerances and ablation switches of the DNN decryption
+/// algorithm — the settings some caller moves. The tolerances no caller
+/// moves are constants beside the procedures that use them (DESIGN.md §7).
 ///
 /// The defaults reproduce the paper's behaviour at the workspace's scaled
 /// model sizes; [`AttackConfig::fast`] shrinks the budgets for tests.
 #[derive(Debug, Clone, Copy)]
 pub struct AttackConfig {
-    /// Standard deviation of random line anchors in the input space (§3.5).
-    /// Should roughly cover the region where the victim's hyperplanes live.
-    pub input_scale: f64,
     /// Number of samples drawn along each random line when hunting a sign
     /// change of the target pre-activation.
     pub line_samples: usize,
-    /// Half-extent of the sampled parameter range along each line.
-    pub line_extent: f64,
-    /// |z| below which a point counts as on the hyperplane.
-    pub bisect_tol: f64,
-    /// Maximum bisection iterations.
-    pub bisect_iters: usize,
     /// Maximum random lines tried per critical-point search.
     pub max_lines: usize,
     /// Maximum fresh critical points tried per key bit before returning ⊥
@@ -72,33 +84,15 @@ pub struct AttackConfig {
     pub max_site_attempts: usize,
     /// Initial ε for the basis-vector probe `x° ± ε·v`.
     pub epsilon: f64,
-    /// ε is halved until the linear region holds; below this, the attempt
-    /// is abandoned.
-    pub epsilon_min: f64,
     /// Relative L∞ tolerance under which two oracle outputs are "equal".
     pub eq_tol: f64,
     /// Relative L∞ difference above which two oracle outputs "differ";
     /// between the two lies the indecisive band that triggers a retry.
     pub diff_tol: f64,
-    /// Residual tolerance of the least-squares pre-image (§3.3 line 7–8).
-    pub preimage_tol: f64,
-    /// Skip the algebraic attempt when the target layer is wider than the
-    /// input (`d_i > P`): `Â` cannot be onto, so every basis vector lacks a
-    /// pre-image (§3.4). Disable for the A1 ablation.
-    pub skip_expansive: bool,
-    /// Learning-attack hyper-parameters.
+    /// Learning-attack budgets.
     pub learning: LearningConfig,
     /// How many next-layer neurons the validation procedure probes (§3.7).
     pub validation_neurons: usize,
-    /// Fraction of probed neurons whose hyperplane must be confirmed for a
-    /// key vector to pass validation.
-    pub validation_majority: f64,
-    /// Number of probe directions per validated neuron.
-    pub validation_directions: usize,
-    /// Witness searches per probed element: observability (Lemma 3) is a
-    /// property of the linear region, so a masked witness can be retried
-    /// in a different region of the same hyperplane.
-    pub witness_attempts: usize,
     /// Step of the second-difference kink probe.
     pub probe_delta: f64,
     /// Relative second-difference magnitude below which a probe is treated
@@ -109,9 +103,6 @@ pub struct AttackConfig {
     /// the best candidate and continue, recording the failure (`true`) —
     /// used by experiment sweeps to report partial fidelity.
     pub continue_on_failure: bool,
-    /// Oracle/white-box comparison samples for the last hidden layer's
-    /// direct validation.
-    pub final_check_samples: usize,
     /// Maximum Hamming distance explored by `error_correction`.
     pub max_hamming: usize,
     /// Maximum candidate flips tried per Hamming distance.
@@ -156,28 +147,17 @@ pub struct AttackConfig {
 impl Default for AttackConfig {
     fn default() -> Self {
         AttackConfig {
-            input_scale: 3.0,
             line_samples: 64,
-            line_extent: 12.0,
-            bisect_tol: 1e-10,
-            bisect_iters: 120,
             max_lines: 16,
             max_site_attempts: 4,
             epsilon: 1e-3,
-            epsilon_min: 1e-7,
             eq_tol: 1e-7,
             diff_tol: 5e-5,
-            preimage_tol: 1e-6,
-            skip_expansive: true,
             learning: LearningConfig::default(),
             validation_neurons: 24,
-            validation_majority: 0.7,
-            validation_directions: 3,
-            witness_attempts: 3,
             probe_delta: 1e-5,
             kink_tol: 1e-9,
             continue_on_failure: false,
-            final_check_samples: 16,
             max_hamming: 4,
             max_candidates_per_hd: 128,
             correction_window: 18,

@@ -4,16 +4,23 @@
 //! hyperplane has co-dimension 1, a random line in the input space crosses
 //! it with probability ≈ 1; `search_critical_point` samples pre-activations
 //! along random lines, finds a sign change, and bisects it down to a
-//! witness `x°` with `|z(x°)| ≤ tol`.
+//! witness `x°` with `|z(x°)| ≤ 1e-10`.
 //!
 //! By Lemma 1 the hyperplane only depends on the (already decrypted) keys
 //! of *preceding* layers, so the adversary can run this entirely on the
 //! white-box network.
 
-use crate::config::AttackConfig;
+use crate::config::{AttackConfig, INPUT_SCALE};
 use relock_graph::{Graph, KeyAssignment, NodeId, Workspace};
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
+
+/// Half-extent of the parameter range sampled along each random line.
+const LINE_EXTENT: f64 = 12.0;
+/// |z| below which a bisected point counts as on the hyperplane.
+const BISECT_TOL: f64 = 1e-10;
+/// Maximum bisection iterations per crossing.
+const BISECT_ITERS: usize = 120;
 
 /// A witness to a hyperplane: an input where the target pre-activation is
 /// (numerically) zero.
@@ -174,14 +181,14 @@ pub fn search_target_critical_point_with(
 ) -> Option<CriticalPoint> {
     let p = g.input_size();
     for _ in 0..cfg.max_lines {
-        let anchor = rng.normal_tensor([p]).scale(cfg.input_scale);
+        let anchor = rng.normal_tensor([p]).scale(INPUT_SCALE);
         let dir = rng.unit_vector(p);
         // Batched scan of the line.
         let n = cfg.line_samples;
         let mut pts = Vec::with_capacity(n * p);
         let mut ts = Vec::with_capacity(n);
         for i in 0..n {
-            let t = -cfg.line_extent + 2.0 * cfg.line_extent * i as f64 / (n - 1) as f64;
+            let t = -LINE_EXTENT + 2.0 * LINE_EXTENT * i as f64 / (n - 1) as f64;
             ts.push(t);
             for d in 0..p {
                 pts.push(anchor.as_slice()[d] + t * dir.as_slice()[d]);
@@ -213,10 +220,10 @@ pub fn search_target_critical_point_with(
         let bracket_goal = 1e-3 * cfg.probe_delta;
         let mut mid = 0.5 * (lo + hi);
         let mut zmid = 0.0;
-        for _ in 0..cfg.bisect_iters {
+        for _ in 0..BISECT_ITERS {
             mid = 0.5 * (lo + hi);
             zmid = target_at(g, ws, keys, pre_node, target, &at(mid));
-            if zmid.abs() <= cfg.bisect_tol && (hi - lo) <= bracket_goal {
+            if zmid.abs() <= BISECT_TOL && (hi - lo) <= bracket_goal {
                 break;
             }
             if zmid * zlo < 0.0 {

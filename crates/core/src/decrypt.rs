@@ -605,7 +605,6 @@ impl Decryptor {
                             &free_with(&unresolved),
                             &st.warm,
                             &cfg.learning,
-                            cfg.input_scale,
                             rng,
                         )
                     });
@@ -690,7 +689,6 @@ impl Decryptor {
                             &free_with(&unresolved),
                             &LearnedMultipliers::new(),
                             &cfg.learning,
-                            cfg.input_scale,
                             rng,
                         )
                     });

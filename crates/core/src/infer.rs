@@ -23,6 +23,13 @@ use relock_tensor::linalg::preimage;
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
 
+/// Residual above which the least-squares pre-image of a basis vector
+/// does not exist (§3.3 lines 7–8): Algorithm 1 returns ⊥ for it.
+const PREIMAGE_TOL: f64 = 1e-6;
+/// ε is quartered until the probe stays in its linear region; below
+/// this the attempt is abandoned.
+const EPSILON_MIN: f64 = 1e-7;
+
 /// Per-site outcomes of one layer's Algorithm-1 pass: `(slot, inferred
 /// bit)`, with `None` for the paper's ⊥. Checkpoints serialize this so a
 /// resumed attack can skip the pass instead of re-querying it.
@@ -150,7 +157,7 @@ pub(crate) fn site_probe_with(
     let p = g.input_size();
     // Expansive layer: Â (d_i × P) cannot be onto, no basis pre-image
     // exists (§3.4). Skip the expensive Jacobian outright.
-    if cfg.skip_expansive && d_i > p {
+    if d_i > p {
         return None;
     }
     let elem = site.scalar_index();
@@ -164,7 +171,7 @@ pub(crate) fn site_probe_with(
         g.forward_partial_into(ws, &cp.x, keys, pre_node);
         let jac = g.input_jacobian_into(ws, pre_node, keys);
         let e = Tensor::basis(d_i, elem);
-        let Some(pre) = preimage(&jac, &e, cfg.preimage_tol) else {
+        let Some(pre) = preimage(&jac, &e, PREIMAGE_TOL) else {
             // No pre-image in this region; a different region might still
             // work (different masks), so retry with a fresh witness.
             continue;
@@ -174,7 +181,7 @@ pub(crate) fn site_probe_with(
             // Ablation A2: add a null-space component. The perturbed v
             // still satisfies Âv = e but is no longer minimum-norm.
             let w = rng.normal_tensor([p]).scale(v.norm().max(1.0));
-            if let Some(back) = preimage(&jac, &jac.matvec(&w), cfg.preimage_tol) {
+            if let Some(back) = preimage(&jac, &jac.matvec(&w), PREIMAGE_TOL) {
                 let mut null = w;
                 null.axpy(-1.0, &back.v);
                 v.axpy(cfg.preimage_perturbation, &null);
@@ -185,7 +192,7 @@ pub(crate) fn site_probe_with(
         // and actually moves the target pre-activation by ±ε.
         let sig0 = region_signature(g, ws, keys, &cp.x, pre_node);
         let mut eps = cfg.epsilon;
-        while eps >= cfg.epsilon_min {
+        while eps >= EPSILON_MIN {
             let mut xp = cp.x.clone();
             xp.axpy(eps, &v);
             let mut xm = cp.x.clone();
@@ -433,7 +440,7 @@ mod tests {
                 None
             );
         }
-        // skip_expansive means zero oracle traffic was spent.
+        // The expansive layer is skipped: zero oracle traffic was spent.
         assert_eq!(oracle.query_count(), 0);
     }
 

@@ -8,7 +8,7 @@
 //! multiplier reaches the confidence threshold are *settled* (frozen to
 //! ±1) during training, exactly as §4.1 describes.
 
-use crate::config::LearningConfig;
+use crate::config::{LearningConfig, INPUT_SCALE};
 use crate::probs::{looks_like_probabilities, softmax_rows, softmax_vjp_rows};
 use relock_graph::{Graph, KeyAssignment, KeySlot, Workspace};
 use relock_locking::Oracle;
@@ -21,6 +21,12 @@ use std::collections::BTreeMap;
 /// confidence level, which drives `error_correction`'s flip order. Slot
 /// order makes a map's checkpoint bytes a function of its contents.
 pub type LearnedMultipliers = BTreeMap<KeySlot, f64>;
+
+/// Adam learning rate on the key logits θ (multiplier = tanh θ).
+pub(crate) const LEARNING_RATE: f64 = 0.08;
+/// |multiplier| at which a key bit is *settled* (frozen to ±1) during
+/// training — the paper's confidence threshold.
+const CONFIDENCE: f64 = 0.95;
 
 fn atanh_clamped(m: f64) -> f64 {
     let c = m.clamp(-0.985, 0.985);
@@ -38,8 +44,10 @@ fn atanh_clamped(m: f64) -> f64 {
 ///   re-runs the attack layer by layer; warm starting makes later layers
 ///   cheap).
 ///
+/// Training samples are drawn at the attacks' fixed input scale, θ moves
+/// at Adam rate 0.08, and a bit settles once `|tanh θ| ≥ 0.95`.
+///
 /// Returns the final multiplier per free slot.
-#[allow(clippy::too_many_arguments)] // mirrors the paper's procedure signature
 pub fn learning_attack(
     g: &Graph,
     oracle: &dyn Oracle,
@@ -47,7 +55,6 @@ pub fn learning_attack(
     free_slots: &[KeySlot],
     warm_start: &LearnedMultipliers,
     cfg: &LearningConfig,
-    input_scale: f64,
     rng: &mut Prng,
 ) -> LearnedMultipliers {
     let p = g.input_size();
@@ -91,7 +98,7 @@ pub fn learning_attack(
     if samples == 0 {
         return fallback();
     }
-    let x = rng.normal_tensor([samples, p]).scale(input_scale);
+    let x = rng.normal_tensor([samples, p]).scale(INPUT_SCALE);
     let Ok(y) = oracle.try_query_batch(&x) else {
         return fallback();
     };
@@ -159,7 +166,7 @@ pub fn learning_attack(
                 let dtheta = dm * (1.0 - m * m);
                 m1[i] = b1 * m1[i] + (1.0 - b1) * dtheta;
                 m2[i] = b2 * m2[i] + (1.0 - b2) * dtheta * dtheta;
-                theta[i] -= cfg.lr * (m1[i] / bc1) / ((m2[i] / bc2).sqrt() + eps);
+                theta[i] -= LEARNING_RATE * (m1[i] / bc1) / ((m2[i] / bc2).sqrt() + eps);
                 ka.set(*slot, theta[i].tanh());
             }
         }
@@ -168,7 +175,7 @@ pub fn learning_attack(
         // Settle confident bits (freeze to ±1).
         let mut newly_settled = false;
         for (i, slot) in free_slots.iter().enumerate() {
-            if !settled[i] && theta[i].tanh().abs() >= cfg.confidence {
+            if !settled[i] && theta[i].tanh().abs() >= CONFIDENCE {
                 settled[i] = true;
                 newly_settled = true;
                 ka.set(*slot, theta[i].tanh().signum());
@@ -246,7 +253,6 @@ mod tests {
             &free,
             &LearnedMultipliers::new(),
             &cfg,
-            2.0,
             &mut arng,
         );
         let bits = round_to_bits(&learned);
@@ -262,7 +268,7 @@ mod tests {
             "learning attack recovered only {correct}/6 bits: {learned:?}"
         );
         for (slot, &m) in &learned {
-            if m.abs() >= cfg.confidence {
+            if m.abs() >= CONFIDENCE {
                 assert_eq!(
                     m < 0.0,
                     model.true_key().bit(slot.index()),
@@ -301,7 +307,6 @@ mod tests {
             &free,
             &LearnedMultipliers::new(),
             &LearningConfig::default(),
-            2.0,
             &mut arng,
         );
         assert!(!learned.contains_key(&sites[0].slot));
@@ -329,7 +334,6 @@ mod tests {
             &[],
             &LearnedMultipliers::new(),
             &LearningConfig::default(),
-            1.0,
             &mut Prng::seed_from_u64(115),
         );
         assert!(out.is_empty());

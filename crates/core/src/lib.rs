@@ -87,14 +87,15 @@ pub use decrypt::{
 pub use error::AttackError;
 pub use infer::{key_bit_inference, InferredBits};
 pub use learning::{learning_attack, round_to_bits, LearnedMultipliers};
-pub use monolithic::{MonolithicAttack, MonolithicConfig, MonolithicReport};
+pub use monolithic::{MonolithicAttack, MonolithicReport};
 pub use oracleless::{
-    neuroevolution_key_search, weight_site_features, weight_stats_attack, EvolutionConfig,
-    OracleLessReport, WeightStatsClassifier, WEIGHT_FEATURES,
+    neuroevolution_key_search, weight_site_features, weight_stats_attack, OracleLessReport,
+    WeightStatsClassifier, WEIGHT_FEATURES,
 };
-pub use sampling::{sampling_key_search, SamplingConfig, SamplingReport};
+pub use sampling::{sampling_key_search, SamplingReport};
 pub use telemetry::{Procedure, QueryStats, QueryStatsSnapshot, ScopeCounts, TimingBreakdown};
 pub use validate::{
     key_vector_validation, key_vector_validation_checked_with, ValidationTarget, ValidationVerdict,
+    VALIDATION_DIRECTIONS, VALIDATION_MAJORITY, WITNESS_ATTEMPTS,
 };
 pub use weightlock::{weight_lock_attack, WeightLockReport};

@@ -17,32 +17,6 @@ use relock_tensor::rng::Prng;
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-/// Configuration of the monolithic baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct MonolithicConfig {
-    /// Learning hyper-parameters (typically with a larger sample budget
-    /// than the per-layer attack, matching the paper's 1k–10k queries).
-    pub learning: LearningConfig,
-    /// Standard deviation of the random query inputs.
-    pub input_scale: f64,
-}
-
-impl Default for MonolithicConfig {
-    fn default() -> Self {
-        MonolithicConfig {
-            learning: LearningConfig {
-                samples: 1000,
-                batch: 32,
-                epochs: 120,
-                lr: 0.08,
-                confidence: 0.95,
-                patience: 20,
-            },
-            input_scale: 3.0,
-        }
-    }
-}
-
 /// Outcome of the monolithic attack.
 #[derive(Debug, Clone)]
 pub struct MonolithicReport {
@@ -59,14 +33,15 @@ pub struct MonolithicReport {
 }
 
 /// The monolithic learning-based attack.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MonolithicAttack {
-    cfg: MonolithicConfig,
+    cfg: LearningConfig,
 }
 
 impl MonolithicAttack {
-    /// Creates the attack with the given configuration.
-    pub fn new(cfg: MonolithicConfig) -> Self {
+    /// Creates the attack with the given learning budgets, typically
+    /// [`LearningConfig::monolithic`].
+    pub fn new(cfg: LearningConfig) -> Self {
         MonolithicAttack { cfg }
     }
 
@@ -101,8 +76,7 @@ impl MonolithicAttack {
             &BTreeMap::new(),
             &free,
             &LearnedMultipliers::new(),
-            &self.cfg.learning,
-            self.cfg.input_scale,
+            &self.cfg,
             rng,
         );
         let bits_map = round_to_bits(&learned);
@@ -145,13 +119,10 @@ mod tests {
         )
         .unwrap();
         let oracle = CountingOracle::new(&model);
-        let cfg = MonolithicConfig {
-            learning: LearningConfig {
-                samples: 200,
-                epochs: 100,
-                ..LearningConfig::default()
-            },
-            input_scale: 2.0,
+        let cfg = LearningConfig {
+            samples: 200,
+            epochs: 100,
+            ..LearningConfig::default()
         };
         let report = MonolithicAttack::new(cfg).run(
             model.white_box(),

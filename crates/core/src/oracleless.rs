@@ -14,7 +14,8 @@
 //! chance on such victims, and the matrix reports that number instead of
 //! hiding it.
 
-use crate::config::LearningConfig;
+use crate::config::{LearningConfig, INPUT_SCALE};
+use crate::learning::LEARNING_RATE;
 use relock_graph::{Graph, Op};
 use relock_locking::Key;
 use relock_tensor::rng::Prng;
@@ -149,7 +150,8 @@ pub struct OracleLessReport {
 
 /// Runs the weight-statistics classifier end to end: harvest features and
 /// labels from attacker-built `(white_box, known_key)` training models,
-/// fit, and predict the victim's key.
+/// fit for `cfg.epochs` at the learning attack's rate, and predict the
+/// victim's key.
 pub fn weight_stats_attack(
     victim: &Graph,
     training: &[(&Graph, &Key)],
@@ -161,7 +163,7 @@ pub fn weight_stats_attack(
             examples.push((x, key.bit(slot)));
         }
     }
-    let clf = WeightStatsClassifier::train(&examples, cfg.epochs, cfg.lr);
+    let clf = WeightStatsClassifier::train(&examples, cfg.epochs, LEARNING_RATE);
     let train_acc = if examples.is_empty() {
         0.5
     } else {
@@ -178,35 +180,16 @@ pub fn weight_stats_attack(
     }
 }
 
-/// Budgets of the neuroevolutionary search.
-#[derive(Debug, Clone, Copy)]
-pub struct EvolutionConfig {
-    /// Population size.
-    pub population: usize,
-    /// Generations evolved.
-    pub generations: usize,
-    /// Random white-box inputs the confidence fitness is averaged over.
-    pub samples: usize,
-    /// Standard deviation of those inputs.
-    pub input_scale: f64,
-    /// Per-bit mutation probability.
-    pub mutation_rate: f64,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-}
-
-impl Default for EvolutionConfig {
-    fn default() -> Self {
-        EvolutionConfig {
-            population: 16,
-            generations: 20,
-            samples: 32,
-            input_scale: 3.0,
-            mutation_rate: 0.1,
-            tournament: 3,
-        }
-    }
-}
+/// Population size of the neuroevolutionary search.
+const POPULATION: usize = 16;
+/// Generations it evolves.
+const GENERATIONS: usize = 20;
+/// Random white-box inputs its confidence fitness is averaged over.
+const FITNESS_SAMPLES: usize = 32;
+/// Per-bit mutation probability.
+const MUTATION_RATE: f64 = 0.1;
+/// Tournament size for parent selection.
+const TOURNAMENT: usize = 3;
 
 /// Mean top-class softmax confidence of the white-box under `key` over a
 /// fixed probe batch — the Sisejkovic-style proxy fitness: a wrong key is
@@ -226,23 +209,20 @@ fn confidence_fitness(white_box: &Graph, probes: &Tensor, key: &Key) -> f64 {
 
 /// Seeded neuroevolutionary key search (zero oracle queries).
 ///
-/// Evolves a population of candidate keys under tournament selection,
-/// uniform crossover and per-bit mutation, scoring each candidate by
-/// white-box confidence (the mean top-class softmax probability) on a
-/// fixed random probe batch. Sequential and fully determined by `rng`;
-/// ties keep the earlier individual.
-pub fn neuroevolution_key_search(
-    white_box: &Graph,
-    cfg: &EvolutionConfig,
-    rng: &mut Prng,
-) -> OracleLessReport {
+/// Evolves a population of 16 candidate keys for 20 generations under
+/// 3-way tournament selection, uniform crossover and 10% per-bit
+/// mutation, scoring each candidate by white-box confidence (the mean
+/// top-class softmax probability) on a fixed batch of 32 random probes.
+/// Sequential and fully determined by `rng`; ties keep the earlier
+/// individual.
+pub fn neuroevolution_key_search(white_box: &Graph, rng: &mut Prng) -> OracleLessReport {
     let n = white_box.key_slot_count();
     let probes = rng
-        .normal_tensor([cfg.samples.max(1), white_box.input_size()])
-        .scale(cfg.input_scale);
+        .normal_tensor([FITNESS_SAMPLES, white_box.input_size()])
+        .scale(INPUT_SCALE);
     let score = |k: &Key| confidence_fitness(white_box, &probes, k);
 
-    let mut pop: Vec<(Key, f64)> = (0..cfg.population.max(2))
+    let mut pop: Vec<(Key, f64)> = (0..POPULATION)
         .map(|_| {
             let k = Key::random(n, rng);
             let f = score(&k);
@@ -258,13 +238,13 @@ pub fn neuroevolution_key_search(
         }
         bi
     };
-    for _ in 0..cfg.generations {
+    for _ in 0..GENERATIONS {
         let elite = pop[best_of(&pop)].clone();
         let mut next = vec![elite];
         while next.len() < pop.len() {
             let pick = |rng: &mut Prng| {
                 let mut best = rng.below(pop.len());
-                for _ in 1..cfg.tournament.max(1) {
+                for _ in 1..TOURNAMENT {
                     let c = rng.below(pop.len());
                     if pop[c].1 > pop[best].1 {
                         best = c;
@@ -277,7 +257,7 @@ pub fn neuroevolution_key_search(
             for i in 0..n {
                 let parent = if rng.flip() { a } else { b };
                 let mut bit = pop[parent].0.bit(i);
-                if rng.uniform() < cfg.mutation_rate {
+                if rng.uniform() < MUTATION_RATE {
                     bit = !bit;
                 }
                 bits.push(bit);
@@ -359,12 +339,8 @@ mod tests {
     fn neuroevolution_is_deterministic_and_query_free() {
         let mut rng = Prng::seed_from_u64(72);
         let m = build_mlp(&spec(), LockSpec::antisat(6), &mut rng).unwrap();
-        let cfg = EvolutionConfig {
-            generations: 5,
-            ..EvolutionConfig::default()
-        };
-        let a = neuroevolution_key_search(m.white_box(), &cfg, &mut Prng::seed_from_u64(12));
-        let b = neuroevolution_key_search(m.white_box(), &cfg, &mut Prng::seed_from_u64(12));
+        let a = neuroevolution_key_search(m.white_box(), &mut Prng::seed_from_u64(12));
+        let b = neuroevolution_key_search(m.white_box(), &mut Prng::seed_from_u64(12));
         assert_eq!(a.key.bits(), b.key.bits());
         assert_eq!(a.queries, 0);
         assert!(a.score > 0.0 && a.score <= 1.0);

@@ -16,49 +16,17 @@
 //! correct only by chance — which is exactly the point the lock-variant ×
 //! attack matrix makes.
 
-use crate::config::AttackConfig;
+use crate::config::{AttackConfig, INPUT_SCALE};
 use relock_graph::Graph;
 use relock_locking::{Key, Oracle};
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
 
-/// Budgets of the sampling search. Deliberately tiny: the probe set is
-/// queried in a single batch and the climb is pure white-box compute.
-#[derive(Debug, Clone, Copy)]
-pub struct SamplingConfig {
-    /// Number of random probe inputs labelled by the oracle.
-    pub probes: usize,
-    /// Standard deviation of the probe distribution.
-    pub input_scale: f64,
-    /// Independent restarts of the greedy climb (best key wins; ties keep
-    /// the earlier restart so the result is deterministic).
-    pub restarts: usize,
-    /// Full passes over the key bits per restart.
-    pub sweeps: usize,
-}
-
-impl Default for SamplingConfig {
-    fn default() -> Self {
-        SamplingConfig {
-            probes: 64,
-            input_scale: 3.0,
-            restarts: 4,
-            sweeps: 3,
-        }
-    }
-}
-
-impl SamplingConfig {
-    /// Derives the sampling budgets from an [`AttackConfig`] so CLI flags
-    /// like `--fast` shape this attack too.
-    pub fn from_attack(cfg: &AttackConfig) -> Self {
-        SamplingConfig {
-            probes: cfg.learning.samples.clamp(16, 256),
-            input_scale: cfg.input_scale,
-            ..SamplingConfig::default()
-        }
-    }
-}
+/// Independent restarts of the greedy climb (best key wins; ties keep the
+/// earlier restart so the result is deterministic).
+const RESTARTS: usize = 4;
+/// Full passes over the key bits per restart.
+const SWEEPS: usize = 3;
 
 /// Outcome of [`sampling_key_search`].
 #[derive(Debug, Clone)]
@@ -102,33 +70,36 @@ fn fitness(white_box: &Graph, probes: &Tensor, labels: &[usize], key: &Key) -> u
 /// Greedy bit-flip key search against a one-shot batch of oracle-labelled
 /// probes.
 ///
-/// Draws `cfg.probes` random inputs, labels them with a single
-/// [`Oracle::query_batch`], then runs `cfg.restarts` greedy climbs from
-/// random starting keys: each sweep visits every bit in slot order and
-/// keeps a flip only when it strictly improves argmax agreement with the
-/// oracle. Entirely sequential and seeded, so the recovered key and the
-/// query count are byte-identical regardless of `RELOCK_THREADS` or the
-/// worker topology.
+/// Draws one random probe per learning sample (`cfg.learning.samples`,
+/// clamped to 16..=256, so `--fast` shapes this attack too), labels them
+/// with a single [`Oracle::query_batch`], then runs 4 greedy climbs from
+/// random starting keys: each of up to 3 sweeps visits every bit in slot
+/// order and keeps a flip only when it strictly improves argmax agreement
+/// with the oracle. The budgets are deliberately tiny: the climb is pure
+/// white-box compute. Entirely sequential and seeded, so the recovered key
+/// and the query count are byte-identical regardless of `RELOCK_THREADS`
+/// or the worker topology.
 pub fn sampling_key_search<O: Oracle>(
     white_box: &Graph,
     oracle: &O,
-    cfg: &SamplingConfig,
+    cfg: &AttackConfig,
     rng: &mut Prng,
 ) -> SamplingReport {
     let n = white_box.key_slot_count();
+    let n_probes = cfg.learning.samples.clamp(16, 256);
     let probes = rng
-        .normal_tensor([cfg.probes.max(1), white_box.input_size()])
-        .scale(cfg.input_scale);
+        .normal_tensor([n_probes, white_box.input_size()])
+        .scale(INPUT_SCALE);
     let before = oracle.query_count();
     let labels = argmax_rows(&oracle.query_batch(&probes));
     let queries = oracle.query_count() - before;
 
     let mut best_key = Key::zeros(n);
     let mut best_fit = fitness(white_box, &probes, &labels, &best_key);
-    for _ in 0..cfg.restarts {
+    for _ in 0..RESTARTS {
         let mut key = Key::random(n, rng);
         let mut fit = fitness(white_box, &probes, &labels, &key);
-        for _ in 0..cfg.sweeps {
+        for _ in 0..SWEEPS {
             let mut improved = false;
             for bit in 0..n {
                 key.flip_bit(bit);
@@ -152,15 +123,27 @@ pub fn sampling_key_search<O: Oracle>(
     SamplingReport {
         key: best_key,
         queries,
-        agreement: best_fit as f64 / cfg.probes.max(1) as f64,
+        agreement: best_fit as f64 / n_probes as f64,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LearningConfig;
     use relock_locking::{CountingOracle, LockSpec};
     use relock_nn::{build_mlp, MlpSpec};
+
+    /// 64 probes.
+    fn cfg() -> AttackConfig {
+        AttackConfig {
+            learning: LearningConfig {
+                samples: 64,
+                ..LearningConfig::default()
+            },
+            ..AttackConfig::default()
+        }
+    }
 
     fn spec() -> MlpSpec {
         MlpSpec {
@@ -175,12 +158,11 @@ mod tests {
         let mut rng = Prng::seed_from_u64(60);
         let m = build_mlp(&spec(), LockSpec::sar(8), &mut rng).unwrap();
         let oracle = CountingOracle::new(&m);
-        let cfg = SamplingConfig::default();
-        let a = sampling_key_search(m.white_box(), &oracle, &cfg, &mut Prng::seed_from_u64(9));
-        let b = sampling_key_search(m.white_box(), &oracle, &cfg, &mut Prng::seed_from_u64(9));
+        let a = sampling_key_search(m.white_box(), &oracle, &cfg(), &mut Prng::seed_from_u64(9));
+        let b = sampling_key_search(m.white_box(), &oracle, &cfg(), &mut Prng::seed_from_u64(9));
         assert_eq!(a.key.bits(), b.key.bits());
         assert_eq!(a.queries, b.queries);
-        assert_eq!(a.queries, cfg.probes as u64);
+        assert_eq!(a.queries, 64);
     }
 
     #[test]
@@ -188,12 +170,8 @@ mod tests {
         let mut rng = Prng::seed_from_u64(61);
         let m = build_mlp(&spec(), LockSpec::evenly(6), &mut rng).unwrap();
         let oracle = CountingOracle::new(&m);
-        let report = sampling_key_search(
-            m.white_box(),
-            &oracle,
-            &SamplingConfig::default(),
-            &mut Prng::seed_from_u64(10),
-        );
+        let report =
+            sampling_key_search(m.white_box(), &oracle, &cfg(), &mut Prng::seed_from_u64(10));
         // Sign locks corrupt roughly half the input space per wrong bit, so
         // random probes carry plenty of signal.
         assert!(report.agreement >= 0.9, "agreement {}", report.agreement);
@@ -204,12 +182,8 @@ mod tests {
         let mut rng = Prng::seed_from_u64(62);
         let m = build_mlp(&spec(), LockSpec::sar(10), &mut rng).unwrap();
         let oracle = CountingOracle::new(&m);
-        let report = sampling_key_search(
-            m.white_box(),
-            &oracle,
-            &SamplingConfig::default(),
-            &mut Prng::seed_from_u64(11),
-        );
+        let report =
+            sampling_key_search(m.white_box(), &oracle, &cfg(), &mut Prng::seed_from_u64(11));
         // A wrong key corrupts only 2 of 2^10 sign patterns: the probes all
         // agree regardless of the key, so agreement is perfect even though
         // the key itself is (almost surely) wrong.

@@ -11,7 +11,7 @@
 
 use crate::config::AttackConfig;
 use crate::critical::search_critical_point_with;
-use crate::validate::oracle_kink_at;
+use crate::validate::{oracle_kink_at, WITNESS_ATTEMPTS};
 use relock_graph::{Graph, KeyAssignment, KeySlot, NodeId, Op, Workspace};
 use relock_locking::{Key, Oracle};
 use relock_tensor::rng::Prng;
@@ -73,7 +73,7 @@ pub fn weight_lock_attack(
             // not carry the vote).
             let mut confirms = 0usize;
             let mut probes = 0usize;
-            for _ in 0..(2 * cfg.witness_attempts) {
+            for _ in 0..(2 * WITNESS_ATTEMPTS) {
                 let Some(cp) = search_critical_point_with(g, &mut ws, &ka, node, row, cfg, rng)
                 else {
                     break;

@@ -17,7 +17,7 @@
 
 use relock_attack::testutil::normalize_frame;
 use relock_attack::{
-    AttackConfig, Decryptor, MemoryCheckpointSink, MonolithicAttack, MonolithicConfig,
+    AttackConfig, Decryptor, LearningConfig, MemoryCheckpointSink, MonolithicAttack,
 };
 use relock_locking::{CountingOracle, Key, LockSpec, LockedModel};
 use relock_nn::{build_mlp, MlpSpec};
@@ -65,12 +65,11 @@ fn decryption_under(scalar: bool, model: &LockedModel) -> (Key, u64, Vec<u8>) {
 fn monolithic_under(scalar: bool, model: &LockedModel) -> (Key, u64, Vec<u64>) {
     force_scalar(scalar);
     let oracle = CountingOracle::new(model);
-    let mut cfg = MonolithicConfig {
-        input_scale: 2.0,
-        ..MonolithicConfig::default()
+    let cfg = LearningConfig {
+        samples: 96,
+        epochs: 30,
+        ..LearningConfig::monolithic()
     };
-    cfg.learning.samples = 96;
-    cfg.learning.epochs = 30;
     let report =
         MonolithicAttack::new(cfg).run(model.white_box(), &oracle, &mut Prng::seed_from_u64(7102));
     force_scalar(false);

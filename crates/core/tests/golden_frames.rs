@@ -7,10 +7,18 @@
 //! passes them. These digests do not move with the build: a failure here
 //! means the bytes a resumed run reads from an older binary's frames have
 //! changed, which requires a `CHECKPOINT_VERSION` bump.
+//!
+//! The searches that write no frames (the monolithic baseline, the
+//! sampling search and the neuroevolution) are pinned the same way, on
+//! their key plus the bits of their score or multipliers: a failure there
+//! means a fixed budget or tolerance moved.
 
-use relock_attack::testutil::{lenet_victim, mlp16_victim, run_threads};
-use relock_attack::AttackConfig;
-use relock_locking::LockedModel;
+use relock_attack::testutil::{lenet_victim, mlp16_victim, run_threads, variant_victim};
+use relock_attack::{
+    neuroevolution_key_search, sampling_key_search, AttackConfig, LearningConfig, MonolithicAttack,
+};
+use relock_locking::{CountingOracle, Key, LockVariant, LockedModel};
+use relock_tensor::rng::Prng;
 
 /// FNV-1a over every frame, each prefixed by its length so frame
 /// boundaries count.
@@ -71,4 +79,81 @@ fn learning_only_mlp16_history_is_pinned() {
         ..AttackConfig::fast()
     };
     assert_pinned(&mlp16_victim(), cfg, 732, 267, 0xb482_b9c3_e227_d9ac);
+}
+
+/// The default configuration runs every tolerance and budget the fast
+/// one shares plus its own larger budgets, so its history pins them all.
+#[test]
+fn mlp16_default_history_is_pinned() {
+    assert_pinned(
+        &mlp16_victim(),
+        AttackConfig::default(),
+        703,
+        6,
+        0xb11f_8348_155a_c696,
+    );
+}
+
+/// FNV-1a over a search's key bits, the bits of its score or
+/// multipliers, and its query count.
+fn search_digest(key: &Key, reals: &[f64], queries: u64) -> u64 {
+    let bits: Vec<u8> = key.bits().iter().map(|&b| u8::from(b)).collect();
+    let reals: Vec<u8> = reals
+        .iter()
+        .flat_map(|r| r.to_bits().to_le_bytes())
+        .collect();
+    history_digest(&[bits, reals, queries.to_le_bytes().to_vec()])
+}
+
+fn assert_search_pinned(what: &str, key: &Key, reals: &[f64], queries: u64, digest: u64) {
+    let got = search_digest(key, reals, queries);
+    assert_eq!(got, digest, "{what}: search moved (digest {got:#018x})");
+}
+
+#[test]
+fn monolithic_search_is_pinned() {
+    let model = mlp16_victim();
+    let report = MonolithicAttack::new(LearningConfig::monolithic()).run(
+        model.white_box(),
+        &CountingOracle::new(&model),
+        &mut Prng::seed_from_u64(704),
+    );
+    assert_search_pinned(
+        "monolithic",
+        &report.key,
+        &report.multipliers,
+        report.queries,
+        0x1e10_1a0b_a67a_e836,
+    );
+}
+
+#[test]
+fn sampling_search_is_pinned() {
+    let model = variant_victim(LockVariant::SarTrigger, 10, 770);
+    let report = sampling_key_search(
+        model.white_box(),
+        &CountingOracle::new(&model),
+        &AttackConfig::fast(),
+        &mut Prng::seed_from_u64(705),
+    );
+    assert_search_pinned(
+        "sampling",
+        &report.key,
+        &[report.agreement],
+        report.queries,
+        0x7a89_8d3c_a4ef_7470,
+    );
+}
+
+#[test]
+fn neuroevolution_search_is_pinned() {
+    let model = mlp16_victim();
+    let report = neuroevolution_key_search(model.white_box(), &mut Prng::seed_from_u64(706));
+    assert_search_pinned(
+        "neuroevolution",
+        &report.key,
+        &[report.score],
+        report.queries,
+        0xb9fe_007e_a0af_2b42,
+    );
 }

@@ -13,7 +13,8 @@
 use relock_attack::testutil::{layers, lenet_victim, row_multiset, variant_victim, Call, Recorder};
 use relock_attack::{
     key_vector_validation_checked_with, search_target_critical_point, AttackConfig, LocalExecutor,
-    PhaseExecutor, TargetScalar, ValidationTarget, ValidationVerdict,
+    PhaseExecutor, TargetScalar, ValidationTarget, ValidationVerdict, VALIDATION_DIRECTIONS,
+    VALIDATION_MAJORITY, WITNESS_ATTEMPTS,
 };
 use relock_graph::{Graph, KeyAssignment, KeySlot, LockSite, Workspace};
 use relock_locking::{LockVariant, LockedModel, Oracle, OracleError};
@@ -145,7 +146,7 @@ fn probe_witness(
 ) -> Result<Outcome, OracleError> {
     let mut informative = false;
     let mut o0 = None;
-    for d in 0..cfg.validation_directions {
+    for d in 0..VALIDATION_DIRECTIONS {
         let u = if d == 0 {
             first_dir.clone()
         } else {
@@ -195,11 +196,11 @@ fn probe_unit(
     let mut condemned = 0usize;
     for ka_h in &hypotheses {
         let mut scalars = Vec::new();
-        for _ in 0..cfg.witness_attempts {
+        for _ in 0..WITNESS_ATTEMPTS {
             scalars.push(TargetScalar::Element(elems[rng.below(elems.len())]));
         }
         if elems.len() > 1 {
-            for _ in 0..cfg.witness_attempts {
+            for _ in 0..WITNESS_ATTEMPTS {
                 let a = elems[rng.below(elems.len())];
                 let mut b = elems[rng.below(elems.len())];
                 if a == b {
@@ -245,7 +246,7 @@ fn probe_unit(
 /// The vote's thresholds: `(quota, pass_at, fail_at)`.
 fn thresholds(cfg: &AttackConfig) -> (usize, usize, usize) {
     let quota = cfg.validation_neurons;
-    let pass_at = (cfg.validation_majority * quota as f64).ceil() as usize;
+    let pass_at = (VALIDATION_MAJORITY * quota as f64).ceil() as usize;
     (quota, pass_at, quota - pass_at + 1)
 }
 
@@ -292,7 +293,7 @@ fn one_unit_at_a_time(
         ValidationVerdict::Fail
     } else if informative == 0 {
         ValidationVerdict::NoEvidence
-    } else if confirmed as f64 / informative as f64 >= cfg.validation_majority {
+    } else if confirmed as f64 / informative as f64 >= VALIDATION_MAJORITY {
         ValidationVerdict::Pass
     } else {
         ValidationVerdict::Fail

@@ -11,7 +11,6 @@
 use relock_attack::testutil::{run_threads, variant_victim};
 use relock_attack::{
     neuroevolution_key_search, sampling_key_search, weight_stats_attack, AttackConfig,
-    EvolutionConfig, SamplingConfig,
 };
 use relock_locking::{CountingOracle, Key, LockVariant};
 use relock_serve::{Broker, BrokerConfig};
@@ -58,7 +57,7 @@ fn decrypt_cells_are_thread_invariant_on_unit_locks() {
 fn sampling_cells_replay_identically_and_show_the_flat_landscape() {
     for (i, &variant) in TRIGGER_VARIANTS.iter().enumerate() {
         let model = variant_victim(variant, 10, 770 + i as u64);
-        let cfg = SamplingConfig::from_attack(&attack_cfg(variant));
+        let cfg = attack_cfg(variant);
         let run = |seed: u64| {
             let oracle = CountingOracle::new(&model);
             let broker = Broker::with_config(&oracle, BrokerConfig::default());
@@ -115,9 +114,8 @@ fn weight_stats_cells_are_query_free_and_deterministic() {
 fn neuroevolution_cells_are_query_free_and_deterministic() {
     for (i, &variant) in UNIT_VARIANTS.iter().chain(&TRIGGER_VARIANTS).enumerate() {
         let victim = variant_victim(variant, 10, 790 + i as u64);
-        let cfg = EvolutionConfig::default();
         let run = |seed: u64| {
-            neuroevolution_key_search(victim.white_box(), &cfg, &mut Prng::seed_from_u64(seed))
+            neuroevolution_key_search(victim.white_box(), &mut Prng::seed_from_u64(seed))
         };
         let a = run(791);
         let b = run(791);

@@ -77,6 +77,14 @@ fn read_usize(r: &mut impl Read) -> Result<usize, SerialError> {
     usize::try_from(read_u64(r)?).map_err(|_| SerialError::Corrupt("usize overflow".into()))
 }
 
+/// An empty vector for `n` items about to be decoded from untrusted bytes.
+/// It reserves at most 2^20 of them up front, so a forged count costs
+/// memory only for the items actually present; reading them must then
+/// fail at the end of the input.
+pub fn bounded_vec<T>(n: usize) -> Vec<T> {
+    Vec::with_capacity(n.min(1 << 20))
+}
+
 fn write_f64(w: &mut impl Write, v: f64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
@@ -116,7 +124,7 @@ fn read_tensor(r: &mut impl Read) -> Result<Tensor, SerialError> {
     if numel > (1 << 30) {
         return Err(SerialError::Corrupt("tensor too large".into()));
     }
-    let mut data = Vec::with_capacity(numel);
+    let mut data = bounded_vec(numel);
     for _ in 0..numel {
         data.push(read_f64(r)?);
     }
@@ -177,7 +185,7 @@ fn read_slots(r: &mut impl Read) -> Result<Vec<Option<KeySlot>>, SerialError> {
     if n > (1 << 24) {
         return Err(SerialError::Corrupt("slot list too large".into()));
     }
-    let mut out = Vec::with_capacity(n);
+    let mut out = bounded_vec(n);
     for _ in 0..n {
         let mut tag = [0u8; 1];
         r.read_exact(&mut tag)?;
@@ -335,7 +343,7 @@ fn read_op(r: &mut impl Read) -> Result<Op, SerialError> {
             if n > (1 << 24) {
                 return Err(SerialError::Corrupt("weight-lock list too large".into()));
             }
-            let mut weight_locks = Vec::with_capacity(n);
+            let mut weight_locks = bounded_vec(n);
             for _ in 0..n {
                 weight_locks.push(WeightLock {
                     row: read_usize(r)?,
@@ -401,7 +409,7 @@ fn read_op(r: &mut impl Read) -> Result<Op, SerialError> {
             if nd > (1 << 24) {
                 return Err(SerialError::Corrupt("trigger dim list too large".into()));
             }
-            let mut trigger_dims = Vec::with_capacity(nd);
+            let mut trigger_dims = bounded_vec(nd);
             for _ in 0..nd {
                 trigger_dims.push(read_usize(r)?);
             }
@@ -409,7 +417,7 @@ fn read_op(r: &mut impl Read) -> Result<Op, SerialError> {
             if ns > (1 << 24) {
                 return Err(SerialError::Corrupt("trigger slot list too large".into()));
             }
-            let mut slots = Vec::with_capacity(ns);
+            let mut slots = bounded_vec(ns);
             for _ in 0..ns {
                 slots.push(KeySlot(read_usize(r)?));
             }
@@ -421,7 +429,7 @@ fn read_op(r: &mut impl Read) -> Result<Op, SerialError> {
                     if nm > (1 << 24) {
                         return Err(SerialError::Corrupt("trigger mask too large".into()));
                     }
-                    let mut mask = Vec::with_capacity(nm);
+                    let mut mask = bounded_vec(nm);
                     for _ in 0..nm {
                         let mut b = [0u8; 1];
                         r.read_exact(&mut b)?;
@@ -497,7 +505,7 @@ impl Graph {
         let input = NodeId(read_usize(r)?);
         let output = NodeId(read_usize(r)?);
         let key_slots = read_usize(r)?;
-        let mut nodes: Vec<Node> = Vec::with_capacity(n);
+        let mut nodes: Vec<Node> = bounded_vec(n);
         for idx in 0..n {
             let op = read_op(r)?;
             let n_inputs = read_usize(r)?;

@@ -7,7 +7,7 @@
 //! query-complexity column of Table 1.
 
 use crate::key::Key;
-use relock_graph::{Graph, KeyAssignment, SerialError, WorkspacePool};
+use relock_graph::{bounded_vec, Graph, KeyAssignment, SerialError, WorkspacePool};
 use relock_tensor::Tensor;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -184,7 +184,7 @@ impl LockedModel {
                 graph.key_slot_count()
             )));
         }
-        let mut bits = Vec::with_capacity(n);
+        let mut bits = bounded_vec(n);
         for _ in 0..n {
             let mut b = [0u8; 1];
             r.read_exact(&mut b).map_err(SerialError::Io)?;

@@ -248,6 +248,15 @@ impl<O: Oracle> Broker<O> {
                 }
                 match self.flights.claim(key.clone()) {
                     Claim::Owner(guard) => {
+                        // An owner publishes before it completes its
+                        // flight, so a row finished between the lookup
+                        // above and this claim is cached: serve it (the
+                        // guard drops, completing an empty flight).
+                        if let Some(hit) = self.cache.get(&key) {
+                            hits += 1;
+                            resolved[r] = Some(hit);
+                            continue;
+                        }
                         guards.push(guard);
                         slot_of.insert(key.clone(), miss_keys.len());
                         owned_rows.push(r);

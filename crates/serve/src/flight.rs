@@ -13,7 +13,9 @@
 //! waiter. The owner dispatches the row, publishes the response to the
 //! memo cache, and *then* completes the flight; waiters wake, re-read the
 //! cache, and account the row as a cache hit — exactly what a sequential
-//! run would have recorded for the later of two identical queries.
+//! run would have recorded for the later of two identical queries. A new
+//! owner re-reads the cache before it dispatches: a flight that completed
+//! between its lookup and its claim has already published the row.
 //!
 //! **Failure path:** completion happens in the owner's [`FlightGuard`]
 //! drop, so a budget refusal, backend error, or panic still releases

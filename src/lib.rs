@@ -49,9 +49,9 @@ pub use relock_tensor as tensor;
 pub mod prelude {
     pub use relock_attack::{
         neuroevolution_key_search, sampling_key_search, weight_lock_attack, weight_stats_attack,
-        AttackConfig, AttackState, CheckpointSink, DecryptionReport, Decryptor, EvolutionConfig,
-        FileCheckpointSink, MemoryCheckpointSink, MonolithicAttack, MonolithicConfig,
-        OracleLessReport, Procedure, ResumeStatus, SamplingConfig, SamplingReport,
+        AttackConfig, AttackState, CheckpointSink, DecryptionReport, Decryptor, FileCheckpointSink,
+        LearningConfig, MemoryCheckpointSink, MonolithicAttack, OracleLessReport, Procedure,
+        ResumeStatus, SamplingReport,
     };
     pub use relock_data::{cifar_like, mnist_like, two_moons, Dataset};
     pub use relock_graph::{Graph, GraphBuilder, KeyAssignment, KeySlot, NodeId, Op};

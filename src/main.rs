@@ -59,7 +59,6 @@
 //! bit-identical either way (DESIGN.md §3g).
 
 use relock::prelude::*;
-use relock_attack::LearningConfig;
 use relock_campaign::{CampaignHub, Client, Request, ServerHandle};
 use relock_trace::json::Value;
 use relock_trace::FlightRecorder;
@@ -423,12 +422,9 @@ fn run_attack(args: &Args, trace: Option<&Arc<FlightRecorder>>, out: &mut dyn Wr
     };
     let mut rng = Prng::seed_from_u64(seed);
     if args.flag("monolithic").is_some() {
-        let report = MonolithicAttack::new(MonolithicConfig {
-            learning: LearningConfig {
-                samples: 300,
-                ..LearningConfig::default()
-            },
-            input_scale: 3.0,
+        let report = MonolithicAttack::new(LearningConfig {
+            samples: 300,
+            ..LearningConfig::default()
         })
         .run_brokered(
             model.white_box(),
@@ -491,12 +487,7 @@ fn run_attack(args: &Args, trace: Option<&Arc<FlightRecorder>>, out: &mut dyn Wr
             ..BrokerConfig::default()
         });
         let start = std::time::Instant::now();
-        let report = sampling_key_search(
-            model.white_box(),
-            &broker,
-            &SamplingConfig::from_attack(&cfg),
-            &mut rng,
-        );
+        let report = sampling_key_search(model.white_box(), &broker, &cfg, &mut rng);
         writeln!(out, "sampling key search ({} lock):", cfg.variant)?;
         writeln!(out, "  extracted key: {}", report.key)?;
         writeln!(

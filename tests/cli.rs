@@ -148,6 +148,45 @@ fn inspect_rejects_a_degenerate_conv_geometry() {
     }
 }
 
+/// A forged count reserves memory only for the items the file holds: a
+/// key of 2^40 bits, with the header's slot count and the trailing key
+/// length agreeing, is a typed load error (exit 1), never an allocation
+/// abort.
+#[test]
+fn inspect_rejects_a_key_longer_than_the_file() {
+    let model = scratch("mlp16.rlk");
+    let path = model.to_str().expect("utf-8 temp path");
+    let lock = relock(&[
+        "lock",
+        "--arch",
+        "mlp",
+        "--bits",
+        "16",
+        "--out",
+        path,
+        "--seed",
+        "1",
+        "--no-train",
+    ]);
+    assert!(lock.status.success(), "lock: {}", stderr(&lock));
+    let mut bytes = std::fs::read(&model).expect("read the model file");
+    let _ = std::fs::remove_file(&model);
+    // The header's key-slot count follows the magic, the version and
+    // three u64s; the key length precedes the 16 trailing key bytes.
+    let n = bytes.len();
+    for at in [36, n - 24] {
+        assert_eq!(bytes[at..at + 8], 16u64.to_le_bytes(), "byte {at}");
+        bytes[at..at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    }
+    let file = scratch("mlp16-key40.rlk");
+    std::fs::write(&file, &bytes).expect("write the patched model");
+    let out = relock(&["inspect", file.to_str().expect("utf-8 temp path")]);
+    let _ = std::fs::remove_file(&file);
+    let why = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{why}");
+    assert!(why.contains("i/o failure"), "{why}");
+}
+
 #[test]
 fn listed_flags_lock_and_attack() {
     let model = scratch("victim.rlk");

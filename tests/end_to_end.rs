@@ -122,14 +122,11 @@ fn decryption_beats_monolithic_on_expansive_victim() {
     Trainer::quick().fit(&mut model, &task, &mut rng);
 
     let mono_oracle = CountingOracle::new(&model);
-    let mono_cfg = MonolithicConfig {
-        learning: relock::attack::LearningConfig {
-            samples: 150,
-            epochs: 40,
-            patience: 8,
-            ..Default::default()
-        },
-        input_scale: 3.0,
+    let mono_cfg = LearningConfig {
+        samples: 150,
+        epochs: 40,
+        patience: 8,
+        ..Default::default()
     };
     let mono = MonolithicAttack::new(mono_cfg).run(
         model.white_box(),
