@@ -5,6 +5,7 @@
 //! cargo bench -p relock-bench --bench micro
 //! ```
 
+use relock_attack::testutil::lenet_victim;
 use relock_attack::{search_critical_point, AttackConfig};
 use relock_locking::{LockSpec, LockedModel};
 use relock_nn::{build_mlp, MlpSpec};
@@ -101,10 +102,39 @@ fn main() {
         ));
     });
 
+    // Behind the first `Linear`, which the line scan fills in closed form.
+    let last_site = *g.lock_sites().last().expect("locked");
+    let mut last_rng = Prng::seed_from_u64(506);
+    bench("search_critical_point_mlp_last", || {
+        std::hint::black_box(search_critical_point(
+            g,
+            &keys,
+            last_site.pre_node,
+            last_site.scalar_index(),
+            &cfg,
+            &mut last_rng,
+        ));
+    });
+
+    // At the first `Conv2d`, which the line scan fills in closed form.
+    let lenet = lenet_victim();
+    let (lg, lkeys) = (lenet.white_box(), lenet.true_key().to_assignment());
+    let conv_site = lg.lock_sites()[0];
+    let mut conv_rng = Prng::seed_from_u64(507);
+    bench("search_critical_point_lenet_conv1", || {
+        std::hint::black_box(search_critical_point(
+            lg,
+            &lkeys,
+            conv_site.pre_node,
+            conv_site.scalar_index(),
+            &cfg,
+            &mut conv_rng,
+        ));
+    });
+
     let mut jac_rng = Prng::seed_from_u64(503);
     let x1 = jac_rng.normal_tensor([64]);
     let acts = g.forward(&x1, &keys);
-    let last_site = *g.lock_sites().last().expect("locked");
     bench("input_jacobian_layer2_mlp", || {
         std::hint::black_box(g.input_jacobian(&acts, last_site.pre_node, &keys));
     });

@@ -151,7 +151,7 @@ pub fn run_matrix() -> Vec<MatrixCell> {
                 "decrypt" => oracle_guided(&victim, variant, seed + 3),
                 "wstats" => {
                     let cfg = attack_config(Arch::Mlp, Scale::Fast);
-                    let r = weight_stats_attack(victim.white_box(), &training, &cfg.learning);
+                    let r = weight_stats_attack(victim.white_box(), &training, cfg.learning.epochs);
                     (r.key, r.queries)
                 }
                 "neuroevo" => {

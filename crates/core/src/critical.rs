@@ -6,6 +6,17 @@
 //! along random lines, finds a sign change, and bisects it down to a
 //! witness `x°` with `|z(x°)| ≤ 1e-10`.
 //!
+//! The scan of a line runs through the graph's line pass
+//! ([`Graph::eval_line_into`]), which fills the input-fed affine layer in
+//! closed form and so agrees with a batch pass over the samples only up
+//! to rounding. The scan reads two things from its samples: the first
+//! adjacent pair with a strict sign change, and `max|z|`, which enters
+//! only the acceptance bound `|z_mid| ≤ 1e-7·max(1, max|z|)` that a
+//! converged bisection always meets. The bisection evaluates every
+//! midpoint with the exact single-point pass, so a witness's `x`, `z`
+//! and `crossing_dir` keep their bits unless a sample lies within
+//! rounding of the hyperplane.
+//!
 //! By Lemma 1 the hyperplane only depends on the (already decrypted) keys
 //! of *preceding* layers, so the adversary can run this entirely on the
 //! white-box network.
@@ -68,23 +79,6 @@ impl TargetScalar {
             TargetScalar::Diff(a, b) => row[*a] - row[*b],
         }
     }
-}
-
-/// Evaluates the target scalar at a batch of points through a reusable
-/// workspace (a rank-1 or rank-2 `points` both work).
-fn z_batch(
-    g: &Graph,
-    ws: &mut Workspace,
-    keys: &KeyAssignment,
-    pre_node: NodeId,
-    target: &TargetScalar,
-    points: &Tensor,
-) -> Vec<f64> {
-    let vals = g.eval_node_into(ws, points, keys, pre_node);
-    let (b, size) = (vals.dims()[0], vals.dims()[1]);
-    (0..b)
-        .map(|s| target.eval(&vals.as_slice()[s * size..(s + 1) * size]))
-        .collect()
 }
 
 /// Evaluates one element of a node's output at a single point.
@@ -180,28 +174,17 @@ pub fn search_target_critical_point_with(
     rng: &mut Prng,
 ) -> Option<CriticalPoint> {
     let p = g.input_size();
+    let n = cfg.line_samples;
+    let ts: Vec<f64> = (0..n)
+        .map(|i| -LINE_EXTENT + 2.0 * LINE_EXTENT * i as f64 / (n - 1) as f64)
+        .collect();
     for _ in 0..cfg.max_lines {
         let anchor = rng.normal_tensor([p]).scale(INPUT_SCALE);
         let dir = rng.unit_vector(p);
-        // Batched scan of the line.
-        let n = cfg.line_samples;
-        let mut pts = Vec::with_capacity(n * p);
-        let mut ts = Vec::with_capacity(n);
-        for i in 0..n {
-            let t = -LINE_EXTENT + 2.0 * LINE_EXTENT * i as f64 / (n - 1) as f64;
-            ts.push(t);
-            for d in 0..p {
-                pts.push(anchor.as_slice()[d] + t * dir.as_slice()[d]);
-            }
-        }
-        let zs = z_batch(
-            g,
-            ws,
-            keys,
-            pre_node,
-            target,
-            &Tensor::from_vec(pts, [n, p]),
-        );
+        // Scan the line in one pass; it reads only the samples' signs
+        // and their largest magnitude (see the module docs).
+        let vals = g.eval_line_into(ws, &anchor, &dir, &ts, keys, pre_node);
+        let zs: Vec<f64> = (0..n).map(|s| target.eval(vals.row(s))).collect();
         // Find the first adjacent strict sign change.
         let Some(seg) = (0..n - 1).find(|&i| zs[i] * zs[i + 1] < 0.0) else {
             continue;

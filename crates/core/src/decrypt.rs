@@ -19,7 +19,7 @@ use crate::checkpoint::{AttackState, CheckpointError, CheckpointSink, PhaseCut, 
 use crate::config::AttackConfig;
 use crate::correct::{correction_plan, EXHAUSTIVE_BITS};
 use crate::error::AttackError;
-use crate::infer::{infer_rounds, site_probe_with, InferredBits, SiteCursor};
+use crate::infer::{infer_rounds, shared_factor, site_probe_with, InferredBits, SiteCursor};
 use crate::learning::{learning_attack, LearnedMultipliers};
 use crate::telemetry::{Procedure, QueryStatsSnapshot, TimingBreakdown};
 use crate::validate::{key_vector_validation_checked_with, ValidationTarget, ValidationVerdict};
@@ -205,11 +205,13 @@ impl PhaseExecutor for LocalExecutor {
             .iter()
             .map(|r| SiteCursor::new(r.clone(), cfg))
             .collect();
+        let factor = shared_factor(g, ka, sites);
         infer_rounds(sites, &mut cursors, oracle, cfg, |round| {
             run_sharded(&self.pool, cfg.threads, round.len(), |j, ws| {
                 let (i, cursor) = &round[j];
                 let mut cursor = cursor.clone();
-                let probe = site_probe_with(g, ws, ka, &sites[*i], cfg, &mut cursor);
+                let probe =
+                    site_probe_with(g, ws, ka, &sites[*i], cfg, factor.as_ref(), &mut cursor);
                 (probe, cursor)
             })
         })

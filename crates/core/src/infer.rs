@@ -14,12 +14,17 @@
 //! answer to it. [`infer_rounds`] runs a layer's sites in lock-step
 //! rounds between the two halves, so a round costs one oracle batch no
 //! matter how many sites probe in it.
+//!
+//! When the sites' pre-node is a `Linear` fed by the input, `Â` is its
+//! effective weight at every witness, so a call factors it once
+//! ([`shared_factor`]) and every site and attempt solves against that
+//! factor; other pre-nodes factor the Jacobian at each witness.
 
 use crate::config::AttackConfig;
 use crate::critical::{search_critical_point_with, z_at};
 use relock_graph::{Graph, KeyAssignment, KeySlot, LockSite, NodeId, Op, Saved, Workspace};
 use relock_locking::{Oracle, OracleError};
-use relock_tensor::linalg::preimage;
+use relock_tensor::linalg::PreimageSolver;
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
 
@@ -111,55 +116,80 @@ pub fn key_bit_inference(
 ) -> Option<bool> {
     let mut ws = Workspace::new();
     let mut cursors = [SiteCursor::new(rng.clone(), cfg)];
-    let inferred = infer_rounds(
-        std::slice::from_ref(site),
-        &mut cursors,
-        oracle,
-        cfg,
-        |round| {
-            round
-                .iter()
-                .map(|(_, cursor)| {
-                    let mut cursor = cursor.clone();
-                    let probe = site_probe_with(g, &mut ws, keys, site, cfg, &mut cursor);
-                    (probe, cursor)
-                })
-                .collect()
-        },
-    );
+    let sites = std::slice::from_ref(site);
+    let factor = shared_factor(g, keys, sites);
+    let inferred = infer_rounds(sites, &mut cursors, oracle, cfg, |round| {
+        round
+            .iter()
+            .map(|(_, cursor)| {
+                let mut cursor = cursor.clone();
+                let probe =
+                    site_probe_with(g, &mut ws, keys, site, cfg, factor.as_ref(), &mut cursor);
+                (probe, cursor)
+            })
+            .collect()
+    });
     let [cursor] = cursors;
     *rng = cursor.rng;
     inferred[0].1
+}
+
+/// Whether Algorithm 1 can reach a pre-image at `site`. The algebraic
+/// step is specific to sign locks; other operators route to the learning
+/// attack (§3.9 reduction). On an expansive layer `Â` (`d_i × P`,
+/// `d_i > P`) cannot be onto, so no basis pre-image exists (§3.4).
+fn algebraic(g: &Graph, site: &LockSite) -> bool {
+    matches!(g.node(site.keyed_node).op, Op::KeyedSign { .. })
+        && g.node(site.pre_node).out_size <= g.input_size()
+}
+
+/// The factored `Â` of sites that share an input-fed `Linear` pre-node.
+/// There `Â` is the layer's effective weight at every witness (Formula
+/// 2's base case), so while the keys stay fixed one factor serves every
+/// site and attempt, read-only from any thread. `None` when the sites'
+/// pre-node is anything else, whose `Â` depends on the witness's masks,
+/// or when Algorithm 1 would not reach the pre-image.
+pub(crate) fn shared_factor(
+    g: &Graph,
+    keys: &KeyAssignment,
+    sites: &[LockSite],
+) -> Option<PreimageSolver> {
+    let pre_node = sites.first()?.pre_node;
+    if sites
+        .iter()
+        .any(|s| s.pre_node != pre_node || !algebraic(g, s))
+    {
+        return None;
+    }
+    g.input_linear_jacobian(pre_node, keys)
+        .map(PreimageSolver::new)
 }
 
 /// The white-box half of Algorithm 1: spends `cursor`'s attempts on a
 /// critical point, the Jacobian, the pre-image and the ε-search until one
 /// yields the `[3, P]` probe `[x°, x°+εv, x°−εv]`, or returns `None` (⊥)
 /// once the attempts are spent or the site cannot be attacked
-/// algebraically. Reads shared state (`g`, `keys`) and mutates only `ws`
-/// and `cursor`, so the sites of a layer compute their probes
-/// concurrently without synchronizing.
+/// algebraically. `factor` is the site's [`shared_factor`], when it has
+/// one; otherwise each witness factors its own Jacobian. Reads shared
+/// state (`g`, `keys`, `factor`) and mutates only `ws` and `cursor`, so
+/// the sites of a layer compute their probes concurrently without
+/// synchronizing.
 pub(crate) fn site_probe_with(
     g: &Graph,
     ws: &mut Workspace,
     keys: &KeyAssignment,
     site: &LockSite,
     cfg: &AttackConfig,
+    factor: Option<&PreimageSolver>,
     cursor: &mut SiteCursor,
 ) -> Option<Tensor> {
-    // The algebraic step is specific to sign locks; other operators route
-    // to the learning attack (§3.9 reduction).
-    if !matches!(g.node(site.keyed_node).op, Op::KeyedSign { .. }) {
+    // Skip the expensive Jacobian outright where no pre-image can exist.
+    if !algebraic(g, site) {
         return None;
     }
     let pre_node = site.pre_node;
     let d_i = g.node(pre_node).out_size;
     let p = g.input_size();
-    // Expansive layer: Â (d_i × P) cannot be onto, no basis pre-image
-    // exists (§3.4). Skip the expensive Jacobian outright.
-    if d_i > p {
-        return None;
-    }
     let elem = site.scalar_index();
     let rng = &mut cursor.rng;
 
@@ -168,10 +198,17 @@ pub(crate) fn site_probe_with(
         let Some(cp) = search_critical_point_with(g, ws, keys, pre_node, elem, cfg, rng) else {
             continue;
         };
-        g.forward_partial_into(ws, &cp.x, keys, pre_node);
-        let jac = g.input_jacobian_into(ws, pre_node, keys);
+        let own;
+        let solver = match factor {
+            Some(shared) => shared,
+            None => {
+                g.forward_partial_into(ws, &cp.x, keys, pre_node);
+                own = PreimageSolver::new(g.input_jacobian_into(ws, pre_node, keys));
+                &own
+            }
+        };
         let e = Tensor::basis(d_i, elem);
-        let Some(pre) = preimage(&jac, &e, PREIMAGE_TOL) else {
+        let Some(pre) = solver.solve(&e, PREIMAGE_TOL) else {
             // No pre-image in this region; a different region might still
             // work (different masks), so retry with a fresh witness.
             continue;
@@ -181,7 +218,7 @@ pub(crate) fn site_probe_with(
             // Ablation A2: add a null-space component. The perturbed v
             // still satisfies Âv = e but is no longer minimum-norm.
             let w = rng.normal_tensor([p]).scale(v.norm().max(1.0));
-            if let Some(back) = preimage(&jac, &jac.matvec(&w), PREIMAGE_TOL) {
+            if let Some(back) = solver.solve(&solver.matrix().matvec(&w), PREIMAGE_TOL) {
                 let mut null = w;
                 null.axpy(-1.0, &back.v);
                 v.axpy(cfg.preimage_perturbation, &null);

@@ -14,7 +14,7 @@
 //! chance on such victims, and the matrix reports that number instead of
 //! hiding it.
 
-use crate::config::{LearningConfig, INPUT_SCALE};
+use crate::config::INPUT_SCALE;
 use crate::learning::LEARNING_RATE;
 use relock_graph::{Graph, Op};
 use relock_locking::Key;
@@ -150,12 +150,12 @@ pub struct OracleLessReport {
 
 /// Runs the weight-statistics classifier end to end: harvest features and
 /// labels from attacker-built `(white_box, known_key)` training models,
-/// fit for `cfg.epochs` at the learning attack's rate, and predict the
+/// fit for `epochs` at the learning attack's rate, and predict the
 /// victim's key.
 pub fn weight_stats_attack(
     victim: &Graph,
     training: &[(&Graph, &Key)],
-    cfg: &LearningConfig,
+    epochs: usize,
 ) -> OracleLessReport {
     let mut examples = Vec::new();
     for (g, key) in training {
@@ -163,7 +163,7 @@ pub fn weight_stats_attack(
             examples.push((x, key.bit(slot)));
         }
     }
-    let clf = WeightStatsClassifier::train(&examples, cfg.epochs, LEARNING_RATE);
+    let clf = WeightStatsClassifier::train(&examples, epochs, LEARNING_RATE);
     let train_acc = if examples.is_empty() {
         0.5
     } else {
@@ -279,6 +279,7 @@ pub fn neuroevolution_key_search(white_box: &Graph, rng: &mut Prng) -> OracleLes
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::LearningConfig;
     use relock_locking::LockSpec;
     use relock_nn::{build_mlp, MlpSpec};
 
@@ -327,9 +328,9 @@ mod tests {
             (t1.white_box(), t1.true_key()),
             (t2.white_box(), t2.true_key()),
         ];
-        let cfg = LearningConfig::default();
-        let a = weight_stats_attack(victim.white_box(), &training, &cfg);
-        let b = weight_stats_attack(victim.white_box(), &training, &cfg);
+        let epochs = LearningConfig::default().epochs;
+        let a = weight_stats_attack(victim.white_box(), &training, epochs);
+        let b = weight_stats_attack(victim.white_box(), &training, epochs);
         assert_eq!(a.key.bits(), b.key.bits());
         assert_eq!(a.queries, 0);
         assert_eq!(a.key.len(), 6);

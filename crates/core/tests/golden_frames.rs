@@ -12,12 +12,22 @@
 //! sampling search and the neuroevolution) are pinned the same way, on
 //! their key plus the bits of their score or multipliers: a failure there
 //! means a fixed budget or tolerance moved.
+//!
+//! The §3.5 witnesses are pinned on their own, over victims the histories
+//! never reach (ResNet, ViT, weight and trigger locks): a failure there
+//! means a line scan picked another segment or a bisection moved a bit.
 
 use relock_attack::testutil::{lenet_victim, mlp16_victim, run_threads, variant_victim};
 use relock_attack::{
-    neuroevolution_key_search, sampling_key_search, AttackConfig, LearningConfig, MonolithicAttack,
+    neuroevolution_key_search, sampling_key_search, search_critical_point,
+    search_target_critical_point, AttackConfig, CriticalPoint, LearningConfig, MonolithicAttack,
+    TargetScalar,
 };
-use relock_locking::{CountingOracle, Key, LockVariant, LockedModel};
+use relock_graph::{Graph, NodeId, Op};
+use relock_locking::{CountingOracle, Key, LockSpec, LockVariant, LockedModel};
+use relock_nn::{
+    build_mlp_weight_locked, build_resnet, build_vit, MlpSpec, ResnetSpec, StageSpec, VitSpec,
+};
 use relock_tensor::rng::Prng;
 
 /// FNV-1a over every frame, each prefixed by its length so frame
@@ -155,5 +165,168 @@ fn neuroevolution_search_is_pinned() {
         &[report.score],
         report.queries,
         0xb9fe_007e_a0af_2b42,
+    );
+}
+
+/// The bits of one search's outcome: `x`, `z` and `crossing_dir`, or a
+/// one-byte marker for `None`.
+fn witness_bytes(cp: Option<CriticalPoint>) -> Vec<u8> {
+    let Some(cp) = cp else {
+        return vec![0xff];
+    };
+    let mut reals: Vec<f64> = cp.x.as_slice().to_vec();
+    reals.push(cp.z);
+    reals.extend_from_slice(cp.crossing_dir.as_slice());
+    reals
+        .iter()
+        .flat_map(|r| r.to_bits().to_le_bytes())
+        .collect()
+}
+
+/// The hyperplane surface of a keyed node: itself, or the residual `Add`
+/// join that consumes it.
+fn surface_of(g: &Graph, keyed: NodeId) -> NodeId {
+    let consumers = g.consumers();
+    let mut surface = keyed;
+    while let Some(&add) = consumers[surface.index()]
+        .iter()
+        .find(|c| matches!(g.node(**c).op, Op::Add))
+    {
+        surface = add;
+    }
+    surface
+}
+
+/// Every search the pin runs on one graph: `(node, element)` pre-node
+/// targets, then `(surface, elements)` pairs for the target scalars.
+#[allow(clippy::type_complexity)]
+fn search_targets(g: &Graph) -> (Vec<(NodeId, usize)>, Vec<(NodeId, Vec<usize>)>) {
+    let mut pre = Vec::new();
+    let mut surfaces = Vec::new();
+    for site in g.lock_sites() {
+        pre.push((site.pre_node, site.scalar_index()));
+    }
+    for (idx, node) in g.nodes().iter().enumerate() {
+        let id = NodeId(idx);
+        match &node.op {
+            Op::KeyedSign { layout, slots } | Op::KeyedScale { layout, slots, .. } => {
+                let Some(u) = slots.iter().position(Option::is_some) else {
+                    continue;
+                };
+                let mut elems: Vec<usize> = layout.unit_elements(u).collect();
+                if elems.len() < 2 {
+                    elems.push((elems[0] + 1) % node.out_size);
+                }
+                surfaces.push((surface_of(g, id), elems));
+            }
+            Op::KeyedTrigger { .. } => {
+                pre.push((node.inputs[0], 0));
+                surfaces.push((id, vec![0, 1]));
+            }
+            Op::Linear { weight_locks, .. } if !weight_locks.is_empty() => {
+                pre.extend(weight_locks.iter().map(|l| (id, l.row)));
+                surfaces.push((id, vec![0, 1]));
+            }
+            _ => {}
+        }
+    }
+    (pre, surfaces)
+}
+
+/// Seeded searches on one victim under its true key, hashed in order.
+fn witness_digest(model: &LockedModel, cfg: &AttackConfig, seed: u64) -> Vec<u8> {
+    let g = model.white_box();
+    let ka = model.true_key().to_assignment();
+    let mut rng = Prng::seed_from_u64(seed);
+    let (pre, surfaces) = search_targets(g);
+    assert!(!surfaces.is_empty(), "seed {seed}: victim has no surface");
+    let mut parts = Vec::new();
+    for (node, elem) in pre {
+        parts.push(witness_bytes(search_critical_point(
+            g, &ka, node, elem, cfg, &mut rng,
+        )));
+    }
+    for (surface, elems) in surfaces {
+        let (first, last) = (elems[0], elems[elems.len() - 1]);
+        for scalar in [
+            TargetScalar::Element(first),
+            TargetScalar::UnitMax(elems.clone()),
+            TargetScalar::UnitMin(elems.clone()),
+            TargetScalar::Diff(first, last),
+        ] {
+            parts.push(witness_bytes(search_target_critical_point(
+                g, &ka, surface, &scalar, cfg, &mut rng,
+            )));
+        }
+    }
+    history_digest(&parts).to_le_bytes().to_vec()
+}
+
+/// §3.5 witnesses on an MLP, LeNet, an untrained ResNet and ViT, a
+/// weight-locked MLP and a SARLock-triggered MLP: every lock site's
+/// pre-node, and every keyed layer's surface under each scalar kind.
+#[test]
+fn critical_points_are_pinned() {
+    let mut rng = Prng::seed_from_u64(720);
+    let resnet = build_resnet(
+        &ResnetSpec {
+            in_channels: 2,
+            h: 8,
+            w: 8,
+            stem: 4,
+            stages: vec![StageSpec {
+                channels: 4,
+                blocks: 1,
+                stride: 1,
+            }],
+            classes: 3,
+        },
+        LockSpec::evenly(6),
+        &mut rng,
+    )
+    .unwrap();
+    let vit = build_vit(
+        &VitSpec {
+            in_channels: 1,
+            h: 8,
+            w: 8,
+            patch: 4,
+            embed: 8,
+            heads: 2,
+            blocks: 2,
+            mlp_hidden: 12,
+            classes: 3,
+        },
+        LockSpec::evenly(6),
+        &mut rng,
+    )
+    .unwrap();
+    let weight_locked = build_mlp_weight_locked(
+        &MlpSpec {
+            input: 12,
+            hidden: vec![10, 6],
+            classes: 3,
+        },
+        8,
+        &mut rng,
+    )
+    .unwrap();
+    let victims = [
+        mlp16_victim(),
+        lenet_victim(),
+        resnet,
+        vit,
+        weight_locked,
+        variant_victim(LockVariant::SarTrigger, 10, 770),
+    ];
+    let mut parts = Vec::new();
+    for (i, model) in victims.iter().enumerate() {
+        parts.push(witness_digest(model, &AttackConfig::fast(), 730 + i as u64));
+    }
+    parts.push(witness_digest(&victims[0], &AttackConfig::default(), 736));
+    let got = history_digest(&parts);
+    assert_eq!(
+        got, 0xcf25_ccd9_38a9_792b,
+        "witnesses moved (digest {got:#018x})"
     );
 }

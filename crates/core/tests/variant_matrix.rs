@@ -99,9 +99,9 @@ fn weight_stats_cells_are_query_free_and_deterministic() {
             (train_a.white_box(), train_a.true_key()),
             (train_b.white_box(), train_b.true_key()),
         ];
-        let cfg = attack_cfg(variant);
-        let a = weight_stats_attack(victim.white_box(), &training, &cfg.learning);
-        let b = weight_stats_attack(victim.white_box(), &training, &cfg.learning);
+        let epochs = attack_cfg(variant).learning.epochs;
+        let a = weight_stats_attack(victim.white_box(), &training, epochs);
+        let b = weight_stats_attack(victim.white_box(), &training, epochs);
         assert_eq!(a.key, b.key, "{variant}: classifier replay diverged");
         assert_eq!(a.queries, 0, "{variant}: the attack must never query");
         assert_eq!(a.score.to_bits(), b.score.to_bits());

@@ -11,6 +11,12 @@
 //!   wrappers over the planned path and remain the convenient API for
 //!   one-shot evaluation.
 //!
+//! The planned schedule also takes a line instead of a batch:
+//! [`Graph::eval_line_into`] evaluates a target at the points `a + tᵢ·d`,
+//! filling each input-fed `Linear` or `Conv2d` in closed form. It agrees
+//! with the batch pass to rounding, not bit for bit, so only the §3.5
+//! line scan uses it.
+//!
 //! The original direct implementations survive as `*_reference` (hidden):
 //! they are the oracle the planned path is property-tested **bit-identical**
 //! against, and what the benchmarks compare to.
@@ -20,6 +26,19 @@ use crate::key::KeyAssignment;
 use crate::op::{Op, Saved};
 use crate::plan::{EffWeight, Workspace};
 use relock_tensor::Tensor;
+
+/// The input of a planned pass.
+#[derive(Clone, Copy)]
+enum PassInput<'a> {
+    /// A `(batch, P)` matrix of points, or one rank-1 point.
+    Batch(&'a Tensor),
+    /// The points `anchor + tᵢ·dir` of a line, one row per `tᵢ`.
+    Line {
+        anchor: &'a Tensor,
+        dir: &'a Tensor,
+        ts: &'a [f64],
+    },
+}
 
 /// All per-node values and saved contexts from one forward pass.
 #[derive(Debug, Clone)]
@@ -173,15 +192,15 @@ impl Graph {
     ///
     /// Panics if the input width does not match the graph.
     pub fn forward_into(&self, ws: &mut Workspace, x: &Tensor, keys: &KeyAssignment) {
-        self.run_planned(ws, x, keys, None)
+        self.run_planned(ws, PassInput::Batch(x), keys, None)
     }
 
     /// Planned forward pass computing **only the ancestors of `target`**
     /// (inclusive); the workspace's other nodes stay non-live.
     ///
-    /// This is the attack's workhorse: critical-point search (paper §3.5)
-    /// evaluates one pre-activation thousands of times and must pay neither
-    /// for the layers above it nor for re-allocating buffers.
+    /// The attack's single-point evaluations (bisection, ε-search, region
+    /// signatures, second differences) run through it and pay neither for
+    /// the layers above their target nor for re-allocating buffers.
     ///
     /// # Panics
     ///
@@ -193,29 +212,68 @@ impl Graph {
         keys: &KeyAssignment,
         target: NodeId,
     ) {
-        self.run_planned(ws, x, keys, Some(target))
+        self.run_planned(ws, PassInput::Batch(x), keys, Some(target))
+    }
+
+    /// Planned partial pass along a line: evaluates `target` (and its
+    /// ancestors) at the points `anchor + tᵢ·dir` and returns its
+    /// `(ts.len(), size)` value inside the workspace.
+    ///
+    /// Each `Linear` or `Conv2d` fed only by the graph input is affine in
+    /// the input, so it is evaluated twice, at `anchor` and (without its
+    /// bias) along `dir`, and its rows are filled as `f(anchor) +
+    /// tᵢ·L(dir)`. Every other node runs exactly as in the batch pass. The
+    /// `(ts.len(), P)` points are built only when an ancestor reads the
+    /// input through something else (a `KeyedTrigger`'s signature).
+    ///
+    /// The result agrees with [`Graph::eval_node_into`] on the same points
+    /// up to rounding, not bit for bit. That suffices for the §3.5 line
+    /// scan, which reads only signs; every value whose bits matter
+    /// (bisection midpoints, Jacobians, oracle probes) comes from the
+    /// batch pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `anchor` or `dir` does not match the graph's input width.
+    pub fn eval_line_into<'w>(
+        &self,
+        ws: &'w mut Workspace,
+        anchor: &Tensor,
+        dir: &Tensor,
+        ts: &[f64],
+        keys: &KeyAssignment,
+        target: NodeId,
+    ) -> &'w Tensor {
+        let line = PassInput::Line { anchor, dir, ts };
+        self.run_planned(ws, line, keys, Some(target));
+        ws.value(target)
     }
 
     fn run_planned(
         &self,
         ws: &mut Workspace,
-        x: &Tensor,
+        input: PassInput<'_>,
         keys: &KeyAssignment,
         target: Option<NodeId>,
     ) {
-        let (batch, width) = if x.rank() == 1 {
-            (1, x.numel())
-        } else {
-            assert_eq!(x.rank(), 2, "graph input must be rank 1 or 2");
-            (x.dims()[0], x.dims()[1])
+        let p = self.input_size();
+        let batch = match input {
+            PassInput::Batch(x) => {
+                let (batch, width) = if x.rank() == 1 {
+                    (1, x.numel())
+                } else {
+                    assert_eq!(x.rank(), 2, "graph input must be rank 1 or 2");
+                    (x.dims()[0], x.dims()[1])
+                };
+                assert_eq!(width, p, "input width {width} != graph input {p}");
+                batch
+            }
+            PassInput::Line { anchor, dir, ts } => {
+                assert_eq!(anchor.numel(), p, "line anchor width != graph input {p}");
+                assert_eq!(dir.numel(), p, "line direction width != graph input {p}");
+                ts.len()
+            }
         };
-        assert_eq!(
-            width,
-            self.input_size(),
-            "input width {} != graph input {}",
-            width,
-            self.input_size()
-        );
         let plan = self.plan();
         let n = self.nodes.len();
         ws.ensure(n);
@@ -245,8 +303,24 @@ impl Graph {
             let (done, rest) = values.split_at_mut(idx);
             let out = &mut rest[0];
             if matches!(node.op, Op::Input { .. }) {
-                out.reset_shape([batch, width]);
-                out.as_mut_slice().copy_from_slice(x.as_slice());
+                match input {
+                    PassInput::Batch(x) => {
+                        out.reset_shape([batch, p]);
+                        out.as_mut_slice().copy_from_slice(x.as_slice());
+                    }
+                    PassInput::Line { anchor, dir, ts } => {
+                        if !plan.line_needs_points(target.expect("a line pass has a target")) {
+                            continue;
+                        }
+                        out.reset_shape([batch, p]);
+                        let (a, d) = (anchor.as_slice(), dir.as_slice());
+                        for (row, &t) in out.as_mut_slice().chunks_exact_mut(p).zip(ts) {
+                            for ((o, &ai), &di) in row.iter_mut().zip(a).zip(d) {
+                                *o = ai + t * di;
+                            }
+                        }
+                    }
+                }
                 saved[idx] = Saved::None;
                 live[idx] = true;
                 continue;
@@ -261,6 +335,14 @@ impl Graph {
                 _ => None,
             };
             let sv = &mut saved[idx];
+            if let PassInput::Line { anchor, dir, ts } = input {
+                if plan.is_input_affine(NodeId(idx)) {
+                    node.op.affine_line_into(anchor, dir, ts, w_eff, out);
+                    *sv = Saved::None;
+                    live[idx] = true;
+                    continue;
+                }
+            }
             let run = |inputs: &[&Tensor], out: &mut Tensor, sv: &mut Saved| {
                 if !node.op.forward_batch_into(inputs, keys, w_eff, out, sv) {
                     let (v, s) = node.op.forward_batch(inputs, keys);
@@ -740,6 +822,16 @@ impl Graph {
         bundle.transpose()
     }
 
+    /// The input Jacobian of a `Linear` fed only by the graph input: its
+    /// effective weight, the same at every point (Formula 2's base case)
+    /// and bit for bit what [`Graph::input_jacobian_into`] returns there.
+    /// `None` for every other node, whose Jacobian depends on the point.
+    pub fn input_linear_jacobian(&self, node: NodeId, keys: &KeyAssignment) -> Option<Tensor> {
+        let op = &self.nodes[node.index()].op;
+        (matches!(op, Op::Linear { .. }) && self.plan().is_input_affine(node))
+            .then(|| crate::forward::effective_linear_weight(op, keys).into_owned())
+    }
+
     /// Planned variant of [`Graph::input_jacobian`]: reads the linearization
     /// point from the workspace's latest (single-sample) pass, resolves the
     /// ancestor set through the compiled plan's bitsets instead of a hash
@@ -798,9 +890,7 @@ impl Graph {
                 continue;
             }
             let node = &self.nodes[idx];
-            let is_first_linear = matches!(node.op, Op::Linear { .. })
-                && node.inputs.len() == 1
-                && node.inputs[0] == input_id;
+            let is_first_linear = matches!(node.op, Op::Linear { .. }) && plan.is_input_affine(id);
             let out = if is_first_linear {
                 // The cached transposed effective weight IS the bundle
                 // `W_effᵀ` — one memcpy instead of materialize + transpose.

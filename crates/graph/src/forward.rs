@@ -2,7 +2,7 @@
 
 use crate::key::KeyAssignment;
 use crate::op::{Op, Saved};
-use relock_tensor::im2col::im2col;
+use relock_tensor::im2col::{im2col, ConvGeometry};
 use relock_tensor::Tensor;
 use std::borrow::Cow;
 
@@ -67,6 +67,32 @@ pub(crate) fn trigger_flip_signs(
         out.push(if kind.fires(&sig, &bits) { -1.0 } else { 1.0 });
     }
     out
+}
+
+/// Convolves each row of `x` (a channel-major image) with the kernel
+/// matrix `w`, adding the per-channel bias when one is given; returns the
+/// `(rows, out_c·positions)` channel-major maps.
+pub(crate) fn conv_rows(x: &Tensor, w: &Tensor, b: Option<&Tensor>, geom: &ConvGeometry) -> Tensor {
+    let batch = x.dims()[0];
+    let out_c = w.dims()[0];
+    let pos = geom.out_positions();
+    let mut out = vec![0.0f64; batch * out_c * pos];
+    for s in 0..batch {
+        let img = Tensor::from_slice(x.row(s));
+        let patches = im2col(&img, geom);
+        let y = patches.matmul_nt(w); // (pos, out_c)
+        let orow = &mut out[s * out_c * pos..(s + 1) * out_c * pos];
+        let ys = y.as_slice();
+        for p in 0..pos {
+            for c in 0..out_c {
+                orow[c * pos + p] = match b {
+                    Some(b) => ys[p * out_c + c] + b.as_slice()[c],
+                    None => ys[p * out_c + c],
+                };
+            }
+        }
+    }
+    Tensor::from_vec(out, [batch, out_c * pos])
 }
 
 /// The multiplier a `KeyedScale` op applies for a continuous key value `m`.
@@ -158,27 +184,7 @@ impl Op {
                 add_bias_rows(&mut y, b);
                 (y, Saved::None)
             }
-            Op::Conv2d { w, b, geom } => {
-                let x = inputs[0];
-                let batch = x.dims()[0];
-                let out_c = w.dims()[0];
-                let pos = geom.out_positions();
-                let mut out = vec![0.0f64; batch * out_c * pos];
-                for s in 0..batch {
-                    let img = Tensor::from_slice(x.row(s));
-                    let patches = im2col(&img, geom);
-                    let y = patches.matmul_nt(w); // (pos, out_c)
-                    let orow = &mut out[s * out_c * pos..(s + 1) * out_c * pos];
-                    let ys = y.as_slice();
-                    let bs = b.as_slice();
-                    for p in 0..pos {
-                        for c in 0..out_c {
-                            orow[c * pos + p] = ys[p * out_c + c] + bs[c];
-                        }
-                    }
-                }
-                (Tensor::from_vec(out, [batch, out_c * pos]), Saved::None)
-            }
+            Op::Conv2d { w, b, geom } => (conv_rows(inputs[0], w, Some(b), geom), Saved::None),
             Op::Relu => {
                 let x = inputs[0];
                 let mask = x.map(|v| if v > 0.0 { 1.0 } else { 0.0 });
@@ -409,6 +415,56 @@ impl Op {
                     }
                 }
                 (Tensor::from_vec(out, [batch, *dim]), Saved::None)
+            }
+        }
+    }
+
+    /// Fills `out` with an input-fed `Linear` or `Conv2d` along the line
+    /// `a + t·d`: row `i` is `f(a) + tᵢ·L(d)`, where `f(a)` is the
+    /// operator at the anchor, bias included, and `L(d)` its bias-free
+    /// linear part along the direction. Both are affine in the input, so
+    /// this equals [`Op::forward_batch`] over the points `a + tᵢ·d` up to
+    /// rounding, at the cost of two rows instead of `ts.len()`.
+    ///
+    /// `w_eff` is the workspace-cached transposed effective weight, which
+    /// a `Linear` requires (see [`Op::forward_batch_into`]).
+    pub(crate) fn affine_line_into(
+        &self,
+        anchor: &Tensor,
+        dir: &Tensor,
+        ts: &[f64],
+        w_eff: Option<&Tensor>,
+        out: &mut Tensor,
+    ) {
+        let p = anchor.numel();
+        let mut ends = Vec::with_capacity(2 * p);
+        ends.extend_from_slice(anchor.as_slice());
+        ends.extend_from_slice(dir.as_slice());
+        let ends = Tensor::from_vec(ends, [2, p]);
+        let lin = match self {
+            Op::Linear { b, .. } => {
+                let mut lin = ends.matmul(w_eff.expect("a Linear's effective weight"));
+                for (o, &bias) in lin.row_mut(0).iter_mut().zip(b.as_slice()) {
+                    *o += bias;
+                }
+                lin
+            }
+            Op::Conv2d { w, b, geom } => {
+                let mut lin = conv_rows(&ends, w, None, geom);
+                let pos = geom.out_positions();
+                for (j, o) in lin.row_mut(0).iter_mut().enumerate() {
+                    *o += b.as_slice()[j / pos];
+                }
+                lin
+            }
+            _ => unreachable!("affine_line_into on a {} node", self.kind()),
+        };
+        let size = lin.dims()[1];
+        out.reset_shape([ts.len(), size]);
+        let (at, along) = lin.as_slice().split_at(size);
+        for (row, &t) in out.as_mut_slice().chunks_exact_mut(size).zip(ts) {
+            for ((o, &f), &l) in row.iter_mut().zip(at).zip(along) {
+                *o = f + t * l;
             }
         }
     }

@@ -16,10 +16,11 @@
 //! Tangent bundles are `(P, size)` matrices: row `p` is the directional
 //! derivative of the node's output along input direction `p`.
 
-use crate::forward::{effective_linear_weight, extract_head, scale_multiplier, scatter_head};
+use crate::forward::{
+    conv_rows, effective_linear_weight, extract_head, scale_multiplier, scatter_head,
+};
 use crate::key::KeyAssignment;
 use crate::op::{Op, Saved};
-use relock_tensor::im2col::im2col;
 use relock_tensor::Tensor;
 
 impl Op {
@@ -47,25 +48,8 @@ impl Op {
                 let w_eff = effective_linear_weight(self, keys);
                 tangents[0].matmul_nt(&w_eff)
             }
-            Op::Conv2d { w, geom, .. } => {
-                let out_c = w.dims()[0];
-                let pos = geom.out_positions();
-                let t = tangents[0];
-                let mut out = vec![0.0f64; p * out_c * pos];
-                for r in 0..p {
-                    let img = Tensor::from_slice(t.row(r));
-                    let patches = im2col(&img, geom);
-                    let y = patches.matmul_nt(w); // (pos, out_c), no bias in a derivative
-                    let orow = &mut out[r * out_c * pos..(r + 1) * out_c * pos];
-                    let ys = y.as_slice();
-                    for pp in 0..pos {
-                        for c in 0..out_c {
-                            orow[c * pos + pp] = ys[pp * out_c + c];
-                        }
-                    }
-                }
-                Tensor::from_vec(out, [p, out_c * pos])
-            }
+            // No bias in a derivative.
+            Op::Conv2d { w, geom, .. } => conv_rows(tangents[0], w, None, geom),
             Op::Relu => {
                 let Saved::Mask(mask) = saved else {
                     unreachable!("relu saved context")

@@ -67,4 +67,4 @@ pub use key::{KeyAssignment, KeySlot, UnitLayout};
 pub use op::{Op, Saved, TriggerKind, WeightLock};
 pub use plan::{ExecPlan, Workspace};
 pub use pool::{PooledWorkspace, WorkspacePool};
-pub use serial::{bounded_vec, SerialError};
+pub use serial::{bounded_vec, Section, SectionReader, SerialError};

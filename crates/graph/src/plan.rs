@@ -23,7 +23,7 @@
 //! single graph is what makes it fast).
 
 use crate::graph::{Graph, NodeId};
-use crate::op::Saved;
+use crate::op::{Op, Saved};
 use relock_tensor::Tensor;
 
 /// Per-graph execution analysis, computed once and cached on the graph
@@ -50,6 +50,14 @@ pub struct ExecPlan {
     /// propagate a gradient through the node's inputs — nothing below can
     /// turn it into a key gradient.
     keyed_below: Vec<bool>,
+    /// Whether each node is a `Linear` or `Conv2d` whose only input is the
+    /// graph input: affine in the input, so a line pass evaluates it in
+    /// closed form.
+    input_affine: Vec<bool>,
+    /// Whether a line pass to each node must build the line's points: the
+    /// node is the input, or an ancestor reads the input other than
+    /// through an input-affine node (a `KeyedTrigger`'s signature branch).
+    line_points: Vec<bool>,
 }
 
 impl ExecPlan {
@@ -88,6 +96,29 @@ impl ExecPlan {
                     .any(|&j| j != i && ancestors[i * words + j / 64] >> (j % 64) & 1 == 1)
             })
             .collect();
+        let input_affine: Vec<bool> = g
+            .nodes()
+            .iter()
+            .map(|node| {
+                matches!(node.op, Op::Linear { .. } | Op::Conv2d { .. })
+                    && node.inputs == [g.input_id()]
+            })
+            .collect();
+        let reads_points: Vec<usize> = g
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter(|&(i, node)| node.inputs.contains(&g.input_id()) && !input_affine[i])
+            .map(|(i, _)| i)
+            .collect();
+        let line_points = (0..n)
+            .map(|i| {
+                NodeId(i) == g.input_id()
+                    || reads_points
+                        .iter()
+                        .any(|&j| ancestors[i * words + j / 64] >> (j % 64) & 1 == 1)
+            })
+            .collect();
         ExecPlan {
             n_nodes: n,
             words,
@@ -95,6 +126,8 @@ impl ExecPlan {
             out_sizes,
             last_use,
             keyed_below,
+            input_affine,
+            line_points,
         }
     }
 
@@ -128,6 +161,20 @@ impl ExecPlan {
     #[inline]
     pub fn keyed_below(&self, node: NodeId) -> bool {
         self.keyed_below[node.0]
+    }
+
+    /// Whether `node` is a `Linear` or `Conv2d` fed only by the graph
+    /// input, which a line pass evaluates in closed form.
+    #[inline]
+    pub fn is_input_affine(&self, node: NodeId) -> bool {
+        self.input_affine[node.0]
+    }
+
+    /// Whether a line pass to `target` must build the line's points (see
+    /// [`Graph::eval_line_into`](crate::Graph::eval_line_into)).
+    #[inline]
+    pub fn line_needs_points(&self, target: NodeId) -> bool {
+        self.line_points[target.0]
     }
 
     /// Number of ancestors of `target` (inclusive) — the work a partial

@@ -28,11 +28,43 @@ use std::io::{self, Read, Write};
 const MAGIC: &[u8; 8] = b"RLCKGRPH";
 const VERSION: u32 = 1;
 
+/// The part of a model file being read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// The magic, the version and the counts before the first node.
+    Header,
+    /// Node `i`'s tag, scalars and wiring.
+    Node(usize),
+    /// A tensor of node `i`.
+    Tensor(usize),
+    /// The key bits after the graph.
+    Key,
+}
+
+impl fmt::Display for Section {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Section::Header => write!(f, "the header"),
+            Section::Node(i) => write!(f, "node {i}"),
+            Section::Tensor(i) => write!(f, "a tensor of node {i}"),
+            Section::Key => write!(f, "the key"),
+        }
+    }
+}
+
 /// Errors raised while reading a serialized graph.
 #[derive(Debug)]
 pub enum SerialError {
     /// Underlying I/O failure.
     Io(io::Error),
+    /// The input ended inside `section`, after `offset` bytes: a file cut
+    /// short, or a count larger than what follows it.
+    Truncated {
+        /// What was being read.
+        section: Section,
+        /// Bytes read before the input ended.
+        offset: u64,
+    },
     /// Bad magic bytes — not a relock graph file.
     BadMagic,
     /// Unsupported format version.
@@ -47,6 +79,9 @@ impl fmt::Display for SerialError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SerialError::Io(e) => write!(f, "i/o failure: {e}"),
+            SerialError::Truncated { section, offset } => {
+                write!(f, "file ends at byte {offset}, inside {section}")
+            }
             SerialError::BadMagic => write!(f, "not a relock graph file (bad magic)"),
             SerialError::BadVersion(v) => write!(f, "unsupported format version {v}"),
             SerialError::Corrupt(msg) => write!(f, "corrupt graph file: {msg}"),
@@ -60,6 +95,54 @@ impl std::error::Error for SerialError {}
 impl From<io::Error> for SerialError {
     fn from(e: io::Error) -> Self {
         SerialError::Io(e)
+    }
+}
+
+/// A reader that counts the bytes it delivers and tracks the [`Section`]
+/// being read, so that input ending early is reported with both (see
+/// [`SectionReader::explain`]).
+#[derive(Debug)]
+pub struct SectionReader<R> {
+    inner: R,
+    offset: u64,
+    section: Section,
+}
+
+impl<R: Read> SectionReader<R> {
+    /// Reads from `inner`, counting from zero, in [`Section::Header`].
+    pub fn new(inner: R) -> Self {
+        SectionReader {
+            inner,
+            offset: 0,
+            section: Section::Header,
+        }
+    }
+
+    /// Marks the start of `section`.
+    pub fn enter(&mut self, section: Section) {
+        self.section = section;
+    }
+
+    /// `e`, or [`SerialError::Truncated`] in the current section when `e`
+    /// is the input ending early.
+    pub fn explain(&self, e: SerialError) -> SerialError {
+        match e {
+            SerialError::Io(io) if io.kind() == io::ErrorKind::UnexpectedEof => {
+                SerialError::Truncated {
+                    section: self.section,
+                    offset: self.offset,
+                }
+            }
+            e => e,
+        }
+    }
+}
+
+impl<R: Read> Read for SectionReader<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.offset += n as u64;
+        Ok(n)
     }
 }
 
@@ -106,7 +189,11 @@ fn write_tensor(w: &mut impl Write, t: &Tensor) -> io::Result<()> {
     Ok(())
 }
 
-fn read_tensor(r: &mut impl Read) -> Result<Tensor, SerialError> {
+fn read_tensor<R: Read>(r: &mut SectionReader<R>) -> Result<Tensor, SerialError> {
+    let within = r.section;
+    if let Section::Node(i) = within {
+        r.enter(Section::Tensor(i));
+    }
     let rank = read_usize(r)?;
     if rank > 8 {
         return Err(SerialError::Corrupt(format!(
@@ -128,6 +215,7 @@ fn read_tensor(r: &mut impl Read) -> Result<Tensor, SerialError> {
     for _ in 0..numel {
         data.push(read_f64(r)?);
     }
+    r.enter(within);
     Ok(Tensor::from_vec(data, dims))
 }
 
@@ -329,7 +417,7 @@ fn write_op(w: &mut impl Write, op: &Op) -> io::Result<()> {
     Ok(())
 }
 
-fn read_op(r: &mut impl Read) -> Result<Op, SerialError> {
+fn read_op<R: Read>(r: &mut SectionReader<R>) -> Result<Op, SerialError> {
     let mut tag = [0u8; 1];
     r.read_exact(&mut tag)?;
     Ok(match tag[0] {
@@ -485,8 +573,15 @@ impl Graph {
     /// # Errors
     ///
     /// Returns [`SerialError`] on I/O failures, malformed bytes, or a
-    /// payload that decodes to an invalid graph.
+    /// payload that decodes to an invalid graph. Input that ends early is
+    /// [`SerialError::Truncated`], with its offset counted from where the
+    /// load began.
     pub fn load(r: &mut impl Read) -> Result<Graph, SerialError> {
+        let mut r = SectionReader::new(r);
+        Graph::load_sections(&mut r).map_err(|e| r.explain(e))
+    }
+
+    fn load_sections<R: Read>(r: &mut SectionReader<R>) -> Result<Graph, SerialError> {
         let mut magic = [0u8; 8];
         r.read_exact(&mut magic)?;
         if &magic != MAGIC {
@@ -507,6 +602,7 @@ impl Graph {
         let key_slots = read_usize(r)?;
         let mut nodes: Vec<Node> = bounded_vec(n);
         for idx in 0..n {
+            r.enter(Section::Node(idx));
             let op = read_op(r)?;
             let n_inputs = read_usize(r)?;
             if n_inputs != op.arity() {

@@ -7,7 +7,9 @@
 //! query-complexity column of Table 1.
 
 use crate::key::Key;
-use relock_graph::{bounded_vec, Graph, KeyAssignment, SerialError, WorkspacePool};
+use relock_graph::{
+    bounded_vec, Graph, KeyAssignment, Section, SectionReader, SerialError, WorkspacePool,
+};
 use relock_tensor::Tensor;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -172,32 +174,41 @@ impl LockedModel {
     /// # Errors
     ///
     /// Returns [`SerialError`] on malformed bytes or a key that does not
-    /// match the graph's slot count.
+    /// match the graph's slot count. A file that ends early is
+    /// [`SerialError::Truncated`], naming the section and the byte offset
+    /// where it ended.
     pub fn load(r: &mut impl Read) -> Result<LockedModel, SerialError> {
-        let graph = Graph::load(r)?;
-        let mut len_buf = [0u8; 8];
-        r.read_exact(&mut len_buf).map_err(SerialError::Io)?;
-        let n = u64::from_le_bytes(len_buf) as usize;
-        if n != graph.key_slot_count() {
-            return Err(SerialError::Corrupt(format!(
-                "key length {n} does not match graph slots {}",
-                graph.key_slot_count()
-            )));
-        }
-        let mut bits = bounded_vec(n);
-        for _ in 0..n {
-            let mut b = [0u8; 1];
-            r.read_exact(&mut b).map_err(SerialError::Io)?;
-            bits.push(match b[0] {
-                0 => false,
-                1 => true,
-                t => {
-                    return Err(SerialError::Corrupt(format!("bad key bit byte {t}")));
-                }
-            });
-        }
+        let mut r = SectionReader::new(r);
+        // The graph starts the file, so its own offsets are the file's.
+        let graph = Graph::load(&mut r)?;
+        r.enter(Section::Key);
+        let bits = read_key(&mut r, graph.key_slot_count()).map_err(|e| r.explain(e))?;
         Ok(LockedModel::new(graph, Key::from_bits(bits)))
     }
+}
+
+/// The key bits after a model file's graph: a length that must equal the
+/// graph's `slots`, then one byte per bit.
+fn read_key(r: &mut impl Read, slots: usize) -> Result<Vec<bool>, SerialError> {
+    let mut len_buf = [0u8; 8];
+    r.read_exact(&mut len_buf)?;
+    let n = u64::from_le_bytes(len_buf) as usize;
+    if n != slots {
+        return Err(SerialError::Corrupt(format!(
+            "key length {n} does not match graph slots {slots}"
+        )));
+    }
+    let mut bits = bounded_vec(n);
+    for _ in 0..n {
+        let mut b = [0u8; 1];
+        r.read_exact(&mut b)?;
+        bits.push(match b[0] {
+            0 => false,
+            1 => true,
+            t => return Err(SerialError::Corrupt(format!("bad key bit byte {t}"))),
+        });
+    }
+    Ok(bits)
 }
 
 /// The adversary's I/O interface to a working locked instance.

@@ -250,6 +250,75 @@ pub struct Preimage {
     pub residual: f64,
 }
 
+/// A matrix `a` factored once to solve `a · v = b` for many `b`: QR of
+/// `aᵀ` when `a` is wide (or square), QR of `a` when it is tall.
+///
+/// Algorithm 1 solves against the same `Â` at every witness of an
+/// input-fed layer; one factor then serves every basis vector, and it is
+/// shared read-only across threads. [`preimage`] is this factor followed
+/// by one [`solve`](Self::solve), so both paths give the same bits.
+///
+/// ```
+/// use relock_tensor::{Tensor, linalg::PreimageSolver};
+/// let a = Tensor::from_rows(&[&[1.0, 0.0, 1.0], &[0.0, 1.0, 0.0]]);
+/// let solver = PreimageSolver::new(a);
+/// for j in 0..2 {
+///     let p = solver.solve(&Tensor::basis(2, j), 1e-9).expect("onto");
+///     assert!(p.residual < 1e-9);
+/// }
+/// ```
+#[derive(Debug, Clone)]
+pub struct PreimageSolver {
+    a: Tensor,
+    qr: QrFactors,
+    wide: bool,
+}
+
+impl PreimageSolver {
+    /// Factors `a`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a` is not a matrix.
+    pub fn new(a: Tensor) -> Self {
+        assert!(a.shape().is_matrix(), "preimage requires a matrix");
+        let wide = a.dims()[0] <= a.dims()[1];
+        let qr = if wide {
+            QrFactors::compute(&a.transpose())
+        } else {
+            QrFactors::compute(&a)
+        };
+        PreimageSolver { a, qr, wide }
+    }
+
+    /// The factored matrix.
+    pub fn matrix(&self) -> &Tensor {
+        &self.a
+    }
+
+    /// A pre-image of `b` under the factored matrix, checked by its
+    /// residual; see [`preimage`] for the contract.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.numel()` differs from the matrix's row count.
+    pub fn solve(&self, b: &Tensor, tol: f64) -> Option<Preimage> {
+        assert_eq!(b.numel(), self.a.dims()[0], "rhs length mismatch");
+        let v = if self.wide {
+            self.qr.solve_min_norm_from_transpose(b)
+        } else {
+            self.qr.solve_least_squares(b)
+        };
+        let achieved = self.a.matvec(&v);
+        let residual = achieved.max_abs_diff(b);
+        if residual <= tol * b.norm_inf().max(1.0) {
+            Some(Preimage { v, residual })
+        } else {
+            None
+        }
+    }
+}
+
 /// Computes a pre-image `v` of `b` under `a`: a vector with `a · v = b`.
 ///
 /// For wide `a` (the contractive case of the paper) the returned solution is
@@ -259,6 +328,8 @@ pub struct Preimage {
 /// *verified* by multiplication; if the residual exceeds
 /// `tol · max(1, ‖b‖)` — i.e. `b` is not (numerically) in the range of `a`,
 /// the expansive case — `None` is returned, which Algorithm 1 maps to ⊥.
+/// To solve many right-hand sides against one `a`, factor it once with
+/// [`PreimageSolver`].
 ///
 /// ```
 /// use relock_tensor::{Tensor, linalg::preimage};
@@ -272,24 +343,7 @@ pub struct Preimage {
 ///
 /// Panics if `a` is not a matrix or `b.numel() != a.nrows()`.
 pub fn preimage(a: &Tensor, b: &Tensor, tol: f64) -> Option<Preimage> {
-    assert!(a.shape().is_matrix(), "preimage requires a matrix");
-    let (m, n) = (a.dims()[0], a.dims()[1]);
-    assert_eq!(b.numel(), m, "rhs length mismatch");
-
-    let v = if m <= n {
-        let qr = QrFactors::compute(&a.transpose());
-        qr.solve_min_norm_from_transpose(b)
-    } else {
-        let qr = QrFactors::compute(a);
-        qr.solve_least_squares(b)
-    };
-    let achieved = a.matvec(&v);
-    let residual = achieved.max_abs_diff(b);
-    if residual <= tol * b.norm_inf().max(1.0) {
-        Some(Preimage { v, residual })
-    } else {
-        None
-    }
+    PreimageSolver::new(a.clone()).solve(b, tol)
 }
 
 /// Solves the square linear system `a x = b` via QR.

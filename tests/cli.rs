@@ -184,7 +184,59 @@ fn inspect_rejects_a_key_longer_than_the_file() {
     let _ = std::fs::remove_file(&file);
     let why = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "{why}");
-    assert!(why.contains("i/o failure"), "{why}");
+    assert!(
+        why.contains(&format!("file ends at byte {n}, inside the key")),
+        "{why}"
+    );
+}
+
+/// A model file cut short says where it ended: inside the header, inside
+/// the first weight tensor, or inside the key, with the byte offset, and
+/// both `inspect` and `attack` exit 1.
+#[test]
+fn a_truncated_model_file_names_its_section_and_offset() {
+    let model = scratch("mlp16-whole.rlk");
+    let path = model.to_str().expect("utf-8 temp path");
+    let lock = relock(&[
+        "lock",
+        "--arch",
+        "mlp",
+        "--bits",
+        "16",
+        "--out",
+        path,
+        "--seed",
+        "1",
+        "--no-train",
+    ]);
+    assert!(lock.status.success(), "lock: {}", stderr(&lock));
+    let bytes = std::fs::read(&model).expect("read the model file");
+    let _ = std::fs::remove_file(&model);
+    // The header is 44 bytes; node 1's weight tensor starts after node 0
+    // (tag and size, 9 bytes; its input count, 8) and node 1's tag.
+    let n = bytes.len();
+    for (cut, section) in [
+        (20, "the header"),
+        (1_000, "a tensor of node 1"),
+        (n - 5, "the key"),
+    ] {
+        let file = scratch(&format!("mlp16-cut{cut}.rlk"));
+        std::fs::write(&file, &bytes[..cut]).expect("write the cut model");
+        let file_arg = file.to_str().expect("utf-8 temp path");
+        for args in [
+            vec!["inspect", file_arg],
+            vec!["attack", file_arg, "--fast"],
+        ] {
+            let out = relock(&args);
+            let why = stderr(&out);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {why}");
+            assert!(
+                why.contains(&format!("file ends at byte {cut}, inside {section}")),
+                "{args:?}: {why}"
+            );
+        }
+        let _ = std::fs::remove_file(&file);
+    }
 }
 
 #[test]

@@ -148,3 +148,151 @@ fn vit_batched_forward_matches_single() {
         }
     }
 }
+
+/// The nodes a §3.5 scan targets on `g`: each keyed node's pre-node, the
+/// keyed node itself and the residual join consuming it.
+fn scan_targets(g: &Graph) -> Vec<NodeId> {
+    let consumers = g.consumers();
+    let mut out = Vec::new();
+    for (idx, node) in g.nodes().iter().enumerate() {
+        if !node.op.is_keyed() {
+            continue;
+        }
+        if node.inputs[0] != g.input_id() {
+            out.push(node.inputs[0]);
+        }
+        out.push(NodeId(idx));
+        out.extend(
+            consumers[idx]
+                .iter()
+                .filter(|c| matches!(g.node(**c).op, Op::Add)),
+        );
+    }
+    out
+}
+
+/// The line pass, which fills an input-fed `Linear` or `Conv2d` in closed
+/// form, agrees with the batch pass over the materialized points to
+/// rounding, and with equal signs wherever a value clears that bound: on
+/// random lines, under a wrong key, at every scan target of an MLP, a
+/// LeNet, a ResNet, a ViT, a weight-locked MLP and a SARLock-triggered
+/// MLP. Only a target behind the trigger builds the points.
+#[test]
+fn line_pass_matches_the_batch_pass() {
+    let mut rng = Prng::seed_from_u64(0x11E);
+    let mlp = MlpSpec {
+        input: 12,
+        hidden: vec![10, 6],
+        classes: 3,
+    };
+    let victims = [
+        build_mlp(&mlp, LockSpec::evenly(8), &mut rng).unwrap(),
+        build_lenet(
+            &LenetSpec {
+                in_channels: 1,
+                h: 12,
+                w: 12,
+                c1: 3,
+                c2: 4,
+                fc1: 10,
+                fc2: 8,
+                classes: 4,
+            },
+            LockSpec::evenly(8),
+            &mut rng,
+        )
+        .unwrap(),
+        build_resnet(
+            &ResnetSpec {
+                in_channels: 2,
+                h: 8,
+                w: 8,
+                stem: 4,
+                stages: vec![relock::nn::StageSpec {
+                    channels: 4,
+                    blocks: 1,
+                    stride: 1,
+                }],
+                classes: 3,
+            },
+            LockSpec::evenly(6),
+            &mut rng,
+        )
+        .unwrap(),
+        build_vit(
+            &VitSpec {
+                in_channels: 1,
+                h: 8,
+                w: 8,
+                patch: 4,
+                embed: 8,
+                heads: 2,
+                blocks: 2,
+                mlp_hidden: 12,
+                classes: 3,
+            },
+            LockSpec::evenly(6),
+            &mut rng,
+        )
+        .unwrap(),
+        build_mlp_weight_locked(&mlp, 8, &mut rng).unwrap(),
+        build_mlp(
+            &mlp,
+            LockSpec::with_variant(8, LockVariant::SarTrigger),
+            &mut rng,
+        )
+        .unwrap(),
+    ];
+    let ts: Vec<f64> = (0..17).map(|i| -12.0 + 1.5 * f64::from(i)).collect();
+    for (v, model) in victims.iter().enumerate() {
+        let g = model.white_box();
+        // Every bit wrong, so each lock acts and the trigger fires.
+        let wrong: Vec<bool> = model.true_key().bits().iter().map(|b| !b).collect();
+        let keys = Key::from_bits(wrong).to_assignment();
+        let p = g.input_size();
+        let mut ws = relock::graph::Workspace::new();
+        let targets = scan_targets(g);
+        assert!(!targets.is_empty(), "victim {v} has no scan target");
+        let triggers: Vec<NodeId> = (0..g.nodes().len())
+            .map(NodeId)
+            .filter(|&id| matches!(g.node(id).op, Op::KeyedTrigger { .. }))
+            .collect();
+        for node in targets {
+            // Only a trigger's signature reads the points themselves.
+            let reads_points = triggers.iter().any(|&t| g.plan().is_ancestor(t, node));
+            assert_eq!(
+                g.plan().line_needs_points(node),
+                reads_points,
+                "victim {v}, node {node}"
+            );
+            for _ in 0..4 {
+                let anchor = rng.normal_tensor([p]).scale(3.0);
+                let dir = rng.unit_vector(p);
+                let line = g
+                    .eval_line_into(&mut ws, &anchor, &dir, &ts, &keys, node)
+                    .clone();
+                let mut points = Vec::with_capacity(ts.len() * p);
+                for &t in &ts {
+                    let mut x = anchor.clone();
+                    x.axpy(t, &dir);
+                    points.extend_from_slice(x.as_slice());
+                }
+                let points = Tensor::from_vec(points, [ts.len(), p]);
+                let batch = g.eval_node_into(&mut ws, &points, &keys, node);
+                assert_eq!(line.dims(), batch.dims(), "victim {v}, node {node}");
+                for i in 0..ts.len() {
+                    let (l, b) = (line.row(i), batch.row(i));
+                    let top = l.iter().chain(b).fold(0.0f64, |m, z| m.max(z.abs()));
+                    let bound = 1e-9 * (1.0 + top);
+                    for (e, (&zl, &zb)) in l.iter().zip(b).enumerate() {
+                        let at = format!("victim {v}, node {node}, row {i}, element {e}");
+                        assert!((zl - zb).abs() <= bound, "{at}: {zl} vs {zb}");
+                        if zb.abs() > bound {
+                            assert_eq!(zl > 0.0, zb > 0.0, "{at}: sign of {zl} vs {zb}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
