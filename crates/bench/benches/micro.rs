@@ -6,17 +6,27 @@
 //! ```
 
 use relock_attack::testutil::lenet_victim;
-use relock_attack::{search_critical_point, AttackConfig};
-use relock_locking::{LockSpec, LockedModel};
+use relock_attack::{learning_attack, search_critical_point, AttackConfig, LearnedMultipliers};
+use relock_bench::{attack_config, monolithic_config, prepare, Arch, Scale};
+use relock_graph::KeySlot;
+use relock_locking::{CountingOracle, LockSpec, LockedModel, Oracle};
 use relock_nn::{build_mlp, MlpSpec};
+use relock_serve::Broker;
 use relock_tensor::linalg::preimage;
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 /// Times `f` adaptively: warms up for ~200ms, then runs batches until
 /// ~1.5s of measurement, reporting mean/min per-iteration time.
-fn bench(name: &str, mut f: impl FnMut()) {
+fn bench(name: &str, f: impl FnMut()) {
+    bench_per(name, 1, f)
+}
+
+/// [`bench`], reporting the time per one of the `per` items each call
+/// handles.
+fn bench_per(name: &str, per: u64, mut f: impl FnMut()) {
     const WARMUP: Duration = Duration::from_millis(200);
     const MEASURE: Duration = Duration::from_millis(1500);
 
@@ -46,8 +56,8 @@ fn bench(name: &str, mut f: impl FnMut()) {
     let mean = total.as_secs_f64() / total_iters as f64;
     println!(
         "{name:<32} mean {:>12}  min {:>12}  ({total_iters} iters)",
-        human(mean),
-        human(best)
+        human(mean / per as f64),
+        human(best / per as f64)
     );
 }
 
@@ -152,5 +162,62 @@ fn main() {
     let grad = Tensor::ones([16, 10]);
     bench("backward_batch16_mlp", || {
         std::hint::black_box(g.backward(&acts16, &grad, &keys));
+    });
+
+    // The shape of `mlp_sweep`'s first learning call: half the first
+    // layer's bits decrypted, the rest and every second-layer bit free.
+    let p = prepare(Arch::Mlp, 16, Scale::Fast, 1);
+    let mg = p.model.white_box();
+    let sites = mg.lock_sites();
+    let first = sites[0].keyed_node;
+    let layer1: Vec<KeySlot> = sites
+        .iter()
+        .filter(|s| s.keyed_node == first)
+        .map(|s| s.slot)
+        .collect();
+    let fixed: BTreeMap<KeySlot, bool> = layer1[..layer1.len() / 2]
+        .iter()
+        .map(|&s| (s, p.model.true_key().bit(s.index())))
+        .collect();
+    let free: Vec<KeySlot> = sites
+        .iter()
+        .map(|s| s.slot)
+        .filter(|s| !fixed.contains_key(s))
+        .collect();
+    let learning = attack_config(Arch::Mlp, Scale::Fast).learning;
+    bench("learning_attack_mlp_layer1", || {
+        std::hint::black_box(learning_attack(
+            mg,
+            &CountingOracle::new(&p.model),
+            &fixed,
+            &free,
+            &LearnedMultipliers::new(),
+            &learning,
+            &mut Prng::seed_from_u64(508),
+        ));
+    });
+
+    // The §4.3 monolithic baseline: every slot free.
+    let lp = prepare(Arch::Lenet, 16, Scale::Fast, 1);
+    let lg = lp.model.white_box();
+    let every: Vec<KeySlot> = (0..lg.key_slot_count()).map(KeySlot).collect();
+    let mono = monolithic_config(Scale::Fast);
+    bench("learning_attack_lenet_monolithic", || {
+        std::hint::black_box(learning_attack(
+            lg,
+            &CountingOracle::new(&lp.model),
+            &BTreeMap::new(),
+            &every,
+            &LearnedMultipliers::new(),
+            &mono,
+            &mut Prng::seed_from_u64(509),
+        ));
+    });
+
+    // A fresh broker's cost per missed row over a bare oracle (48 inputs).
+    let oracle = CountingOracle::new(&p.model);
+    let rows16 = Prng::seed_from_u64(510).normal_tensor([16, mg.input_size()]);
+    bench_per("broker_batch16", 16, || {
+        std::hint::black_box(Broker::new(&oracle).query_batch(&rows16));
     });
 }

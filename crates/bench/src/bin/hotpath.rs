@@ -61,11 +61,13 @@ fn main() {
 
     // 5. planned paths with a reused workspace (what the loops run).
     let mut ws = relock_graph::Workspace::new();
+    let every_slot = relock_graph::MovingSet::new(g, |_| true);
+    let mut key_grads = vec![0.0; g.key_slot_count()];
     let t = Instant::now();
     for _ in 0..2000 {
         g.forward_into(&mut ws, &xb, &keys);
-        let grads = g.backward_into(&mut ws, &grad, &keys, false);
-        std::hint::black_box(&grads);
+        g.backward_keys_into(&mut ws, &every_slot, &grad, &keys, &mut key_grads);
+        std::hint::black_box(&key_grads);
     }
     println!(
         "fwd+bwd_into k-only {:6.2} us/iter",
@@ -74,7 +76,7 @@ fn main() {
     let t = Instant::now();
     for _ in 0..2000 {
         g.forward_into(&mut ws, &xb, &keys);
-        let grads = g.backward_into(&mut ws, &grad, &keys, true);
+        let grads = g.backward_into(&mut ws, &grad, &keys);
         std::hint::black_box(&grads);
     }
     println!(
@@ -113,8 +115,8 @@ fn main() {
     let t = Instant::now();
     for _ in 0..20000 {
         g.forward_into(&mut ws, &xb24, &keys);
-        let grads = g.backward_into(&mut ws, &grad24, &keys, false);
-        std::hint::black_box(&grads);
+        g.backward_keys_into(&mut ws, &every_slot, &grad24, &keys, &mut key_grads);
+        std::hint::black_box(&key_grads);
     }
     println!(
         "fwd+bwd b=24 k-o  {:8.2} us/iter",

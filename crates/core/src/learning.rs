@@ -7,10 +7,25 @@
 //! white-box's logits and oracle responses on random inputs. Bits whose
 //! multiplier reaches the confidence threshold are *settled* (frozen to
 //! ±1) during training, exactly as §4.1 describes.
+//!
+//! A step recomputes only what still moves. The call splits the graph by
+//! a [`MovingSet`]: the nodes that read an unsettled free slot, or read
+//! such a node, move; the rest is frozen. The frozen frontier (what the
+//! moving nodes read) is evaluated once over the training set, in
+//! mini-batch chunks, and each Adam step gathers its rows from that cache
+//! and runs forward and keys-only backward over the moving nodes alone.
+//! Settles happen at epoch ends; when they leave a keyed node with no
+//! moving slot, the set shrinks and the frontier is evaluated again. The
+//! cache lives for one call, so checkpoints never see it.
+//!
+//! The bits are those of a full pass per step: a row's values never
+//! depend on its batch mates, settled and fixed bits are exactly ±1, and
+//! nodes outside the moving set pass no gradient to a moving slot (see
+//! [`Graph::backward_keys_into`]).
 
 use crate::config::{LearningConfig, INPUT_SCALE};
-use crate::probs::{looks_like_probabilities, softmax_rows, softmax_vjp_rows};
-use relock_graph::{Graph, KeyAssignment, KeySlot, Workspace};
+use crate::probs::{looks_like_probabilities, softmax_rows_into, softmax_vjp_rows_into};
+use relock_graph::{Graph, KeyAssignment, KeySlot, MovingSet, Workspace};
 use relock_locking::Oracle;
 use relock_tensor::rng::Prng;
 use relock_tensor::Tensor;
@@ -111,49 +126,57 @@ pub fn learning_attack(
     let (mut m1, mut m2) = (vec![0.0; theta.len()], vec![0.0; theta.len()]);
     let (b1, b2, eps): (f64, f64, f64) = (0.9, 0.999, 1e-8);
     let mut t = 0u64;
-    // One workspace for every mini-batch forward/backward of the run; the
-    // weights are frozen (only θ moves), so the planned path's cached
-    // effective weights survive the whole training loop.
+    // One workspace for the whole run; the weights are frozen (only θ
+    // moves), so the planned path's cached effective weights survive the
+    // whole training loop.
     let mut ws = Workspace::new();
+    // The nodes the unsettled free slots reach are the only ones a step
+    // recomputes; the frozen rest's frontier is evaluated once per moving
+    // set over the whole training set.
+    let mut moves = vec![false; n_slots];
+    for s in free_slots {
+        moves[s.index()] = true;
+    }
+    let mut moving = MovingSet::new(g, |s| moves[s.index()]);
+    let mut frontier = Vec::new();
+    g.eval_frontier_into(&mut ws, &moving, &x, &ka, cfg.batch, &mut frontier);
+    // Step buffers, reused by every step.
+    let mut order: Vec<usize> = Vec::with_capacity(samples);
+    let mut grad_out = Tensor::zeros([0]);
+    let (mut probs, mut diff) = (Tensor::zeros([0]), Tensor::zeros([0]));
+    let mut key_grads = vec![0.0; n_slots];
 
     let mut best_loss = f64::INFINITY;
     let mut stale_epochs = 0usize;
 
     for _ in 0..cfg.epochs {
-        let mut order: Vec<usize> = (0..samples).collect();
+        order.clear();
+        order.extend(0..samples);
         rng.shuffle(&mut order);
         let mut epoch_loss = 0.0;
         let mut batches = 0usize;
         for chunk in order.chunks(cfg.batch) {
-            // Gather the mini-batch.
-            let mut xb = Vec::with_capacity(chunk.len() * p);
-            let mut yb = Vec::with_capacity(chunk.len() * q);
-            for &i in chunk {
-                xb.extend_from_slice(x.row(i));
-                yb.extend_from_slice(y.row(i));
-            }
-            let xb = Tensor::from_vec(xb, [chunk.len(), p]);
-            let yb = Tensor::from_vec(yb, [chunk.len(), q]);
-
-            g.forward_into(&mut ws, &xb, &ka);
+            g.forward_moving_into(&mut ws, &moving, &frontier, chunk, &ka);
             let logits = ws.value(g.output_id());
-            let (diff, grad_out) = if oracle_is_softmax {
-                let probs = softmax_rows(logits);
-                let diff = probs.zip_map(&yb, |a, b| a - b);
-                let grad_probs = diff.scale(2.0 / (chunk.len() * q) as f64);
-                let grad_out = softmax_vjp_rows(&probs, &grad_probs);
-                (diff, grad_out)
+            let scale = 2.0 / (chunk.len() * q) as f64;
+            // The loss is on the residual; `grad_out` takes its gradient at
+            // the logits.
+            let residual = if oracle_is_softmax {
+                softmax_rows_into(logits, &mut probs);
+                residual_into(&probs, &y, chunk, &mut diff);
+                &mut diff
             } else {
-                let diff = logits.zip_map(&yb, |a, b| a - b);
-                let grad_out = diff.scale(2.0 / (chunk.len() * q) as f64);
-                (diff, grad_out)
+                residual_into(logits, &y, chunk, &mut grad_out);
+                &mut grad_out
             };
             epoch_loss +=
-                diff.as_slice().iter().map(|d| d * d).sum::<f64>() / (chunk.len() * q) as f64;
+                residual.as_slice().iter().map(|d| d * d).sum::<f64>() / (chunk.len() * q) as f64;
+            residual.scale_inplace(scale);
+            if oracle_is_softmax {
+                softmax_vjp_rows_into(&probs, &diff, &mut grad_out);
+            }
             batches += 1;
-            // Keys-only backward: the graph's weights are frozen, so the
-            // expensive per-layer weight-gradient matrices are never formed.
-            let grads = g.backward_into(&mut ws, &grad_out, &ka, false);
+            g.backward_keys_into(&mut ws, &moving, &grad_out, &ka, &mut key_grads);
 
             t += 1;
             let (bc1, bc2) = (1.0 - b1.powi(t as i32), 1.0 - b2.powi(t as i32));
@@ -162,7 +185,7 @@ pub fn learning_attack(
                     continue;
                 }
                 let m = theta[i].tanh();
-                let dm = grads.keys[slot.index()];
+                let dm = key_grads[slot.index()];
                 let dtheta = dm * (1.0 - m * m);
                 m1[i] = b1 * m1[i] + (1.0 - b1) * dtheta;
                 m2[i] = b2 * m2[i] + (1.0 - b2) * dtheta * dtheta;
@@ -178,11 +201,21 @@ pub fn learning_attack(
             if !settled[i] && theta[i].tanh().abs() >= CONFIDENCE {
                 settled[i] = true;
                 newly_settled = true;
+                moves[slot.index()] = false;
                 ka.set(*slot, theta[i].tanh().signum());
             }
         }
         if settled.iter().all(|&s| s) {
             break;
+        }
+        // A settled bit is exactly ±1 from now on: once a keyed node reads
+        // no moving slot, it joins the frozen rest.
+        if newly_settled {
+            let next = MovingSet::new(g, |s| moves[s.index()]);
+            if next != moving {
+                moving = next;
+                g.eval_frontier_into(&mut ws, &moving, &x, &ka, cfg.batch, &mut frontier);
+            }
         }
         // Early stopping: no settles and no loss progress.
         if newly_settled || epoch_loss < best_loss * 0.999 {
@@ -208,6 +241,22 @@ pub fn learning_attack(
             (*s, m)
         })
         .collect()
+}
+
+/// Fills `out` with `pred − y` at the training rows `rows`, one row each.
+fn residual_into(pred: &Tensor, y: &Tensor, rows: &[usize], out: &mut Tensor) {
+    let q = pred.dims()[1];
+    out.reset_shape([rows.len(), q]);
+    for ((o, p), &r) in out
+        .as_mut_slice()
+        .chunks_exact_mut(q)
+        .zip(pred.as_slice().chunks_exact(q))
+        .zip(rows)
+    {
+        for ((o, &a), &b) in o.iter_mut().zip(p).zip(y.row(r)) {
+            *o = a - b;
+        }
+    }
 }
 
 /// Rounds learned multipliers to key bits (`m < 0 ⇒ bit 1`) — the paper's

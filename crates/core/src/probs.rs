@@ -26,26 +26,44 @@ pub(crate) fn looks_like_probabilities(y: &Tensor) -> bool {
 
 /// Applies row-wise softmax to a `(B, Q)` matrix.
 pub(crate) fn softmax_rows(logits: &Tensor) -> Tensor {
-    let (b, q) = (logits.dims()[0], logits.dims()[1]);
-    let mut out = Vec::with_capacity(b * q);
-    for s in 0..b {
-        out.extend_from_slice(Tensor::from_slice(logits.row(s)).softmax().as_slice());
-    }
-    Tensor::from_vec(out, [b, q])
+    let mut out = Tensor::zeros([0]);
+    softmax_rows_into(logits, &mut out);
+    out
 }
 
-/// Pulls a gradient at the probabilities back to the logits:
+/// [`softmax_rows`] into a reused buffer.
+pub(crate) fn softmax_rows_into(logits: &Tensor, out: &mut Tensor) {
+    let (b, q) = (logits.dims()[0], logits.dims()[1]);
+    out.reset_shape([b, q]);
+    for (o, z) in out
+        .as_mut_slice()
+        .chunks_exact_mut(q)
+        .zip(logits.as_slice().chunks_exact(q))
+    {
+        let m = z.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        for (o, &v) in o.iter_mut().zip(z) {
+            *o = (v - m).exp();
+        }
+        let inv = 1.0 / o.iter().sum::<f64>();
+        for o in o.iter_mut() {
+            *o *= inv;
+        }
+    }
+}
+
+/// Pulls a gradient at the probabilities back to the logits into `out`:
 /// `dL/dz = s ∘ (g − ⟨g, s⟩)` per row, where `s = softmax(z)`.
-pub(crate) fn softmax_vjp_rows(probs: &Tensor, grad_probs: &Tensor) -> Tensor {
+pub(crate) fn softmax_vjp_rows_into(probs: &Tensor, grad_probs: &Tensor, out: &mut Tensor) {
     let (b, q) = (probs.dims()[0], probs.dims()[1]);
-    let mut out = Vec::with_capacity(b * q);
-    for r in 0..b {
+    out.reset_shape([b, q]);
+    for (r, o) in out.as_mut_slice().chunks_exact_mut(q).enumerate() {
         let s = probs.row(r);
         let g = grad_probs.row(r);
         let dot: f64 = s.iter().zip(g).map(|(&sv, &gv)| sv * gv).sum();
-        out.extend(s.iter().zip(g).map(|(&sv, &gv)| sv * (gv - dot)));
+        for ((o, &sv), &gv) in o.iter_mut().zip(s).zip(g) {
+            *o = sv * (gv - dot);
+        }
     }
-    Tensor::from_vec(out, [b, q])
 }
 
 #[cfg(test)]
@@ -67,7 +85,8 @@ mod tests {
         let z = rng.normal_tensor([2, 4]);
         let g = rng.normal_tensor([2, 4]);
         let s = softmax_rows(&z);
-        let an = softmax_vjp_rows(&s, &g);
+        let mut an = Tensor::zeros([0]);
+        softmax_vjp_rows_into(&s, &g, &mut an);
         let eps = 1e-6;
         for r in 0..2 {
             for c in 0..4 {

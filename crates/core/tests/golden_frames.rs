@@ -16,19 +16,22 @@
 //! The §3.5 witnesses are pinned on their own, over victims the histories
 //! never reach (ResNet, ViT, weight and trigger locks): a failure there
 //! means a line scan picked another segment or a bisection moved a bit.
+//! The §3.6 multipliers are pinned on the same victims: a failure there
+//! means a learning step's moving pass or frontier cache moved a bit.
 
 use relock_attack::testutil::{lenet_victim, mlp16_victim, run_threads, variant_victim};
 use relock_attack::{
-    neuroevolution_key_search, sampling_key_search, search_critical_point,
-    search_target_critical_point, AttackConfig, CriticalPoint, LearningConfig, MonolithicAttack,
-    TargetScalar,
+    learning_attack, neuroevolution_key_search, sampling_key_search, search_critical_point,
+    search_target_critical_point, AttackConfig, CriticalPoint, LearnedMultipliers, LearningConfig,
+    MonolithicAttack, TargetScalar,
 };
-use relock_graph::{Graph, NodeId, Op};
-use relock_locking::{CountingOracle, Key, LockSpec, LockVariant, LockedModel};
+use relock_graph::{Graph, KeySlot, NodeId, Op};
+use relock_locking::{CountingOracle, Key, LockSpec, LockVariant, LockedModel, Oracle};
 use relock_nn::{
     build_mlp_weight_locked, build_resnet, build_vit, MlpSpec, ResnetSpec, StageSpec, VitSpec,
 };
 use relock_tensor::rng::Prng;
+use std::collections::BTreeMap;
 
 /// FNV-1a over every frame, each prefixed by its length so frame
 /// boundaries count.
@@ -262,11 +265,9 @@ fn witness_digest(model: &LockedModel, cfg: &AttackConfig, seed: u64) -> Vec<u8>
     history_digest(&parts).to_le_bytes().to_vec()
 }
 
-/// §3.5 witnesses on an MLP, LeNet, an untrained ResNet and ViT, a
-/// weight-locked MLP and a SARLock-triggered MLP: every lock site's
-/// pre-node, and every keyed layer's surface under each scalar kind.
-#[test]
-fn critical_points_are_pinned() {
+/// The victims the §3.5 and §3.6 pins share: MLP-16, LeNet, an untrained
+/// ResNet and ViT, a weight-locked MLP and a SARLock-triggered MLP.
+fn pin_victims() -> [LockedModel; 6] {
     let mut rng = Prng::seed_from_u64(720);
     let resnet = build_resnet(
         &ResnetSpec {
@@ -311,14 +312,21 @@ fn critical_points_are_pinned() {
         &mut rng,
     )
     .unwrap();
-    let victims = [
+    [
         mlp16_victim(),
         lenet_victim(),
         resnet,
         vit,
         weight_locked,
         variant_victim(LockVariant::SarTrigger, 10, 770),
-    ];
+    ]
+}
+
+/// §3.5 witnesses on every pin victim: every lock site's pre-node, and
+/// every keyed layer's surface under each scalar kind.
+#[test]
+fn critical_points_are_pinned() {
+    let victims = pin_victims();
     let mut parts = Vec::new();
     for (i, model) in victims.iter().enumerate() {
         parts.push(witness_digest(model, &AttackConfig::fast(), 730 + i as u64));
@@ -328,5 +336,64 @@ fn critical_points_are_pinned() {
     assert_eq!(
         got, 0xcf25_ccd9_38a9_792b,
         "witnesses moved (digest {got:#018x})"
+    );
+}
+
+/// The key slots of a graph's first keyed node, in unit order.
+fn first_keyed_slots(g: &Graph) -> Vec<KeySlot> {
+    g.nodes()
+        .iter()
+        .map(|node| node.op.key_slots())
+        .find(|slots| !slots.is_empty())
+        .expect("victim has a keyed node")
+}
+
+/// §3.6 multipliers on every pin victim under the fast configuration: one
+/// call with every slot free, and one with the first keyed layer's bits
+/// fixed to the true key and the rest free. Each call contributes the
+/// bits of its multipliers in slot order and the oracle's query count.
+#[test]
+fn learned_multipliers_are_pinned() {
+    let cfg = AttackConfig::fast().learning;
+    let mut parts = Vec::new();
+    for (i, model) in pin_victims().iter().enumerate() {
+        let g = model.white_box();
+        let all: Vec<KeySlot> = (0..g.key_slot_count()).map(KeySlot).collect();
+        let first = first_keyed_slots(g);
+        let fixed: BTreeMap<KeySlot, bool> = first
+            .iter()
+            .map(|&s| (s, model.true_key().bit(s.index())))
+            .collect();
+        let rest: Vec<KeySlot> = all
+            .iter()
+            .copied()
+            .filter(|s| !fixed.contains_key(s))
+            .collect();
+        for (j, (fixed, free)) in [(BTreeMap::new(), all.clone()), (fixed, rest)]
+            .iter()
+            .enumerate()
+        {
+            let oracle = CountingOracle::new(model);
+            let learned = learning_attack(
+                g,
+                &oracle,
+                fixed,
+                free,
+                &LearnedMultipliers::new(),
+                &cfg,
+                &mut Prng::seed_from_u64(740 + 2 * i as u64 + j as u64),
+            );
+            let reals: Vec<u8> = learned
+                .values()
+                .flat_map(|m| m.to_bits().to_le_bytes())
+                .collect();
+            parts.push(reals);
+            parts.push(oracle.query_count().to_le_bytes().to_vec());
+        }
+    }
+    let got = history_digest(&parts);
+    assert_eq!(
+        got, 0x64bd_808b_f7ef_f778,
+        "learned multipliers moved (digest {got:#018x})"
     );
 }

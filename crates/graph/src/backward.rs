@@ -41,10 +41,11 @@ impl Op {
     /// identical either way.
     ///
     /// With `want_dx == false` the input gradients are skipped as well
-    /// (the planned reverse pass clears it for nodes with no key-dependent
-    /// ancestor): `Linear`/`TokenLinear` skip their `dX` product and
-    /// return no input gradients; other ops may still return them — the
-    /// caller drops whatever comes back.
+    /// (the keys-only reverse pass clears it for nodes with no moving
+    /// input): `Linear`, `TokenLinear` and `Conv2d` skip their `dX`
+    /// product and return no input gradients; other ops may still return
+    /// them — the caller drops whatever comes back. A keys-only `Conv2d`
+    /// forms neither its patches nor its kernel gradient.
     ///
     /// # Panics
     ///
@@ -102,6 +103,9 @@ impl Op {
             Op::Conv2d { w, geom, .. } => {
                 let x = inputs[0];
                 let batch = x.dims()[0];
+                if !want_params && !want_dx {
+                    return (Vec::new(), None);
+                }
                 let out_c = w.dims()[0];
                 let pos = geom.out_positions();
                 let plen = geom.patch_len();
@@ -110,8 +114,6 @@ impl Op {
                 let mut dw = Tensor::zeros([out_c, plen]);
                 let mut db = vec![0.0f64; out_c];
                 for s in 0..batch {
-                    let img = Tensor::from_slice(x.row(s));
-                    let patches = im2col(&img, geom);
                     // Channel-major grad row → (pos, out_c) matrix.
                     let grow = grad_out.row(s);
                     let mut dym = vec![0.0f64; pos * out_c];
@@ -123,7 +125,10 @@ impl Op {
                         }
                     }
                     let dym = Tensor::from_vec(dym, [pos, out_c]);
-                    dw.axpy(1.0, &dym.matmul_tn(&patches));
+                    if want_params {
+                        let patches = im2col(&Tensor::from_slice(x.row(s)), geom);
+                        dw.axpy(1.0, &dym.matmul_tn(&patches));
+                    }
                     let dpatches = dym.matmul(w);
                     let dimg = col2im(&dpatches, geom);
                     dx[s * in_size..(s + 1) * in_size].copy_from_slice(dimg.as_slice());

@@ -17,6 +17,13 @@
 //! with the batch pass to rounding, not bit for bit, so only the §3.5
 //! line scan uses it.
 //!
+//! The §3.6 keys-only training step runs the same loop split in two by a
+//! [`MovingSet`]: [`Graph::eval_frontier_into`] evaluates the frozen
+//! frontier once per training set, [`Graph::forward_moving_into`] gathers
+//! a step's rows from it and runs only the moving nodes, and
+//! [`Graph::backward_keys_into`] is the keys-only reverse pass bounded by
+//! the moving set. Both agree with the full passes bit for bit.
+//!
 //! The original direct implementations survive as `*_reference` (hidden):
 //! they are the oracle the planned path is property-tested **bit-identical**
 //! against, and what the benchmarks compare to.
@@ -24,7 +31,7 @@
 use crate::graph::{Graph, NodeId};
 use crate::key::KeyAssignment;
 use crate::op::{Op, Saved};
-use crate::plan::{EffWeight, Workspace};
+use crate::plan::{EffWeight, MovingSet, Workspace};
 use relock_tensor::Tensor;
 
 /// The input of a planned pass.
@@ -32,12 +39,31 @@ use relock_tensor::Tensor;
 enum PassInput<'a> {
     /// A `(batch, P)` matrix of points, or one rank-1 point.
     Batch(&'a Tensor),
-    /// The points `anchor + tᵢ·dir` of a line, one row per `tᵢ`.
+    /// The points `anchor + tᵢ·dir` of a line, one row per `tᵢ`; `points`
+    /// says whether the pass must build them (see
+    /// [`ExecPlan::line_needs_points`](crate::ExecPlan::line_needs_points)).
     Line {
         anchor: &'a Tensor,
         dir: &'a Tensor,
         ts: &'a [f64],
+        points: bool,
     },
+    /// The given rows of a moving set's cached frontier, one tensor per
+    /// frontier node; the pass gathers them and runs the moving nodes.
+    Frontier {
+        moving: &'a MovingSet,
+        cache: &'a [Tensor],
+        rows: &'a [usize],
+    },
+}
+
+/// What a planned reverse pass produces.
+enum Reverse<'a> {
+    /// Parameter gradients into the per-node slots, plus every key
+    /// gradient.
+    Params(&'a mut [Option<(Tensor, Tensor)>]),
+    /// Key gradients only, propagated through the moving nodes alone.
+    Keys(&'a MovingSet),
 }
 
 /// All per-node values and saved contexts from one forward pass.
@@ -192,7 +218,7 @@ impl Graph {
     ///
     /// Panics if the input width does not match the graph.
     pub fn forward_into(&self, ws: &mut Workspace, x: &Tensor, keys: &KeyAssignment) {
-        self.run_planned(ws, PassInput::Batch(x), keys, None)
+        self.run_planned(ws, PassInput::Batch(x), keys, &|_| true)
     }
 
     /// Planned forward pass computing **only the ancestors of `target`**
@@ -212,7 +238,10 @@ impl Graph {
         keys: &KeyAssignment,
         target: NodeId,
     ) {
-        self.run_planned(ws, PassInput::Batch(x), keys, Some(target))
+        let plan = self.plan();
+        self.run_planned(ws, PassInput::Batch(x), keys, &|id| {
+            plan.is_ancestor(id, target)
+        })
     }
 
     /// Planned partial pass along a line: evaluates `target` (and its
@@ -244,17 +273,95 @@ impl Graph {
         keys: &KeyAssignment,
         target: NodeId,
     ) -> &'w Tensor {
-        let line = PassInput::Line { anchor, dir, ts };
-        self.run_planned(ws, line, keys, Some(target));
+        let plan = self.plan();
+        let points = plan.line_needs_points(target);
+        let line = PassInput::Line {
+            anchor,
+            dir,
+            ts,
+            points,
+        };
+        self.run_planned(ws, line, keys, &|id| plan.is_ancestor(id, target));
         ws.value(target)
     }
 
+    /// Evaluates `moving`'s frontier at every row of `x` into `cache`,
+    /// one `(rows, width)` tensor per [`MovingSet::frontier`] node, running
+    /// only the frontier and its ancestors over `chunk` rows at a time.
+    ///
+    /// A row's values never depend on its batch mates (every op works per
+    /// row, and every gemm accumulates each output element on its own), so
+    /// the cache holds exactly the bits a full pass over any batch would
+    /// compute for those rows while no frozen node's keys change. Chunks
+    /// the size of a training step keep each product below the kernels'
+    /// threading threshold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `x` is not a `(rows, P)` matrix or `chunk` is zero.
+    pub fn eval_frontier_into(
+        &self,
+        ws: &mut Workspace,
+        moving: &MovingSet,
+        x: &Tensor,
+        keys: &KeyAssignment,
+        chunk: usize,
+        cache: &mut Vec<Tensor>,
+    ) {
+        assert!(chunk > 0, "frontier chunk must be positive");
+        let (rows, p) = (x.dims()[0], x.dims()[1]);
+        let frontier = moving.frontier();
+        cache.resize_with(frontier.len(), || Tensor::zeros([0]));
+        for (c, &id) in cache.iter_mut().zip(frontier) {
+            c.reset_shape([rows, self.nodes[id.index()].out_size]);
+        }
+        let mut xc = Tensor::zeros([0]);
+        for lo in (0..rows).step_by(chunk) {
+            let hi = (lo + chunk).min(rows);
+            xc.reset_shape([hi - lo, p]);
+            xc.as_mut_slice()
+                .copy_from_slice(&x.as_slice()[lo * p..hi * p]);
+            self.run_planned(ws, PassInput::Batch(&xc), keys, &|id| {
+                moving.feeds_frontier(id)
+            });
+            for (c, &id) in cache.iter_mut().zip(frontier) {
+                let v = ws.value(id).as_slice();
+                let w = v.len() / (hi - lo);
+                c.as_mut_slice()[lo * w..hi * w].copy_from_slice(v);
+            }
+        }
+    }
+
+    /// Planned forward pass of one keys-only training step: gathers `rows`
+    /// of the frontier `cache` (from [`Graph::eval_frontier_into`] with the
+    /// same `moving`) and runs the moving nodes on them. The output's value
+    /// is bit-identical to [`Graph::forward_into`] on those rows of the
+    /// training set, and the workspace holds what
+    /// [`Graph::backward_keys_into`] reads.
+    pub fn forward_moving_into(
+        &self,
+        ws: &mut Workspace,
+        moving: &MovingSet,
+        cache: &[Tensor],
+        rows: &[usize],
+        keys: &KeyAssignment,
+    ) {
+        let input = PassInput::Frontier {
+            moving,
+            cache,
+            rows,
+        };
+        self.run_planned(ws, input, keys, &|id| moving.in_moving_pass(id))
+    }
+
+    /// The one planned schedule loop: computes, in topological order,
+    /// every node `wanted` selects from `input`.
     fn run_planned(
         &self,
         ws: &mut Workspace,
         input: PassInput<'_>,
         keys: &KeyAssignment,
-        target: Option<NodeId>,
+        wanted: &dyn Fn(NodeId) -> bool,
     ) {
         let p = self.input_size();
         let batch = match input {
@@ -268,18 +375,20 @@ impl Graph {
                 assert_eq!(width, p, "input width {width} != graph input {p}");
                 batch
             }
-            PassInput::Line { anchor, dir, ts } => {
+            PassInput::Line {
+                anchor, dir, ts, ..
+            } => {
                 assert_eq!(anchor.numel(), p, "line anchor width != graph input {p}");
                 assert_eq!(dir.numel(), p, "line direction width != graph input {p}");
                 ts.len()
             }
+            PassInput::Frontier { rows, .. } => rows.len(),
         };
         let plan = self.plan();
         let n = self.nodes.len();
         ws.ensure(n);
         ws.batch = batch;
         ws.passes += 1;
-        let limit = target.map_or(n - 1, |t| t.index());
         let weights_gen = self.weights_gen;
         let Workspace {
             values,
@@ -291,25 +400,49 @@ impl Graph {
         for flag in live.iter_mut() {
             *flag = false;
         }
-        for idx in 0..=limit {
-            if let Some(t) = target {
-                if !plan.is_ancestor(NodeId(idx), t) {
-                    continue;
-                }
+        for idx in 0..n {
+            if !wanted(NodeId(idx)) {
+                continue;
             }
             let node = &self.nodes[idx];
             // Node inputs precede the node in topological order, so the
             // output buffer and the input buffers never alias.
             let (done, rest) = values.split_at_mut(idx);
             let out = &mut rest[0];
+            if let PassInput::Frontier {
+                moving,
+                cache,
+                rows,
+            } = input
+            {
+                if let Some(k) = moving.frontier_index(NodeId(idx)) {
+                    let src = &cache[k];
+                    let w = src.dims()[1];
+                    out.reset_shape([batch, w]);
+                    for (dst, &r) in out.as_mut_slice().chunks_exact_mut(w).zip(rows) {
+                        dst.copy_from_slice(src.row(r));
+                    }
+                    saved[idx] = Saved::None;
+                    live[idx] = true;
+                    continue;
+                }
+            }
             if matches!(node.op, Op::Input { .. }) {
                 match input {
                     PassInput::Batch(x) => {
                         out.reset_shape([batch, p]);
                         out.as_mut_slice().copy_from_slice(x.as_slice());
                     }
-                    PassInput::Line { anchor, dir, ts } => {
-                        if !plan.line_needs_points(target.expect("a line pass has a target")) {
+                    PassInput::Frontier { .. } => {
+                        unreachable!("the input is frozen, so the frontier holds it")
+                    }
+                    PassInput::Line {
+                        anchor,
+                        dir,
+                        ts,
+                        points,
+                    } => {
+                        if !points {
                             continue;
                         }
                         out.reset_shape([batch, p]);
@@ -335,7 +468,10 @@ impl Graph {
                 _ => None,
             };
             let sv = &mut saved[idx];
-            if let PassInput::Line { anchor, dir, ts } = input {
+            if let PassInput::Line {
+                anchor, dir, ts, ..
+            } = input
+            {
                 if plan.is_input_affine(NodeId(idx)) {
                     node.op.affine_line_into(anchor, dir, ts, w_eff, out);
                     *sv = Saved::None;
@@ -583,12 +719,9 @@ impl Graph {
         }
     }
 
-    /// Planned reverse-mode pass over the workspace's latest forward pass.
-    ///
-    /// With `want_params == false` only key-multiplier gradients are
-    /// produced (`Gradients::params` is all `None`) and the expensive
-    /// weight-gradient matrices are never formed — the §3.6 learning attack
-    /// reads nothing else. Key gradients are bit-identical either way.
+    /// Planned reverse-mode pass over the workspace's latest forward pass,
+    /// producing parameter and key gradients bit-identical to
+    /// [`Graph::backward`]'s. The trainer's pass.
     ///
     /// # Panics
     ///
@@ -599,15 +732,73 @@ impl Graph {
         ws: &mut Workspace,
         grad_out: &Tensor,
         keys: &KeyAssignment,
-        want_params: bool,
     ) -> Gradients {
-        let n = self.nodes.len();
+        let mut params = vec![None; self.nodes.len()];
+        let mut key_grads = vec![0.0f64; self.key_slots];
+        self.run_reverse(
+            ws,
+            grad_out,
+            keys,
+            Reverse::Params(&mut params),
+            &mut key_grads,
+        );
+        Gradients {
+            params,
+            keys: key_grads,
+        }
+    }
+
+    /// Keys-only reverse pass over the moving nodes of `moving`, after
+    /// [`Graph::forward_into`] or [`Graph::forward_moving_into`] with the
+    /// same `moving`: overwrites `key_grads` (one entry per key slot) with
+    /// the loss gradient at each key multiplier, and forms no parameter
+    /// gradient.
+    ///
+    /// Only moving nodes pass a gradient on, and only to moving inputs.
+    /// Every consumer of a moving node is moving, so each moving node
+    /// receives exactly the gradient the full reverse pass gives it, and
+    /// the key gradients of moving slots are bit-identical to
+    /// [`Graph::backward_into`]'s. Other slots read zero, or whatever a
+    /// moving node reading them accumulates.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the workspace's latest pass did not compute the output
+    /// node, if `grad_out` does not match its shape, or if `key_grads`
+    /// does not have one entry per key slot.
+    pub fn backward_keys_into(
+        &self,
+        ws: &mut Workspace,
+        moving: &MovingSet,
+        grad_out: &Tensor,
+        keys: &KeyAssignment,
+        key_grads: &mut [f64],
+    ) {
+        assert_eq!(key_grads.len(), self.key_slots, "one key gradient per slot");
+        key_grads.fill(0.0);
+        self.run_reverse(ws, grad_out, keys, Reverse::Keys(moving), key_grads);
+    }
+
+    /// The one planned reverse loop, in reverse topological order.
+    fn run_reverse(
+        &self,
+        ws: &mut Workspace,
+        grad_out: &Tensor,
+        keys: &KeyAssignment,
+        mode: Reverse<'_>,
+        key_grads: &mut [f64],
+    ) {
         assert_eq!(
             grad_out.dims(),
             ws.value(self.output_id()).dims(),
             "grad_out shape mismatch"
         );
-        let plan = self.plan();
+        let (mut params, moving) = match mode {
+            Reverse::Params(params) => (Some(params), None),
+            Reverse::Keys(moving) => (None, Some(moving)),
+        };
+        let want_params = params.is_some();
+        let moves = |id: NodeId| moving.is_none_or(|m| m.is_moving(id));
         let Workspace {
             values,
             saved,
@@ -617,11 +808,12 @@ impl Graph {
         for g in grad_buf.iter_mut() {
             *g = None;
         }
-        let mut params: Vec<Option<(Tensor, Tensor)>> = vec![None; n];
-        let mut key_grads = vec![0.0f64; self.key_slots];
         let output_idx = self.output_id().index();
+        if !moves(self.output_id()) {
+            return;
+        }
 
-        for idx in (0..n).rev() {
+        for idx in (0..self.nodes.len()).rev() {
             // The output node's incoming gradient is the caller's tensor;
             // inner nodes' gradients come out of the buffer. Either way the
             // op only borrows it.
@@ -641,12 +833,11 @@ impl Graph {
             if matches!(node.op, Op::Input { .. }) {
                 continue;
             }
-            // In keys-only mode a node with no key-dependent ancestor feeds
-            // gradients to a subgraph whose reverse pass can only produce
-            // parameter gradients nobody asked for — skip its input
-            // gradients entirely, which in turn skips every node below it.
-            let want_dx = want_params || plan.keyed_below(NodeId(idx));
-            let run = |inputs: &[&Tensor], key_grads: &mut Vec<f64>| {
+            // A frozen input can turn no gradient into a key gradient that
+            // is read: skip the input gradients of a node with none moving,
+            // which in turn skips every node below it.
+            let want_dx = node.inputs.iter().any(|&i| moves(i));
+            let run = |inputs: &[&Tensor], key_grads: &mut [f64]| {
                 node.op.backward_batch(
                     inputs,
                     &saved[idx],
@@ -658,28 +849,29 @@ impl Graph {
                 )
             };
             let (din, pgrad) = match *node.inputs.as_slice() {
-                [a] => run(&[&values[a.0]], &mut key_grads),
-                [a, b] => run(&[&values[a.0], &values[b.0]], &mut key_grads),
-                [a, b, c] => run(&[&values[a.0], &values[b.0], &values[c.0]], &mut key_grads),
+                [a] => run(&[&values[a.0]], key_grads),
+                [a, b] => run(&[&values[a.0], &values[b.0]], key_grads),
+                [a, b, c] => run(&[&values[a.0], &values[b.0], &values[c.0]], key_grads),
                 _ => {
                     let refs: Vec<&Tensor> =
                         node.inputs.iter().map(|i| &values[i.index()]).collect();
-                    run(&refs, &mut key_grads)
+                    run(&refs, key_grads)
                 }
             };
-            params[idx] = pgrad;
+            if let Some(params) = params.as_deref_mut() {
+                params[idx] = pgrad;
+            }
             if want_dx {
                 for (inp, d) in node.inputs.iter().zip(din) {
+                    if !moves(*inp) {
+                        continue;
+                    }
                     match &mut grad_buf[inp.index()] {
                         Some(existing) => existing.axpy(1.0, &d),
                         slot => *slot = Some(d),
                     }
                 }
             }
-        }
-        Gradients {
-            params,
-            keys: key_grads,
         }
     }
 
@@ -1131,7 +1323,7 @@ mod tests {
 
         let mut ws = Workspace::new();
         g.forward_into(&mut ws, &x, &keys);
-        let full = g.backward_into(&mut ws, &ones, &keys, true);
+        let full = g.backward_into(&mut ws, &ones, &keys);
         for (slot, (a, b)) in legacy.keys.iter().zip(&full.keys).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "key grad {slot}");
         }
@@ -1157,12 +1349,13 @@ mod tests {
                 _ => panic!("param grad presence mismatch at node {idx}"),
             }
         }
-        // Keys-only mode: identical key grads, no param grads formed.
-        let keys_only = g.backward_into(&mut ws, &ones, &keys, false);
-        for (slot, (a, b)) in legacy.keys.iter().zip(&keys_only.keys).enumerate() {
+        // Keys-only with every slot moving: identical key grads.
+        let mut keys_only = vec![f64::NAN; g.key_slot_count()];
+        let every_slot = MovingSet::new(&g, |_| true);
+        g.backward_keys_into(&mut ws, &every_slot, &ones, &keys, &mut keys_only);
+        for (slot, (a, b)) in legacy.keys.iter().zip(&keys_only).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "keys-only key grad {slot}");
         }
-        assert!(keys_only.params.iter().all(|p| p.is_none()));
     }
 
     #[test]

@@ -65,6 +65,6 @@ pub use exec::{Activations, Gradients};
 pub use graph::{Graph, GraphBuilder, GraphError, LockSite, Node, NodeId};
 pub use key::{KeyAssignment, KeySlot, UnitLayout};
 pub use op::{Op, Saved, TriggerKind, WeightLock};
-pub use plan::{ExecPlan, Workspace};
+pub use plan::{ExecPlan, MovingSet, Workspace};
 pub use pool::{PooledWorkspace, WorkspacePool};
 pub use serial::{bounded_vec, Section, SectionReader, SerialError};

@@ -17,12 +17,16 @@
 //!   weight matrices keyed by `(weights generation, key generation)` so a
 //!   locked `Linear` only re-applies its §3.9(b) weight locks when either
 //!   the parameters or the key assignment actually changed.
+//! - [`MovingSet`]: the split of a graph for keys-only training while only
+//!   some key slots move — the nodes a training step must recompute, and
+//!   the frozen frontier it reads from a cache.
 //!
 //! A workspace is graph-agnostic: it sizes itself to whatever graph it is
 //! handed, so one workspace can serve many graphs (though reusing it for a
 //! single graph is what makes it fast).
 
 use crate::graph::{Graph, NodeId};
+use crate::key::KeySlot;
 use crate::op::{Op, Saved};
 use relock_tensor::Tensor;
 
@@ -45,11 +49,6 @@ pub struct ExecPlan {
     /// index if it has no consumers) — the liveness horizon after which a
     /// tangent or scratch buffer for that node is dead.
     last_use: Vec<usize>,
-    /// Whether any **strict** ancestor of each node consults the key
-    /// assignment. When false, a keys-only reverse pass has no reason to
-    /// propagate a gradient through the node's inputs — nothing below can
-    /// turn it into a key gradient.
-    keyed_below: Vec<bool>,
     /// Whether each node is a `Linear` or `Conv2d` whose only input is the
     /// graph input: affine in the input, so a line pass evaluates it in
     /// closed form.
@@ -82,20 +81,6 @@ impl ExecPlan {
             row[i / 64] |= 1u64 << (i % 64);
             out_sizes.push(node.out_size);
         }
-        let keyed: Vec<usize> = g
-            .nodes()
-            .iter()
-            .enumerate()
-            .filter(|(_, node)| node.op.is_keyed())
-            .map(|(i, _)| i)
-            .collect();
-        let keyed_below = (0..n)
-            .map(|i| {
-                keyed
-                    .iter()
-                    .any(|&j| j != i && ancestors[i * words + j / 64] >> (j % 64) & 1 == 1)
-            })
-            .collect();
         let input_affine: Vec<bool> = g
             .nodes()
             .iter()
@@ -125,7 +110,6 @@ impl ExecPlan {
             ancestors,
             out_sizes,
             last_use,
-            keyed_below,
             input_affine,
             line_points,
         }
@@ -156,13 +140,6 @@ impl ExecPlan {
         self.last_use[node.0]
     }
 
-    /// Whether any strict ancestor of `node` consults the key assignment —
-    /// i.e. whether a keys-only reverse pass must keep propagating below it.
-    #[inline]
-    pub fn keyed_below(&self, node: NodeId) -> bool {
-        self.keyed_below[node.0]
-    }
-
     /// Whether `node` is a `Linear` or `Conv2d` fed only by the graph
     /// input, which a line pass evaluates in closed form.
     #[inline]
@@ -182,6 +159,117 @@ impl ExecPlan {
     pub fn ancestor_count(&self, target: NodeId) -> usize {
         let row = &self.ancestors[target.0 * self.words..(target.0 + 1) * self.words];
         row.iter().map(|w| w.count_ones() as usize).sum()
+    }
+}
+
+/// What a keys-only training pass does with one node (see [`MovingSet`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// Neither moving nor below the frontier: no pass computes it.
+    Idle,
+    /// Frozen, below the frontier: only the frontier pass computes it.
+    Feeds,
+    /// Frozen and read by a moving node (or the output when nothing moving
+    /// reaches it), at this index of [`MovingSet::frontier`].
+    Frontier(usize),
+    /// Reads a moving key slot or a moving node.
+    Moving,
+}
+
+/// The split of a graph for keys-only training while only some key slots
+/// move (the §3.6 learning attack).
+///
+/// A node is **moving** when it reads a moving slot or has a moving input;
+/// every other node is frozen, so its value at a given input row is the
+/// same at every step. The **frontier** is the frozen nodes a moving node
+/// reads, plus the output when no moving node reaches it.
+/// [`Graph::eval_frontier_into`](crate::Graph::eval_frontier_into)
+/// evaluates the frontier once per training set,
+/// [`Graph::forward_moving_into`](crate::Graph::forward_moving_into)
+/// gathers a step's rows from it and runs only the moving nodes, and
+/// [`Graph::backward_keys_into`](crate::Graph::backward_keys_into)
+/// propagates key gradients through the moving nodes alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MovingSet {
+    roles: Vec<Role>,
+    frontier: Vec<NodeId>,
+}
+
+impl MovingSet {
+    /// The split of `g` in which exactly the slots where `moves` holds
+    /// move. `|_| true` gives the split of a plain keys-only pass.
+    pub fn new(g: &Graph, moves: impl Fn(KeySlot) -> bool) -> MovingSet {
+        let nodes = g.nodes();
+        let mut roles = vec![Role::Idle; nodes.len()];
+        for (i, node) in nodes.iter().enumerate() {
+            if node.op.key_slots().into_iter().any(&moves)
+                || node.inputs.iter().any(|inp| roles[inp.0] == Role::Moving)
+            {
+                roles[i] = Role::Moving;
+            }
+        }
+        let mut read = vec![false; nodes.len()];
+        read[g.output_id().0] = true;
+        for (node, role) in nodes.iter().zip(&roles) {
+            if *role == Role::Moving {
+                for inp in &node.inputs {
+                    read[inp.0] = true;
+                }
+            }
+        }
+        let mut frontier = Vec::new();
+        for (i, role) in roles.iter_mut().enumerate() {
+            if *role != Role::Moving && read[i] {
+                *role = Role::Frontier(frontier.len());
+                frontier.push(NodeId(i));
+            }
+        }
+        // Every ancestor of a frozen node is frozen; the frontier pass
+        // computes the frontier's.
+        for i in (0..nodes.len()).rev() {
+            if matches!(roles[i], Role::Frontier(_) | Role::Feeds) {
+                for inp in &nodes[i].inputs {
+                    if roles[inp.0] == Role::Idle {
+                        roles[inp.0] = Role::Feeds;
+                    }
+                }
+            }
+        }
+        MovingSet { roles, frontier }
+    }
+
+    /// Whether `node` is moving.
+    #[inline]
+    pub(crate) fn is_moving(&self, node: NodeId) -> bool {
+        self.roles[node.0] == Role::Moving
+    }
+
+    /// The frontier nodes, in topological order.
+    pub fn frontier(&self) -> &[NodeId] {
+        &self.frontier
+    }
+
+    /// The index of `node` in [`MovingSet::frontier`], if it is there.
+    #[inline]
+    pub(crate) fn frontier_index(&self, node: NodeId) -> Option<usize> {
+        match self.roles[node.0] {
+            Role::Frontier(k) => Some(k),
+            _ => None,
+        }
+    }
+
+    /// Whether the frontier pass computes `node`: a frontier node or one
+    /// of its ancestors.
+    #[inline]
+    pub(crate) fn feeds_frontier(&self, node: NodeId) -> bool {
+        matches!(self.roles[node.0], Role::Frontier(_) | Role::Feeds)
+    }
+
+    /// Whether the moving pass produces `node`: moving, or gathered from
+    /// the frontier.
+    #[inline]
+    pub(crate) fn in_moving_pass(&self, node: NodeId) -> bool {
+        matches!(self.roles[node.0], Role::Frontier(_) | Role::Moving)
     }
 }
 

@@ -10,7 +10,8 @@
 //! engine silently change attack transcripts and checkpoint hashes.
 
 use relock_graph::{
-    Graph, GraphBuilder, KeyAssignment, KeySlot, NodeId, Op, UnitLayout, WeightLock, Workspace,
+    Graph, GraphBuilder, KeyAssignment, KeySlot, MovingSet, NodeId, Op, UnitLayout, WeightLock,
+    Workspace,
 };
 use relock_tensor::im2col::ConvGeometry;
 use relock_tensor::rng::Prng;
@@ -340,7 +341,7 @@ fn planned_backward_bitwise_and_keys_only_mode() {
                 let legacy = g.backward(&acts, &seed, &keys);
 
                 g.forward_into(&mut ws, &x, &keys);
-                let planned = g.backward_into(&mut ws, &seed, &keys, true);
+                let planned = g.backward_into(&mut ws, &seed, &keys);
                 for (slot, (a, b)) in legacy.keys.iter().zip(&planned.keys).enumerate() {
                     assert_eq!(a.to_bits(), b.to_bits(), "key grad {slot}");
                 }
@@ -355,13 +356,14 @@ fn planned_backward_bitwise_and_keys_only_mode() {
                     }
                 }
 
-                // Keys-only mode: bit-identical key gradients, zero param
-                // gradient matrices materialized.
-                let keys_only = g.backward_into(&mut ws, &seed, &keys, false);
-                for (a, b) in legacy.keys.iter().zip(&keys_only.keys) {
+                // Keys-only mode with every slot moving: bit-identical key
+                // gradients.
+                let mut keys_only = vec![f64::NAN; g.key_slot_count()];
+                let every_slot = MovingSet::new(&g, |_| true);
+                g.backward_keys_into(&mut ws, &every_slot, &seed, &keys, &mut keys_only);
+                for (a, b) in legacy.keys.iter().zip(&keys_only) {
                     assert_eq!(a.to_bits(), b.to_bits());
                 }
-                assert!(keys_only.params.iter().all(|p| p.is_none()));
             }
         }
     }

@@ -161,7 +161,7 @@ impl Trainer {
                 graph.forward_into(&mut ws, &x, &keys);
                 let logits = ws.value(graph.output_id());
                 let (loss, grad) = softmax_cross_entropy(logits, &y);
-                let grads = graph.backward_into(&mut ws, &grad, &keys, true);
+                let grads = graph.backward_into(&mut ws, &grad, &keys);
                 adam.step(model.white_box_mut(), &grads.params);
                 epoch_loss += loss;
                 batches += 1;

@@ -31,14 +31,13 @@
 //! the same recorder through [`Broker::trace`].
 
 use crate::budget::QueryBudget;
-use crate::cache::{row_key_ns, MemoCache, RowKey, SharedCache};
+use crate::cache::{row_key_ns, MemoCache, RowKey, RowMap, SharedCache};
 use crate::flight::{Claim, FlightEntry, FlightTable};
 use crate::retry::RetryPolicy;
 use crate::stats::{QueryStats, QueryStatsSnapshot};
 use relock_locking::{Oracle, OracleError};
 use relock_tensor::Tensor;
 use relock_trace::FlightRecorder;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -226,7 +225,7 @@ impl<O: Oracle> Broker<O> {
             let mut miss_keys: Vec<RowKey> = Vec::new();
             let mut owned_rows: Vec<usize> = Vec::new();
             let mut dups: Vec<(usize, usize)> = Vec::new();
-            let mut slot_of: HashMap<RowKey, usize> = HashMap::new();
+            let mut slot_of: RowMap<usize> = RowMap::default();
             let mut guards = Vec::new();
             let mut waiting: Vec<(usize, Arc<FlightEntry>)> = Vec::new();
             // Duplicate rows that point at this round's miss slots are only

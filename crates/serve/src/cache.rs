@@ -20,7 +20,7 @@
 use crate::flight::FlightTable;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -35,12 +35,87 @@ const SHARDS: usize = 16;
 const ENTRY_OVERHEAD_BYTES: usize = 96;
 
 /// Bit-exact row key: the `f64::to_bits` image of one input row, optionally
-/// prefixed with a namespace word (see [`row_key_ns`]).
-pub(crate) type RowKey = Box<[u64]>;
+/// prefixed with a namespace word (see [`row_key_ns`]), and its fingerprint.
+///
+/// The fingerprint is hashed once, when the key is built; the shard index
+/// and every map the key enters reuse it through [`Prehashed`], so a
+/// brokered row costs one hash however many tables it passes. Equality
+/// still compares every word, so two keys that share a fingerprint stay
+/// distinct entries. Clones share the words.
+#[derive(Debug, Clone)]
+pub(crate) struct RowKey {
+    fingerprint: u64,
+    words: Arc<[u64]>,
+}
 
-/// Builds the cache key of one input row.
+impl RowKey {
+    fn new(words: Arc<[u64]>) -> Self {
+        let mut h = DefaultHasher::new();
+        words.hash(&mut h);
+        RowKey {
+            fingerprint: h.finish(),
+            words,
+        }
+    }
+
+    /// The key words, for tests.
+    #[cfg(test)]
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// A key with a chosen fingerprint, for collision tests.
+    #[cfg(test)]
+    pub(crate) fn with_fingerprint(row: &[f64], fingerprint: u64) -> Self {
+        RowKey {
+            fingerprint,
+            words: row.iter().map(|v| v.to_bits()).collect(),
+        }
+    }
+}
+
+impl PartialEq for RowKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.fingerprint == other.fingerprint && self.words == other.words
+    }
+}
+
+impl Eq for RowKey {}
+
+impl Hash for RowKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.fingerprint);
+    }
+}
+
+/// The hasher of every map keyed by [`RowKey`]: it passes the key's
+/// fingerprint through instead of hashing the words again. The value is
+/// rotated so that a shard's keys, which share their low bits (the shard
+/// index), still spread over the shard map's buckets.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0.rotate_right(SHARDS.trailing_zeros())
+    }
+
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a row key hashes as its fingerprint")
+    }
+
+    fn write_u64(&mut self, fingerprint: u64) {
+        self.0 = fingerprint;
+    }
+}
+
+/// A map keyed by [`RowKey`].
+pub(crate) type RowMap<V> = HashMap<RowKey, V, BuildHasherDefault<Prehashed>>;
+
+/// Builds the cache key of one input row with no namespace.
+#[cfg(test)]
 pub(crate) fn row_key(row: &[f64]) -> RowKey {
-    row.iter().map(|v| v.to_bits()).collect()
+    row_key_ns(None, row)
 }
 
 /// Builds the cache key of one input row under an optional namespace.
@@ -51,22 +126,19 @@ pub(crate) fn row_key(row: &[f64]) -> RowKey {
 /// every key. `None` (private brokers) produces exactly the historical key
 /// bytes.
 pub(crate) fn row_key_ns(ns: Option<u64>, row: &[f64]) -> RowKey {
-    match ns {
-        None => row_key(row),
-        Some(ns) => std::iter::once(ns)
+    RowKey::new(
+        ns.into_iter()
             .chain(row.iter().map(|v| v.to_bits()))
             .collect(),
-    }
+    )
 }
 
 fn shard_of(key: &RowKey) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() as usize) & (SHARDS - 1)
+    (key.fingerprint as usize) & (SHARDS - 1)
 }
 
 fn entry_bytes(key: &RowKey, value: &[f64]) -> usize {
-    (key.len() + value.len()) * 8 + ENTRY_OVERHEAD_BYTES
+    (key.words.len() + value.len()) * 8 + ENTRY_OVERHEAD_BYTES
 }
 
 /// One shard: the map plus an LRU recency index. `tick` is a shard-local
@@ -75,7 +147,7 @@ fn entry_bytes(key: &RowKey, value: &[f64]) -> usize {
 /// when the cache is bounded.
 #[derive(Debug, Default)]
 struct Shard {
-    map: HashMap<RowKey, ShardEntry>,
+    map: RowMap<ShardEntry>,
     order: BTreeMap<u64, RowKey>,
     bytes: usize,
     tick: u64,
@@ -154,7 +226,7 @@ impl MemoCache {
         let mut shard = self.shards[shard_ix].lock().expect("cache shard poisoned");
         shard.tick += 1;
         let tick = shard.tick;
-        let key_words = key.len();
+        let key_words = key.words.len();
         let added = entry_bytes(&key, &value);
         // The recency index (and its key clones) is only paid for when a
         // byte cap can actually trigger eviction.
@@ -281,13 +353,49 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_is_the_sip_hash_of_the_words() {
+        // Shard assignment (and so a capped cache's evictions) depends on
+        // the fingerprint: it stays the SipHash of the boxed key words.
+        let row = [0.5f64, -0.25, 3.0];
+        let words: Box<[u64]> = row.iter().map(|v| v.to_bits()).collect();
+        let mut h = DefaultHasher::new();
+        words.hash(&mut h);
+        assert_eq!(row_key(&row).fingerprint, h.finish());
+        assert_eq!(
+            shard_of(&row_key(&row)),
+            (h.finish() as usize) & (SHARDS - 1)
+        );
+    }
+
+    #[test]
+    fn keys_sharing_a_fingerprint_stay_distinct_entries() {
+        let a = RowKey::with_fingerprint(&[1.0, 2.0, 3.0], 0xfeed);
+        let b = RowKey::with_fingerprint(&[1.0, 2.0, 4.0], 0xfeed);
+        assert_ne!(a, b, "equality compares every word");
+        for cache in [MemoCache::new(), MemoCache::bounded(1 << 20)] {
+            cache.insert(a.clone(), vec![10.0].into());
+            cache.insert(b.clone(), vec![20.0].into());
+            assert_eq!(cache.len(), 2);
+            assert_eq!(cache.get(&a).as_deref(), Some(&[10.0][..]));
+            assert_eq!(cache.get(&b).as_deref(), Some(&[20.0][..]));
+            assert!(cache
+                .get(&RowKey::with_fingerprint(&[1.0, 2.0, 5.0], 0xfeed))
+                .is_none());
+        }
+    }
+
+    #[test]
     fn namespaced_keys_separate_identical_rows() {
         let row = [0.5, -0.25];
         assert_eq!(row_key_ns(None, &row), row_key(&row));
         let a = row_key_ns(Some(1), &row);
         let b = row_key_ns(Some(2), &row);
         assert_ne!(a, b);
-        assert_eq!(&a[1..], &row_key(&row)[..], "payload bits are unchanged");
+        assert_eq!(
+            a.words()[1..],
+            *row_key(&row).words(),
+            "payload bits are unchanged"
+        );
     }
 
     /// Forces every key into one shard's cap by using a cache whose cap is

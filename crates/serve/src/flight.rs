@@ -27,8 +27,7 @@
 //! wait can never form a cycle with a flight the waiter is obligated to
 //! complete.
 
-use crate::cache::RowKey;
-use std::collections::HashMap;
+use crate::cache::{RowKey, RowMap};
 use std::sync::{Arc, Condvar, Mutex};
 
 /// One in-flight row: waiters block on the condvar until the owner's
@@ -68,7 +67,7 @@ pub(crate) enum Claim {
 /// A registry of rows currently being dispatched by some worker.
 #[derive(Debug, Default)]
 pub(crate) struct FlightTable {
-    inflight: Mutex<HashMap<RowKey, Arc<FlightEntry>>>,
+    inflight: Mutex<RowMap<Arc<FlightEntry>>>,
 }
 
 impl FlightTable {

@@ -171,22 +171,16 @@ fn scan_targets(g: &Graph) -> Vec<NodeId> {
     out
 }
 
-/// The line pass, which fills an input-fed `Linear` or `Conv2d` in closed
-/// form, agrees with the batch pass over the materialized points to
-/// rounding, and with equal signs wherever a value clears that bound: on
-/// random lines, under a wrong key, at every scan target of an MLP, a
-/// LeNet, a ResNet, a ViT, a weight-locked MLP and a SARLock-triggered
-/// MLP. Only a target behind the trigger builds the points.
-#[test]
-fn line_pass_matches_the_batch_pass() {
-    let mut rng = Prng::seed_from_u64(0x11E);
+/// An MLP, a LeNet, an untrained ResNet and ViT, a weight-locked MLP and a
+/// SARLock-triggered MLP: every graph shape the planned passes treat apart.
+fn shape_victims(rng: &mut Prng) -> [LockedModel; 6] {
     let mlp = MlpSpec {
         input: 12,
         hidden: vec![10, 6],
         classes: 3,
     };
-    let victims = [
-        build_mlp(&mlp, LockSpec::evenly(8), &mut rng).unwrap(),
+    [
+        build_mlp(&mlp, LockSpec::evenly(8), rng).unwrap(),
         build_lenet(
             &LenetSpec {
                 in_channels: 1,
@@ -199,7 +193,7 @@ fn line_pass_matches_the_batch_pass() {
                 classes: 4,
             },
             LockSpec::evenly(8),
-            &mut rng,
+            rng,
         )
         .unwrap(),
         build_resnet(
@@ -216,7 +210,7 @@ fn line_pass_matches_the_batch_pass() {
                 classes: 3,
             },
             LockSpec::evenly(6),
-            &mut rng,
+            rng,
         )
         .unwrap(),
         build_vit(
@@ -232,17 +226,29 @@ fn line_pass_matches_the_batch_pass() {
                 classes: 3,
             },
             LockSpec::evenly(6),
-            &mut rng,
+            rng,
         )
         .unwrap(),
-        build_mlp_weight_locked(&mlp, 8, &mut rng).unwrap(),
+        build_mlp_weight_locked(&mlp, 8, rng).unwrap(),
         build_mlp(
             &mlp,
             LockSpec::with_variant(8, LockVariant::SarTrigger),
-            &mut rng,
+            rng,
         )
         .unwrap(),
-    ];
+    ]
+}
+
+/// The line pass, which fills an input-fed `Linear` or `Conv2d` in closed
+/// form, agrees with the batch pass over the materialized points to
+/// rounding, and with equal signs wherever a value clears that bound: on
+/// random lines, under a wrong key, at every scan target of an MLP, a
+/// LeNet, a ResNet, a ViT, a weight-locked MLP and a SARLock-triggered
+/// MLP. Only a target behind the trigger builds the points.
+#[test]
+fn line_pass_matches_the_batch_pass() {
+    let mut rng = Prng::seed_from_u64(0x11E);
+    let victims = shape_victims(&mut rng);
     let ts: Vec<f64> = (0..17).map(|i| -12.0 + 1.5 * f64::from(i)).collect();
     for (v, model) in victims.iter().enumerate() {
         let g = model.white_box();
@@ -292,6 +298,91 @@ fn line_pass_matches_the_batch_pass() {
                         }
                     }
                 }
+            }
+        }
+    }
+}
+
+/// The keys-only training step over the moving nodes alone agrees bit for
+/// bit with the full pass: on random free-slot sets (some slots settled to
+/// ±1, the others at random multipliers), frontier chunk sizes and row
+/// subsets of a training batch, the gathered logits and every moving
+/// slot's key gradient equal those of `forward_into` plus the keys-only
+/// reverse pass with every slot moving, on the rows gathered up front.
+#[test]
+fn moving_pass_matches_the_full_pass() {
+    use relock::graph::{MovingSet, Workspace};
+    let mut rng = Prng::seed_from_u64(0x3B6);
+    let n = 20;
+    for (v, model) in shape_victims(&mut rng).iter().enumerate() {
+        let g = model.white_box();
+        let slots = g.key_slot_count();
+        let every = MovingSet::new(g, |_| true);
+        let (mut ws, mut full_ws) = (Workspace::new(), Workspace::new());
+        let mut cache = Vec::new();
+        let x = rng.normal_tensor([n, g.input_size()]).scale(2.0);
+        for trial in 0..12 {
+            // Each slot is fixed or settled (±1), or moves at a random
+            // multiplier; trial 0 moves every slot, trial 1 none.
+            let moves: Vec<bool> = (0..slots)
+                .map(|_| match trial {
+                    0 => true,
+                    1 => false,
+                    _ => rng.uniform_in(0.0, 1.0) < 0.5,
+                })
+                .collect();
+            let values: Vec<f64> = moves
+                .iter()
+                .map(|&m| {
+                    let sign = if rng.uniform_in(0.0, 1.0) < 0.5 {
+                        -1.0
+                    } else {
+                        1.0
+                    };
+                    if m {
+                        rng.uniform_in(-0.95, 0.95)
+                    } else {
+                        sign
+                    }
+                })
+                .collect();
+            let keys = KeyAssignment::from_values(values);
+            let moving = MovingSet::new(g, |s| moves[s.index()]);
+            let chunk = 1 + (rng.uniform_in(0.0, n as f64) as usize).min(n - 1);
+            g.eval_frontier_into(&mut ws, &moving, &x, &keys, chunk, &mut cache);
+
+            let mut order: Vec<usize> = (0..n).collect();
+            rng.shuffle(&mut order);
+            let take = 1 + (rng.uniform_in(0.0, n as f64) as usize).min(n - 1);
+            let rows = &order[..take];
+            g.forward_moving_into(&mut ws, &moving, &cache, rows, &keys);
+            let logits = ws.value(g.output_id()).clone();
+            let grad = rng.normal_tensor(logits.dims().to_vec());
+            let mut grads = vec![f64::NAN; slots];
+            g.backward_keys_into(&mut ws, &moving, &grad, &keys, &mut grads);
+
+            let mut xb = Vec::with_capacity(take * g.input_size());
+            for &r in rows {
+                xb.extend_from_slice(x.row(r));
+            }
+            let xb = Tensor::from_vec(xb, [take, g.input_size()]);
+            g.forward_into(&mut full_ws, &xb, &keys);
+            let at = format!("victim {v}, trial {trial}, chunk {chunk}, {take} rows");
+            let full = full_ws.value(g.output_id());
+            assert_eq!(logits.dims(), full.dims(), "{at}");
+            for (a, b) in logits.as_slice().iter().zip(full.as_slice()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{at}: logit {a} vs {b}");
+            }
+            let mut full_grads = vec![f64::NAN; slots];
+            g.backward_keys_into(&mut full_ws, &every, &grad, &keys, &mut full_grads);
+            for s in (0..slots).filter(|&s| moves[s]) {
+                assert_eq!(
+                    grads[s].to_bits(),
+                    full_grads[s].to_bits(),
+                    "{at}: key gradient of slot {s}: {} vs {}",
+                    grads[s],
+                    full_grads[s]
+                );
             }
         }
     }
